@@ -5,11 +5,11 @@
 #   scripts/bench.sh --update     re-baseline: install the best run's JSON
 #                                 as the new committed BENCH_*.json
 #
-# Runs the engine scheduler bench plus the fig4a/fig6a figure benches. The
-# figure benches' virtual-time rows and obs counters must match the
-# baselines exactly (they are deterministic simulation facts); only the
-# host-side wall-clock numbers get a tolerance band. See
-# scripts/bench_compare.py for the exact contract.
+# Runs the engine scheduler bench, the figure benches (fig4a, fig6a, KV,
+# MWCAS, adaptive) and the 10k-rank fig5xl scale run. The figure benches'
+# virtual-time rows and obs counters must match the baselines exactly (they
+# are deterministic simulation facts); only the host-side wall-clock numbers
+# get a tolerance band. See scripts/bench_compare.py for the exact contract.
 #
 # Env knobs:
 #   BENCH_RUNS  best-of-N run count            (default 3)
@@ -30,7 +30,7 @@ if [[ "${1:-}" == "--update" ]]; then UPDATE="--update"; fi
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j"$JOBS" --target engine_throughput \
   fig4a_passive_overlap fig6a_rank_binding_procs fig_kv fig_mwcas \
-  ablation_adaptive >/dev/null
+  ablation_adaptive fig5xl_scale >/dev/null
 
 OUT="$ROOT/$BUILD/bench_out"
 rm -rf "$OUT"
@@ -45,6 +45,7 @@ for r in $(seq 1 "$RUNS"); do
   (cd "$d" && "$ROOT/$BUILD/bench/fig_kv" --json >/dev/null)
   (cd "$d" && "$ROOT/$BUILD/bench/fig_mwcas" --json >/dev/null)
   (cd "$d" && "$ROOT/$BUILD/bench/ablation_adaptive" --json >/dev/null)
+  "$ROOT/$BUILD/bench/fig5xl_scale" --out "$d/BENCH_fig5xl.json" >/dev/null
 done
 
 python3 scripts/bench_compare.py --runs-dir "$OUT" --baseline-dir "$ROOT" \

@@ -24,7 +24,7 @@ import os
 import shutil
 import sys
 
-BENCHES = ["engine", "fig4a", "fig6a", "kv", "mwcas", "adaptive"]
+BENCHES = ["engine", "fig4a", "fig6a", "kv", "mwcas", "adaptive", "fig5xl"]
 
 
 def load(path):
@@ -45,10 +45,16 @@ def fig_host_ms(doc):
     return doc.get("host", {}).get("casper_sweep_ms")
 
 
+def fig5xl_host_ms(doc):
+    return sum(r["host_ms"] for r in doc["rows"])
+
+
 def best_run(name, docs):
     """Index of the run with the best host-side result."""
     if name == "engine":
         return max(range(len(docs)), key=lambda i: engine_host_score(docs[i]))
+    if name == "fig5xl":
+        return min(range(len(docs)), key=lambda i: fig5xl_host_ms(docs[i]))
     with_host = [i for i in range(len(docs)) if fig_host_ms(docs[i]) is not None]
     if not with_host:
         return 0
@@ -225,6 +231,41 @@ def check_adaptive_ordering(doc, balanced_tol=0.05):
     return rc
 
 
+def compare_fig5xl(docs, base, tol):
+    """The 10k-rank scale run: the virtual iteration time of every
+    (nranks, shards) row is a simulation fact and must match the baseline
+    exactly in every run; each row's host_ms gets the tolerance band,
+    best-of-N per row."""
+    rc = 0
+    config = ("tile", "degree", "burst", "iters")
+    for doc in docs:
+        rc |= compare_exact("fig5xl", "config",
+                            [doc.get(k) for k in config],
+                            [base.get(k) for k in config])
+        rc |= compare_exact(
+            "fig5xl", "virt_iter_us rows",
+            [(r["nranks"], r["shards"], r["virt_iter_us"]) for r in doc["rows"]],
+            [(r["nranks"], r["shards"], r["virt_iter_us"])
+             for r in base["rows"]])
+    for br in base["rows"]:
+        key = (br["nranks"], br["shards"])
+        cand = min(r["host_ms"] for doc in docs for r in doc["rows"]
+                   if (r["nranks"], r["shards"]) == key)
+        ceil = br["host_ms"] * (1.0 + tol)
+        status = "ok" if cand <= ceil else "REGRESSION"
+        print(
+            f"  fig5xl nranks={key[0]} shards={key[1]} host_ms "
+            f"base={br['host_ms']:>9.1f} best={cand:>9.1f} "
+            f"({cand / br['host_ms'] * 100.0 - 100.0:+6.1f}%)  {status}"
+        )
+        if cand > ceil:
+            rc |= fail(
+                f"fig5xl: host_ms at nranks={key[0]} shards={key[1]} "
+                f"regressed beyond {tol:.0%}: {cand:.1f}ms > {ceil:.1f}ms"
+            )
+    return rc
+
+
 def compare_fig(name, docs, base, tol):
     rc = 0
     best = docs[best_run(name, docs)]
@@ -304,6 +345,8 @@ def main():
         base = load(base_path)
         if name == "engine":
             rc |= compare_engine(docs, base, args.tol)
+        elif name == "fig5xl":
+            rc |= compare_fig5xl(docs, base, args.tol)
         else:
             rc |= compare_fig(name, docs, base, args.tol)
         if name == "kv":

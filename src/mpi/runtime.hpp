@@ -222,10 +222,10 @@ class Runtime {
   /// software operations at the base cost instead of the in-application
   /// drain cost (net::Profile::busy_factor). Called by the Casper layer.
   void set_dedicated_progress(int world_rank, bool dedicated) {
-    dedicated_[static_cast<std::size_t>(world_rank)] = dedicated;
+    dedicated_[static_cast<std::size_t>(world_rank)] = dedicated ? 1 : 0;
   }
   bool dedicated_progress(int world_rank) const {
-    return dedicated_[static_cast<std::size_t>(world_rank)];
+    return dedicated_[static_cast<std::size_t>(world_rank)] != 0;
   }
 
   // ------------------------------------------------------------------------
@@ -388,8 +388,9 @@ class Runtime {
   void am_commit(const AmOp& op, sim::Time t0, sim::Time t1, int entity);
   /// Execute a self-targeted op synchronously (loads/stores, not delayed).
   void exec_self(Env& env, const AmOp& op);
-  void record_access(std::uintptr_t lo, std::uintptr_t hi, sim::Time t0,
-                     sim::Time t1, int entity, bool is_write);
+  /// Atomicity-violation check for one committed access to `node`'s memory.
+  void record_access(int node, std::uintptr_t lo, std::uintptr_t hi,
+                     sim::Time t0, sim::Time t1, int entity, bool is_write);
   void schedule_ack(const AmOp& op, sim::Time t_done, sim::PoolBuf&& data);
 
   // --- lock protocol -------------------------------------------------------
@@ -458,16 +459,19 @@ class Runtime {
   /// release into this pool on destruction.
   sim::BytePool pool_;
   std::vector<HotStats> hot_;
-  std::vector<bool> dedicated_;
+  /// One byte per rank, not std::vector<bool>: ghosts on different shards
+  /// set their flags concurrently, and packed bits would share a word.
+  std::vector<std::uint8_t> dedicated_;
   std::unique_ptr<sim::Engine> engine_;
   std::shared_ptr<Layer> layer_;
   Comm world_;
   std::vector<RankIo> io_;
-  /// Globally ordered in-flight software RMA accesses (absolute byte
-  /// ranges): overlapping windows alias memory, so violation detection must
-  /// work on addresses, not window coordinates. One list per shard: ranks of
-  /// one node live on one shard, and window memory belongs to a node, so
-  /// overlapping accesses always meet in the same shard's list.
+  /// In-flight RMA accesses (absolute byte ranges): overlapping windows
+  /// alias memory, so violation detection must work on addresses, not window
+  /// coordinates. One list per node, keyed by the node owning the target
+  /// memory: only accesses to the same node's memory can overlap, so a
+  /// commit scans just its own node's entries. A node never spans shards,
+  /// so each list is touched by one worker thread only.
   std::vector<std::vector<InflightOp>> inflight_;
   /// All windows ever created (weak): used for deadlock diagnostics.
   std::vector<std::weak_ptr<WinImpl>> win_registry_;

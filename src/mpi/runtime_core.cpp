@@ -89,7 +89,7 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   cfg_.machine.topo.validate();
   const int n = cfg_.machine.topo.nranks();
   io_.resize(static_cast<std::size_t>(n));
-  dedicated_.assign(static_cast<std::size_t>(n), false);
+  dedicated_.assign(static_cast<std::size_t>(n), 0);
 
   std::vector<int> all(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) all[static_cast<std::size_t>(r)] = r;
@@ -133,7 +133,7 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   // last arrival; shrink the lookahead so that release can never land inside
   // the releaser's own window (split/dup comms re-clamp on creation).
   if (engine_->sharded()) shard_clamp_for_members(world_->members());
-  inflight_.resize(static_cast<std::size_t>(engine_->shards()));
+  inflight_.resize(static_cast<std::size_t>(nnodes));
   opid_seq_.assign(static_cast<std::size_t>(engine_->shards()), 1);
 
   // Fault state must exist before the layer factory runs: the layer's ctor
@@ -686,7 +686,8 @@ void Runtime::am_write_phase(const AmOp& op, sim::PoolBuf&& staged, Time t0,
       MMPI_REQUIRE(false, "lock ops do not reach am_write_phase");
   }
 
-  record_access(lo, hi, t0, t1, entity, is_write);
+  record_access(topo().node_of(op.target_world), lo, hi, t0, t1, entity,
+                is_write);
   if (obs::on(recorder())) {
     recorder()->trace().instant(entity, obs::Ev::OpCommitted, t1, op.opid,
                               static_cast<std::uint64_t>(op.kind),
@@ -756,7 +757,8 @@ void Runtime::am_commit(const AmOp& op, Time t0, Time t1, int entity) {
       MMPI_REQUIRE(false, "lock ops do not reach am_commit");
   }
 
-  record_access(lo, hi, t0, t1, entity, is_write);
+  record_access(topo().node_of(op.target_world), lo, hi, t0, t1, entity,
+                is_write);
   if (obs::on(recorder())) {
     recorder()->trace().instant(entity, obs::Ev::OpCommitted, t1, op.opid,
                               static_cast<std::uint64_t>(op.kind),
@@ -779,11 +781,12 @@ void Runtime::exec_self(Env& env, const AmOp& op) {
   const std::size_t span = span_bytes(op.target_count, op.target_dt);
   const auto lo = reinterpret_cast<std::uintptr_t>(taddr);
   const Time t = env.now();
+  const int node = topo().node_of(op.target_world);
 
   switch (op.kind) {
     case OpKind::Put:
       unpack(taddr, op.target_count, op.target_dt, op.payload);
-      record_access(lo, lo + span, t, t, env.world_rank(), true);
+      record_access(node, lo, lo + span, t, t, env.world_rank(), true);
       break;
     case OpKind::Get:
       if (op.origin_result) {
@@ -791,11 +794,12 @@ void Runtime::exec_self(Env& env, const AmOp& op) {
         pack_into(data, taddr, op.target_count, op.target_dt);
         unpack(op.origin_result, op.origin_count, op.origin_dt, data);
       }
-      record_access(lo, lo + span, t, t, env.world_rank(), false);
+      record_access(node, lo, lo + span, t, t, env.world_rank(), false);
       break;
     case OpKind::Acc: {
       reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      record_access(lo, lo + span, t, t, env.world_rank(), op.op != AccOp::NoOp);
+      record_access(node, lo, lo + span, t, t, env.world_rank(),
+                    op.op != AccOp::NoOp);
       break;
     }
     case OpKind::GetAcc:
@@ -806,7 +810,8 @@ void Runtime::exec_self(Env& env, const AmOp& op) {
         unpack(op.origin_result, op.origin_count, op.origin_dt, old);
       }
       reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      record_access(lo, lo + span, t, t, env.world_rank(), op.op != AccOp::NoOp);
+      record_access(node, lo, lo + span, t, t, env.world_rank(),
+                    op.op != AccOp::NoOp);
       break;
     }
     case OpKind::Cas: {
@@ -815,7 +820,7 @@ void Runtime::exec_self(Env& env, const AmOp& op) {
       if (std::memcmp(taddr, op.payload.data(), es) == 0) {
         std::memcpy(taddr, op.payload.data() + es, es);
       }
-      record_access(lo, lo + es, t, t, env.world_rank(), true);
+      record_access(node, lo, lo + es, t, t, env.world_rank(), true);
       break;
     }
     case OpKind::LockReq:
@@ -825,14 +830,14 @@ void Runtime::exec_self(Env& env, const AmOp& op) {
   observe_commit(op, t, env.world_rank());
 }
 
-void Runtime::record_access(std::uintptr_t lo, std::uintptr_t hi, Time t0,
-                            Time t1, int entity, bool is_write) {
-  // Per-shard list: window memory belongs to a node and nodes never split
-  // across shards, so accesses that can alias always meet in the same list.
-  auto& inflight =
-      inflight_[static_cast<std::size_t>(sim::Engine::current_shard())];
-  // Processing-start times are nondecreasing in commit order, so entries
-  // whose interval ended at or before t0 can never overlap future accesses.
+void Runtime::record_access(int node, std::uintptr_t lo, std::uintptr_t hi,
+                            Time t0, Time t1, int entity, bool is_write) {
+  auto& inflight = inflight_[static_cast<std::size_t>(node)];
+  // Prune entries whose interval ended at or before this commit's start.
+  // Commits arrive in t1 order, but t0 is NOT monotone across entities: on
+  // the two-phase poller path a short op that started later can commit
+  // before a long op that started earlier, so this prune may drop an entry
+  // that a third entity's still-running op overlaps (DESIGN.md §9).
   std::erase_if(inflight, [t0](const InflightOp& e) { return e.t1 <= t0; });
   for (const InflightOp& e : inflight) {
     if (e.entity == entity) continue;

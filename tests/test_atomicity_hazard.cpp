@@ -126,4 +126,85 @@ TEST(AtomicityHazard, SameProcessingEntityStaysExactUnderAllSchedules) {
   }
 }
 
+/// The same unbound hazard on node 0 of a 4-node x 4-core machine: ranks
+/// 0 and 1 expose one buffer, ranks 4 and 5 (node 1) accumulate through
+/// different "ghosts". Rank 5's accumulates span the whole buffer, so ghost
+/// 1 serves longer ops than ghost 0 and their processing intervals stagger
+/// (equal-length ops would start and commit in lockstep). With `noise`,
+/// ranks 6..15 (nodes 1-3) meanwhile run heavy accumulate traffic on a
+/// second window, which never touches node 0's memory: alternately to
+/// themselves (zero-width commits landing at arbitrary times, the sharpest
+/// probe of cross-node pruning) and to the next noise rank. Both windows
+/// exist in every variant, so the hazard's timeline is the same with and
+/// without the noise.
+std::uint64_t node0_hazard_violations(bool noise, int shards) {
+  constexpr int kBufElems = 64;
+  constexpr int kFirstNoise = 6;
+  constexpr int kNoiseOps = 400;
+  RunConfig rc;
+  rc.machine.profile = net::cray_xc30_regular();
+  rc.machine.topo.nodes = 4;
+  rc.machine.topo.cores_per_node = 4;
+  rc.shards = shards;
+  std::vector<double> shared_buf(kBufElems, 0.0);  // node 0's exposed memory
+  mpi::Runtime rt(rc, [&](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    const int p = env.size(w);
+    const bool ghostish = me < 2;
+    Win hazard = env.win_create(ghostish ? shared_buf.data() : nullptr,
+                                ghostish ? kBufElems * sizeof(double) : 0,
+                                sizeof(double), Info{}, w);
+    void* base = nullptr;
+    Win ring = env.win_allocate(16 * sizeof(double), sizeof(double), Info{},
+                                w, &base);
+    env.barrier(w);
+    double one = 1.0;
+    if (me == 4 || me == 5) {
+      const int ghost = me - 4;
+      const std::vector<double> ones(kBufElems, 1.0);
+      env.win_lock(LockType::Shared, ghost, 0, hazard);
+      for (int i = 0; i < 50; ++i) {
+        env.accumulate(ones.data(), ghost == 0 ? 1 : kBufElems, ghost, 0,
+                       AccOp::Sum, hazard);
+      }
+      env.win_unlock(ghost, hazard);
+    } else if (noise && me >= kFirstNoise) {
+      const int next = me + 1 < p ? me + 1 : kFirstNoise;
+      env.win_lock_all(0, ring);
+      for (int i = 0; i < kNoiseOps; ++i) {
+        env.accumulate(&one, 1, (i & 1) == 0 ? me : next,
+                       static_cast<std::size_t>(i % 16), AccOp::Sum, ring);
+        if ((i & 15) == 15) env.win_flush(next, ring);
+      }
+      env.win_unlock_all(ring);
+    }
+    // Everyone else serves its inbox inside the barrier.
+    env.barrier(w);
+    env.win_free(ring);
+    env.win_free(hazard);
+  });
+  rt.run();
+  return rt.stats().get("atomicity_violations");
+}
+
+TEST(AtomicityHazard, CountIndependentOfShardCount) {
+  // Only accesses to the same node's memory can conflict, so the detector's
+  // verdict must not depend on how nodes are packed onto engine shards.
+  const std::uint64_t one_shard = node0_hazard_violations(true, 1);
+  EXPECT_GT(one_shard, 0u);
+  for (const int shards : {2, 4}) {
+    EXPECT_EQ(node0_hazard_violations(true, shards), one_shard)
+        << "shards " << shards;
+  }
+}
+
+TEST(AtomicityHazard, CountIndependentOfOtherNodesTraffic) {
+  // Commits on nodes 1-3 must not prune node 0's in-flight accesses: the
+  // hazard on node 0 reports the same count in a quiet and a busy machine.
+  const std::uint64_t quiet = node0_hazard_violations(false, 1);
+  EXPECT_GT(quiet, 0u);
+  EXPECT_EQ(node0_hazard_violations(true, 1), quiet);
+}
+
 }  // namespace

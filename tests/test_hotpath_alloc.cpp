@@ -75,12 +75,12 @@ using namespace casper;
 
 namespace {
 
-// 2 nodes x (1 user + 1 ghost), all-software Cray profile: every op takes
+// `nodes` x (1 user + 1 ghost), all-software Cray profile: every op takes
 // the full redirect -> ghost AM -> commit -> ack path.
-mpi::RunConfig casper_config(obs::Recorder* rec = nullptr) {
+mpi::RunConfig casper_config(obs::Recorder* rec = nullptr, int nodes = 2) {
   mpi::RunConfig rc;
   rc.machine.profile = net::cray_xc30_regular();
-  rc.machine.topo.nodes = 2;
+  rc.machine.topo.nodes = nodes;
   rc.machine.topo.cores_per_node = 2;
   rc.seed = 12345;
   rc.recorder = rec;
@@ -93,26 +93,32 @@ core::Config one_ghost() {
   return cc;
 }
 
-TEST(HotPathAlloc, ZeroSteadyStateAllocationsInPutAccLoop) {
+/// Heap allocations in a measured 1k-op window of user 0's warm PUT/ACC
+/// loop over users 1..nodes-1, one per node (every target node's ghost
+/// commits, so every per-node runtime structure on the path is exercised).
+std::uint64_t steady_state_allocs(int nodes) {
   std::uint64_t measured = ~std::uint64_t{0};
   auto workload = [&measured](mpi::Env& env) {
     mpi::Comm w = env.world();
     const int me = env.rank(w);
+    const int peers = env.size(w) - 1;
     void* base = nullptr;
     mpi::Win win = env.win_allocate(64 * sizeof(double), sizeof(double),
                                     mpi::Info{}, w, &base);
     env.win_lock_all(0, win);
     env.barrier(w);
     double v = 1.0;
-    // Alternating contiguous PUT/ACC to the peer, flushed every 16 ops so
-    // queue depths in the measured window repeat the warm-up's exactly.
+    // Alternating contiguous PUT/ACC to the peers in turn, flushed every 16
+    // ops so queue depths in the measured window repeat the warm-up's
+    // exactly.
     auto batch = [&](int ops) {
       for (int i = 0; i < ops; ++i) {
         const auto slot = static_cast<std::size_t>(i % 16);
+        const int target = 1 + (i / 2) % peers;
         if ((i & 1) == 0) {
-          env.put(&v, 1, 1, slot, win);
+          env.put(&v, 1, target, slot, win);
         } else {
-          env.accumulate(&v, 1, 1, 32 + slot, mpi::AccOp::Sum, win);
+          env.accumulate(&v, 1, target, 32 + slot, mpi::AccOp::Sum, win);
         }
         if ((i & 15) == 15) env.win_flush_all(win);
       }
@@ -128,9 +134,19 @@ TEST(HotPathAlloc, ZeroSteadyStateAllocationsInPutAccLoop) {
     env.win_unlock_all(win);
     env.win_free(win);
   };
-  mpi::exec(casper_config(), workload, core::layer(one_ghost()));
-  EXPECT_EQ(measured, 0u)
-      << "steady-state PUT/ACC fast path performed heap allocations";
+  mpi::exec(casper_config(nullptr, nodes), workload,
+            core::layer(one_ghost()));
+  return measured;
+}
+
+TEST(HotPathAlloc, ZeroSteadyStateAllocationsInPutAccLoop) {
+  // 5 nodes = 4 target nodes: each has its own in-flight atomicity list,
+  // and once warm none of them may grow or reallocate.
+  for (const int nodes : {2, 5}) {
+    EXPECT_EQ(steady_state_allocs(nodes), 0u)
+        << "steady-state PUT/ACC fast path performed heap allocations ("
+        << nodes << " nodes)";
+  }
 }
 
 std::uint64_t counter_or_zero(const obs::Recorder& rec, const char* name) {
