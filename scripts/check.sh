@@ -10,6 +10,28 @@ cd "$(dirname "$0")/.."
 BUILD=build
 BUILD_ASAN=build-asan
 JOBS=$(nproc 2>/dev/null || echo 4)
+REPRO="$BUILD/tests/repro"
+
+# Empty the proofs' repro directory before a proof-running fuzz invocation.
+fresh_repro_dir() {
+  rm -rf "$REPRO"
+  mkdir -p "$REPRO"
+}
+
+# Replay every repro the proofs wrote through the CLI; a file that does not
+# reproduce, or no file at all, fails the stage.
+replay_repros() {
+  local n=0
+  for f in "$REPRO"/*.txt; do
+    [ -e "$f" ] || continue
+    "./$BUILD/tests/fuzz_conformance" --replay "$f" || return 1
+    n=$((n + 1))
+  done
+  if [ "$n" -eq 0 ]; then
+    echo "no repro files in $REPRO" >&2
+    return 1
+  fi
+}
 
 echo "== [1/14] tier-1: build + ctest =="
 cmake -B "$BUILD" -S . >/dev/null
@@ -18,9 +40,12 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 
 echo "== [2/14] conformance fuzzer: fixed seed corpus =="
 # A larger sweep than the ctest-time run; still deterministic (fixed base
-# seed), so failures here are reproducible verbatim.
+# seed), so failures here are reproducible verbatim. The binding-bug proof's
+# repro must also replay through the CLI.
+fresh_repro_dir
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --cases 500 --schedules 8 \
-  --out "$BUILD/tests"
+  --out "$REPRO"
+replay_repros
 
 echo "== [3/14] conformance fuzzer: faulted corpus (--faults) =="
 # The same generator under seed-derived lossy networks (drops, duplicates,
@@ -51,13 +76,15 @@ echo "== [6/14] KV store + linearizability checker =="
 # The RMA-backed sharded KV store under skewed traffic with the Wing-Gong
 # linearizability checker riding every run (DESIGN.md §14): the unit suites,
 # a wider clean --kv corpus than the ctest-time slice (the planted-bug
-# kv_proof pipeline runs inside the first campaign), and the faulted corpus
+# proof runs after the first campaign), and the faulted corpus
 # (lossy network + seed-derived chaos) which must stay violation-free
-# through retry and recovery.
+# through retry and recovery. The proof's repro replays through the CLI.
 "./$BUILD/tests/test_kv"
 "./$BUILD/tests/test_linear_checker"
+fresh_repro_dir
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --kv 200 --schedules 4 \
-  --out "$BUILD/tests"
+  --out "$REPRO"
+replay_repros
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --kv 100 --schedules 2 \
   --faults --no-fault-proof --out "$BUILD/tests"
 
@@ -80,12 +107,15 @@ echo "== [8/14] MWCAS library: unit battery + clean/lockfree corpora =="
 # MS-queue linearizability, 64-schedule exactness), a wider clean --mwcas
 # corpus than the ctest-time slice (the three planted protocol bugs are
 # proven caught inside the first campaign), and the KV store's lock-free
-# bucket mode over the same seeds the locked campaign runs in stage 6.
+# bucket mode over the same seeds the locked campaign runs in stage 6. Every
+# proof repro of both runs replays through the CLI.
 "./$BUILD/tests/test_mwcas"
+fresh_repro_dir
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --mwcas 100 --schedules 4 \
-  --out "$BUILD/tests"
+  --out "$REPRO"
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --kv 100 --schedules 2 \
-  --lockfree --out "$BUILD/tests"
+  --lockfree --out "$REPRO"
+replay_repros
 
 echo "== [9/14] ASan: fuzzer smoke corpus + ghost-failure soak =="
 cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null

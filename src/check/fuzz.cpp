@@ -6,6 +6,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "check/history.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/record.hpp"
@@ -21,15 +22,6 @@ using mpi::OpKind;
 
 namespace {
 
-const char* dt_name(Dt d) {
-  switch (d) {
-    case Dt::Byte: return "byte";
-    case Dt::Int: return "int";
-    case Dt::Double: return "double";
-  }
-  return "?";
-}
-
 const char* kind_name(OpKind k) {
   switch (k) {
     case OpKind::Put: return "put";
@@ -40,27 +32,6 @@ const char* kind_name(OpKind k) {
     case OpKind::Cas: return "cas";
     default: return "?";
   }
-}
-
-const char* aop_name(AccOp a) {
-  switch (a) {
-    case AccOp::Replace: return "replace";
-    case AccOp::Sum: return "sum";
-    case AccOp::Min: return "min";
-    case AccOp::Max: return "max";
-    case AccOp::NoOp: return "noop";
-  }
-  return "?";
-}
-
-std::uint64_t fnv1a(const void* p, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 /// Fill `n` basic elements of type `base` at `dst` with val, val+1, ...
@@ -500,32 +471,6 @@ bool planted_flagged(const RunOutcome& out, const FuzzCase::PlantedRace& pr) {
   return false;
 }
 
-void add_net_faults(FuzzCase& fc) {
-  sim::Rng rng(fc.seed, 0xfa0175);
-  fault::FaultPlan& fp = fc.fault_plan;
-  fp.seed = fc.seed ^ 0x9e3779b97f4a7c15ULL;
-  fault::NetFaults& n = fp.net;
-  // Always at least one fault class; higher rolls stack several so the
-  // retry/dedup/reorder machinery gets exercised together.
-  const std::uint64_t mix = rng.next_below(8);
-  if (mix == 0 || (mix & 1) != 0) {
-    n.drop_p = 0.02 + 0.18 * rng.next_double();
-  }
-  if (mix == 1 || (mix & 2) != 0) {
-    n.dup_p = 0.02 + 0.18 * rng.next_double();
-  }
-  if (mix == 2 || (mix & 4) != 0) {
-    // Delay doubles as reorder: a jitter window wider than the inter-op
-    // issue gap makes later sends overtake earlier ones.
-    n.delay_p = 0.05 + 0.35 * rng.next_double();
-    n.delay_min = sim::us(1);
-    n.delay_max = sim::us(5 + rng.next_below(60));
-  }
-  if (rng.next_below(3) == 0) {
-    n.ack_drop_p = 0.02 + 0.13 * rng.next_double();
-  }
-}
-
 RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
                     bool inject_flip_fault) {
   mpi::RunConfig rc;
@@ -585,88 +530,93 @@ RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
   return out;
 }
 
-std::uint64_t perturb_for(std::uint64_t seed, int s) {
-  if (s == 0) return 0;  // schedule 0 is always the classic order
-  sim::Rng rng(seed, 0x5eed + static_cast<std::uint64_t>(s));
-  const std::uint64_t v = rng.next_u64();
-  return v == 0 ? 1 : v;
+RmaCase RmaWorkload::generate(const Repro& r) {
+  RmaCase c{r.races > 0 ? make_racy_case(r.seed, r.reduced, r.races)
+                        : make_case(r.seed, r.reduced),
+            false};
+  if (r.adaptive) c.adaptive = true;
+  return c;
 }
 
-int minimize_prefix(int total, const std::function<bool(int)>& fails) {
-  int lo = 1, hi = total;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (fails(mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  // The bisection assumes failing prefixes stay failing when extended; the
-  // final check catches the (rare) non-monotone case.
-  return fails(lo) ? lo : total;
+RunOutcome RmaWorkload::run(const RmaCase& c, std::uint64_t perturb,
+                            std::size_t prefix) {
+  if (prefix >= c.ops.size()) return run_case(c, perturb, c.flip_binding);
+  FuzzCase t = c;
+  t.ops.resize(prefix);
+  return run_case(t, perturb, c.flip_binding);
 }
 
-std::string write_repro(const Repro& r, const FuzzCase& fc,
-                        const RunOutcome& out, const std::string& dir) {
-  char name[128];
-  std::snprintf(name, sizeof(name),
-                "casper_repro_s%" PRIu64 "_p%" PRIu64 ".txt", r.seed,
-                r.perturb);
-  const std::string path = dir.empty() ? name : dir + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return {};
-  std::fprintf(f, "# casper conformance repro v1\n");
-  std::fprintf(f, "# replay: fuzz_conformance --replay %s\n", path.c_str());
-  std::fprintf(f, "kind %s\n", r.kind.c_str());
-  std::fprintf(f, "seed %" PRIu64 "\n", r.seed);
-  std::fprintf(f, "perturb %" PRIu64 "\n", r.perturb);
-  std::fprintf(f, "base_perturb %" PRIu64 "\n", r.base_perturb);
-  std::fprintf(f, "prefix %d\n", r.prefix_ops);
-  std::fprintf(f, "reduced %d\n", r.reduced ? 1 : 0);
-  std::fprintf(f, "fault %d\n", r.fault ? 1 : 0);
-  if (r.races > 0) std::fprintf(f, "races %d\n", r.races);
-  if (r.plan.active()) {
-    // Embed the triggering FaultPlan: replay must reproduce the exact
-    // drop/dup/delay verdicts, so the plan travels with the repro instead
-    // of being re-derived from conventions that may change.
-    std::fprintf(f,
-                 "netfault seed=%" PRIu64 " drop=%.17g dup=%.17g delay=%.17g "
-                 "dmin=%" PRIu64 " dmax=%" PRIu64 " ackdrop=%.17g "
-                 "rto=%" PRIu64 " maxretries=%d hb=%" PRIu64 "\n",
-                 r.plan.seed, r.plan.net.drop_p, r.plan.net.dup_p,
-                 r.plan.net.delay_p, r.plan.net.delay_min,
-                 r.plan.net.delay_max, r.plan.net.ack_drop_p, r.plan.rto_base,
-                 r.plan.max_retries, r.plan.heartbeat_period);
-    for (const auto& k : r.plan.kills) {
-      std::fprintf(f, "kill rank=%d at=%" PRIu64 "\n", k.world_rank, k.at);
-    }
-    for (const auto& s : r.plan.stalls) {
-      std::fprintf(f, "stall rank=%d at=%" PRIu64 " dur=%" PRIu64 "\n",
-                   s.world_rank, s.at, s.duration);
-    }
-  }
+std::span<const Check<RmaWorkload>> RmaWorkload::checks() {
+  // Racy cases (planted races) judge only analyzer coverage: racing writes
+  // legitimately diverge the oracle and the final contents.
+  static constexpr Check<RmaWorkload> kChecks[] = {
+      {"oracle-divergence",
+       [](const RmaCase& c, std::size_t, const RunOutcome& o) {
+         return c.planted.empty() && !o.oracle_clean();
+       },
+       nullptr},
+      // The clean generator promises every case race-free, so any analyzer
+      // conflict is a false positive.
+      {"race-conflict",
+       [](const RmaCase& c, std::size_t, const RunOutcome& o) {
+         return c.planted.empty() && !o.races_clean();
+       },
+       nullptr},
+      // Every planted pair whose two ops survive the cut must be flagged.
+      {"race-miss",
+       [](const RmaCase& c, std::size_t prefix, const RunOutcome& o) {
+         const auto n = static_cast<int>(std::min(prefix, c.ops.size()));
+         for (const FuzzCase::PlantedRace& pr : c.planted) {
+           if (pr.op_a < n && pr.op_b < n && !planted_flagged(o, pr)) {
+             return true;
+           }
+         }
+         return false;
+       },
+       nullptr},
+      {"schedule-divergence", nullptr,
+       [](const RmaCase& c, const RunOutcome& o, const RunOutcome& ref) {
+         return !c.order_sensitive && o.content_hash != ref.content_hash;
+       }},
+  };
+  return kChecks;
+}
+
+std::span<const PlantedBug<RmaWorkload>> RmaWorkload::bugs() {
+  static constexpr PlantedBug<RmaWorkload> kBugs[] = {
+      // The flip only has a surface when segment binding spreads one target
+      // over >= 2 ghosts; adaptive cases resolve through the controller's
+      // map instead of the flippable static owner function.
+      {"flip-binding", 500,
+       [](const RmaCase& c) {
+         return c.binding == core::Binding::Segment && c.ghosts >= 2 &&
+                !c.adaptive;
+       },
+       [](RmaCase& c) { c.flip_binding = true; }, nullptr},
+  };
+  return kBugs;
+}
+
+void RmaWorkload::write_case(std::FILE* f, const RmaCase& fc,
+                             std::size_t nops) {
   std::fprintf(
       f,
       "case nodes=%d users_per_node=%d ghosts=%d binding=%s dynamic=%d "
       "epoch=%s rounds=%d mid_flush=%d pscw_nocheck=%d hint_exact=%d "
       "acc_dt=%s acc_op=%s order_sensitive=%d slot_bytes=%zu adaptive=%d\n",
-      fc.nodes, fc.users_per_node, fc.ghosts,
-      fc.binding == core::Binding::Segment ? "segment" : "rank",
+      fc.nodes, fc.users_per_node, fc.ghosts, binding_name(fc.binding),
       static_cast<int>(fc.dynamic), to_string(fc.epoch), fc.rounds,
       fc.mid_flush ? 1 : 0, fc.pscw_nocheck ? 1 : 0, fc.hint_exact ? 1 : 0,
-      dt_name(fc.acc_dt), aop_name(fc.acc_op), fc.order_sensitive ? 1 : 0,
+      to_string(fc.acc_dt), to_string(fc.acc_op), fc.order_sensitive ? 1 : 0,
       fc.slot_bytes, fc.adaptive ? 1 : 0);
-  const int nshow = std::min<int>(r.prefix_ops,
-                                  static_cast<int>(fc.ops.size()));
-  for (int i = 0; i < nshow; ++i) {
-    const OpRec& op = fc.ops[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < nops; ++i) {
+    const OpRec& op = fc.ops[i];
     std::fprintf(f,
-                 "op %d kind=%s aop=%s origin=%d target=%d round=%d "
+                 "op %zu kind=%s aop=%s origin=%d target=%d round=%d "
                  "disp=%zu count=%d dt=%s blocklen=%d stride=%d val=%lld "
                  "local=%d\n",
-                 i, kind_name(op.kind), aop_name(op.aop), op.origin,
-                 op.target, op.round, op.disp, op.count, dt_name(op.tdt.base),
+                 i, kind_name(op.kind), to_string(op.aop), op.origin,
+                 op.target, op.round, op.disp, op.count, to_string(op.tdt.base),
                  op.tdt.blocklen, op.tdt.stride,
                  static_cast<long long>(op.val), op.local ? 1 : 0);
   }
@@ -677,9 +627,10 @@ std::string write_repro(const Repro& r, const FuzzCase& fc,
                  pr.origin_a, pr.origin_b, pr.target, pr.lo, pr.hi, pr.op_a,
                  pr.op_b);
   }
-  for (const std::string& d : out.race_diags) {
-    std::fprintf(f, "race %s\n", d.c_str());
-  }
+}
+
+void RmaWorkload::write_diags(std::FILE* f, const RunOutcome& out) {
+  for (const std::string& d : out.race_diags) put_lines(f, "race", d);
   for (const Divergence& d : out.divergences) {
     std::fprintf(f,
                  "divergence t=%.3fus where=\"%s\" win=%d span_off=%zu "
@@ -699,276 +650,7 @@ std::string write_repro(const Repro& r, const FuzzCase& fc,
   std::fprintf(f, "\n");
   // Obs-trace tail (present when the run had CASPER_TRACE set): the last
   // virtual-time events before the failure, in golden-trace text form.
-  for (const std::string& line : out.trace_tail) {
-    std::fprintf(f, "trace %s\n", line.c_str());
-  }
-  std::fclose(f);
-  return path;
-}
-
-bool parse_repro(const std::string& path, Repro& out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char line[512];
-  bool have_seed = false, have_kind = false;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    char kind[64];
-    int b = 0;
-    if (std::sscanf(line, "kind %63s", kind) == 1) {
-      out.kind = kind;
-      have_kind = true;
-    } else if (std::sscanf(line, "seed %" SCNu64, &out.seed) == 1) {
-      have_seed = true;
-    } else if (std::sscanf(line, "perturb %" SCNu64, &out.perturb) == 1) {
-    } else if (std::sscanf(line, "base_perturb %" SCNu64,
-                           &out.base_perturb) == 1) {
-    } else if (std::sscanf(line, "prefix %d", &out.prefix_ops) == 1) {
-    } else if (std::sscanf(line, "reduced %d", &b) == 1) {
-      out.reduced = b != 0;
-    } else if (std::sscanf(line, "fault %d", &b) == 1) {
-      out.fault = b != 0;
-    } else if (std::sscanf(line, "races %d", &out.races) == 1) {
-    } else if (std::sscanf(line,
-                           "netfault seed=%" SCNu64 " drop=%lg dup=%lg "
-                           "delay=%lg dmin=%" SCNu64 " dmax=%" SCNu64
-                           " ackdrop=%lg rto=%" SCNu64 " maxretries=%d "
-                           "hb=%" SCNu64,
-                           &out.plan.seed, &out.plan.net.drop_p,
-                           &out.plan.net.dup_p, &out.plan.net.delay_p,
-                           &out.plan.net.delay_min, &out.plan.net.delay_max,
-                           &out.plan.net.ack_drop_p, &out.plan.rto_base,
-                           &out.plan.max_retries,
-                           &out.plan.heartbeat_period) == 10) {
-    } else {
-      fault::GhostKill k;
-      fault::GhostStall s;
-      if (std::sscanf(line, "kill rank=%d at=%" SCNu64, &k.world_rank,
-                      &k.at) == 2) {
-        out.plan.kills.push_back(k);
-      } else if (std::sscanf(line, "stall rank=%d at=%" SCNu64
-                                   " dur=%" SCNu64,
-                             &s.world_rank, &s.at, &s.duration) == 3) {
-        out.plan.stalls.push_back(s);
-      }
-    }
-  }
-  std::fclose(f);
-  return have_seed && have_kind;
-}
-
-bool replay(const Repro& r) {
-  FuzzCase fc = r.races > 0 ? make_racy_case(r.seed, r.reduced, r.races)
-                            : make_case(r.seed, r.reduced);
-  if (r.plan.active()) fc.fault_plan = r.plan;
-  if (r.prefix_ops > 0 &&
-      r.prefix_ops < static_cast<int>(fc.ops.size())) {
-    fc.ops.resize(static_cast<std::size_t>(r.prefix_ops));
-  }
-  const RunOutcome out = run_case(fc, r.perturb, r.fault);
-  if (r.kind == "schedule-divergence") {
-    const RunOutcome base = run_case(fc, r.base_perturb, r.fault);
-    return out.content_hash != base.content_hash;
-  }
-  if (r.kind == "race-conflict") return !out.races_clean();
-  if (r.kind == "race-miss") {
-    const int n = static_cast<int>(fc.ops.size());
-    for (const FuzzCase::PlantedRace& pr : fc.planted) {
-      if (pr.op_a < n && pr.op_b < n && !planted_flagged(out, pr))
-        return true;
-    }
-    return false;
-  }
-  return !out.oracle_clean();
-}
-
-CampaignResult run_campaign(const CampaignOptions& opt) {
-  CampaignResult res;
-  const bool racy = opt.planted_races > 0;
-  for (int c = 0; c < opt.cases; ++c) {
-    const std::uint64_t seed = opt.base_seed + static_cast<std::uint64_t>(c);
-    FuzzCase fc = racy ? make_racy_case(seed, opt.reduced, opt.planted_races)
-                       : make_case(seed, opt.reduced);
-    if (opt.force_adaptive) fc.adaptive = true;
-    if (opt.net_faults) add_net_faults(fc);
-    ++res.cases_run;
-
-    std::vector<RunOutcome> outs;
-    outs.reserve(static_cast<std::size_t>(opt.schedules));
-    int bad_schedule = -1;
-    for (int s = 0; s < opt.schedules; ++s) {
-      outs.push_back(run_case(fc, perturb_for(seed, s)));
-      ++res.runs;
-      res.total_commits += outs.back().commits;
-      // Racy mode: planted racing writes legitimately diverge the oracle
-      // and the content hashes; only analyzer coverage is judged.
-      if (!racy && !outs.back().oracle_clean() && bad_schedule < 0)
-        bad_schedule = s;
-    }
-
-    if (racy) {
-      // Positive tests: every planted pair must be flagged in EVERY
-      // schedule (verdicts are schedule-invariant by design).
-      int miss_schedule = -1;
-      for (int s = 0; s < opt.schedules && miss_schedule < 0; ++s) {
-        for (const FuzzCase::PlantedRace& pr : fc.planted) {
-          if (!planted_flagged(outs[static_cast<std::size_t>(s)], pr)) {
-            miss_schedule = s;
-            break;
-          }
-        }
-      }
-      if (miss_schedule >= 0) {
-        const std::uint64_t p = perturb_for(seed, miss_schedule);
-        const auto misses = [&](const FuzzCase& t, const RunOutcome& o) {
-          const int n = static_cast<int>(t.ops.size());
-          for (const FuzzCase::PlantedRace& pr : t.planted) {
-            if (pr.op_a < n && pr.op_b < n && !planted_flagged(o, pr))
-              return true;
-          }
-          return false;
-        };
-        const int k = minimize_prefix(
-            static_cast<int>(fc.ops.size()), [&](int n) {
-              FuzzCase t = fc;
-              t.ops.resize(static_cast<std::size_t>(n));
-              return misses(t, run_case(t, p));
-            });
-        FuzzCase t = fc;
-        t.ops.resize(static_cast<std::size_t>(k));
-        const RunOutcome rerun = run_case(t, p);
-        Repro rp;
-        rp.seed = seed;
-        rp.perturb = p;
-        rp.prefix_ops = k;
-        rp.reduced = opt.reduced;
-        rp.plan = fc.fault_plan;
-        rp.races = opt.planted_races;
-        rp.kind = "race-miss";
-        Failure fl;
-        fl.seed = seed;
-        fl.perturb = p;
-        fl.kind = rp.kind;
-        fl.minimized_ops = k;
-        fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-        res.failures.push_back(std::move(fl));
-      }
-      if (opt.verbose && (c + 1) % 50 == 0) {
-        std::fprintf(stderr, "fuzz: %d/%d racy cases, %d runs, %zu miss(es)\n",
-                     c + 1, opt.cases, res.runs, res.failures.size());
-      }
-      continue;
-    }
-
-    if (bad_schedule >= 0) {
-      const std::uint64_t p = perturb_for(seed, bad_schedule);
-      const int k = minimize_prefix(
-          static_cast<int>(fc.ops.size()), [&](int n) {
-            FuzzCase t = fc;
-            t.ops.resize(static_cast<std::size_t>(n));
-            return !run_case(t, p).oracle_clean();
-          });
-      FuzzCase t = fc;
-      t.ops.resize(static_cast<std::size_t>(k));
-      const RunOutcome rerun = run_case(t, p);
-      Repro rp;
-      rp.seed = seed;
-      rp.perturb = p;
-      rp.prefix_ops = k;
-      rp.reduced = opt.reduced;
-      rp.plan = fc.fault_plan;
-      rp.kind = "oracle-divergence";
-      Failure fl;
-      fl.seed = seed;
-      fl.perturb = p;
-      fl.kind = rp.kind;
-      fl.minimized_ops = k;
-      fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-      res.failures.push_back(std::move(fl));
-      continue;
-    }
-
-    // Clean corpus = negative tests for the analyzer: the generator promises
-    // every case race-free, so any conflict is a false positive.
-    {
-      int fp_schedule = -1;
-      for (int s = 0; s < opt.schedules; ++s) {
-        if (!outs[static_cast<std::size_t>(s)].races_clean()) {
-          fp_schedule = s;
-          break;
-        }
-      }
-      if (fp_schedule >= 0) {
-        const std::uint64_t p = perturb_for(seed, fp_schedule);
-        const int k = minimize_prefix(
-            static_cast<int>(fc.ops.size()), [&](int n) {
-              FuzzCase t = fc;
-              t.ops.resize(static_cast<std::size_t>(n));
-              return !run_case(t, p).races_clean();
-            });
-        FuzzCase t = fc;
-        t.ops.resize(static_cast<std::size_t>(k));
-        const RunOutcome rerun = run_case(t, p);
-        Repro rp;
-        rp.seed = seed;
-        rp.perturb = p;
-        rp.prefix_ops = k;
-        rp.reduced = opt.reduced;
-        rp.plan = fc.fault_plan;
-        rp.kind = "race-conflict";
-        Failure fl;
-        fl.seed = seed;
-        fl.perturb = p;
-        fl.kind = rp.kind;
-        fl.minimized_ops = k;
-        fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-        res.failures.push_back(std::move(fl));
-        continue;
-      }
-    }
-
-    if (!fc.order_sensitive) {
-      for (int s = 1; s < opt.schedules; ++s) {
-        if (outs[static_cast<std::size_t>(s)].content_hash ==
-            outs[0].content_hash) {
-          continue;
-        }
-        const std::uint64_t p = perturb_for(seed, s);
-        const int k = minimize_prefix(
-            static_cast<int>(fc.ops.size()), [&](int n) {
-              FuzzCase t = fc;
-              t.ops.resize(static_cast<std::size_t>(n));
-              return run_case(t, p).content_hash !=
-                     run_case(t, 0).content_hash;
-            });
-        FuzzCase t = fc;
-        t.ops.resize(static_cast<std::size_t>(k));
-        const RunOutcome rerun = run_case(t, p);
-        Repro rp;
-        rp.seed = seed;
-        rp.perturb = p;
-        rp.prefix_ops = k;
-        rp.reduced = opt.reduced;
-        rp.plan = fc.fault_plan;
-        rp.kind = "schedule-divergence";
-        Failure fl;
-        fl.seed = seed;
-        fl.perturb = p;
-        fl.kind = rp.kind;
-        fl.minimized_ops = k;
-        fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-        res.failures.push_back(std::move(fl));
-        break;
-      }
-    }
-
-    if (opt.verbose && (c + 1) % 50 == 0) {
-      std::fprintf(stderr, "fuzz: %d/%d cases, %d runs, %" PRIu64
-                           " commits, %zu failure(s)\n",
-                   c + 1, opt.cases, res.runs, res.total_commits,
-                   res.failures.size());
-    }
-  }
-  return res;
+  for (const std::string& line : out.trace_tail) put_lines(f, "trace", line);
 }
 
 }  // namespace casper::check

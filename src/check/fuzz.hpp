@@ -10,8 +10,8 @@
 //   * the runtime's atomicity-violation detector fires, or
 //   * two legal schedules of a schedule-invariant program produce different
 //     final window contents.
-// Failures are minimized to the shortest failing op prefix and written as a
-// replayable repro file (seed + schedule + op trace).
+// The shared pipeline (check/campaign.hpp) minimizes failures to the shortest
+// failing op prefix and writes them as replayable repro files.
 //
 // Programs are constructed to be schedule-invariant unless marked
 // order-sensitive: PUT targets per-origin-exclusive, per-round-disjoint slot
@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "check/campaign.hpp"
 #include "check/oracle.hpp"
 #include "check/race.hpp"
 #include "core/casper.hpp"
@@ -114,12 +114,6 @@ FuzzCase make_case(std::uint64_t seed, bool reduced);
 /// racing writes make final contents schedule-dependent.
 FuzzCase make_racy_case(std::uint64_t seed, bool reduced, int races);
 
-/// Derive a deterministic lossy-network FaultPlan from the case's seed and
-/// install it (--faults mode): some mix of drop / duplicate / delay-reorder /
-/// ack-drop probabilities, plus a jittered delay window. The reliable AM
-/// layer must absorb every mix with the oracle staying clean.
-void add_net_faults(FuzzCase& fc);
-
 /// Outcome of one simulated run of a case.
 struct RunOutcome {
   std::vector<Divergence> divergences;
@@ -158,79 +152,31 @@ bool planted_flagged(const RunOutcome& out, const FuzzCase::PlantedRace& pr);
 RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
                     bool inject_flip_fault = false);
 
-/// Schedule perturb seed of schedule index `s` for a case (s == 0 → 0).
-std::uint64_t perturb_for(std::uint64_t seed, int s);
-
-/// Smallest k in [1, total] for which `fails(k)` holds, assuming rough
-/// monotonicity (verified; falls back to `total` when the assumption broke).
-int minimize_prefix(int total, const std::function<bool(int)>& fails);
-
-/// Everything needed to replay one failure.
-struct Repro {
-  std::uint64_t seed = 0;
-  std::uint64_t perturb = 0;       ///< the failing schedule
-  std::uint64_t base_perturb = 0;  ///< comparison schedule (content diffs)
-  int prefix_ops = 0;              ///< minimized op-stream prefix length
-  bool reduced = true;
-  bool fault = false;
-  /// The network FaultPlan active when the failure triggered, embedded in
-  /// the repro file so a replay reproduces the same drops/dups/delays.
-  fault::FaultPlan plan;
-  /// Planted races in the generating case (> 0 → regenerate with
-  /// make_racy_case on replay).
-  int races = 0;
-  /// "oracle-divergence" | "schedule-divergence" | "race-conflict" (a clean
-  /// case the analyzer flagged: false positive) | "race-miss" (a planted
-  /// race the analyzer did not flag).
-  std::string kind;
+/// A FuzzCase as the campaign runs it, plus the planted segment-binding bug
+/// (run_case takes that as an argument, not as a case field).
+struct RmaCase : FuzzCase {
+  bool flip_binding = false;
 };
 
-/// Write a human-readable, machine-replayable repro file; returns its path.
-std::string write_repro(const Repro& r, const FuzzCase& fc,
-                        const RunOutcome& out, const std::string& dir);
-bool parse_repro(const std::string& path, Repro& out);
-/// Re-run a parsed repro; true when the recorded failure reproduces.
-bool replay(const Repro& r);
-
-struct CampaignOptions {
-  std::uint64_t base_seed = 1;
-  int cases = 200;
-  int schedules = 4;
-  bool reduced = true;
-  /// --faults: every case additionally runs under a seed-derived lossy
-  /// network (add_net_faults); failures embed the plan in their repro.
-  bool net_faults = false;
-  /// --races N: racy mode. Every case is generated with make_racy_case and
-  /// N planted conflicting pairs; a planted pair the analyzer misses in any
-  /// schedule is a "race-miss" failure (minimized + repro like the rest).
-  /// Oracle/content checks are skipped — racing writes legitimately diverge.
-  /// 0 = clean mode, where any analyzer conflict is a "race-conflict"
-  /// false-positive failure.
-  int planted_races = 0;
-  /// --adaptive: force the online progress controller on for every case
-  /// (the seed stream only turns it on for ~25% of the corpus).
-  bool force_adaptive = false;
-  std::string repro_dir = ".";
-  bool verbose = false;
+/// The RMA workload of the shared fuzz pipeline (check/campaign.hpp).
+/// Checks, in order: oracle-divergence, race-conflict (analyzer false
+/// positive), race-miss (planted race not flagged), schedule-divergence.
+struct RmaWorkload {
+  using Case = RmaCase;
+  using Outcome = RunOutcome;
+  static constexpr const char* kName = "rma";
+  static constexpr const char* kCountLabel = "observed commits";
+  static constexpr LossyNet kLossyNet{0xfa0175, 0x9e3779b97f4a7c15ULL, 0.18,
+                                      0.35, 60, 0.13};
+  static Case generate(const Repro& r);
+  /// Cuts the case with ops.resize: planted-race op indices stay valid.
+  static Outcome run(const Case& c, std::uint64_t perturb,
+                     std::size_t prefix);
+  static std::uint64_t count(const Outcome& o) { return o.commits; }
+  static std::span<const Check<RmaWorkload>> checks();
+  static std::span<const PlantedBug<RmaWorkload>> bugs();
+  static void write_case(std::FILE* f, const Case& c, std::size_t nops);
+  static void write_diags(std::FILE* f, const Outcome& o);
 };
-
-struct Failure {
-  std::uint64_t seed = 0;
-  std::uint64_t perturb = 0;
-  std::string kind;
-  int minimized_ops = 0;
-  std::string repro_path;
-};
-
-struct CampaignResult {
-  int cases_run = 0;
-  int runs = 0;
-  std::uint64_t total_commits = 0;
-  std::vector<Failure> failures;
-};
-
-/// Run `cases` seeds × `schedules` schedules; minimize and write a repro for
-/// every failure.
-CampaignResult run_campaign(const CampaignOptions& opt);
 
 }  // namespace casper::check

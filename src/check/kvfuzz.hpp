@@ -13,14 +13,12 @@
 //     read), or
 //   * the shadow oracle diverges / the runtime's atomicity detector fires
 //     ("kv-oracle-divergence": the runtime itself broke).
-// Failures are minimized to the shortest failing global op prefix and
-// written as replayable repro files mirroring the conformance format.
-//
-// kv_proof() is the positive gate (the fault_proof analogue): it reruns
-// seeds with the planted KV bug enabled (KvConfig::skip_unlock_flush — the
-// value PUT left unordered w.r.t. the lock release) under a delay-heavy
-// network, requires the checker to catch the resulting stale read, minimizes
-// it, writes the repro, and replays it.
+// KvWorkload hands these cases to the shared fuzz pipeline
+// (check/campaign.hpp), which minimizes failures to the shortest failing
+// global op prefix and writes replayable repro files. Its planted bug
+// ("skip-unlock-flush", KvConfig::skip_unlock_flush — the value PUT left
+// unordered w.r.t. the lock release) runs under a delay-heavy network, and
+// the proof requires the checker to catch the resulting stale read.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "check/fuzz.hpp"
+#include "check/campaign.hpp"
 #include "check/linear.hpp"
 #include "core/casper.hpp"
 #include "fault/plan.hpp"
@@ -53,7 +51,7 @@ struct KvCase {
   kv::KvConfig store;
   kv::TrafficConfig traffic;
   fault::FaultPlan fault_plan;  ///< inert unless active()
-  /// Planted bug: run the store with skip_unlock_flush (tests / kv_proof).
+  /// Planted bug: run the store with skip_unlock_flush (tests / proofs).
   bool broken_skip_flush = false;
   std::vector<kv::KvOp> ops;
 
@@ -62,17 +60,8 @@ struct KvCase {
 
 /// Deterministically generate the case for `seed`. `reduced` shrinks op
 /// counts for the ctest-time corpus; `ops_per_client` > 0 overrides the
-/// seed-drawn per-client op count (repro files record it).
+/// seed-drawn per-client op count.
 KvCase make_kv_case(std::uint64_t seed, bool reduced, int ops_per_client = 0);
-
-/// Seed-derived lossy network for chaos KV runs (mirrors add_net_faults).
-void add_kv_net_faults(KvCase& fc);
-/// Delay-heavy plan for kv_proof: wide delay jitter reorders the unflushed
-/// value PUT past the lock release, manifesting the planted bug.
-void add_kv_proof_faults(KvCase& fc);
-/// World ranks of the case's ghosts (empty unless Casper mode) — kill
-/// targets for chaos coverage.
-std::vector<int> kv_ghost_ranks(const KvCase& fc);
 
 /// Outcome of one simulated run of a KV case.
 struct KvOutcome {
@@ -86,7 +75,6 @@ struct KvOutcome {
   std::uint64_t acc_ops = 0;            ///< server-side ACC op total
   std::uint64_t divergences = 0;        ///< shadow-oracle (unsharded only)
   std::uint64_t atomicity = 0;          ///< runtime atomicity violations
-  std::map<std::string, std::uint64_t> run_stats;   ///< engine counters
   std::map<std::string, std::uint64_t> metrics;     ///< kv.* / linear.*
   std::map<std::string, std::uint64_t> fault_stats; ///< fault.* / recovery.*
 
@@ -103,60 +91,25 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
                       int shards = 1,
                       std::size_t op_limit = ~std::size_t{0});
 
-/// Everything needed to replay one KV failure.
-struct KvRepro {
-  std::uint64_t seed = 0;
-  std::uint64_t perturb = 0;
-  int prefix_ops = 0;       ///< minimized global op prefix (0 = all)
-  int ops_per_client = 0;   ///< generator override used (0 = seed-drawn)
-  bool reduced = true;
-  bool broken = false;      ///< skip_unlock_flush was planted
-  bool lockfree = false;    ///< store ran in LockKind::LockFree
-  fault::FaultPlan plan;
-  /// "kv-violation" | "kv-oracle-divergence" | "kv-miss" (proof bookkeeping:
-  /// planted bug not caught).
-  std::string kind;
+/// The KV workload of the shared fuzz pipeline (check/campaign.hpp).
+struct KvWorkload {
+  using Case = KvCase;
+  using Outcome = KvOutcome;
+  static constexpr const char* kName = "kv";
+  static constexpr const char* kCountLabel = "checked KV op(s)";
+  static constexpr LossyNet kLossyNet{0xfa06b, 0x6b76a5a5a5a5a5a5ULL, 0.13,
+                                      0.25, 40, 0.10};
+  static Case generate(const Repro& r);
+  /// Cuts the case with run_kv_case's op_limit.
+  static Outcome run(const Case& c, std::uint64_t perturb,
+                     std::size_t prefix) {
+    return run_kv_case(c, perturb, 1, prefix);
+  }
+  static std::uint64_t count(const Outcome& o) { return o.checker_ops; }
+  static std::span<const Check<KvWorkload>> checks();
+  static std::span<const PlantedBug<KvWorkload>> bugs();
+  static void write_case(std::FILE* f, const Case& c, std::size_t nops);
+  static void write_diags(std::FILE* f, const Outcome& o);
 };
-
-std::string write_kv_repro(const KvRepro& r, const KvCase& fc,
-                           const KvOutcome& out, const std::string& dir);
-bool parse_kv_repro(const std::string& path, KvRepro& out);
-/// True when `path` starts with the KV repro header (fuzz_conformance
-/// --replay dispatches on this).
-bool is_kv_repro(const std::string& path);
-/// Re-run a parsed KV repro; true when the recorded failure reproduces.
-bool replay_kv(const KvRepro& r);
-
-struct KvCampaignOptions {
-  std::uint64_t base_seed = 1;
-  int cases = 200;
-  int schedules = 4;
-  bool reduced = true;
-  bool net_faults = false;  ///< chaos corpus: seed-derived lossy networks
-  /// Override every case's store to LockKind::LockFree (the MWCAS-guarded
-  /// bucket mode) regardless of the seed-drawn lock kind.
-  bool force_lockfree = false;
-  std::string repro_dir = ".";
-  bool verbose = false;
-};
-
-struct KvCampaignResult {
-  int cases_run = 0;
-  int runs = 0;
-  std::uint64_t total_ops = 0;  ///< logical KV ops checked
-  std::vector<Failure> failures;
-};
-
-/// Run `cases` seeds × `schedules` schedules of clean-protocol KV cases;
-/// the checker must stay at zero violations (and the oracle clean) on every
-/// run. Failures are minimized and written as repro files.
-KvCampaignResult run_kv_campaign(const KvCampaignOptions& opt);
-
-/// Positive detection gate: scan seeds from `base_seed`, planting the
-/// skip-unlock-flush bug under a delay-heavy network, until the checker
-/// catches a violation; minimize it, write the repro, and replay it. True
-/// when the whole pipeline held (mirrors fuzz_conformance's fault_proof).
-bool kv_proof(std::uint64_t base_seed, int schedules,
-              const std::string& out_dir, bool verbose);
 
 }  // namespace casper::check

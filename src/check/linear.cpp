@@ -192,36 +192,24 @@ SearchResult search(const std::vector<KvEvent>& ev) {
 
 }  // namespace
 
-void LinearChecker::record(const kv::KvEvent& e) {
-  std::lock_guard<std::mutex> g(mu_);
-  events_.push_back(e);
-  sorted_ = false;
-  checked_ = false;
+std::uint64_t LinearChecker::hash_event(const kv::KvEvent& e,
+                                        std::uint64_t h) {
+  const std::uint64_t w[10] = {
+      e.key,
+      static_cast<std::uint64_t>(e.kind),
+      static_cast<std::uint64_t>(e.arg1),
+      static_cast<std::uint64_t>(e.arg2),
+      static_cast<std::uint64_t>(e.result),
+      e.ok ? 1u : 0u,
+      static_cast<std::uint64_t>(e.client),
+      e.cseq,
+      e.inv,
+      e.resp,
+  };
+  return fnv1a(w, sizeof(w), h);
 }
 
-std::size_t LinearChecker::ops_recorded() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return events_.size();
-}
-
-void LinearChecker::canonicalize() {
-  if (sorted_) return;
-  std::sort(events_.begin(), events_.end(),
-            [](const kv::KvEvent& a, const kv::KvEvent& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.inv != b.inv) return a.inv < b.inv;
-              if (a.resp != b.resp) return a.resp < b.resp;
-              if (a.client != b.client) return a.client < b.client;
-              return a.cseq < b.cseq;
-            });
-  sorted_ = true;
-}
-
-const std::vector<LinearChecker::Violation>& LinearChecker::check() {
-  std::lock_guard<std::mutex> g(mu_);
-  if (checked_) return violations_;
-  canonicalize();
-  violations_.clear();
+void LinearChecker::analyze() {
   std::size_t nkeys = 0;
   for (std::size_t lo = 0; lo < events_.size();) {
     std::size_t hi = lo;
@@ -250,49 +238,12 @@ const std::vector<LinearChecker::Violation>& LinearChecker::check() {
     }
     lo = hi;
   }
-  checked_ = true;
   if (obs::on(rec_)) {
     obs::Metrics& m = rec_->metrics();
     m.counter("linear.ops_checked") += events_.size();
     m.counter("linear.keys_checked") += nkeys;
     m.counter("linear.violations") += violations_.size();
   }
-  return violations_;
-}
-
-std::uint64_t LinearChecker::history_hash() {
-  std::lock_guard<std::mutex> g(mu_);
-  canonicalize();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t w) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (w >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const kv::KvEvent& e : events_) {
-    mix(e.key);
-    mix(static_cast<std::uint64_t>(e.kind));
-    mix(static_cast<std::uint64_t>(e.arg1));
-    mix(static_cast<std::uint64_t>(e.arg2));
-    mix(static_cast<std::uint64_t>(e.result));
-    mix(e.ok ? 1 : 0);
-    mix(static_cast<std::uint64_t>(e.client));
-    mix(e.cseq);
-    mix(e.inv);
-    mix(e.resp);
-  }
-  return h;
-}
-
-void LinearChecker::reset() {
-  std::lock_guard<std::mutex> g(mu_);
-  events_.clear();
-  violations_.clear();
-  sorted_ = false;
-  checked_ = false;
-  commits_.store(0, std::memory_order_relaxed);
-  syncs_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace casper::check

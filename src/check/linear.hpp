@@ -23,86 +23,45 @@
 //     are pruned via an exact-equality memo (no lossy hashing: a hash
 //     collision here would fabricate a violation verdict).
 //
-// Determinism: the history is canonically sorted by (key, inv, resp, client,
-// cseq) before checking, so the verdict — and history_hash() — depend only
-// on the set of recorded events, never on record() arrival order. That makes
-// the checker verdict-invariant across fiber schedules and shard counts,
-// which the determinism tests assert by exact-matching history_hash().
-//
-// The RmaObserver face is passive bookkeeping (commit / sync counts used by
-// tests to prove the checker actually rode the run); record() is mutexed and
-// the observer hooks touch only atomics, so the checker is concurrent_safe
-// and may attach to sharded runs — unlike the shadow oracle.
+// Determinism and observer bookkeeping come from the shared HistoryChecker
+// base (check/history.hpp): the history is canonically sorted by (key, inv,
+// resp, client, cseq) before checking, and the determinism tests exact-match
+// history_hash() across schedules and shard counts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "check/history.hpp"
 #include "kv/kv.hpp"
-#include "mpi/observe.hpp"
-
-namespace casper::obs {
-class Recorder;
-}
 
 namespace casper::check {
 
-class LinearChecker final : public mpi::RmaObserver, public kv::HistorySink {
+struct LinearViolation {
+  std::uint64_t key = 0;
+  std::string diag;  ///< deterministic: canonical events + failure reason
+};
+
+class LinearChecker final
+    : public HistoryChecker<LinearChecker, kv::KvEvent, LinearViolation>,
+      public kv::HistorySink {
  public:
-  struct Violation {
-    std::uint64_t key = 0;
-    std::string diag;  ///< deterministic: canonical events + failure reason
-  };
+  using Violation = LinearViolation;
 
   // --- kv::HistorySink ------------------------------------------------------
-  void record(const kv::KvEvent& e) override;
-
-  // --- mpi::RmaObserver (passive ride-along bookkeeping) --------------------
-  void on_win_register(mpi::WinImpl&) override {}
-  void on_win_free(mpi::WinImpl&) override {}
-  void on_op_commit(const mpi::AmOp&, sim::Time, int) override {
-    commits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_sync(mpi::WinImpl&, int, mpi::SyncKind, int, sim::Time) override {
-    syncs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  bool concurrent_safe() const override { return true; }
-
-  // --- verdict --------------------------------------------------------------
-  /// Run (or return the cached) per-key analysis over everything recorded.
-  const std::vector<Violation>& check();
-  bool clean() { return check().empty(); }
-
-  std::size_t ops_recorded() const;
-  std::uint64_t commits() const {
-    return commits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t syncs() const { return syncs_.load(std::memory_order_relaxed); }
-
-  /// FNV-1a over the canonically sorted history — equal hashes mean the runs
-  /// produced the identical set of logical KV operations and outcomes.
-  std::uint64_t history_hash();
-
-  /// Optional: dump linear.* counters (ops/keys checked, violations) into
-  /// `rec` at check() time.
-  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
-
-  void reset();
+  void record(const kv::KvEvent& e) override { HistoryChecker::record(e); }
 
  private:
-  void canonicalize();
-
-  mutable std::mutex mu_;
-  std::vector<kv::KvEvent> events_;
-  bool sorted_ = false;
-  bool checked_ = false;
-  std::vector<Violation> violations_;
-  std::atomic<std::uint64_t> commits_{0};
-  std::atomic<std::uint64_t> syncs_{0};
-  obs::Recorder* rec_ = nullptr;
+  friend HistoryChecker;
+  static bool canonical_less(const kv::KvEvent& a, const kv::KvEvent& b) {
+    if (a.key != b.key) return a.key < b.key;
+    if (a.inv != b.inv) return a.inv < b.inv;
+    if (a.resp != b.resp) return a.resp < b.resp;
+    if (a.client != b.client) return a.client < b.client;
+    return a.cseq < b.cseq;
+  }
+  static std::uint64_t hash_event(const kv::KvEvent& e, std::uint64_t h);
+  void analyze();
 };
 
 }  // namespace casper::check

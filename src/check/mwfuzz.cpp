@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 #include "check/oracle.hpp"
 #include "check/race.hpp"
@@ -15,12 +14,6 @@
 namespace casper::check {
 
 namespace {
-
-constexpr const char* kMwReproHeader = "# casper mwcas repro v1";
-
-const char* binding_name(core::Binding b) {
-  return b == core::Binding::Segment ? "segment" : "rank";
-}
 
 void apply_bug(mwcas::MwConfig& mc, MwBug bug) {
   mc.bug_skip_help = bug == MwBug::SkipHelp;
@@ -143,36 +136,6 @@ MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client) {
     }
   }
   return fc;
-}
-
-void add_mw_net_faults(MwCase& fc) {
-  sim::Rng rng(fc.seed, 0xfa6d7);
-  fault::FaultPlan& fp = fc.fault_plan;
-  fp.seed = fc.seed ^ 0x6d77a5a5a5a5a5a5ULL;
-  fault::NetFaults& n = fp.net;
-  const std::uint64_t mix = rng.next_below(8);
-  if (mix == 0 || (mix & 1) != 0) n.drop_p = 0.02 + 0.13 * rng.next_double();
-  if (mix == 1 || (mix & 2) != 0) n.dup_p = 0.02 + 0.13 * rng.next_double();
-  if (mix == 2 || (mix & 4) != 0) {
-    n.delay_p = 0.05 + 0.25 * rng.next_double();
-    n.delay_min = sim::us(1);
-    n.delay_max = sim::us(5 + rng.next_below(40));
-  }
-  if (rng.next_below(3) == 0) n.ack_drop_p = 0.02 + 0.10 * rng.next_double();
-}
-
-std::vector<int> mw_ghost_ranks(const MwCase& fc) {
-  if (fc.mode != KvMode::Casper) return {};
-  net::Topology topo;
-  topo.nodes = fc.nodes;
-  topo.cores_per_node = fc.users_per_node + fc.ghosts;
-  core::Config cc;
-  cc.ghosts_per_node = fc.ghosts;
-  std::vector<int> out;
-  for (int w = 0; w < topo.nranks(); ++w) {
-    if (core::is_ghost_rank(topo, cc, w)) out.push_back(w);
-  }
-  return out;
 }
 
 MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
@@ -358,7 +321,6 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
   out.checker_ops = checker.ops_recorded();
   out.atomicity = rt.stats().get("atomicity_violations");
   out.race_conflicts = race.conflict_events();
-  out.run_stats = rt.stats().all();
   if (!sharded) out.divergences = oracle.divergences().size();
   if (obs::kTraceCompiled) {
     for (const auto& [key, val] : rec.metrics().counters()) {
@@ -377,49 +339,54 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
   return out;
 }
 
-std::string write_mw_repro(const MwRepro& r, const MwCase& fc,
-                           const MwOutcome& out, const std::string& dir) {
-  char name[128];
-  std::snprintf(name, sizeof(name),
-                "casper_mwcas_repro_s%" PRIu64 "_p%" PRIu64 ".txt", r.seed,
-                r.perturb);
-  const std::string path = dir.empty() ? name : dir + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return {};
-  std::fprintf(f, "%s\n", kMwReproHeader);
-  std::fprintf(f, "# replay: fuzz_conformance --replay %s\n", path.c_str());
-  std::fprintf(f, "kind %s\n", r.kind.c_str());
-  std::fprintf(f, "seed %" PRIu64 "\n", r.seed);
-  std::fprintf(f, "perturb %" PRIu64 "\n", r.perturb);
-  std::fprintf(f, "prefix %d\n", r.prefix_ops);
-  std::fprintf(f, "opsper %d\n", r.ops_per_client);
-  std::fprintf(f, "reduced %d\n", r.reduced ? 1 : 0);
-  std::fprintf(f, "bug %d\n", static_cast<int>(r.bug));
-  if (r.plan.active()) {
-    std::fprintf(f,
-                 "netfault seed=%" PRIu64 " drop=%.17g dup=%.17g delay=%.17g "
-                 "dmin=%" PRIu64 " dmax=%" PRIu64 " ackdrop=%.17g "
-                 "rto=%" PRIu64 " maxretries=%d hb=%" PRIu64 "\n",
-                 r.plan.seed, r.plan.net.drop_p, r.plan.net.dup_p,
-                 r.plan.net.delay_p, r.plan.net.delay_min,
-                 r.plan.net.delay_max, r.plan.net.ack_drop_p, r.plan.rto_base,
-                 r.plan.max_retries, r.plan.heartbeat_period);
-    for (const auto& k : r.plan.kills) {
-      std::fprintf(f, "kill rank=%d at=%" PRIu64 "\n", k.world_rank, k.at);
-    }
-  }
+std::span<const Check<MwWorkload>> MwWorkload::checks() {
+  static constexpr Check<MwWorkload> kChecks[] = {
+      {"mwcas-violation",
+       [](const MwCase&, std::size_t, const MwOutcome& o) {
+         return o.violations > 0;
+       },
+       nullptr},
+      {"mwcas-oracle-divergence",
+       [](const MwCase&, std::size_t, const MwOutcome& o) {
+         return o.divergences > 0 || o.atomicity > 0 || o.race_conflicts > 0;
+       },
+       nullptr},
+      // Exact-match invariance across schedules for event-driven configs
+      // (see mw_outcomes_differ for the exempt, legally tie-prone ones).
+      {"mwcas-mismatch", nullptr,
+       [](const MwCase& c, const MwOutcome& o, const MwOutcome& ref) {
+         return mw_outcomes_differ(c, ref, o);
+       }},
+  };
+  return kChecks;
+}
+
+std::span<const PlantedBug<MwWorkload>> MwWorkload::bugs() {
+  // Every bug needs real contention: several clients hammering a word pool
+  // small enough that descriptors collide mid-protocol.
+  constexpr auto contended = [](const MwCase& c) {
+    return c.nclients() >= 2 && c.total_words() <= 6;
+  };
+  static constexpr PlantedBug<MwWorkload> kBugs[] = {
+      {"skip-help", 200, contended,
+       [](MwCase& c) { c.bug = MwBug::SkipHelp; }, nullptr},
+      {"torn-install", 200, contended,
+       [](MwCase& c) { c.bug = MwBug::TornInstall; }, nullptr},
+      {"stale-status", 200, contended,
+       [](MwCase& c) { c.bug = MwBug::StaleStatus; }, nullptr},
+  };
+  return kBugs;
+}
+
+void MwWorkload::write_case(std::FILE* f, const MwCase& fc,
+                            std::size_t nops) {
   std::fprintf(f,
                "case mode=%s nodes=%d users_per_node=%d ghosts=%d "
                "binding=%s dynamic=%d words_per_rank=%d bug=%s\n",
                to_string(fc.mode), fc.nodes, fc.users_per_node, fc.ghosts,
                binding_name(fc.binding), static_cast<int>(fc.dynamic),
                fc.words_per_rank, to_string(fc.bug));
-  const std::size_t nshow =
-      r.prefix_ops > 0
-          ? std::min<std::size_t>(static_cast<std::size_t>(r.prefix_ops),
-                                  fc.ops.size())
-          : fc.ops.size();
-  for (std::size_t i = 0; i < nshow && i < 256; ++i) {
+  for (std::size_t i = 0; i < nops; ++i) {
     const MwProgOp& op = fc.ops[i];
     std::fprintf(f, "op %zu client=%d width=%d stale=%d think=%" PRIu64
                     " words=",
@@ -430,247 +397,12 @@ std::string write_mw_repro(const MwRepro& r, const MwCase& fc,
     }
     std::fprintf(f, "\n");
   }
-  for (const std::string& d : out.diags) {
-    std::fprintf(f, "violation %s\n", d.c_str());
-  }
+}
+
+void MwWorkload::write_diags(std::FILE* f, const MwOutcome& out) {
+  for (const std::string& d : out.diags) put_lines(f, "violation", d);
   std::fprintf(f, "history_hash %" PRIu64 "\n", out.history_hash);
   std::fprintf(f, "checker_ops %zu\n", out.checker_ops);
-  std::fclose(f);
-  return path;
-}
-
-bool is_mw_repro(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char line[128] = {};
-  const bool ok = std::fgets(line, sizeof line, f) != nullptr &&
-                  std::strncmp(line, kMwReproHeader,
-                               std::strlen(kMwReproHeader)) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool parse_mw_repro(const std::string& path, MwRepro& out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char line[512];
-  bool have_seed = false, have_kind = false;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    char kind[64];
-    int b = 0;
-    if (std::sscanf(line, "kind %63s", kind) == 1) {
-      out.kind = kind;
-      have_kind = true;
-    } else if (std::sscanf(line, "seed %" SCNu64, &out.seed) == 1) {
-      have_seed = true;
-    } else if (std::sscanf(line, "perturb %" SCNu64, &out.perturb) == 1) {
-    } else if (std::sscanf(line, "prefix %d", &out.prefix_ops) == 1) {
-    } else if (std::sscanf(line, "opsper %d", &out.ops_per_client) == 1) {
-    } else if (std::sscanf(line, "reduced %d", &b) == 1) {
-      out.reduced = b != 0;
-    } else if (std::sscanf(line, "bug %d", &b) == 1) {
-      out.bug = static_cast<MwBug>(b);
-    } else if (std::sscanf(line,
-                           "netfault seed=%" SCNu64 " drop=%lg dup=%lg "
-                           "delay=%lg dmin=%" SCNu64 " dmax=%" SCNu64
-                           " ackdrop=%lg rto=%" SCNu64 " maxretries=%d "
-                           "hb=%" SCNu64,
-                           &out.plan.seed, &out.plan.net.drop_p,
-                           &out.plan.net.dup_p, &out.plan.net.delay_p,
-                           &out.plan.net.delay_min, &out.plan.net.delay_max,
-                           &out.plan.net.ack_drop_p, &out.plan.rto_base,
-                           &out.plan.max_retries,
-                           &out.plan.heartbeat_period) == 10) {
-    } else {
-      fault::GhostKill k;
-      if (std::sscanf(line, "kill rank=%d at=%" SCNu64, &k.world_rank,
-                      &k.at) == 2) {
-        out.plan.kills.push_back(k);
-      }
-    }
-  }
-  std::fclose(f);
-  return have_seed && have_kind;
-}
-
-bool replay_mw(const MwRepro& r) {
-  MwCase fc = make_mw_case(r.seed, r.reduced, r.ops_per_client);
-  fc.bug = r.bug;
-  if (r.plan.active()) fc.fault_plan = r.plan;
-  const std::size_t limit =
-      r.prefix_ops > 0 ? static_cast<std::size_t>(r.prefix_ops)
-                       : ~std::size_t{0};
-  if (r.kind == "mwcas-mismatch") {
-    const MwOutcome ref = run_mw_case(fc, perturb_for(r.seed, 0), 1, limit);
-    const MwOutcome out = run_mw_case(fc, r.perturb, 1, limit);
-    return mw_outcomes_differ(fc, ref, out);
-  }
-  const MwOutcome out = run_mw_case(fc, r.perturb, 1, limit);
-  if (r.kind == "mwcas-violation") return out.violations > 0;
-  if (r.kind == "mwcas-oracle-divergence") {
-    return out.divergences > 0 || out.atomicity > 0 ||
-           out.race_conflicts > 0;
-  }
-  return !out.clean();
-}
-
-namespace {
-
-Failure mw_failure(const MwCase& fc, std::uint64_t perturb,
-                   const std::string& kind, const MwCampaignOptions& opt,
-                   const std::function<bool(std::size_t)>& fails_at) {
-  const int k = minimize_prefix(
-      static_cast<int>(fc.ops.size()),
-      [&](int n) { return fails_at(static_cast<std::size_t>(n)); });
-  const MwOutcome rerun =
-      run_mw_case(fc, perturb, 1, static_cast<std::size_t>(k));
-  MwRepro rp;
-  rp.seed = fc.seed;
-  rp.perturb = perturb;
-  rp.prefix_ops = k;
-  rp.ops_per_client = 0;
-  rp.reduced = opt.reduced;
-  rp.bug = fc.bug;
-  rp.plan = fc.fault_plan;
-  rp.kind = kind;
-  Failure fl;
-  fl.seed = fc.seed;
-  fl.perturb = perturb;
-  fl.kind = kind;
-  fl.minimized_ops = k;
-  fl.repro_path = write_mw_repro(rp, fc, rerun, opt.repro_dir);
-  return fl;
-}
-
-}  // namespace
-
-MwCampaignResult run_mw_campaign(const MwCampaignOptions& opt) {
-  MwCampaignResult res;
-  for (int c = 0; c < opt.cases; ++c) {
-    const std::uint64_t seed = opt.base_seed + static_cast<std::uint64_t>(c);
-    MwCase fc = make_mw_case(seed, opt.reduced);
-    if (opt.net_faults) add_mw_net_faults(fc);
-    ++res.cases_run;
-    MwOutcome ref;
-    bool have_ref = false;
-    bool failed = false;
-    for (int s = 0; s < opt.schedules && !failed; ++s) {
-      const std::uint64_t p = perturb_for(seed, s);
-      const MwOutcome out = run_mw_case(fc, p);
-      ++res.runs;
-      res.total_ops += out.checker_ops;
-      if (out.violations > 0) {
-        res.failures.push_back(mw_failure(
-            fc, p, "mwcas-violation", opt, [&](std::size_t n) {
-              return run_mw_case(fc, p, 1, n).violations > 0;
-            }));
-        failed = true;
-        break;
-      }
-      if (out.divergences > 0 || out.atomicity > 0 ||
-          out.race_conflicts > 0) {
-        res.failures.push_back(mw_failure(
-            fc, p, "mwcas-oracle-divergence", opt, [&](std::size_t n) {
-              const MwOutcome o = run_mw_case(fc, p, 1, n);
-              return o.divergences > 0 || o.atomicity > 0 ||
-                     o.race_conflicts > 0;
-            }));
-        failed = true;
-        break;
-      }
-      if (!have_ref) {
-        ref = out;
-        have_ref = true;
-        continue;
-      }
-      // Exact-match invariance across schedules for event-driven configs
-      // (see mw_outcomes_differ for why Thread / dynamic-LB Casper are
-      // exempt — their runs are still gated on correctness above).
-      if (mw_outcomes_differ(fc, ref, out)) {
-        res.failures.push_back(mw_failure(
-            fc, p, "mwcas-mismatch", opt, [&](std::size_t n) {
-              const MwOutcome a = run_mw_case(fc, perturb_for(seed, 0), 1, n);
-              const MwOutcome b = run_mw_case(fc, p, 1, n);
-              return mw_outcomes_differ(fc, a, b);
-            }));
-        failed = true;
-        break;
-      }
-    }
-    if (opt.verbose && (c + 1) % 50 == 0) {
-      std::fprintf(stderr,
-                   "mwfuzz: %d/%d cases, %d runs, %" PRIu64
-                   " ops, %zu failure(s)\n",
-                   c + 1, opt.cases, res.runs, res.total_ops,
-                   res.failures.size());
-    }
-  }
-  return res;
-}
-
-bool mwcas_proof(std::uint64_t base_seed, int schedules,
-                 const std::string& out_dir, bool verbose) {
-  const MwBug bugs[3] = {MwBug::SkipHelp, MwBug::TornInstall,
-                         MwBug::StaleStatus};
-  for (const MwBug bug : bugs) {
-    bool proven = false;
-    for (std::uint64_t seed = base_seed; seed < base_seed + 200; ++seed) {
-      MwCase fc = make_mw_case(seed, /*reduced=*/true);
-      // Every bug needs real contention: several clients hammering a word
-      // pool small enough that descriptors collide mid-protocol.
-      if (fc.nclients() < 2 || fc.total_words() > 6) continue;
-      fc.bug = bug;
-      std::uint64_t bad_perturb = 0;
-      bool caught = false;
-      for (int s = 0; s < schedules; ++s) {
-        const std::uint64_t p = perturb_for(seed, s);
-        const MwOutcome out = run_mw_case(fc, p);
-        if (out.violations > 0) {
-          bad_perturb = p;
-          caught = true;
-          break;
-        }
-      }
-      if (!caught) continue;
-      if (verbose) {
-        std::fprintf(stderr,
-                     "mwcas_proof: %s caught at seed %" PRIu64 "\n",
-                     to_string(bug), seed);
-      }
-      const int k = minimize_prefix(
-          static_cast<int>(fc.ops.size()), [&](int n) {
-            return run_mw_case(fc, bad_perturb, 1,
-                               static_cast<std::size_t>(n))
-                       .violations > 0;
-          });
-      const MwOutcome rerun =
-          run_mw_case(fc, bad_perturb, 1, static_cast<std::size_t>(k));
-      if (rerun.violations == 0) return false;
-      MwRepro rp;
-      rp.seed = seed;
-      rp.perturb = bad_perturb;
-      rp.prefix_ops = k;
-      rp.ops_per_client = 0;
-      rp.reduced = true;
-      rp.bug = bug;
-      rp.plan = fc.fault_plan;
-      rp.kind = "mwcas-violation";
-      const std::string path = write_mw_repro(rp, fc, rerun, out_dir);
-      if (path.empty()) return false;
-      MwRepro parsed;
-      if (!parse_mw_repro(path, parsed)) return false;
-      if (!replay_mw(parsed)) return false;
-      if (verbose) {
-        std::fprintf(stderr,
-                     "mwcas_proof: %s minimized to %d ops, repro %s\n",
-                     to_string(bug), k, path.c_str());
-      }
-      proven = true;
-      break;
-    }
-    if (!proven) return false;
-  }
-  return true;
 }
 
 }  // namespace casper::check

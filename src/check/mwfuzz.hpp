@@ -17,11 +17,10 @@
 //   * a perturbed schedule's outcome differs from schedule 0
 //     ("mwcas-mismatch": history hash, heap fingerprint, end time, and the
 //     cluster-wide protocol counters must be exact-match invariant).
-//
-// mwcas_proof() is the positive gate: for EACH planted bug (skip-help,
-// torn-install, stale-status — see MwConfig) it scans seeds under contention
-// until the checker catches the bug, minimizes the failing global op prefix,
-// writes a replayable repro, re-parses and replays it.
+// MwWorkload hands these cases to the shared fuzz pipeline
+// (check/campaign.hpp); its proof scans seeds under contention for EACH
+// planted bug (skip-help, torn-install, stale-status — see MwConfig) until
+// the checker catches it, then minimizes, writes and replays the repro.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "check/fuzz.hpp"
+#include "check/campaign.hpp"
 #include "check/kvfuzz.hpp"
 #include "check/mwlinear.hpp"
 #include "fault/plan.hpp"
@@ -79,11 +78,6 @@ struct MwCase {
 
 MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client = 0);
 
-/// Seed-derived lossy network for chaos MWCAS runs.
-void add_mw_net_faults(MwCase& fc);
-/// World ranks of the case's ghosts (Casper mode only).
-std::vector<int> mw_ghost_ranks(const MwCase& fc);
-
 struct MwOutcome {
   std::size_t violations = 0;
   std::vector<std::string> diags;
@@ -96,7 +90,6 @@ struct MwOutcome {
   std::uint64_t divergences = 0;
   std::uint64_t atomicity = 0;
   std::uint64_t race_conflicts = 0;
-  std::map<std::string, std::uint64_t> run_stats;
   std::map<std::string, std::uint64_t> metrics;     ///< mwcas.* / linear.*
   std::map<std::string, std::uint64_t> fault_stats;
 
@@ -126,49 +119,27 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
 bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
                         const MwOutcome& b);
 
-/// Everything needed to replay one MWCAS failure.
-struct MwRepro {
-  std::uint64_t seed = 0;
-  std::uint64_t perturb = 0;
-  int prefix_ops = 0;
-  int ops_per_client = 0;
-  bool reduced = true;
-  MwBug bug = MwBug::None;
-  fault::FaultPlan plan;
-  /// "mwcas-violation" | "mwcas-oracle-divergence" | "mwcas-mismatch".
-  std::string kind;
+/// The MWCAS workload of the shared fuzz pipeline (check/campaign.hpp).
+struct MwWorkload {
+  using Case = MwCase;
+  using Outcome = MwOutcome;
+  static constexpr const char* kName = "mwcas";
+  static constexpr const char* kCountLabel = "checked MWCAS op(s)";
+  static constexpr LossyNet kLossyNet{0xfa6d7, 0x6d77a5a5a5a5a5a5ULL, 0.13,
+                                      0.25, 40, 0.10};
+  static Case generate(const Repro& r) {
+    return make_mw_case(r.seed, r.reduced);
+  }
+  /// Cuts the case with run_mw_case's op_limit.
+  static Outcome run(const Case& c, std::uint64_t perturb,
+                     std::size_t prefix) {
+    return run_mw_case(c, perturb, 1, prefix);
+  }
+  static std::uint64_t count(const Outcome& o) { return o.checker_ops; }
+  static std::span<const Check<MwWorkload>> checks();
+  static std::span<const PlantedBug<MwWorkload>> bugs();
+  static void write_case(std::FILE* f, const Case& c, std::size_t nops);
+  static void write_diags(std::FILE* f, const Outcome& o);
 };
-
-std::string write_mw_repro(const MwRepro& r, const MwCase& fc,
-                           const MwOutcome& out, const std::string& dir);
-bool parse_mw_repro(const std::string& path, MwRepro& out);
-bool is_mw_repro(const std::string& path);
-bool replay_mw(const MwRepro& r);
-
-struct MwCampaignOptions {
-  std::uint64_t base_seed = 1;
-  int cases = 100;
-  int schedules = 4;
-  bool reduced = true;
-  bool net_faults = false;
-  std::string repro_dir = ".";
-  bool verbose = false;
-};
-
-struct MwCampaignResult {
-  int cases_run = 0;
-  int runs = 0;
-  std::uint64_t total_ops = 0;
-  std::vector<Failure> failures;
-};
-
-/// Clean-protocol corpus: checker, oracle, race analyzer, and cross-schedule
-/// exact-match all gate every case.
-MwCampaignResult run_mw_campaign(const MwCampaignOptions& opt);
-
-/// Positive detection gate over ALL THREE planted bugs; each must be caught,
-/// minimized, written, re-parsed, and replayed.
-bool mwcas_proof(std::uint64_t base_seed, int schedules,
-                 const std::string& out_dir, bool verbose);
 
 }  // namespace casper::check

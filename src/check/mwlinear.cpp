@@ -15,66 +15,31 @@ namespace {
 std::uint64_t reg_key(std::uint64_t word) { return word + 1; }
 std::int64_t enc_val(std::int64_t v) { return v + 1; }
 
-std::uint64_t fnv1a(const void* p, std::size_t n, std::uint64_t h) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ULL;
+/// The op's values and word arguments (both hashes end with these).
+std::uint64_t hash_values(const MwEvent& e, std::uint64_t h) {
+  h = fnv1a(&e.observed, sizeof(e.observed), h);
+  h = fnv1a(&e.value, sizeof(e.value), h);
+  for (int i = 0; i < e.width; ++i) {
+    h = fnv1a(&e.word[i], sizeof(e.word[i]), h);
+    h = fnv1a(&e.expected[i], sizeof(e.expected[i]), h);
+    h = fnv1a(&e.desired[i], sizeof(e.desired[i]), h);
   }
   return h;
 }
 
 }  // namespace
 
-void MwChecker::record(const MwEvent& e) {
-  std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(e);
-  sorted_ = false;
-  checked_ = false;
-}
-
-std::size_t MwChecker::ops_recorded() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return events_.size();
-}
-
-void MwChecker::canonicalize() {
-  if (sorted_) return;
-  std::sort(events_.begin(), events_.end(),
-            [](const MwEvent& a, const MwEvent& b) {
-              if (a.inv != b.inv) return a.inv < b.inv;
-              if (a.resp != b.resp) return a.resp < b.resp;
-              if (a.client != b.client) return a.client < b.client;
-              return a.cseq < b.cseq;
-            });
-  sorted_ = true;
-}
-
-std::uint64_t MwChecker::history_hash() {
-  std::lock_guard<std::mutex> lk(mu_);
-  canonicalize();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const MwEvent& e : events_) {
-    const std::uint64_t head[6] = {
-        static_cast<std::uint64_t>(e.kind),
-        static_cast<std::uint64_t>(e.client),
-        e.cseq,
-        static_cast<std::uint64_t>(e.inv),
-        static_cast<std::uint64_t>(e.resp),
-        (static_cast<std::uint64_t>(e.width) << 8) |
-            (e.ok ? 1u : 0u) |
-            (static_cast<std::uint64_t>(e.mismatch_index + 1) << 1),
-    };
-    h = fnv1a(head, sizeof(head), h);
-    h = fnv1a(&e.observed, sizeof(e.observed), h);
-    h = fnv1a(&e.value, sizeof(e.value), h);
-    for (int i = 0; i < e.width; ++i) {
-      h = fnv1a(&e.word[i], sizeof(e.word[i]), h);
-      h = fnv1a(&e.expected[i], sizeof(e.expected[i]), h);
-      h = fnv1a(&e.desired[i], sizeof(e.desired[i]), h);
-    }
-  }
-  return h;
+std::uint64_t MwChecker::hash_event(const MwEvent& e, std::uint64_t h) {
+  const std::uint64_t head[6] = {
+      static_cast<std::uint64_t>(e.kind),
+      static_cast<std::uint64_t>(e.client),
+      e.cseq,
+      static_cast<std::uint64_t>(e.inv),
+      static_cast<std::uint64_t>(e.resp),
+      (static_cast<std::uint64_t>(e.width) << 8) | (e.ok ? 1u : 0u) |
+          (static_cast<std::uint64_t>(e.mismatch_index + 1) << 1),
+  };
+  return hash_values(e, fnv1a(head, sizeof(head), h));
 }
 
 std::uint64_t MwChecker::semantic_hash() {
@@ -89,7 +54,7 @@ std::uint64_t MwChecker::semantic_hash() {
               if (a->client != b->client) return a->client < b->client;
               return a->cseq < b->cseq;
             });
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvBasis;
   for (const MwEvent* e : ordered) {
     const std::uint64_t head[4] = {
         static_cast<std::uint64_t>(e->kind),
@@ -99,14 +64,7 @@ std::uint64_t MwChecker::semantic_hash() {
             (e->ok ? 1u : 0u) |
             (static_cast<std::uint64_t>(e->mismatch_index + 1) << 1),
     };
-    h = fnv1a(head, sizeof(head), h);
-    h = fnv1a(&e->observed, sizeof(e->observed), h);
-    h = fnv1a(&e->value, sizeof(e->value), h);
-    for (int i = 0; i < e->width; ++i) {
-      h = fnv1a(&e->word[i], sizeof(e->word[i]), h);
-      h = fnv1a(&e->expected[i], sizeof(e->expected[i]), h);
-      h = fnv1a(&e->desired[i], sizeof(e->desired[i]), h);
-    }
+    h = hash_values(*e, fnv1a(head, sizeof(head), h));
   }
   return h;
 }
@@ -267,11 +225,7 @@ void MwChecker::check_queue() {
   (void)empties;
 }
 
-const std::vector<MwChecker::Violation>& MwChecker::check() {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (checked_) return violations_;
-  canonicalize();
-  violations_.clear();
+void MwChecker::analyze() {
   check_registers();
   check_queue();
   // Deterministic ordering of the verdict itself.
@@ -280,23 +234,11 @@ const std::vector<MwChecker::Violation>& MwChecker::check() {
               if (a.word != b.word) return a.word < b.word;
               return a.diag < b.diag;
             });
-  checked_ = true;
   if (obs::on(rec_)) {
     obs::Metrics& m = rec_->metrics();
     m.counter("linear.mw_ops_checked") += events_.size();
     m.counter("linear.mw_violations") += violations_.size();
   }
-  return violations_;
-}
-
-void MwChecker::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  events_.clear();
-  violations_.clear();
-  sorted_ = false;
-  checked_ = false;
-  commits_.store(0, std::memory_order_relaxed);
-  syncs_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace casper::check

@@ -29,20 +29,17 @@
 // dequeues (a strictly-later enqueue can neither be dequeued strictly
 // earlier, nor be dequeued at all while the strictly-earlier one is lost).
 //
-// Like LinearChecker, the verdict and history_hash() depend only on the SET
-// of recorded events (canonical sort before checking), so they are exact-
-// match invariants across fiber schedules and shard counts. record() is
-// mutexed and the observer face touches only atomics: concurrent_safe.
+// Like LinearChecker, the checker derives from HistoryChecker
+// (check/history.hpp): the verdict and history_hash() depend only on the SET
+// of recorded events, so they are exact-match invariants across fiber
+// schedules and shard counts, and the checker is concurrent_safe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "check/history.hpp"
 #include "check/linear.hpp"
-#include "mpi/observe.hpp"
 
 namespace casper::check {
 
@@ -66,58 +63,35 @@ struct MwEvent {
   std::int64_t value = 0;  ///< Read result | Enq/Deq value (Deq !ok = empty)
 };
 
-class MwChecker final : public mpi::RmaObserver {
+struct MwViolation {
+  std::uint64_t word = 0;  ///< register word (0 for queue violations)
+  std::string diag;
+};
+
+class MwChecker final
+    : public HistoryChecker<MwChecker, MwEvent, MwViolation> {
  public:
-  struct Violation {
-    std::uint64_t word = 0;  ///< register word (0 for queue violations)
-    std::string diag;
-  };
+  using Violation = MwViolation;
 
-  void record(const MwEvent& e);
-
-  // --- mpi::RmaObserver (ride-along bookkeeping) ----------------------------
-  void on_win_register(mpi::WinImpl&) override {}
-  void on_win_free(mpi::WinImpl&) override {}
-  void on_op_commit(const mpi::AmOp&, sim::Time, int) override {
-    commits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_sync(mpi::WinImpl&, int, mpi::SyncKind, int, sim::Time) override {
-    syncs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  bool concurrent_safe() const override { return true; }
-
-  const std::vector<Violation>& check();
-  bool clean() { return check().empty(); }
-
-  std::size_t ops_recorded() const;
-  std::uint64_t commits() const {
-    return commits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t syncs() const { return syncs_.load(std::memory_order_relaxed); }
-  /// FNV-1a over the canonically sorted MWCAS history.
-  std::uint64_t history_hash();
   /// Like history_hash() but excluding the virtual-time intervals: per-client
   /// op streams with their arguments and results only. Thread-mode progress
   /// polling quantizes AM service times, so an arrival landing exactly on a
   /// poll instant makes timestamps legitimately tie-break-dependent there;
   /// the semantic outcome never is.
   std::uint64_t semantic_hash();
-  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
-  void reset();
 
  private:
-  void canonicalize();
+  friend HistoryChecker;
+  static bool canonical_less(const MwEvent& a, const MwEvent& b) {
+    if (a.inv != b.inv) return a.inv < b.inv;
+    if (a.resp != b.resp) return a.resp < b.resp;
+    if (a.client != b.client) return a.client < b.client;
+    return a.cseq < b.cseq;
+  }
+  static std::uint64_t hash_event(const MwEvent& e, std::uint64_t h);
+  void analyze();
   void check_registers();
   void check_queue();
-
-  mutable std::mutex mu_;
-  std::vector<MwEvent> events_;
-  bool sorted_ = false;
-  bool checked_ = false;
-  std::vector<Violation> violations_;
-  std::atomic<std::uint64_t> commits_{0};
-  std::atomic<std::uint64_t> syncs_{0};
-  obs::Recorder* rec_ = nullptr;
 };
 
 }  // namespace casper::check

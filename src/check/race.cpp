@@ -33,9 +33,7 @@ const char* to_string(EpochStyle s) {
   return "?";
 }
 
-namespace {
-
-const char* op_name(mpi::AccOp op) {
+const char* to_string(mpi::AccOp op) {
   switch (op) {
     case mpi::AccOp::Replace: return "replace";
     case mpi::AccOp::Sum: return "sum";
@@ -46,7 +44,7 @@ const char* op_name(mpi::AccOp op) {
   return "?";
 }
 
-const char* dt_name(mpi::Dt dt) {
+const char* to_string(mpi::Dt dt) {
   switch (dt) {
     case mpi::Dt::Byte: return "byte";
     case mpi::Dt::Int: return "int";
@@ -54,6 +52,8 @@ const char* dt_name(mpi::Dt dt) {
   }
   return "?";
 }
+
+namespace {
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -358,7 +358,7 @@ void RaceAnalyzer::report(WinState& ws, int win_id, int target,
     std::snprintf(
         buf, sizeof(buf),
         "(%s,%s) by origin %d [%zu,%zu) seq %llu t=%lld (%s#%llu open@%lld)",
-        op_name(a.op), dt_name(a.dt), a.origin, a.lo, a.hi,
+        to_string(a.op), to_string(a.dt), a.origin, a.lo, a.hi,
         static_cast<unsigned long long>(a.seq),
         static_cast<long long>(a.t), to_string(ea.style),
         static_cast<unsigned long long>(ea.gen),
@@ -369,7 +369,7 @@ void RaceAnalyzer::report(WinState& ws, int win_id, int target,
     std::snprintf(
         buf, sizeof(buf),
         "(%s,%s) by origin %d [%zu,%zu) seq %llu t=%lld (%s#%llu open@%lld)",
-        op_name(b.op), dt_name(b.dt), b.origin, b.lo, b.hi,
+        to_string(b.op), to_string(b.dt), b.origin, b.lo, b.hi,
         static_cast<unsigned long long>(b.seq),
         static_cast<long long>(b.t), to_string(eb.style),
         static_cast<unsigned long long>(eb.gen),

@@ -112,6 +112,11 @@ enum class EpochStyle : std::uint8_t { Fence, Pscw, Lock, LockAll };
 
 const char* to_string(EpochStyle s);
 
+/// Names of the accumulate operations and basic datatypes (diagnostics and
+/// repro files).
+const char* to_string(mpi::AccOp op);
+const char* to_string(mpi::Dt dt);
+
 /// One recorded byte-range access (one contiguous block; strided datatypes
 /// expand to one entry per block).
 struct Access {

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "mpi/runtime.hpp"
 #include "net/topology.hpp"
@@ -69,7 +70,7 @@ struct Config {
   /// adaptive.hpp and DESIGN.md §15). Off by default: with enabled=false no
   /// adaptive state is allocated, no counters are sampled, and every run is
   /// byte-identical to a build without the feature.
-  progress::AdaptiveConfig adaptive;
+  progress::AdaptiveConfig adaptive{};
   /// Test-only fault injection, used by the conformance harness to prove the
   /// shadow oracle detects real binding bugs. Never set outside tests.
   struct Fault {
@@ -83,7 +84,7 @@ struct Config {
     /// this allocation sequence number; -1 applies it to every window. An
     /// unfaulted window keeps its plan cache during faulted runs.
     int flip_only_seq = -1;
-  } fault;
+  } fault{};
 };
 
 /// Layer factory to pass to mpi::exec / mpi::Runtime: installs Casper
@@ -98,6 +99,9 @@ int user_ranks(const net::Topology& topo, const Config& cfg);
 /// node, spread across NUMA domains when topology_aware is set.
 bool is_ghost_rank(const net::Topology& topo, const Config& cfg,
                    int world_rank);
+
+/// Every world rank is_ghost_rank selects, in rank order.
+std::vector<int> ghost_ranks(const net::Topology& topo, const Config& cfg);
 
 /// The info key Casper reads from win_allocate: a comma-separated subset of
 /// "fence,pscw,lock,lockall" declaring which epoch types the application

@@ -60,6 +60,14 @@ bool is_ghost_rank(const net::Topology& topo, const Config& cfg,
   return core >= dom_end - dom_ghosts;
 }
 
+std::vector<int> ghost_ranks(const net::Topology& topo, const Config& cfg) {
+  std::vector<int> out;
+  for (int w = 0; w < topo.nranks(); ++w) {
+    if (is_ghost_rank(topo, cfg, w)) out.push_back(w);
+  }
+  return out;
+}
+
 mpi::LayerFactory layer(const Config& cfg) {
   return [cfg](mpi::Runtime& rt) -> std::shared_ptr<mpi::Layer> {
     return std::make_shared<CasperLayer>(rt, cfg);

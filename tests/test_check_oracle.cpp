@@ -6,8 +6,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
+#include "check/campaign.hpp"
 #include "check/fuzz.hpp"
+#include "check/kvfuzz.hpp"
+#include "check/mwfuzz.hpp"
 #include "check/oracle.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
@@ -193,40 +198,152 @@ TEST(Fuzzer, MinimizePrefixFindsSmallestFailing) {
   EXPECT_EQ(check::minimize_prefix(5, [](int) { return false; }), 5);
 }
 
-// write_repro -> parse_repro -> replay round-trips the failure.
-TEST(Fuzzer, ReproFileRoundTrips) {
-  // Find one fault-injected failing case (same hunt as the fault proof).
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    const check::FuzzCase fc = check::make_case(seed, true);
-    if (fc.binding != core::Binding::Segment || fc.ghosts < 2) continue;
-    for (int s = 0; s < 4; ++s) {
-      const std::uint64_t p = check::perturb_for(seed, s);
-      const check::RunOutcome out = check::run_case(fc, p, true);
-      if (out.oracle_clean()) continue;
+namespace {
 
-      check::Repro rp;
-      rp.seed = seed;
-      rp.perturb = p;
-      rp.prefix_ops = static_cast<int>(fc.ops.size());
-      rp.reduced = true;
-      rp.fault = true;
-      rp.kind = "oracle-divergence";
+/// Ghost world ranks of a case (none for KV/MWCAS cases outside Casper mode).
+template <class Case>
+std::vector<int> case_ghosts(const Case& c) {
+  if constexpr (requires { c.mode; }) {
+    if (c.mode != check::KvMode::Casper) return {};
+  }
+  return core::ghost_ranks(
+      {.nodes = c.nodes, .cores_per_node = c.users_per_node + c.ghosts},
+      {.ghosts_per_node = c.ghosts});
+}
+
+/// write_repro -> parse_repro -> replay_file for workload W: a failing case
+/// with its planted bug under a plan holding net faults, a ghost kill and
+/// a stall. Every written field must parse back equal, and the file must
+/// reproduce the failure.
+template <class W>
+void round_trip() {
+  const check::PlantedBug<W>& bug = W::bugs().front();
+  const check::Check<W>& primary = W::checks().front();
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    check::Repro rp;
+    rp.workload = W::kName;
+    rp.seed = seed;
+    rp.bug = bug.name;
+    typename W::Case c = W::generate(rp);
+    const std::vector<int> ghosts = case_ghosts(c);
+    if (!bug.candidate(c) || ghosts.empty()) continue;
+    bug.plant(c);
+    if (bug.faults != nullptr) {
+      bug.faults(c);
+    } else {
+      check::add_lossy_net(c.fault_plan, seed, W::kLossyNet);
+    }
+    c.fault_plan.kills.push_back({ghosts.back(), sim::us(40)});
+    c.fault_plan.stalls.push_back({ghosts.front(), sim::us(5), sim::us(3)});
+    c.fault_plan.heartbeat_period = sim::us(2);
+    rp.plan = c.fault_plan;
+    for (int s = 0; s < 4; ++s) {
+      rp.perturb = check::perturb_for(seed, s);
+      const typename W::Outcome out = W::run(c, rp.perturb, check::kAllOps);
+      if (!primary.fails(c, check::kAllOps, out)) continue;
+
+      rp.kind = primary.kind;
+      rp.prefix_ops = static_cast<int>(c.ops.size());
       const std::string path =
-          check::write_repro(rp, fc, out, testing::TempDir());
-      ASSERT_FALSE(path.empty());
+          check::write_repro<W>(rp, c, out, testing::TempDir());
+      ASSERT_FALSE(path.empty()) << W::kName;
       check::Repro back;
-      ASSERT_TRUE(check::parse_repro(path, back));
+      ASSERT_TRUE(check::parse_repro(path, back)) << W::kName;
+      EXPECT_EQ(back.workload, rp.workload);
+      EXPECT_EQ(back.kind, rp.kind);
       EXPECT_EQ(back.seed, rp.seed);
       EXPECT_EQ(back.perturb, rp.perturb);
       EXPECT_EQ(back.prefix_ops, rp.prefix_ops);
       EXPECT_EQ(back.reduced, rp.reduced);
-      EXPECT_EQ(back.fault, rp.fault);
-      EXPECT_EQ(back.kind, rp.kind);
-      EXPECT_TRUE(check::replay(back));
+      EXPECT_EQ(back.bug, rp.bug);
+      const fault::FaultPlan& a = rp.plan;
+      const fault::FaultPlan& b = back.plan;
+      EXPECT_EQ(b.seed, a.seed);
+      EXPECT_EQ(b.net.drop_p, a.net.drop_p);
+      EXPECT_EQ(b.net.dup_p, a.net.dup_p);
+      EXPECT_EQ(b.net.delay_p, a.net.delay_p);
+      EXPECT_EQ(b.net.delay_min, a.net.delay_min);
+      EXPECT_EQ(b.net.delay_max, a.net.delay_max);
+      EXPECT_EQ(b.net.ack_drop_p, a.net.ack_drop_p);
+      EXPECT_EQ(b.rto_base, a.rto_base);
+      EXPECT_EQ(b.max_retries, a.max_retries);
+      EXPECT_EQ(b.heartbeat_period, a.heartbeat_period);
+      ASSERT_EQ(b.kills.size(), 1u) << W::kName;
+      EXPECT_EQ(b.kills[0].world_rank, a.kills[0].world_rank);
+      EXPECT_EQ(b.kills[0].at, a.kills[0].at);
+      ASSERT_EQ(b.stalls.size(), 1u) << W::kName;
+      EXPECT_EQ(b.stalls[0].world_rank, a.stalls[0].world_rank);
+      EXPECT_EQ(b.stalls[0].at, a.stalls[0].at);
+      EXPECT_EQ(b.stalls[0].duration, a.stalls[0].duration);
+      EXPECT_TRUE(check::replay_file(path).reproduced) << W::kName;
       std::remove(path.c_str());
       return;
     }
   }
-  FAIL() << "no fault-injected failure found to round-trip";
+  FAIL() << W::kName << ": no planted-bug failure found to round-trip";
 }
 
+std::string read_text(const std::string& path) {
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return text;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    text.append(buf, n);
+  }
+  std::fclose(f);
+  return text;
+}
+
+/// Copy of `text` without its line starting with `key `, or with that line's
+/// value replaced by `value` when one is given.
+std::string edit_line(const std::string& text, const std::string& key,
+                      const char* value) {
+  const std::size_t at = text.find("\n" + key + " ") + 1;
+  const std::size_t end = text.find('\n', at) + 1;
+  const std::string repl = value == nullptr ? "" : key + " " + value + "\n";
+  return text.substr(0, at) + repl + text.substr(end);
+}
+
+bool replays_valid(const std::string& text) {
+  const std::string path = testing::TempDir() + "casper_edited_repro.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+  const bool valid = check::replay_file(path).valid;
+  std::remove(path.c_str());
+  return valid;
+}
+
+}  // namespace
+
+TEST(Fuzzer, ReproFileRoundTrips) {
+  round_trip<check::RmaWorkload>();
+  round_trip<check::KvWorkload>();
+  round_trip<check::MwWorkload>();
+}
+
+// replay_file dispatches on the file's `workload` tag: each workload's proof
+// repro replays under its own workload, and a file with an unknown tag, or
+// without `seed` or `kind`, is rejected instead of being replayed as some
+// other workload.
+TEST(Fuzzer, ReplayFileDispatchesOnWorkloadTag) {
+  std::vector<check::Failure> proofs;
+  for (const auto& caught :
+       {check::prove<check::RmaWorkload>(1, 2, testing::TempDir()),
+        check::prove<check::KvWorkload>(1, 2, testing::TempDir()),
+        check::prove<check::MwWorkload>(1, 2, testing::TempDir())}) {
+    ASSERT_FALSE(caught.empty());
+    proofs.insert(proofs.end(), caught.begin(), caught.end());
+  }
+  for (const check::Failure& f : proofs) {
+    const check::ReplayResult r = check::replay_file(f.repro_path);
+    EXPECT_TRUE(r.valid && r.reproduced) << f.repro_path;
+    const std::string text = read_text(f.repro_path);
+    EXPECT_FALSE(replays_valid(edit_line(text, "workload", "bogus")));
+    EXPECT_FALSE(replays_valid(edit_line(text, "seed", nullptr)));
+    EXPECT_FALSE(replays_valid(edit_line(text, "kind", nullptr)));
+    std::remove(f.repro_path.c_str());
+  }
+}

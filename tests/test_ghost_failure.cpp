@@ -44,16 +44,9 @@ check::EpochStyle epoch_for(std::uint64_t seed) {
 /// World ranks that are ghosts for the given shape (block placement; the
 /// same computation run_case's runtime performs).
 std::vector<int> ghost_ranks(int nodes, int users_per_node, int ghosts) {
-  net::Topology topo;
-  topo.nodes = nodes;
-  topo.cores_per_node = users_per_node + ghosts;
-  core::Config cc;
-  cc.ghosts_per_node = ghosts;
-  std::vector<int> out;
-  for (int w = 0; w < topo.nranks(); ++w) {
-    if (core::is_ghost_rank(topo, cc, w)) out.push_back(w);
-  }
-  return out;
+  return core::ghost_ranks(
+      {.nodes = nodes, .cores_per_node = users_per_node + ghosts},
+      {.ghosts_per_node = ghosts});
 }
 
 /// Mixed-op workload for the surviving-ghost scenario: puts to exclusive

@@ -353,7 +353,7 @@ TEST(KvDeterminism, ShardCountsMatchReferenceExactly) {
 
 TEST(KvChaos, LossyNetworkKeepsHistoryLinearizable) {
   check::KvCase fc = fixed_case(check::KvMode::Casper, 2);
-  check::add_kv_net_faults(fc);
+  check::add_lossy_net(fc.fault_plan, fc.seed, check::KvWorkload::kLossyNet);
   ASSERT_TRUE(fc.fault_plan.active());
   const check::KvOutcome out = check::run_kv_case(fc, /*perturb=*/0);
   EXPECT_EQ(out.violations, 0u) << (out.diags.empty() ? "" : out.diags[0]);
@@ -365,7 +365,9 @@ TEST(KvChaos, LossyNetworkKeepsHistoryLinearizable) {
 
 TEST(KvChaos, GhostKillRecoveryKeepsHistoryLinearizable) {
   check::KvCase fc = fixed_case(check::KvMode::Casper, 2);
-  const std::vector<int> ghosts = check::kv_ghost_ranks(fc);
+  const std::vector<int> ghosts = core::ghost_ranks(
+      {.nodes = fc.nodes, .cores_per_node = fc.users_per_node + fc.ghosts},
+      {.ghosts_per_node = fc.ghosts});
   ASSERT_GE(ghosts.size(), 2u);
   fault::GhostKill kill;
   kill.world_rank = ghosts[0];

@@ -1,8 +1,9 @@
 // Linearizability checker (src/check/linear.*) unit tests: hand-built legal
 // and illegal histories exercise the register semantics and the Wing–Gong
 // search directly, a deliberately broken KV store variant (skipped
-// unlock-ordering flush) proves end-to-end detection, and kv_proof() proves
-// the whole catch → minimize → write → replay pipeline holds.
+// unlock-ordering flush) proves end-to-end detection, and the KV proof
+// (check::prove<KvWorkload>) proves the whole catch → minimize → write →
+// replay pipeline holds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -173,14 +174,15 @@ TEST(LinearChecker, ResetClearsEverything) {
 // --- end-to-end: the broken store variant must be caught ------------------
 
 TEST(LinearCheckerEndToEnd, KvProofCatchesPlantedBugAndReproReplays) {
-  // kv_proof plants KvConfig::skip_unlock_flush (value PUT unordered
+  // The KV proof plants KvConfig::skip_unlock_flush (value PUT unordered
   // w.r.t. the lock release) under a delay-heavy network, requires the
   // checker to flag the stale read, minimizes the failing op prefix, writes
   // the repro file, re-parses it, and replays it. Any weak link returns
-  // false.
+  // nothing.
   const std::string dir = ::testing::TempDir();
-  EXPECT_TRUE(check::kv_proof(/*base_seed=*/1, /*schedules=*/2, dir,
-                              /*verbose=*/false));
+  EXPECT_FALSE(check::prove<check::KvWorkload>(/*base_seed=*/1,
+                                               /*schedules=*/2, dir)
+                   .empty());
 }
 
 }  // namespace

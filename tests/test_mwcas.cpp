@@ -565,7 +565,7 @@ TEST(MwcasChaos, LossyNetworkKeepsHistoryLinearizable) {
   check::MwCase fc = fixed_case(check::KvMode::Casper, 2,
                                 core::Binding::Segment,
                                 core::DynamicLb::None);
-  check::add_mw_net_faults(fc);
+  check::add_lossy_net(fc.fault_plan, fc.seed, check::MwWorkload::kLossyNet);
   ASSERT_TRUE(fc.fault_plan.active());
   const check::MwOutcome out = check::run_mw_case(fc, /*perturb=*/0);
   EXPECT_EQ(out.violations, 0u) << (out.diags.empty() ? "" : out.diags[0]);
@@ -579,7 +579,9 @@ TEST(MwcasChaos, GhostKillMidDescriptorLosesNoUpdates) {
   check::MwCase fc = fixed_case(check::KvMode::Casper, 2,
                                 core::Binding::Segment,
                                 core::DynamicLb::None);
-  const std::vector<int> ghosts = check::mw_ghost_ranks(fc);
+  const std::vector<int> ghosts = core::ghost_ranks(
+      {.nodes = fc.nodes, .cores_per_node = fc.users_per_node + fc.ghosts},
+      {.ghosts_per_node = fc.ghosts});
   ASSERT_GE(ghosts.size(), 2u);
   fault::GhostKill kill;
   kill.world_rank = ghosts[0];
@@ -599,8 +601,10 @@ TEST(MwcasChaos, GhostKillPlusLossyNetworkStaysClean) {
   check::MwCase fc = fixed_case(check::KvMode::Casper, 2,
                                 core::Binding::Segment,
                                 core::DynamicLb::None);
-  check::add_mw_net_faults(fc);
-  const std::vector<int> ghosts = check::mw_ghost_ranks(fc);
+  check::add_lossy_net(fc.fault_plan, fc.seed, check::MwWorkload::kLossyNet);
+  const std::vector<int> ghosts = core::ghost_ranks(
+      {.nodes = fc.nodes, .cores_per_node = fc.users_per_node + fc.ghosts},
+      {.ghosts_per_node = fc.ghosts});
   ASSERT_GE(ghosts.size(), 2u);
   fault::GhostKill kill;
   kill.world_rank = ghosts[1];
