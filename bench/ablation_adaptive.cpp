@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "check/linear.hpp"
-#include "fig7_common.hpp"
+#include "workloads.hpp"
 #include "kv/kv.hpp"
 #include "kv/traffic.hpp"
 #include "obs/record.hpp"

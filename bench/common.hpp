@@ -1,11 +1,6 @@
-// Shared helpers for the figure-reproduction benches: the four execution
-// modes of the paper's evaluation (original MPI, thread-based progress,
-// DMAPP/interrupt-based progress, Casper) and scale handling.
-//
-// Every bench accepts:
-//   --csv    machine-readable output
-//   --full   paper-scale parameters (minutes); default is a reduced scale
-//            that preserves the curve shapes and finishes in seconds.
+// Shared helpers for the figure-reproduction benches: the execution modes of
+// the paper's evaluation (original MPI, thread-based progress,
+// DMAPP/interrupt-based progress, Casper) and flag/timing helpers.
 #pragma once
 
 #include <chrono>
@@ -32,17 +27,6 @@ enum class Mode {
   Casper,    ///< ghost-process progress (this paper)
 };
 
-inline const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::Original: return "original";
-    case Mode::Thread: return "thread";
-    case Mode::ThreadD: return "thread(D)";
-    case Mode::Dmapp: return "dmapp";
-    case Mode::Casper: return "casper";
-  }
-  return "?";
-}
-
 inline bool has_flag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) return true;
@@ -56,12 +40,6 @@ inline const char* flag_value(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
   }
   return nullptr;
-}
-
-/// Integer value of `--flag N`-style options; `def` when absent.
-inline int int_flag(int argc, char** argv, const char* flag, int def) {
-  const char* v = flag_value(argc, argv, flag);
-  return v != nullptr ? std::atoi(v) : def;
 }
 
 /// One simulated execution. `user_cpn` is the number of application

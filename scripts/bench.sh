@@ -28,9 +28,8 @@ UPDATE=""
 if [[ "${1:-}" == "--update" ]]; then UPDATE="--update"; fi
 
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j"$JOBS" --target engine_throughput \
-  fig4a_passive_overlap fig6a_rank_binding_procs fig_kv fig_mwcas \
-  ablation_adaptive fig5xl_scale >/dev/null
+cmake --build "$BUILD" -j"$JOBS" --target engine_throughput figures fig_kv \
+  fig_mwcas ablation_adaptive >/dev/null
 
 OUT="$ROOT/$BUILD/bench_out"
 rm -rf "$OUT"
@@ -40,12 +39,11 @@ for r in $(seq 1 "$RUNS"); do
   echo "== bench.sh: run $r/$RUNS =="
   "$ROOT/$BUILD/bench/engine_throughput" --out "$d/BENCH_engine.json" \
     >/dev/null
-  (cd "$d" && "$ROOT/$BUILD/bench/fig4a_passive_overlap" --json >/dev/null)
-  (cd "$d" && "$ROOT/$BUILD/bench/fig6a_rank_binding_procs" --json >/dev/null)
+  (cd "$d" && "$ROOT/$BUILD/bench/figures" fig4a fig6a --json >/dev/null)
   (cd "$d" && "$ROOT/$BUILD/bench/fig_kv" --json >/dev/null)
   (cd "$d" && "$ROOT/$BUILD/bench/fig_mwcas" --json >/dev/null)
   (cd "$d" && "$ROOT/$BUILD/bench/ablation_adaptive" --json >/dev/null)
-  "$ROOT/$BUILD/bench/fig5xl_scale" --out "$d/BENCH_fig5xl.json" >/dev/null
+  "$ROOT/$BUILD/bench/figures" fig5xl --out "$d/BENCH_fig5xl.json" >/dev/null
 done
 
 python3 scripts/bench_compare.py --runs-dir "$OUT" --baseline-dir "$ROOT" \

@@ -175,9 +175,8 @@ CASPER_TRACE=1 "./$BUILD/tests/fuzz_conformance" --base-seed 7 --cases 50 \
   --schedules 2 --out "$BUILD/tests"
 
 echo "== [12/14] chrome-trace export: schema + casper track layout =="
-cmake --build "$BUILD" -j"$JOBS" --target fig4a_passive_overlap
-"./$BUILD/bench/fig4a_passive_overlap" --trace "$BUILD/fig4a_trace.json" \
-  > /dev/null
+cmake --build "$BUILD" -j"$JOBS" --target figures
+"./$BUILD/bench/figures" fig4a --trace "$BUILD/fig4a_trace.json" > /dev/null
 python3 scripts/validate_chrome_trace.py "$BUILD/fig4a_trace.json" \
   --require-casper-tracks
 
