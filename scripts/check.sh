@@ -121,8 +121,12 @@ echo "== [9/14] ASan: fuzzer smoke corpus + ghost-failure soak =="
 cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null
 cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
   test_check_oracle test_race_analyzer test_fault_matrix \
-  test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas
+  test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas \
+  test_casper
 "./$BUILD_ASAN/tests/test_check_oracle"
+# Window set-up: the one-time table fill at registration and the ghosts'
+# handle-only records, freed by sequence number out of allocation order.
+"./$BUILD_ASAN/tests/test_casper"
 # The interval-treap recorder (insert/coalesce/prune) under ASan, plus a racy
 # slice: planted-race detection must hold with sanitized allocation patterns.
 "./$BUILD_ASAN/tests/test_race_analyzer"

@@ -35,6 +35,8 @@ struct GhostCmd {
   enum Code : int { kWinAlloc = 1, kWinFree = 2, kFinalize = 3 };
   int code = 0;
   unsigned epochs = kEpochAll;
+  /// Mirrors the user call; ghosts do not read it, but the command's size
+  /// is part of the simulated message cost, so it stays.
   long long disp_unit = 1;
   /// Window sequence number: user processes allocate windows in the same
   /// collective order on every rank, so a per-rank allocation counter
@@ -255,10 +257,31 @@ class CasperLayer final : public mpi::Layer {
     progress::AdaptSample adapt_acc;
   };
 
+  /// The collective handles one rank holds for a Casper window: what its
+  /// teardown frees. A ghost keeps only these between kWinAlloc and
+  /// kWinFree.
+  struct WinHandles {
+    mpi::Win shm;                   ///< the rank's node shared-memory window
+    std::vector<mpi::Win> ug_wins;  ///< per local-user-index, over world
+    mpi::Win global_win;            ///< fence/pscw/lockall window, over world
+  };
+
+  /// One rank's segment in its node buffer, as exchanged at window set-up.
+  struct Place {
+    unsigned long long offset = 0;  ///< segment offset in the node buffer
+    unsigned long long size = 0;    ///< segment bytes (0 for ghosts)
+  };
+  /// Window memory layout every member learns from the set-up allgather;
+  /// the per-window table fill reads nothing else.
+  struct Layout {
+    std::vector<Place> places;            // by world rank
+    std::vector<std::size_t> node_total;  // per node: shared buffer bytes
+  };
+
   /// All internal state Casper keeps for one user window. One canonical
-  /// instance is shared by all member ranks (first finisher registers it);
-  /// only the node shared-memory windows differ per node, so they are kept
-  /// per node.
+  /// instance is shared by all member ranks: the rank that registers it
+  /// fills its per-window tables (tgt, ep, adapt) once; later members only
+  /// merge their node's shared-memory window, the one per-node handle.
   struct CspWin {
     mpi::Win user_win;  ///< handle returned to the application
     std::vector<mpi::Win> shm_by_node;  ///< node shared-memory windows
@@ -303,11 +326,16 @@ class CasperLayer final : public mpi::Layer {
   void user_finalize(mpi::Env& env);
   /// Node user-masters send `cmd` to their node's ghosts.
   void notify_ghosts(mpi::Env& env, const GhostCmd& cmd);
-  /// Collective (over ALL world ranks) creation of the internal windows.
-  std::shared_ptr<CspWin> build_windows(mpi::Env& env, std::size_t bytes,
-                                        std::size_t du, unsigned epochs,
-                                        const mpi::Info& info);
-  void free_internal_windows(mpi::Env& env, CspWin& cw);
+  /// Collective (over ALL world ranks) part of a window set-up: the node
+  /// shared-memory window, the layout allgather, and the internal windows.
+  /// Fills `lay` and returns this rank's handles.
+  WinHandles build_windows(mpi::Env& env, std::size_t bytes, unsigned epochs,
+                           const mpi::Info& info, Layout& lay);
+  /// Pure fill of a window's per-window tables (target placement and
+  /// binding, per-origin epoch state, adaptive state) from the layout. Runs
+  /// once per window, in the rank that registers it; no pmpi_ calls.
+  void fill_tables(CspWin& cw, Layout lay, std::size_t du);
+  void free_internal_windows(mpi::Env& env, WinHandles h);
 
   // --- redirection ---------------------------------------------------------
   CspWin* managed(const mpi::Win& w);
@@ -442,9 +470,9 @@ class CasperLayer final : public mpi::Layer {
   mpi::Comm user_world_;
   std::vector<mpi::Comm> node_comm_of_;  // per world rank: its node comm
   std::map<mpi::WinImpl*, std::shared_ptr<CspWin>> winmap_;
-  /// Ghost-side record of internal windows, per ghost world rank, matched by
-  /// sequence number on free.
-  std::map<int, std::vector<std::shared_ptr<CspWin>>> ghost_wins_;
+  /// Ghost-side record of internal windows: per ghost world rank, keyed by
+  /// window sequence number (frees may come in any order).
+  std::map<int, std::map<int, WinHandles>> ghost_wins_;
   /// Guards winmap_ (lookups AND registration), the ghost_wins_ map
   /// structure, and the one-time user_world_ publication when the engine is
   /// sharded: member ranks on different worker threads can allocate or free
@@ -456,9 +484,9 @@ class CasperLayer final : public mpi::Layer {
   std::mutex winmap_mu_;
   /// ghost_wins_[me] with the map-structure race handled: operator[] may
   /// insert, so the slot is created under winmap_mu_ when sharded. The
-  /// returned vector is only ever mutated by rank `me`'s own fiber (map
+  /// returned map is only ever mutated by rank `me`'s own fiber (map
   /// references are stable under later inserts).
-  std::vector<std::shared_ptr<CspWin>>& my_ghost_wins(int me);
+  std::map<int, WinHandles>& my_ghost_wins(int me);
   /// Per-world-rank count of managed window allocations (sequence source).
   std::vector<int> alloc_seq_;
 };

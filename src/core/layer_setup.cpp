@@ -205,28 +205,22 @@ void CasperLayer::ghost_loop(Env& env) {
                 mpi::kAnySource, kTagCmd, rt_->world());
     switch (cmd.code) {
       case GhostCmd::kWinAlloc: {
-        auto cw = build_windows(env, 0, static_cast<std::size_t>(
-                                            cmd.disp_unit),
-                                cmd.epochs, mpi::Info{});
-        cw->seq = cmd.seq;
-        cw->flip_fault = cfg_.fault.flip_segment_binding &&
-                         (cfg_.fault.flip_only_seq < 0 ||
-                          cfg_.fault.flip_only_seq == cmd.seq);
-        my_ghost_wins(env.world_rank()).push_back(std::move(cw));
+        // Ghosts take part in the collective set-up only; the window's
+        // tables live in the canonical CspWin a user rank registers.
+        Layout lay;
+        WinHandles h = build_windows(env, 0, cmd.epochs, mpi::Info{}, lay);
+        my_ghost_wins(env.world_rank()).emplace(cmd.seq, std::move(h));
         break;
       }
       case GhostCmd::kWinFree: {
         auto& mine = my_ghost_wins(env.world_rank());
-        auto it = std::find_if(mine.begin(), mine.end(),
-                               [&cmd](const auto& cw) {
-                                 return cw->seq == cmd.seq;
-                               });
+        auto it = mine.find(cmd.seq);
         MMPI_REQUIRE(it != mine.end(),
                      "casper ghost: win-free for unknown window seq %d",
                      cmd.seq);
-        auto cw = *it;
+        WinHandles h = std::move(it->second);
         mine.erase(it);
-        free_internal_windows(env, *cw);
+        free_internal_windows(env, std::move(h));
         break;
       }
       case GhostCmd::kFinalize:
@@ -238,10 +232,9 @@ void CasperLayer::ghost_loop(Env& env) {
   }
 }
 
-std::vector<std::shared_ptr<CasperLayer::CspWin>>& CasperLayer::my_ghost_wins(
-    int me) {
+std::map<int, CasperLayer::WinHandles>& CasperLayer::my_ghost_wins(int me) {
   // operator[] may create the slot (a map-structure mutation); ghosts on
-  // other shards can be doing the same concurrently. The returned vector is
+  // other shards can be doing the same concurrently. The returned map is
   // only ever touched by rank `me`'s fiber, and std::map references stay
   // valid across later inserts, so callers use it outside the lock.
   std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);

@@ -1,7 +1,7 @@
 // CasperLayer: window allocation — the shared-memory mapping and the
 // overlapping internal windows (paper II.B, Fig. 2), controlled by the
 // `epochs_used` info hint (paper III.A).
-#include <algorithm>
+#include <utility>
 
 #include "core/layer_impl.hpp"
 #include "mpi/check.hpp"
@@ -50,7 +50,8 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
     return pmpi_->win_allocate(env, bytes, du, info, c, base);
   }
   const unsigned epochs = parse_epochs(info);
-  const int seq = alloc_seq_[static_cast<std::size_t>(env.world_rank())]++;
+  const int me = env.world_rank();
+  const int seq = alloc_seq_[static_cast<std::size_t>(me)]++;
 
   GhostCmd cmd;
   cmd.code = GhostCmd::kWinAlloc;
@@ -59,125 +60,140 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   cmd.seq = seq;
   notify_ghosts(env, cmd);
 
-  auto cw = build_windows(env, bytes, du, epochs, info);
-  cw->seq = seq;
-  cw->flip_fault = cfg_.fault.flip_segment_binding &&
-                   (cfg_.fault.flip_only_seq < 0 ||
-                    cfg_.fault.flip_only_seq == seq);
+  Layout lay;
+  WinHandles h = build_windows(env, bytes, epochs, info, lay);
 
   // The user-visible window: a window over COMM_USER_WORLD exposing the same
   // shared segments. The application synchronizes and communicates on this
   // handle; Casper intercepts and redirects every call.
-  const int me_u = my_user_rank(env);
-  const int my_node = rt_->topo().node_of(env.world_rank());
-  const auto& ti = cw->tgt[static_cast<std::size_t>(me_u)];
-  std::byte* seg_base = nullptr;
-  {
-    // my segment base inside the shm window
-    const Comm& nc = node_comm_of_[static_cast<std::size_t>(env.world_rank())];
-    const int my_nc = nc->rank_of_world(env.world_rank());
-    seg_base = rt_->p_shared_query(
-                   env, cw->shm_by_node[static_cast<std::size_t>(my_node)],
-                   my_nc)
-                   .base;
-  }
-  cw->user_win =
-      pmpi_->win_create(env, seg_base, ti.size, du, info, user_world_);
+  const Comm& nc = node_comm_of_[static_cast<std::size_t>(me)];
+  std::byte* seg_base =
+      rt_->p_shared_query(env, h.shm, nc->rank_of_world(me)).base;
+  Win user_win = pmpi_->win_create(env, seg_base, bytes, du, info, user_world_);
   *base = seg_base;
 
   // One canonical CspWin per user window, shared by all member ranks: the
-  // first rank to get here registers its instance; later ranks only merge
-  // their node's shared-memory window handle into it. Pure map/pointer work,
-  // so holding the registry lock here (sharded) is safe — no pmpi_ calls.
+  // first rank to get here builds and registers it; later ranks only merge
+  // their node's shared-memory window handle into it. Map/pointer work and
+  // the pure table fill only, so holding the registry lock here (sharded) is
+  // safe — no pmpi_ calls.
+  const auto my_node = static_cast<std::size_t>(rt_->topo().node_of(me));
   std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
   if (rt_->engine().sharded()) lk.lock();
-  auto it = winmap_.find(cw->user_win.get());
-  if (it == winmap_.end()) {
-    winmap_[cw->user_win.get()] = cw;
-    ++rt_->engine().stats_local().counter("casper_managed_windows");
-    return cw->user_win;
+  auto it = winmap_.find(user_win.get());
+  if (it != winmap_.end()) {
+    it->second->shm_by_node[my_node] = std::move(h.shm);
+    return it->second->user_win;
   }
-  it->second->shm_by_node[static_cast<std::size_t>(my_node)] =
-      cw->shm_by_node[static_cast<std::size_t>(my_node)];
-  return it->second->user_win;
+  auto cw = std::make_shared<CspWin>();
+  cw->user_win = user_win;
+  cw->epochs = epochs;
+  cw->seq = seq;
+  cw->flip_fault = cfg_.fault.flip_segment_binding &&
+                   (cfg_.fault.flip_only_seq < 0 ||
+                    cfg_.fault.flip_only_seq == seq);
+  cw->shm_by_node.resize(static_cast<std::size_t>(rt_->topo().nodes));
+  cw->shm_by_node[my_node] = std::move(h.shm);
+  cw->ug_wins = std::move(h.ug_wins);
+  cw->global_win = std::move(h.global_win);
+  fill_tables(*cw, std::move(lay), du);
+  winmap_[user_win.get()] = cw;
+  ++rt_->engine().stats_local().counter("casper_managed_windows");
+  return user_win;
 }
 
-std::shared_ptr<CasperLayer::CspWin> CasperLayer::build_windows(
-    Env& env, std::size_t bytes, std::size_t du, unsigned epochs,
-    const mpi::Info& info) {
+CasperLayer::WinHandles CasperLayer::build_windows(Env& env,
+                                                   std::size_t bytes,
+                                                   unsigned epochs,
+                                                   const mpi::Info& info,
+                                                   Layout& lay) {
   const auto& topo = rt_->topo();
   const int me = env.world_rank();
   const bool ghost = is_ghost_[static_cast<std::size_t>(me)];
   const Comm& nc = node_comm_of_[static_cast<std::size_t>(me)];
-
-  auto cw = std::make_shared<CspWin>();
-  cw->epochs = epochs;
-  cw->shm_by_node.resize(static_cast<std::size_t>(topo.nodes));
+  WinHandles h;
 
   // Step 1: allocate the node shared segment; ghosts contribute zero bytes
   // but get the whole node buffer mapped into their "address space".
   void* shm_base = nullptr;
-  const int my_node = topo.node_of(me);
-  auto& shm_win = cw->shm_by_node[static_cast<std::size_t>(my_node)];
-  shm_win = pmpi_->win_allocate_shared(env, ghost ? 0 : bytes, 1, info, nc,
-                                       &shm_base);
+  h.shm = pmpi_->win_allocate_shared(env, ghost ? 0 : bytes, 1, info, nc,
+                                     &shm_base);
 
   // Compute the node buffer's base and my segment's offset within it from
   // the node-local segment layout.
-  const std::byte* node_base = rt_->p_shared_query(env, shm_win, 0).base;
+  const std::byte* node_base = rt_->p_shared_query(env, h.shm, 0).base;
   std::size_t my_offset = 0;
-  std::size_t node_total = 0;
   for (int r = 0; r < nc->size(); ++r) {
-    auto seg = rt_->p_shared_query(env, shm_win, r);
+    auto seg = rt_->p_shared_query(env, h.shm, r);
     if (nc->world_rank(r) == me) {
       my_offset = static_cast<std::size_t>(seg.base - node_base);
     }
-    node_total += align64(seg.size);
   }
 
   // Step 2: exchange every rank's (offset, size) so all origins can
   // translate target displacements into ghost-frame displacements.
-  struct Place {
-    unsigned long long offset;
-    unsigned long long size;
-  };
-  std::vector<Place> places(static_cast<std::size_t>(topo.nranks()));
+  lay.places.resize(static_cast<std::size_t>(topo.nranks()));
   Place mine{my_offset, ghost ? 0ull : static_cast<unsigned long long>(bytes)};
   pmpi_->allgather(env, &mine, static_cast<int>(sizeof(Place)),
-                   mpi::Dt::Byte, places.data(), rt_->world());
+                   mpi::Dt::Byte, lay.places.data(), rt_->world());
 
-  cw->node_total.assign(static_cast<std::size_t>(topo.nodes), 0);
+  lay.node_total.assign(static_cast<std::size_t>(topo.nodes), 0);
   for (int node = 0; node < topo.nodes; ++node) {
     std::size_t total = 0;
     for (int u : node_users_[static_cast<std::size_t>(node)]) {
-      total += align64(
-          static_cast<std::size_t>(places[static_cast<std::size_t>(u)].size));
+      total += align64(static_cast<std::size_t>(
+          lay.places[static_cast<std::size_t>(u)].size));
     }
-    cw->node_total[static_cast<std::size_t>(node)] = total;
+    lay.node_total[static_cast<std::size_t>(node)] = total;
   }
 
-  const int users = user_world_ ? user_world_->size()
-                                : topo.nodes * (topo.cores_per_node -
-                                                cfg_.ghosts_per_node);
-  cw->tgt.resize(static_cast<std::size_t>(users));
-  cw->ep.resize(static_cast<std::size_t>(users));
+  // Step 3: the overlapping internal windows over ALL ranks. Each ghost
+  // exposes the whole node buffer (byte-addressed); user ranks expose
+  // nothing (they are never internal targets — self ops are local).
+  std::byte* ghost_base =
+      ghost ? const_cast<std::byte*>(node_base) : nullptr;
+  const std::size_t ghost_size =
+      ghost ? lay.node_total[static_cast<std::size_t>(topo.node_of(me))] : 0;
+
+  if (epochs & kEpochLock) {
+    // One overlapping window per node-local user process, so exclusive locks
+    // to different user targets on the same node do not serialize, while
+    // locks to the same target keep MPI's permission management (III.A).
+    h.ug_wins.reserve(static_cast<std::size_t>(max_local_users_));
+    for (int i = 0; i < max_local_users_; ++i) {
+      h.ug_wins.push_back(pmpi_->win_create(env, ghost_base, ghost_size, 1,
+                                            info, rt_->world()));
+    }
+  }
+  if (epochs & (kEpochFence | kEpochPscw | kEpochLockAll)) {
+    h.global_win =
+        pmpi_->win_create(env, ghost_base, ghost_size, 1, info, rt_->world());
+    if (!ghost) {
+      // Fence/PSCW are translated onto a permanent passive epoch: lock-all
+      // issued once at window allocation (III.C.1).
+      pmpi_->win_lock_all(env, 0, h.global_win);
+    }
+  }
+  return h;
+}
+
+void CasperLayer::fill_tables(CspWin& cw, Layout lay, std::size_t du) {
+  const auto& topo = rt_->topo();
+  const auto users = static_cast<std::size_t>(user_world_->size());
+  cw.node_total = std::move(lay.node_total);
+  cw.tgt.resize(users);
+  cw.ep.resize(users);
   for (int node = 0; node < topo.nodes; ++node) {
     const auto& nu = node_users_[static_cast<std::size_t>(node)];
     const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
     for (std::size_t li = 0; li < nu.size(); ++li) {
       const int w = nu[li];
-      // user comm rank == position among user ranks sorted by world rank;
-      // world split with key=world preserves order, so compute directly.
-      int u = 0;
-      for (int x = 0; x < w; ++x) {
-        if (!is_ghost_[static_cast<std::size_t>(x)]) ++u;
-      }
-      auto& ti = cw->tgt[static_cast<std::size_t>(u)];
+      const Place& pl = lay.places[static_cast<std::size_t>(w)];
+      auto& ti =
+          cw.tgt[static_cast<std::size_t>(user_world_->rank_of_world(w))];
       ti.node = node;
-      ti.offset =
-          static_cast<std::size_t>(places[static_cast<std::size_t>(w)].offset);
-      ti.size =
-          static_cast<std::size_t>(places[static_cast<std::size_t>(w)].size);
+      ti.offset = static_cast<std::size_t>(pl.offset);
+      ti.size = static_cast<std::size_t>(pl.size);
       ti.disp_unit = du;
       ti.local_idx = static_cast<int>(li);
       // Static rank binding with NUMA awareness: bind to a ghost in the
@@ -194,65 +210,30 @@ std::shared_ptr<CasperLayer::CspWin> CasperLayer::build_windows(
       }
     }
   }
-  for (auto& ep : cw->ep) {
-    ep.tl.resize(static_cast<std::size_t>(users));
-    ep.access_mask.assign((static_cast<std::size_t>(users) + 63) / 64, 0);
+  for (auto& ep : cw.ep) {
+    ep.tl.resize(users);
+    ep.access_mask.assign((users + 63) / 64, 0);
     ep.ops_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
     ep.bytes_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
     ep.plans.slots.resize(PlanCache::kSlots);
   }
   // Adaptive progress control: size the board and seed every origin's
-  // replica. Runs identically in every rank's instance — only the first
-  // finisher's CspWin becomes canonical, so nothing here may depend on who
-  // builds it.
-  if (cfg_.adaptive.enabled) init_adapt(*cw);
-
-  // Step 3: the overlapping internal windows over ALL ranks. Each ghost
-  // exposes the whole node buffer (byte-addressed); user ranks expose
-  // nothing (they are never internal targets — self ops are local).
-  std::byte* ghost_base =
-      ghost ? const_cast<std::byte*>(node_base) : nullptr;
-  const std::size_t ghost_size =
-      ghost ? cw->node_total[static_cast<std::size_t>(topo.node_of(me))] : 0;
-
-  if (epochs & kEpochLock) {
-    // One overlapping window per node-local user process, so exclusive locks
-    // to different user targets on the same node do not serialize, while
-    // locks to the same target keep MPI's permission management (III.A).
-    cw->ug_wins.reserve(static_cast<std::size_t>(max_local_users_));
-    for (int i = 0; i < max_local_users_; ++i) {
-      cw->ug_wins.push_back(pmpi_->win_create(
-          env, ghost_base, ghost_size, 1, info, rt_->world()));
-    }
-  }
-  if (epochs & (kEpochFence | kEpochPscw | kEpochLockAll)) {
-    cw->global_win =
-        pmpi_->win_create(env, ghost_base, ghost_size, 1, info, rt_->world());
-    if (!ghost) {
-      // Fence/PSCW are translated onto a permanent passive epoch: lock-all
-      // issued once at window allocation (III.C.1).
-      pmpi_->win_lock_all(env, 0, cw->global_win);
-    }
-  }
-  return cw;
+  // replica.
+  if (cfg_.adaptive.enabled) init_adapt(cw);
+  ++rt_->engine().stats_local().counter("casper_window_tables");
 }
 
-void CasperLayer::free_internal_windows(Env& env, CspWin& cw) {
-  // The CspWin is shared between all member ranks: free through handle
-  // copies so one rank's teardown does not null the handles another rank is
-  // still about to free.
-  if (cw.global_win &&
+void CasperLayer::free_internal_windows(Env& env, WinHandles h) {
+  // The handles are copies: the canonical CspWin is shared between all
+  // member ranks, and one rank's teardown must not null the handles another
+  // rank is still about to free.
+  if (h.global_win &&
       !is_ghost_[static_cast<std::size_t>(env.world_rank())]) {
-    pmpi_->win_unlock_all(env, cw.global_win);
+    pmpi_->win_unlock_all(env, h.global_win);
   }
-  const int my_node = rt_->topo().node_of(env.world_rank());
-  Win shm = cw.shm_by_node[static_cast<std::size_t>(my_node)];
-  pmpi_->win_free(env, shm);
-  for (Win w : cw.ug_wins) pmpi_->win_free(env, w);
-  if (cw.global_win) {
-    Win g = cw.global_win;
-    pmpi_->win_free(env, g);
-  }
+  pmpi_->win_free(env, h.shm);
+  for (Win& w : h.ug_wins) pmpi_->win_free(env, w);
+  if (h.global_win) pmpi_->win_free(env, h.global_win);
 }
 
 void CasperLayer::win_free(Env& env, Win& w) {
@@ -274,7 +255,10 @@ void CasperLayer::win_free(Env& env, Win& w) {
   cmd.code = GhostCmd::kWinFree;
   cmd.seq = keep->seq;
   notify_ghosts(env, cmd);
-  free_internal_windows(env, *keep);
+  free_internal_windows(
+      env, {keep->shm_by_node[static_cast<std::size_t>(
+                rt_->topo().node_of(env.world_rank()))],
+            keep->ug_wins, keep->global_win});
   Win uw = keep->user_win;
   pmpi_->win_free(env, uw);  // collective: all members are done after this
   {

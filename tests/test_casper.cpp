@@ -292,6 +292,70 @@ TEST(CasperHints, EpochsUsedControlsWindowCount) {
   }, core::layer(csp(1)));
 }
 
+TEST(CasperSetup, OneTableFillPerWindowNotPerRank) {
+  // 4 nodes x (4 users + 2 ghosts) = 24 ranks. Every rank takes part in the
+  // collective window set-up, but the per-window tables (targets, per-origin
+  // epoch state) are filled once per window, by the registering rank.
+  auto rc = cfg(4, 6);
+  constexpr int kWins = 3;
+  constexpr int kRounds = 3;
+  const char* hints[kWins] = {"lock", "lockall", nullptr};
+  const int want_internal[kWins] = {4, 1, 4 + 1};
+  std::vector<std::uint64_t> tables_after_round;
+  auto body = [&](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    const int p = env.size(w);
+    auto& L = layer_of(env);
+    for (int round = 0; round < kRounds; ++round) {
+      Win wins[kWins];
+      void* bases[kWins] = {};
+      for (int i = 0; i < kWins; ++i) {
+        Info info;
+        if (hints[i] != nullptr) info.set(core::kEpochsUsedKey, hints[i]);
+        wins[i] = env.win_allocate(sizeof(double), sizeof(double), info, w,
+                                   &bases[i]);
+        EXPECT_EQ(L.internal_window_count(wins[i]), want_internal[i]);
+      }
+      env.barrier(w);
+      if (me == 0) {
+        tables_after_round.push_back(
+            env.runtime().stats().get("casper_window_tables"));
+      }
+      // Every window routes: each user adds 1 on its right neighbour (on
+      // another node for the last user of each node).
+      const int next = (me + 1) % p;
+      const double one = 1.0;
+      env.win_lock(LockType::Shared, next, 0, wins[0]);
+      env.accumulate(&one, 1, next, 0, AccOp::Sum, wins[0]);
+      env.win_unlock(next, wins[0]);
+      for (int i = 1; i < kWins; ++i) {
+        env.win_lock_all(0, wins[i]);
+        env.accumulate(&one, 1, next, 0, AccOp::Sum, wins[i]);
+        env.win_unlock_all(wins[i]);
+      }
+      env.barrier(w);
+      for (int i = 0; i < kWins; ++i) {
+        EXPECT_EQ(*static_cast<double*>(bases[i]), 1.0);
+        EXPECT_TRUE(L.ghost_rank(L.bound_ghost_of(wins[i], me)));
+      }
+      // Free out of allocation order: each ghost matches its kWinFree to
+      // the right handle record by sequence number.
+      env.win_free(wins[1]);
+      env.win_free(wins[2]);
+      env.win_free(wins[0]);
+    }
+  };
+  mpi::Runtime rt(rc, body, core::layer(csp(2)));
+  rt.run();
+  ASSERT_EQ(tables_after_round.size(), static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(tables_after_round[0], static_cast<std::uint64_t>(kWins));
+  EXPECT_NE(tables_after_round[0], static_cast<std::uint64_t>(kWins * 24));
+  EXPECT_EQ(tables_after_round[2], static_cast<std::uint64_t>(kWins * kRounds));
+  EXPECT_EQ(rt.stats().get("casper_window_tables"),
+            rt.stats().get("casper_managed_windows"));
+}
+
 TEST(CasperRma, SelfOpsExecuteLocally) {
   mpi::exec(cfg(1, 2), [](mpi::Env& env) {
     Comm w = env.world();

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/casper.hpp"
+#include "core/layer_impl.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
 
@@ -138,6 +139,109 @@ TEST_F(ShardedRuntime, Fig5InterruptModeShardInvariant) {
 
 TEST_F(ShardedRuntime, Fig5CasperModeShardInvariant) {
   expect_invariant(progress::Kind::None, false, true, "casper");
+}
+
+/// Per-window Casper state every user rank reads back after a multi-window
+/// adaptive run; must not depend on which shard registered each window.
+struct WindowState {
+  std::vector<int> bound_ghost;            // [win][user] flattened
+  std::vector<int> internal_windows;       // [win]
+  std::vector<std::uint64_t> plan_gen;     // [win][user] flattened
+  std::vector<std::uint64_t> adapt_digest;  // [win]
+  std::vector<double> window;              // rank 0's window bytes, all wins
+  std::map<std::string, std::uint64_t> counters;
+};
+
+/// 4 nodes x (4 users + 2 ghosts), segment binding with the adaptive
+/// controller on: every user allocates three windows back to back (so their
+/// registrations race across shards), then hammers user i of the next node
+/// on window i for four barrier-separated rounds, so each window remaps
+/// differently.
+WindowState run_multiwin(int shards) {
+  constexpr int kWins = 3;
+  constexpr int kUsers = 16;
+  RunConfig c;
+  c.machine.profile = net::cray_xc30_regular();
+  c.machine.topo.nodes = 4;
+  c.machine.topo.cores_per_node = 6;
+  c.shards = shards;
+  core::Config cc;
+  cc.ghosts_per_node = 2;
+  cc.binding = core::Binding::Segment;
+  cc.adaptive.enabled = true;
+  WindowState out;
+  out.bound_ghost.assign(kWins * kUsers, -1);
+  out.internal_windows.assign(kWins, -1);
+  out.plan_gen.assign(kWins * kUsers, 0);
+  out.adapt_digest.assign(kWins, 0);
+  auto body = [&out](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    const int p = env.size(w);
+    const int next_node = 4 * ((me / 4 + 1) % (p / 4));  // its first user
+    const char* hints[kWins] = {nullptr, "lockall", "lock,lockall"};
+    Win wins[kWins];
+    void* bases[kWins] = {};
+    for (int i = 0; i < kWins; ++i) {
+      Info info;
+      if (hints[i] != nullptr) info.set(core::kEpochsUsedKey, hints[i]);
+      wins[i] = env.win_allocate(static_cast<std::size_t>(32 * (i + 1)) *
+                                     sizeof(double),
+                                 sizeof(double), info, w, &bases[i]);
+      env.win_lock_all(0, wins[i]);
+    }
+    env.barrier(w);
+    std::vector<double> v(8, 1.0);
+    for (int r = 0; r < 4; ++r) {
+      for (int i = 0; i < kWins; ++i) {
+        for (int k = 0; k < 4 * (i + 1); ++k) {
+          env.put(v.data(), 8, next_node + i, static_cast<std::size_t>(k) * 8,
+                  wins[i]);
+        }
+        env.win_flush_all(wins[i]);
+      }
+      env.barrier(w);  // adaptive epoch boundary on every window
+    }
+    auto& L = dynamic_cast<core::CasperLayer&>(env.runtime().layer());
+    for (int i = 0; i < kWins; ++i) {
+      const auto at = static_cast<std::size_t>(i * kUsers + me);
+      out.bound_ghost[at] = L.bound_ghost_of(wins[i], me);
+      out.plan_gen[at] = L.plan_generation(wins[i], me);
+      if (me == 0) {
+        out.internal_windows[static_cast<std::size_t>(i)] =
+            L.internal_window_count(wins[i]);
+        out.adapt_digest[static_cast<std::size_t>(i)] =
+            L.adapt_digest(wins[i]);
+        const double* d = static_cast<const double*>(bases[i]);
+        out.window.insert(out.window.end(), d, d + 32 * (i + 1));
+      }
+    }
+    env.barrier(w);
+    for (int i = 0; i < kWins; ++i) {
+      env.win_unlock_all(wins[i]);
+      env.win_free(wins[i]);
+    }
+  };
+  mpi::Runtime rt(c, body, core::layer(cc));
+  rt.run();
+  out.counters = rt.stats().all();
+  return out;
+}
+
+TEST_F(ShardedRuntime, CasperMultiWindowStateShardInvariant) {
+  const WindowState ref = run_multiwin(1);
+  ASSERT_EQ(ref.counters.at("casper_window_tables"), 3u);
+  ASSERT_EQ(ref.internal_windows, (std::vector<int>{4 + 1, 1, 4 + 1}));
+  for (int shards : {2, 4}) {
+    const WindowState got = run_multiwin(shards);
+    EXPECT_EQ(ref.bound_ghost, got.bound_ghost) << "shards=" << shards;
+    EXPECT_EQ(ref.internal_windows, got.internal_windows)
+        << "shards=" << shards;
+    EXPECT_EQ(ref.plan_gen, got.plan_gen) << "shards=" << shards;
+    EXPECT_EQ(ref.adapt_digest, got.adapt_digest) << "shards=" << shards;
+    EXPECT_EQ(ref.window, got.window) << "shards=" << shards;
+    EXPECT_EQ(ref.counters, got.counters) << "shards=" << shards;
+  }
 }
 
 }  // namespace
