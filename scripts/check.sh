@@ -184,13 +184,13 @@ cmake --build "$BUILD" -j"$JOBS" --target figures
 python3 scripts/validate_chrome_trace.py "$BUILD/fig4a_trace.json" \
   --require-casper-tracks
 
-echo "== [13/14] untraced Release build (-DCASPER_TRACE=0) =="
+echo "== [13/14] untraced Release build (-DCASPER_TRACE=0, -Werror) =="
 # The hot path is sprinkled with obs instrumentation behind CASPER_TRACE;
 # prove the untraced production configuration still compiles and links after
-# any refactor, not just the traced default.
+# any refactor, not just the traced default, and that it builds warning-free.
 BUILD_NT=build-notrace
 cmake -B "$BUILD_NT" -S . -DCASPER_TRACE=OFF \
-  -DCMAKE_BUILD_TYPE=Release >/dev/null
+  -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$BUILD_NT" -j"$JOBS"
 "./$BUILD_NT/tests/test_casper" >/dev/null
 

@@ -21,10 +21,7 @@
 
 namespace casper::core {
 
-using mpi::AccOp;
-using mpi::Datatype;
 using mpi::Env;
-using mpi::OpKind;
 
 void CasperLayer::setup_fault_recovery() {
   const fault::FaultPlan* fp = rt_->config().fault;
@@ -121,11 +118,8 @@ bool CasperLayer::fence_direct(const CspWin& cw, int node) const {
 }
 
 void CasperLayer::issue_degraded(Env& env, CspWin& cw, OriginEp& ep,
-                                 OpKind kind, AccOp op, const void* o, int oc,
-                                 const Datatype& odt, const void* o2,
-                                 void* res, int rc, const Datatype& rdt,
-                                 int target, std::size_t tdisp, int tc,
-                                 const Datatype& tdt) {
+                                 const mpi::RmaArgs& a) {
+  const int target = a.target;
   auto& tl = ep.tl[static_cast<std::size_t>(target)];
   const int me_u = my_user_rank(env);
   if ((tl.locked || ep.lockall) && !tl.user_locked &&
@@ -142,32 +136,7 @@ void CasperLayer::issue_degraded(Env& env, CspWin& cw, OriginEp& ep,
   }
   ++rt_->stats().counter("recovery.direct_ops");
 
-  switch (kind) {
-    case OpKind::Put:
-      pmpi_->put(env, o, oc, odt, target, tdisp, tc, tdt, cw.user_win);
-      return;
-    case OpKind::Get:
-      pmpi_->get(env, res, rc, rdt, target, tdisp, tc, tdt, cw.user_win);
-      return;
-    case OpKind::Acc:
-      pmpi_->accumulate(env, o, oc, odt, target, tdisp, tc, tdt, op,
-                        cw.user_win);
-      return;
-    case OpKind::GetAcc:
-      pmpi_->get_accumulate(env, o, oc, odt, res, rc, rdt, target, tdisp, tc,
-                            tdt, op, cw.user_win);
-      return;
-    case OpKind::Fao:
-      pmpi_->fetch_and_op(env, o, res, tdt.base, target, tdisp, op,
-                          cw.user_win);
-      return;
-    case OpKind::Cas:
-      pmpi_->compare_and_swap(env, o, o2, res, tdt.base, target, tdisp,
-                              cw.user_win);
-      return;
-    default:
-      MMPI_REQUIRE(false, "casper: bad op kind (degraded)");
-  }
+  rt_->p_rma(env, a, cw.user_win);
 }
 
 }  // namespace casper::core

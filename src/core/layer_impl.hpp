@@ -363,16 +363,10 @@ class CasperLayer final : public mpi::Layer {
   bool dynamic_applicable(const CspWin& cw, int origin, int target,
                           mpi::OpKind kind) const;
   /// Issue one user RMA op through Casper's redirection machinery.
-  void issue(mpi::Env& env, mpi::OpKind kind, mpi::AccOp op, const void* o,
-             int oc, const mpi::Datatype& odt, const void* o2, void* res,
-             int rc, const mpi::Datatype& rdt, int target, std::size_t tdisp,
-             int tc, const mpi::Datatype& tdt, const mpi::Win& w);
-  /// Direct local execution of a self-targeted op (never delayed).
-  void exec_self(mpi::Env& env, mpi::OpKind kind, mpi::AccOp op,
-                 const void* o, int oc, const mpi::Datatype& odt,
-                 const void* o2, void* res, int rc, const mpi::Datatype& rdt,
-                 std::size_t disp_bytes, int tc, const mpi::Datatype& tdt,
-                 CspWin& cw, int target);
+  void issue(mpi::Env& env, const mpi::RmaArgs& a, const mpi::Win& w);
+  /// Direct local execution of a self-targeted PUT/GET (never delayed).
+  void exec_self(mpi::Env& env, const mpi::RmaArgs& a,
+                 std::size_t disp_bytes, CspWin& cw);
 
   // --- adaptive progress control (layer_adapt.cpp) -------------------------
   /// Size the board/replicas and seed the initial map so that adaptive
@@ -420,10 +414,7 @@ class CasperLayer final : public mpi::Layer {
   /// Degraded direct issue on the user window (original-MPI mode), with the
   /// lazy user-window lock for passive epochs.
   void issue_degraded(mpi::Env& env, CspWin& cw, OriginEp& ep,
-                      mpi::OpKind kind, mpi::AccOp op, const void* o, int oc,
-                      const mpi::Datatype& odt, const void* o2, void* res,
-                      int rc, const mpi::Datatype& rdt, int target,
-                      std::size_t tdisp, int tc, const mpi::Datatype& tdt);
+                      const mpi::RmaArgs& a);
 
   mpi::Runtime* rt_;
   Config cfg_;

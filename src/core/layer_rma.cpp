@@ -2,7 +2,6 @@
 // and epoch translation (fence, PSCW, lock, lockall) — paper Sections II.C
 // and III.
 #include <algorithm>
-#include <cstring>
 
 #include "core/layer_impl.hpp"
 #include "mpi/check.hpp"
@@ -302,40 +301,18 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
 
 // ---------------------------------------------------------------- issue ----
 
-void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
-                        int oc, const Datatype& odt, const void* o2,
-                        void* res, int rc, const Datatype& rdt, int target,
-                        std::size_t tdisp, int tc, const Datatype& tdt,
-                        const Win& w) {
+void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
+  MMPI_REQUIRE(a.sizes_match(), "RMA origin/target data size mismatch");
   auto* cwp = managed(w);
   if (cwp == nullptr) {
     // Unmanaged window: forward to the MPI implementation untouched.
-    switch (kind) {
-      case OpKind::Put:
-        pmpi_->put(env, o, oc, odt, target, tdisp, tc, tdt, w);
-        return;
-      case OpKind::Get:
-        pmpi_->get(env, res, rc, rdt, target, tdisp, tc, tdt, w);
-        return;
-      case OpKind::Acc:
-        pmpi_->accumulate(env, o, oc, odt, target, tdisp, tc, tdt, op, w);
-        return;
-      case OpKind::GetAcc:
-        pmpi_->get_accumulate(env, o, oc, odt, res, rc, rdt, target, tdisp,
-                              tc, tdt, op, w);
-        return;
-      case OpKind::Fao:
-        pmpi_->fetch_and_op(env, o, res, tdt.base, target, tdisp, op, w);
-        return;
-      case OpKind::Cas:
-        pmpi_->compare_and_swap(env, o, o2, res, tdt.base, target, tdisp, w);
-        return;
-      default:
-        MMPI_REQUIRE(false, "casper: bad op kind");
-    }
+    rt_->p_rma(env, a, w);
+    return;
   }
   CspWin& cw = *cwp;
   const int me_u = my_user_rank(env);
+  const int target = a.target;
+  const OpKind kind = a.kind;
   MMPI_REQUIRE(target >= 0 && target < static_cast<int>(cw.tgt.size()),
                "casper: bad target %d", target);
   auto& ep = cw.ep[static_cast<std::size_t>(me_u)];
@@ -347,8 +324,8 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   MMPI_REQUIRE(in_epoch, "casper: RMA op outside any epoch (%d->%d)", me_u,
                target);
 
-  const std::size_t disp_bytes = tdisp * ti.disp_unit;
-  MMPI_REQUIRE(disp_bytes + mpi::span_bytes(tc, tdt) <= ti.size,
+  const std::size_t disp_bytes = a.tdisp * ti.disp_unit;
+  MMPI_REQUIRE(disp_bytes + mpi::span_bytes(a.tcount, a.tdt) <= ti.size,
                "casper: RMA out of target bounds");
 
   env.ctx().advance(kTranslateCost);
@@ -359,8 +336,7 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   // of other origins, breaking MPI's accumulate atomicity. They are
   // redirected like any other op, so the bound ghost serializes them.
   if (target == me_u && !acc_like(kind)) {
-    exec_self(env, kind, op, o, oc, odt, o2, res, rc, rdt, disp_bytes, tc,
-              tdt, cw, target);
+    exec_self(env, a, disp_bytes, cw);
     return;
   }
 
@@ -374,8 +350,7 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     const auto& tl = ep.tl[static_cast<std::size_t>(target)];
     if (tl.locked || ep.lockall ||
         (ep.fence_open && fence_direct(cw, ti.node))) {
-      issue_degraded(env, cw, ep, kind, op, o, oc, odt, o2, res, rc, rdt,
-                     target, tdisp, tc, tdt);
+      issue_degraded(env, cw, ep, a);
       return;
     }
   }
@@ -401,7 +376,7 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   }
 
   mpi::Win& iw = route_window(cw, me_u, target);
-  const std::size_t bytes = mpi::data_bytes(tc, tdt);
+  const std::size_t bytes = mpi::data_bytes(a.tcount, a.tdt);
 
   // Redirect bookkeeping: one trace instant + per-ghost totals per routed
   // (sub)op. Ghost ids are comm ranks of the internal window; metrics key on
@@ -453,19 +428,17 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     }
     note_redirect(ghost, bytes);
     numa_hint(ghost);
-    const std::size_t gdisp = ti.offset + disp_bytes;
-    if (kind == OpKind::Put) {
-      pmpi_->put(env, o, oc, odt, ghost, gdisp, tc, tdt, iw);
-    } else {
-      pmpi_->get(env, res, rc, rdt, ghost, gdisp, tc, tdt, iw);
-    }
+    mpi::RmaArgs g = a;
+    g.target = ghost;
+    g.tdisp = ti.offset + disp_bytes;
+    rt_->p_rma(env, g, iw);
     ++*stat_dynamic_ops_[shard_idx()];
     return;
   }
 
   // --- static binding -------------------------------------------------------
   const std::vector<SubOp>& subs =
-      plan_lookup(cw, ep, me_u, target, disp_bytes, tc, tdt);
+      plan_lookup(cw, ep, me_u, target, disp_bytes, a.tcount, a.tdt);
 
   // Accumulate atomicity requires every target byte to be read-modify-
   // written by exactly ONE processing entity, regardless of which op shapes
@@ -496,30 +469,10 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     if (rec != nullptr) ++rec->metrics().counter("casper.binding_fastpath");
     note_redirect(s.ghost, bytes);
     numa_hint(s.ghost);
-    switch (kind) {
-      case OpKind::Put:
-        pmpi_->put(env, o, oc, odt, s.ghost, s.tdisp, tc, tdt, iw);
-        break;
-      case OpKind::Get:
-        pmpi_->get(env, res, rc, rdt, s.ghost, s.tdisp, tc, tdt, iw);
-        break;
-      case OpKind::Acc:
-        pmpi_->accumulate(env, o, oc, odt, s.ghost, s.tdisp, tc, tdt, op, iw);
-        break;
-      case OpKind::GetAcc:
-        pmpi_->get_accumulate(env, o, oc, odt, res, rc, rdt, s.ghost, s.tdisp,
-                              tc, tdt, op, iw);
-        break;
-      case OpKind::Fao:
-        pmpi_->fetch_and_op(env, o, res, tdt.base, s.ghost, s.tdisp, op, iw);
-        break;
-      case OpKind::Cas:
-        pmpi_->compare_and_swap(env, o, o2, res, tdt.base, s.ghost, s.tdisp,
-                                iw);
-        break;
-      default:
-        MMPI_REQUIRE(false, "casper: bad op kind");
-    }
+    mpi::RmaArgs g = a;
+    g.target = s.ghost;
+    g.tdisp = s.tdisp;
+    rt_->p_rma(env, g, iw);
     return;
   }
 
@@ -537,7 +490,9 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   }
   const bool fetches = kind == OpKind::Get || kind == OpKind::GetAcc;
   sim::PoolBuf packed(&rt_->buffer_pool());
-  if (kind != OpKind::Get) mpi::pack_into(packed, o, oc, odt);
+  if (kind != OpKind::Get) {
+    mpi::pack_into(packed, a.origin_addr, a.ocount, a.odt);
+  }
   sim::PoolBuf gather(&rt_->buffer_pool());
   if (fetches) gather.resize(bytes);
 
@@ -547,28 +502,22 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     ep.bytes_to_ghost[static_cast<std::size_t>(s.ghost)] += sbytes;
     note_redirect(s.ghost, sbytes);
     numa_hint(s.ghost);
-    switch (kind) {
-      case OpKind::Put:
-        pmpi_->put(env, packed.data() + s.payload_off, s.tcount, s.tdt,
-                   s.ghost, s.tdisp, s.tcount, s.tdt, iw);
-        break;
-      case OpKind::Acc:
-        pmpi_->accumulate(env, packed.data() + s.payload_off, s.tcount, s.tdt,
-                          s.ghost, s.tdisp, s.tcount, s.tdt, op, iw);
-        break;
-      case OpKind::Get:
-        pmpi_->get(env, gather.data() + s.payload_off, s.tcount, s.tdt,
-                   s.ghost, s.tdisp, s.tcount, s.tdt, iw);
-        break;
-      case OpKind::GetAcc:
-        pmpi_->get_accumulate(env, packed.data() + s.payload_off, s.tcount,
-                              s.tdt, gather.data() + s.payload_off, s.tcount,
-                              s.tdt, s.ghost, s.tdisp, s.tcount, s.tdt, op,
-                              iw);
-        break;
-      default:
-        break;
+    mpi::RmaArgs piece = a;
+    piece.target = s.ghost;
+    piece.tdisp = s.tdisp;
+    piece.tcount = s.tcount;
+    piece.tdt = s.tdt;
+    if (kind != OpKind::Get) {
+      piece.origin_addr = packed.data() + s.payload_off;
+      piece.ocount = s.tcount;
+      piece.odt = s.tdt;
     }
+    if (fetches) {
+      piece.result_addr = gather.data() + s.payload_off;
+      piece.rcount = s.tcount;
+      piece.rdt = s.tdt;
+    }
+    rt_->p_rma(env, piece, iw);
     ++*stat_split_subops_[shard_idx()];
     if (rec != nullptr) ++rec->metrics().counter("casper.split_subops");
   }
@@ -578,57 +527,28 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     // here (a flush on the involved ghosts), trading a little overlap for
     // correctness of the strided reassembly.
     for (const SubOp& s : subs) pmpi_->win_flush(env, s.ghost, iw);
-    mpi::unpack(res, rc, rdt, gather);
+    mpi::unpack(a.result_addr, a.rcount, a.rdt, gather);
   }
 }
 
 // ----------------------------------------------------------- self ops ----
 
-void CasperLayer::exec_self(Env& env, OpKind kind, AccOp op, const void* o,
-                            int oc, const Datatype& odt, const void* o2,
-                            void* res, int rc, const Datatype& rdt,
-                            std::size_t disp_bytes, int tc,
-                            const Datatype& tdt, CspWin& cw, int target) {
+void CasperLayer::exec_self(Env& env, const mpi::RmaArgs& a,
+                            std::size_t disp_bytes, CspWin& cw) {
+  MMPI_REQUIRE(a.kind == OpKind::Put || a.kind == OpKind::Get,
+               "casper: self shortcut is for PUT/GET only");
   // Local load/store access (self locks are never delayed). Executed
   // synchronously on my own shared segment.
   env.ctx().advance(sim::ns(80));
   std::byte* taddr =
-      cw.user_win->segs[static_cast<std::size_t>(target)].base + disp_bytes;
+      cw.user_win->segs[static_cast<std::size_t>(a.target)].base + disp_bytes;
   sim::PoolBuf scratch(&rt_->buffer_pool());
-  switch (kind) {
-    case OpKind::Put: {
-      mpi::pack_into(scratch, o, oc, odt);
-      mpi::unpack(taddr, tc, tdt, scratch);
-      break;
-    }
-    case OpKind::Get: {
-      mpi::pack_into(scratch, taddr, tc, tdt);
-      mpi::unpack(res, rc, rdt, scratch);
-      break;
-    }
-    case OpKind::Acc: {
-      mpi::pack_into(scratch, o, oc, odt);
-      mpi::reduce_into(taddr, tc, tdt, scratch, op);
-      break;
-    }
-    case OpKind::GetAcc:
-    case OpKind::Fao: {
-      if (res != nullptr) {
-        mpi::pack_into(scratch, taddr, tc, tdt);
-        mpi::unpack(res, rc, rdt, scratch);
-      }
-      mpi::pack_into(scratch, o, oc, odt);
-      mpi::reduce_into(taddr, tc, tdt, scratch, op);
-      break;
-    }
-    case OpKind::Cas: {
-      const std::size_t es = tdt.elem_size();
-      if (res != nullptr) std::memcpy(res, taddr, es);
-      if (std::memcmp(taddr, o, es) == 0) std::memcpy(taddr, o2, es);
-      break;
-    }
-    default:
-      MMPI_REQUIRE(false, "casper: bad self op");
+  if (a.kind == OpKind::Put) {
+    mpi::pack_into(scratch, a.origin_addr, a.ocount, a.odt);
+    mpi::unpack(taddr, a.tcount, a.tdt, scratch);
+  } else {
+    mpi::pack_into(scratch, taddr, a.tcount, a.tdt);
+    mpi::unpack(a.result_addr, a.rcount, a.rdt, scratch);
   }
   ++*stat_self_ops_[shard_idx()];
   if (obs::on(rt_->recorder()))
@@ -638,24 +558,19 @@ void CasperLayer::exec_self(Env& env, OpKind kind, AccOp op, const void* o,
     // Self PUT/GET bypass the runtime's AM path entirely (direct load/store
     // above); synthesize the committed op so the shadow oracle sees it.
     mpi::AmOp aop;
-    aop.kind = kind;
-    aop.op = op;
+    aop.kind = a.kind;
+    aop.op = a.op;
     aop.origin_world = env.world_rank();
     aop.target_world = env.world_rank();
     aop.win = cw.user_win.get();
-    aop.origin_comm_rank = target;
-    aop.target_comm_rank = target;
+    aop.origin_comm_rank = a.target;
+    aop.target_comm_rank = a.target;
     aop.target_disp = disp_bytes;
-    aop.target_count = tc;
-    aop.target_dt = tdt;
+    aop.target_count = a.tcount;
+    aop.target_dt = a.tdt;
     aop.payload.bind(&rt_->buffer_pool());
-    if (kind == OpKind::Cas) {
-      const std::size_t es = tdt.elem_size();
-      aop.payload.resize(2 * es);
-      std::memcpy(aop.payload.data(), o, es);
-      std::memcpy(aop.payload.data() + es, o2, es);
-    } else if (kind != OpKind::Get) {
-      mpi::pack_into(aop.payload, o, oc, odt);
+    if (a.kind == OpKind::Put) {
+      mpi::pack_into(aop.payload, a.origin_addr, a.ocount, a.odt);
     }
     rt_->observe_commit(aop, env.now(), env.world_rank());
   }
@@ -666,21 +581,19 @@ void CasperLayer::exec_self(Env& env, OpKind kind, AccOp op, const void* o,
 void CasperLayer::put(Env& env, const void* o, int oc, Datatype odt,
                       int target, std::size_t tdisp, int tc, Datatype tdt,
                       const Win& w) {
-  issue(env, OpKind::Put, AccOp::Replace, o, oc, odt, nullptr, nullptr, 0,
-        Datatype{}, target, tdisp, tc, tdt, w);
+  issue(env, mpi::RmaArgs::put(o, oc, odt, target, tdisp, tc, tdt), w);
 }
 
 void CasperLayer::get(Env& env, void* o, int oc, Datatype odt, int target,
                       std::size_t tdisp, int tc, Datatype tdt, const Win& w) {
-  issue(env, OpKind::Get, AccOp::Replace, nullptr, 0, Datatype{}, nullptr, o,
-        oc, odt, target, tdisp, tc, tdt, w);
+  issue(env, mpi::RmaArgs::get(o, oc, odt, target, tdisp, tc, tdt), w);
 }
 
 void CasperLayer::accumulate(Env& env, const void* o, int oc, Datatype odt,
                              int target, std::size_t tdisp, int tc,
                              Datatype tdt, AccOp op, const Win& w) {
-  issue(env, OpKind::Acc, op, o, oc, odt, nullptr, nullptr, 0, Datatype{},
-        target, tdisp, tc, tdt, w);
+  issue(env, mpi::RmaArgs::accumulate(o, oc, odt, target, tdisp, tc, tdt, op),
+        w);
 }
 
 void CasperLayer::get_accumulate(Env& env, const void* o, int oc,
@@ -688,24 +601,27 @@ void CasperLayer::get_accumulate(Env& env, const void* o, int oc,
                                  Datatype rdt, int target, std::size_t tdisp,
                                  int tc, Datatype tdt, AccOp op,
                                  const Win& w) {
-  issue(env, OpKind::GetAcc, op, o, oc, odt, nullptr, res, rc, rdt, target,
-        tdisp, tc, tdt, w);
+  issue(env,
+        mpi::RmaArgs::get_accumulate(o, oc, odt, res, rc, rdt, target, tdisp,
+                                     tc, tdt, op),
+        w);
 }
 
 void CasperLayer::fetch_and_op(Env& env, const void* value, void* result,
                                mpi::Dt dt, int target, std::size_t tdisp,
                                AccOp op, const Win& w) {
-  issue(env, OpKind::Fao, op, value, 1, mpi::contig(dt), nullptr, result, 1,
-        mpi::contig(dt), target, tdisp, 1, mpi::contig(dt), w);
+  issue(env,
+        mpi::RmaArgs::fetch_and_op(value, result, dt, target, tdisp, op), w);
 }
 
 void CasperLayer::compare_and_swap(Env& env, const void* expected,
                                    const void* desired, void* result,
                                    mpi::Dt dt, int target, std::size_t tdisp,
                                    const Win& w) {
-  issue(env, OpKind::Cas, AccOp::Replace, expected, 1, mpi::contig(dt),
-        desired, result, 1, mpi::contig(dt), target, tdisp, 1,
-        mpi::contig(dt), w);
+  issue(env,
+        mpi::RmaArgs::compare_and_swap(expected, desired, result, dt, target,
+                                       tdisp),
+        w);
 }
 
 // ------------------------------------------------------ epoch translation --
@@ -1092,7 +1008,6 @@ void CasperLayer::win_flush_all(Env& env, const Win& w) {
       win_flush(env, u, w);
     }
   }
-  (void)me_u;
   note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::FlushAll, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::FlushAll,
                     -1, env.now());

@@ -19,6 +19,77 @@ namespace casper::mpi {
 
 class Env;
 
+/// One RMA call as a descriptor: kind and op, origin operand(s), result
+/// buffer, target coordinates. The builders are the one place that maps each
+/// MPI call's arguments onto it; an interception layer retargets a copy and
+/// hands it to Runtime::p_rma.
+struct RmaArgs {
+  OpKind kind = OpKind::Put;
+  AccOp op = AccOp::Replace;
+  const void* origin_addr = nullptr;
+  const void* origin_addr2 = nullptr;  // compare_and_swap "desired" operand
+  int ocount = 0;
+  Datatype odt{};
+  void* result_addr = nullptr;  // Get/GetAcc/Fao/Cas destination
+  int rcount = 0;
+  Datatype rdt{};
+  int target = -1;        // comm rank of the window's communicator
+  std::size_t tdisp = 0;  // in units of the target's disp_unit
+  int tcount = 0;
+  Datatype tdt{};
+
+  static RmaArgs put(const void* o, int oc, Datatype odt, int target,
+                     std::size_t tdisp, int tc, Datatype tdt) {
+    return {.kind = OpKind::Put, .origin_addr = o, .ocount = oc, .odt = odt,
+            .target = target, .tdisp = tdisp, .tcount = tc, .tdt = tdt};
+  }
+  static RmaArgs get(void* o, int oc, Datatype odt, int target,
+                     std::size_t tdisp, int tc, Datatype tdt) {
+    return {.kind = OpKind::Get, .result_addr = o, .rcount = oc, .rdt = odt,
+            .target = target, .tdisp = tdisp, .tcount = tc, .tdt = tdt};
+  }
+  static RmaArgs accumulate(const void* o, int oc, Datatype odt, int target,
+                            std::size_t tdisp, int tc, Datatype tdt,
+                            AccOp op) {
+    RmaArgs a = put(o, oc, odt, target, tdisp, tc, tdt);
+    a.kind = OpKind::Acc;
+    a.op = op;
+    return a;
+  }
+  static RmaArgs get_accumulate(const void* o, int oc, Datatype odt,
+                                void* res, int rc, Datatype rdt, int target,
+                                std::size_t tdisp, int tc, Datatype tdt,
+                                AccOp op) {
+    return {.kind = OpKind::GetAcc, .op = op, .origin_addr = o, .ocount = oc,
+            .odt = odt, .result_addr = res, .rcount = rc, .rdt = rdt,
+            .target = target, .tdisp = tdisp, .tcount = tc, .tdt = tdt};
+  }
+  static RmaArgs fetch_and_op(const void* value, void* result, Dt dt,
+                              int target, std::size_t tdisp, AccOp op) {
+    RmaArgs a = get_accumulate(value, 1, contig(dt), result, 1, contig(dt),
+                               target, tdisp, 1, contig(dt), op);
+    a.kind = OpKind::Fao;
+    return a;
+  }
+  static RmaArgs compare_and_swap(const void* expected, const void* desired,
+                                  void* result, Dt dt, int target,
+                                  std::size_t tdisp) {
+    RmaArgs a = get_accumulate(expected, 1, contig(dt), result, 1, contig(dt),
+                               target, tdisp, 1, contig(dt), AccOp::Replace);
+    a.kind = OpKind::Cas;
+    a.origin_addr2 = desired;
+    return a;
+  }
+
+  /// MPI's size rule: the target layout moves exactly the origin's bytes
+  /// (the result buffer's, for GET).
+  bool sizes_match() const {
+    return data_bytes(tcount, tdt) == (kind == OpKind::Get
+                                           ? data_bytes(rcount, rdt)
+                                           : data_bytes(ocount, odt));
+  }
+};
+
 /// Abstract MPI call surface subject to interception.
 class Layer {
  public:

@@ -98,99 +98,40 @@ class Pmpi final : public Layer {
 
   void put(Env& env, const void* o, int oc, Datatype odt, int target,
            std::size_t tdisp, int tc, Datatype tdt, const Win& w) override {
-    Runtime::RmaArgs a;
-    a.kind = OpKind::Put;
-    a.origin_addr = o;
-    a.ocount = oc;
-    a.odt = odt;
-    a.target = target;
-    a.tdisp = tdisp;
-    a.tcount = tc;
-    a.tdt = tdt;
-    rt_->p_rma(env, a, w);
+    rt_->p_rma(env, RmaArgs::put(o, oc, odt, target, tdisp, tc, tdt), w);
   }
   void get(Env& env, void* o, int oc, Datatype odt, int target,
            std::size_t tdisp, int tc, Datatype tdt, const Win& w) override {
-    Runtime::RmaArgs a;
-    a.kind = OpKind::Get;
-    a.result_addr = o;
-    a.rcount = oc;
-    a.rdt = odt;
-    a.target = target;
-    a.tdisp = tdisp;
-    a.tcount = tc;
-    a.tdt = tdt;
-    rt_->p_rma(env, a, w);
+    rt_->p_rma(env, RmaArgs::get(o, oc, odt, target, tdisp, tc, tdt), w);
   }
   void accumulate(Env& env, const void* o, int oc, Datatype odt, int target,
                   std::size_t tdisp, int tc, Datatype tdt, AccOp op,
                   const Win& w) override {
-    Runtime::RmaArgs a;
-    a.kind = OpKind::Acc;
-    a.op = op;
-    a.origin_addr = o;
-    a.ocount = oc;
-    a.odt = odt;
-    a.target = target;
-    a.tdisp = tdisp;
-    a.tcount = tc;
-    a.tdt = tdt;
-    rt_->p_rma(env, a, w);
+    rt_->p_rma(env,
+               RmaArgs::accumulate(o, oc, odt, target, tdisp, tc, tdt, op), w);
   }
   void get_accumulate(Env& env, const void* o, int oc, Datatype odt,
                       void* res, int rc, Datatype rdt, int target,
                       std::size_t tdisp, int tc, Datatype tdt, AccOp op,
                       const Win& w) override {
-    Runtime::RmaArgs a;
-    a.kind = OpKind::GetAcc;
-    a.op = op;
-    a.origin_addr = o;
-    a.ocount = oc;
-    a.odt = odt;
-    a.result_addr = res;
-    a.rcount = rc;
-    a.rdt = rdt;
-    a.target = target;
-    a.tdisp = tdisp;
-    a.tcount = tc;
-    a.tdt = tdt;
-    rt_->p_rma(env, a, w);
+    rt_->p_rma(env,
+               RmaArgs::get_accumulate(o, oc, odt, res, rc, rdt, target, tdisp,
+                                       tc, tdt, op),
+               w);
   }
   void fetch_and_op(Env& env, const void* value, void* result, Dt dt,
                     int target, std::size_t tdisp, AccOp op,
                     const Win& w) override {
-    Runtime::RmaArgs a;
-    a.kind = OpKind::Fao;
-    a.op = op;
-    a.origin_addr = value;
-    a.ocount = 1;
-    a.odt = contig(dt);
-    a.result_addr = result;
-    a.rcount = 1;
-    a.rdt = contig(dt);
-    a.target = target;
-    a.tdisp = tdisp;
-    a.tcount = 1;
-    a.tdt = contig(dt);
-    rt_->p_rma(env, a, w);
+    rt_->p_rma(env,
+               RmaArgs::fetch_and_op(value, result, dt, target, tdisp, op), w);
   }
   void compare_and_swap(Env& env, const void* expected, const void* desired,
                         void* result, Dt dt, int target, std::size_t tdisp,
                         const Win& w) override {
-    Runtime::RmaArgs a;
-    a.kind = OpKind::Cas;
-    a.origin_addr = expected;
-    a.origin_addr2 = desired;
-    a.result_addr = result;
-    a.rcount = 1;
-    a.rdt = contig(dt);
-    a.ocount = 1;
-    a.odt = contig(dt);
-    a.target = target;
-    a.tdisp = tdisp;
-    a.tcount = 1;
-    a.tdt = contig(dt);
-    rt_->p_rma(env, a, w);
+    rt_->p_rma(env,
+               RmaArgs::compare_and_swap(expected, desired, result, dt, target,
+                                         tdisp),
+               w);
   }
 
   void win_fence(Env& env, unsigned as, const Win& w) override {

@@ -160,22 +160,8 @@ class Runtime {
   void p_win_free(Env& env, Win& win);
   Segment p_shared_query(Env& env, const Win& win, int comm_rank);
 
-  /// Unified RMA communication entry; `target` is a comm rank of win->comm().
-  struct RmaArgs {
-    OpKind kind = OpKind::Put;
-    AccOp op = AccOp::Replace;
-    const void* origin_addr = nullptr;
-    const void* origin_addr2 = nullptr;  // compare_and_swap "desired" operand
-    int ocount = 0;
-    Datatype odt;
-    void* result_addr = nullptr;  // Get/GetAcc/Fao/Cas destination
-    int rcount = 0;
-    Datatype rdt;
-    int target = -1;
-    std::size_t tdisp = 0;  // in units of the target's disp_unit
-    int tcount = 0;
-    Datatype tdt;
-  };
+  /// Unified RMA communication entry; `a.target` is a comm rank of
+  /// win->comm().
   void p_rma(Env& env, const RmaArgs& a, const Win& win);
 
   void p_win_fence(Env& env, unsigned mode_assert, const Win& win);

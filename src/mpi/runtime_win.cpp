@@ -183,11 +183,7 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
   MMPI_REQUIRE(disp_bytes + span_bytes(a.tcount, a.tdt) <= seg.size,
                "RMA out of bounds: disp %zu + span %zu > size %zu",
                disp_bytes, span_bytes(a.tcount, a.tdt), seg.size);
-  MMPI_REQUIRE(data_bytes(a.tcount, a.tdt) ==
-                   (a.kind == OpKind::Get
-                        ? data_bytes(a.rcount, a.rdt)
-                        : data_bytes(a.ocount, a.odt)),
-               "RMA origin/target data size mismatch");
+  MMPI_REQUIRE(a.sizes_match(), "RMA origin/target data size mismatch");
 
   if (obs::on(recorder())) {
     recorder()->trace().instant(env.world_rank(), obs::Ev::OpIssued, env.now(),

@@ -416,6 +416,38 @@ TEST(CasperRma, MultipleWindowsCoexist) {
   }, core::layer(csp(1)));
 }
 
+using CasperDeath = ::testing::Test;
+
+TEST(CasperDeath, OriginTargetSizeMismatchAbortsUnderEveryBinding) {
+  // MPI requires the origin and target layouts to move the same bytes. A
+  // 32-double origin into a 64-double target must abort in original MPI and
+  // under both static bindings; the segment split must not read past the
+  // packed origin instead.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto short_put = [](mpi::Env& env) {
+    Comm w = env.world();
+    const int n = 64;
+    void* base = nullptr;
+    Win win = env.win_allocate(env.rank(w) == 0 ? n * sizeof(double) : 16,
+                               sizeof(double), Info{}, w, &base);
+    env.barrier(w);
+    env.win_lock_all(0, win);
+    if (env.rank(w) == 1) {
+      std::vector<double> v(n / 2, 1.0);
+      env.put(v.data(), n / 2, mpi::contig(Dt::Double), 0, 0, n,
+              mpi::contig(Dt::Double), win);
+    }
+    env.win_unlock_all(win);
+    env.win_free(win);
+  };
+  const char* msg = "origin/target data size mismatch";
+  EXPECT_DEATH(mpi::exec(cfg(1, 4), short_put), msg);
+  EXPECT_DEATH(mpi::exec(cfg(1, 4), short_put, core::layer(csp(2))), msg);
+  EXPECT_DEATH(mpi::exec(cfg(1, 4), short_put,
+                         core::layer(csp(2, core::Binding::Segment))),
+               msg);
+}
+
 TEST(CasperRma, StridedAccumulateThroughGhost) {
   mpi::exec(cfg(2, 2), [](mpi::Env& env) {
     Comm w = env.world();

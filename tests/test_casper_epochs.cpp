@@ -189,13 +189,14 @@ TEST(CasperEpochs, ExclusiveLockVsLockallIsSerialized) {
 
 TEST(CasperEpochs, UnmanagedWindowPassthrough) {
   // Windows over a sub-communicator are not Casper-managed but must still
-  // work (plain MPI semantics) and be counted.
-  mpi::exec(cfg(2, 2), [](mpi::Env& env) {
+  // work (plain MPI semantics) and be counted. Every RMA kind passes
+  // through, the fetching ones with their results.
+  mpi::exec(cfg(2, 3), [](mpi::Env& env) {
     Comm w = env.world();
     Comm half = env.comm_split(w, env.rank(w) % 2, env.rank(w));
     void* base = nullptr;
-    Win win =
-        env.win_allocate(sizeof(double), sizeof(double), Info{}, half, &base);
+    Win win = env.win_allocate(2 * sizeof(double), sizeof(double), Info{},
+                               half, &base);
     env.win_lock_all(0, win);
     double v = 2.0;
     env.accumulate(&v, 1, 0, 0, AccOp::Sum, win);
@@ -206,6 +207,37 @@ TEST(CasperEpochs, UnmanagedWindowPassthrough) {
     if (env.rank(half) == 0) {
       // one accumulate from each member of my half
       EXPECT_EQ(*static_cast<double*>(base), 2.0 * half->size());
+    }
+    env.barrier(w);
+
+    // Member 1 (on the other node) drives the fetching kinds at member 0's
+    // cells, which hold [4, 0].
+    if (env.rank(half) == 1) {
+      env.win_lock(LockType::Exclusive, 0, 0, win);
+      double got = -1.0;
+      env.get(&got, 1, 0, 0, win);
+      env.win_flush(0, win);
+      EXPECT_EQ(got, 4.0);
+      double one = 1.0, old = -1.0;
+      env.get_accumulate(&one, 1, mpi::contig(Dt::Double), &old, 1,
+                         mpi::contig(Dt::Double), 0, 0, 1,
+                         mpi::contig(Dt::Double), AccOp::Sum, win);
+      env.win_flush(0, win);
+      EXPECT_EQ(old, 4.0);
+      env.fetch_and_op(&one, &old, Dt::Double, 0, 0, AccOp::Sum, win);
+      env.win_flush(0, win);
+      EXPECT_EQ(old, 5.0);
+      const double expected = 0.0, desired = 9.0;
+      env.compare_and_swap(&expected, &desired, &old, Dt::Double, 0, 1, win);
+      env.win_flush(0, win);
+      EXPECT_EQ(old, 0.0);
+      env.win_unlock(0, win);
+    }
+    env.barrier(w);
+    if (env.rank(half) == 0) {
+      const auto* d = static_cast<const double*>(base);
+      EXPECT_EQ(d[0], 6.0);  // 4 + get_accumulate 1 + fetch_and_op 1
+      EXPECT_EQ(d[1], 9.0);  // compare_and_swap matched 0
     }
     env.win_free(win);
   }, core::layer(csp(1)));

@@ -34,11 +34,6 @@ struct Outcome {
   std::map<std::string, std::uint64_t> counters;
 };
 
-bool operator==(const Outcome& a, const Outcome& b) {
-  return a.rank0_end == b.rank0_end && a.window == b.window &&
-         a.counters == b.counters;
-}
-
 /// fig5-style iteration on `nodes` single-process nodes: one accumulate to
 /// every peer, flush, 100us compute, ten more accumulates per peer, flush,
 /// barrier. Plus a p2p ring exchange so the send path is exercised too.
