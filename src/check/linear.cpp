@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <unordered_set>
 
 #include "obs/record.hpp"
@@ -82,7 +83,11 @@ enum class SearchResult { Ok, Violation, Budget };
 constexpr std::uint64_t kStepBudget = 10'000'000;
 
 /// Wing–Gong backtracking search for one key's history (sorted by inv).
-SearchResult search(const std::vector<KvEvent>& ev) {
+/// Outside push_candidates(), each step costs O(1): the done set is exactly
+/// the ops chosen along the frame stack, so its highest index rides in the
+/// frames, and every frame's candidates share one stacked vector. (The
+/// frontier advance walks only done ops the next candidate scan walks too.)
+SearchResult search(std::span<const KvEvent> ev) {
   const std::size_t n = ev.size();
   if (n == 0) return SearchResult::Ok;
 
@@ -105,27 +110,25 @@ SearchResult search(const std::vector<KvEvent>& ev) {
   std::size_t ndone = 0;
   std::int64_t value = 0;
   std::size_t first_undone = 0;
+  std::size_t max_done = 0;  ///< 1 + highest done index; 0 when none is done
+  std::vector<int> cands;    ///< every frame's candidates, stacked
 
-  // Minimal candidates at the current state: undone j (in inv order from the
-  // first undone op) with inv_j <= min resp over undone i scanned before j.
-  // Later undone ops have inv >= inv_j, hence resp >= inv_j, so the forward
-  // scan with an evolving minimum is exact.
-  const auto candidates = [&] {
-    std::vector<int> c;
+  // Append the minimal candidates at the current state: undone j (in inv
+  // order from the first undone op) with inv_j <= min resp over undone i
+  // scanned before j. Later undone ops have inv >= inv_j, hence
+  // resp >= inv_j, so the forward scan with an evolving minimum is exact.
+  const auto push_candidates = [&] {
     sim::Time m = ~sim::Time{0};
     for (std::size_t j = first_undone; j < n; ++j) {
       if (done[j]) continue;
       if (ev[j].inv > m) break;
-      c.push_back(static_cast<int>(j));
+      cands.push_back(static_cast<int>(j));
       m = std::min(m, ev[j].resp);
     }
-    return c;
   };
 
   const auto memo_key = [&]() -> std::pair<bool, MemoKey> {
-    for (std::size_t j = first_undone + 64; j < n; ++j) {
-      if (done[j]) return {false, {}};
-    }
+    if (max_done > first_undone + 64) return {false, {}};
     std::uint64_t mask = 0;
     for (std::size_t b = 0; b < 64 && first_undone + b < n; ++b) {
       if (done[first_undone + b]) mask |= std::uint64_t{1} << b;
@@ -134,22 +137,24 @@ SearchResult search(const std::vector<KvEvent>& ev) {
   };
 
   struct Frame {
-    std::vector<int> cands;
-    std::size_t next = 0;
-    int chosen = -1;  ///< op applied by the parent to enter this state
+    std::size_t next = 0;  ///< next candidate, an index into `cands`
+    std::size_t end = 0;   ///< end of this frame's candidates in `cands`
+    int chosen = -1;       ///< op applied by the parent to enter this state
     std::int64_t prev_value = 0;
+    std::size_t prev_max_done = 0;
   };
 
   std::unordered_set<MemoKey, MemoHash> dead;
   std::vector<Frame> stk;
-  stk.push_back({candidates(), 0, -1, 0});
+  push_candidates();
+  stk.push_back({0, cands.size(), -1, 0, 0});
   std::uint64_t steps = 0;
 
   while (!stk.empty()) {
     if (++steps > kStepBudget) return SearchResult::Budget;
     Frame& fr = stk.back();
-    if (fr.next < fr.cands.size()) {
-      const int j = fr.cands[fr.next++];
+    if (fr.next < fr.end) {
+      const int j = cands[fr.next++];
       const auto [legal, nv] = apply(ev[static_cast<std::size_t>(j)], value);
       if (!legal) continue;
       done[static_cast<std::size_t>(j)] = 1;
@@ -158,7 +163,9 @@ SearchResult search(const std::vector<KvEvent>& ev) {
       Frame child;
       child.chosen = j;
       child.prev_value = value;
+      child.prev_max_done = max_done;
       value = nv;
+      max_done = std::max(max_done, static_cast<std::size_t>(j) + 1);
       const std::size_t prev_first = first_undone;
       while (first_undone < n && done[first_undone]) ++first_undone;
       const auto [has_key, key] = memo_key();
@@ -166,24 +173,28 @@ SearchResult search(const std::vector<KvEvent>& ev) {
         done[static_cast<std::size_t>(j)] = 0;
         --ndone;
         value = child.prev_value;
+        max_done = child.prev_max_done;
         first_undone = prev_first;
         continue;
       }
-      child.cands = candidates();
-      stk.push_back(std::move(child));
+      child.next = cands.size();
+      push_candidates();
+      child.end = cands.size();
+      stk.push_back(child);
     } else {
       // Every child failed: this (done-set, value) state is dead.
       const auto [has_key, key] = memo_key();
       if (has_key) dead.insert(key);
-      const int j = fr.chosen;
-      const std::int64_t pv = fr.prev_value;
+      const Frame top = fr;
       stk.pop_back();
-      if (j >= 0) {
-        done[static_cast<std::size_t>(j)] = 0;
+      if (top.chosen >= 0) {
+        const auto j = static_cast<std::size_t>(top.chosen);
+        cands.resize(stk.back().end);
+        done[j] = 0;
         --ndone;
-        value = pv;
-        first_undone =
-            std::min(first_undone, static_cast<std::size_t>(j));
+        value = top.prev_value;
+        max_done = top.prev_max_done;
+        first_undone = std::min(first_undone, j);
       }
     }
   }
@@ -215,8 +226,7 @@ void LinearChecker::analyze() {
     std::size_t hi = lo;
     while (hi < events_.size() && events_[hi].key == events_[lo].key) ++hi;
     ++nkeys;
-    const std::vector<kv::KvEvent> hist(events_.begin() + lo,
-                                        events_.begin() + hi);
+    const std::span<const kv::KvEvent> hist(events_.data() + lo, hi - lo);
     const SearchResult r = search(hist);
     if (r != SearchResult::Ok) {
       Violation v;

@@ -22,6 +22,10 @@
 //     candidates, and (done-set, register value) states that already failed
 //     are pruned via an exact-equality memo (no lossy hashing: a hash
 //     collision here would fabricate a violation verdict).
+// Outside the candidate scan, each search step costs O(1). The done set is
+// exactly the ops chosen along the frame stack, so each frame carries the
+// highest done index and memo eligibility (no done op past the memo's 64-op
+// window) is one comparison against it.
 //
 // Determinism and observer bookkeeping come from the shared HistoryChecker
 // base (check/history.hpp): the history is canonically sorted by (key, inv,

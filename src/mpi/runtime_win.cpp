@@ -414,6 +414,7 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
       env.now());
   ots.lock_type = type;
   ots.lock_assert = mode_assert;
+  ++my.nlocked;
 
   if (win->comm()->world_rank(target) == env.world_rank()) {
     // Self locks are granted synchronously (never delayed): required so the
@@ -481,11 +482,9 @@ void Runtime::p_win_unlock(Env& env, int target, const Win& win) {
     }
   }
 
-  bool any_locked = false;
-  for (const auto& ts : my.tgt) {
-    if (ts.lock_st != LockSt::None) any_locked = true;
+  if (--my.nlocked == 0 && my.epoch == EpochKind::Lock) {
+    my.epoch = EpochKind::None;
   }
-  if (!any_locked && my.epoch == EpochKind::Lock) my.epoch = EpochKind::None;
   observe_sync(*win, env.world_rank(), SyncKind::Unlock, target, env.now());
 }
 
@@ -508,6 +507,7 @@ void Runtime::p_win_lock_all(Env& env, unsigned mode_assert, const Win& win) {
     MMPI_REQUIRE(ots.lock_st == LockSt::None, "lock_all over existing lock");
     ots.lock_type = LockType::Shared;
     ots.lock_assert = mode_assert;
+    ++my.nlocked;
     if (win->comm()->world_rank(t) == env.world_rank()) {
       auto& tl = win->locks[static_cast<std::size_t>(t)];
       if (tl.grantable(LockType::Shared, me) && tl.pending.empty()) {

@@ -75,6 +75,7 @@ struct OriginTargetState {
 struct WinOriginState {
   EpochKind epoch = EpochKind::None;
   std::vector<OriginTargetState> tgt;  // indexed by target comm rank
+  int nlocked = 0;  // targets locked by p_win_lock/_lock_all, not yet unlocked
   // PSCW bookkeeping.
   std::vector<int> access_group;    // comm ranks I will access
   std::vector<int> exposure_group;  // comm ranks allowed to access me

@@ -148,6 +148,55 @@ TEST(LinearChecker, GetFromAbsentKeyMustReturnZero) {
   EXPECT_FALSE(clean_history(cas(1, 3, 4, 3, true, 0, 10)));  // absent key
 }
 
+// --- deep histories: the search itself ------------------------------------
+
+// A GET of 7 spanning the whole run, then 63 sequential PUTs of 101..163,
+// then PUT(7) and a CAS 163->7 (`cas_expects`) that overlap each other.
+// The GET can only linearize after one of the last two writes, i.e. after
+// 65 later-invoked ops. Applying the PUT first leads nowhere (the CAS then
+// never finds 163), so the search must back out and apply the CAS first.
+// Both of those states hold 7 and differ only in an op 64 or more places
+// past the undone GET: a memo that ignored ops beyond its 64-op window
+// would confuse them and wrongly prune the legal one.
+void record_long_get_history(LinearChecker& ck, std::int64_t cas_expects) {
+  ck.record(get(1, 7, 0, 100'000));
+  for (int i = 1; i <= 63; ++i) {
+    ck.record(put(1, 100 + i, 10 * i, 10 * i + 5));
+  }
+  ck.record(put(1, 7, 1000, 1100, 1));
+  ck.record(cas(1, cas_expects, 7, cas_expects, true, 1001, 1100, 2));
+}
+
+TEST(LinearChecker, LongOpLinearizesAfterSixtyFourLaterOps) {
+  LinearChecker legal;
+  record_long_get_history(legal, /*cas_expects=*/163);
+  EXPECT_TRUE(legal.clean()) << legal.check().front().diag;
+
+  // The CAS expects 162, which PUT(163) overwrote before the CAS was
+  // invoked: no order of the 66 ops is legal.
+  LinearChecker illegal;
+  record_long_get_history(illegal, /*cas_expects=*/162);
+  const auto& vs = illegal.check();
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_NE(vs[0].diag.find("no legal linearization"), std::string::npos);
+}
+
+TEST(LinearChecker, LongOverlappingHistoryIsSearchedWithinBudget) {
+  // 25 000 rounds of a GET invoked just before the PUT whose value it
+  // returns; each op also overlaps the next round. Invocation order reads
+  // every value one round early, so the fast path fails and the whole
+  // 50 000-event history goes through the backtracking search.
+  LinearChecker ck;
+  constexpr int kRounds = 25'000;
+  for (int i = 0; i < kRounds; ++i) {
+    const sim::Time t = 4 * static_cast<sim::Time>(i);
+    ck.record(get(1, i + 1, t, t + 6, 0));
+    ck.record(put(1, i + 1, t + 1, t + 5, 1));
+  }
+  ASSERT_EQ(ck.ops_recorded(), 2u * kRounds);
+  EXPECT_TRUE(ck.clean()) << ck.check().front().diag;
+}
+
 // --- determinism of the verdict machinery ---------------------------------
 
 TEST(LinearChecker, HistoryHashIsArrivalOrderInvariant) {

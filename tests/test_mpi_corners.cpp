@@ -211,6 +211,40 @@ TEST(MpiDeath, NestedLockAborts) {
       "nested lock");
 }
 
+TEST(MpiDeath, PassiveEpochEndsWithTheLastUnlock) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Locks on targets 0 and 1; unlocking one of them leaves the passive
+  // epoch open, so win_lock_all must still be refused.
+  EXPECT_DEATH(
+      mpi::exec(cfg(2, 1),
+                [](mpi::Env& env) {
+                  Comm w = env.world();
+                  void* base = nullptr;
+                  Win win = env.win_allocate(8, 1, Info{}, w, &base);
+                  env.win_lock(LockType::Shared, 0, 0, win);
+                  env.win_lock(LockType::Shared, 1, 0, win);
+                  env.win_unlock(0, win);
+                  env.win_lock_all(0, win);
+                }),
+      "another epoch is active");
+  // Unlocking the second target ends the epoch, also after a lock_all
+  // epoch has come and gone on the same window.
+  mpi::exec(cfg(2, 1), [](mpi::Env& env) {
+    Comm w = env.world();
+    void* base = nullptr;
+    Win win = env.win_allocate(8, 1, Info{}, w, &base);
+    env.win_lock_all(0, win);
+    env.win_unlock_all(win);
+    env.win_lock(LockType::Shared, 0, 0, win);
+    env.win_lock(LockType::Shared, 1, 0, win);
+    env.win_unlock(0, win);
+    env.win_unlock(1, win);
+    env.win_lock_all(0, win);
+    env.win_unlock_all(win);
+    env.win_free(win);
+  });
+}
+
 TEST(MpiDeath, DeadlockIsDiagnosed) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
