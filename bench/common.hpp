@@ -1,12 +1,10 @@
 // Shared helpers for the figure-reproduction benches: the execution modes of
 // the paper's evaluation (original MPI, thread-based progress,
-// DMAPP/interrupt-based progress, Casper) and flag/timing helpers.
+// DMAPP/interrupt-based progress, Casper) and timing helpers.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 
@@ -26,21 +24,6 @@ enum class Mode {
   Dmapp,     ///< hardware PUT/GET + interrupt-driven software ops
   Casper,    ///< ghost-process progress (this paper)
 };
-
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-/// Value of `--flag PATH`-style options; nullptr when absent.
-inline const char* flag_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
 
 /// One simulated execution. `user_cpn` is the number of application
 /// processes per node; Casper nodes get `ghosts` extra cores for ghosts, the

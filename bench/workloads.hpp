@@ -1,5 +1,5 @@
-// The Fig. 5-8 workloads, shared by the `figures` registry and
-// `ablation_adaptive` (which reuses the Fig. 7 workload).
+// The Fig. 5-8 workloads of the `figures` registry (the adaptive entry
+// reuses the Fig. 7 workload).
 #pragma once
 
 #include <vector>

@@ -5,11 +5,13 @@
 #   scripts/bench.sh --update     re-baseline: install the best run's JSON
 #                                 as the new committed BENCH_*.json
 #
-# Runs the engine scheduler bench, the figure benches (fig4a, fig6a, KV,
-# MWCAS, adaptive) and the 10k-rank fig5xl scale run. The figure benches'
-# virtual-time rows and obs counters must match the baselines exactly (they
-# are deterministic simulation facts); only the host-side wall-clock numbers
-# get a tolerance band. See scripts/bench_compare.py for the exact contract.
+# Runs the engine scheduler bench, the gated `figures` entries (fig4a, fig6a,
+# kv, mwcas, adaptive) in one process and the 10k-rank fig5xl scale run.
+# `figures` exits 1, stopping this script, when a claim differs from its pin
+# or a KV/MWCAS history does not linearize. The figure benches' virtual-time
+# rows and obs counters must match the baselines exactly (they are
+# deterministic simulation facts); only the host-side wall-clock numbers get
+# a tolerance band. See scripts/bench_compare.py for the exact contract.
 #
 # Env knobs:
 #   BENCH_RUNS  best-of-N run count            (default 3)
@@ -28,8 +30,7 @@ UPDATE=""
 if [[ "${1:-}" == "--update" ]]; then UPDATE="--update"; fi
 
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j"$JOBS" --target engine_throughput figures fig_kv \
-  fig_mwcas ablation_adaptive >/dev/null
+cmake --build "$BUILD" -j"$JOBS" --target engine_throughput figures >/dev/null
 
 OUT="$ROOT/$BUILD/bench_out"
 rm -rf "$OUT"
@@ -39,10 +40,8 @@ for r in $(seq 1 "$RUNS"); do
   echo "== bench.sh: run $r/$RUNS =="
   "$ROOT/$BUILD/bench/engine_throughput" --out "$d/BENCH_engine.json" \
     >/dev/null
-  (cd "$d" && "$ROOT/$BUILD/bench/figures" fig4a fig6a --json >/dev/null)
-  (cd "$d" && "$ROOT/$BUILD/bench/fig_kv" --json >/dev/null)
-  (cd "$d" && "$ROOT/$BUILD/bench/fig_mwcas" --json >/dev/null)
-  (cd "$d" && "$ROOT/$BUILD/bench/ablation_adaptive" --json >/dev/null)
+  (cd "$d" && "$ROOT/$BUILD/bench/figures" fig4a fig6a kv mwcas adaptive \
+    --json >/dev/null)
   "$ROOT/$BUILD/bench/figures" fig5xl --out "$d/BENCH_fig5xl.json" >/dev/null
 done
 

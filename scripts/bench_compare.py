@@ -10,9 +10,15 @@ The ratchet contract (see DESIGN.md "Hot-path memory model"):
     benches' "host" blocks -- are wall-clock measurements and are compared
     with a tolerance band (--tol, fractional). Rates must not drop below
     baseline*(1-tol); latencies must not rise above baseline*(1+tol).
-  - Best-of-N: every bench is run N times (the run*/ directories); the best
-    host number across runs is the one compared, so a single noisy run never
-    fails the gate.
+  - Best-of-N: every bench is run N times (the run*/ directories); the
+    virtual-time results of every run must match, and the best host number
+    across runs is the one compared, so a single noisy run never fails the
+    gate.
+
+The figure benches' headline claims (kv's casper-beats-original ordering,
+adaptive's skewed/balanced ratio floors, ...) and their linearizability
+checks are not re-checked here: `figures` enforces them at run time and
+exits 1, which stops scripts/bench.sh before this script runs.
 
 --update installs the best run's file as the new committed baseline instead
 of comparing (the intentional re-baseline path).
@@ -24,6 +30,7 @@ import os
 import shutil
 import sys
 
+# engine_throughput, the `figures --json` entries, and `figures fig5xl`.
 BENCHES = ["engine", "fig4a", "fig6a", "kv", "mwcas", "adaptive", "fig5xl"]
 
 
@@ -141,96 +148,6 @@ def compare_shard_sweep(docs, base, tol):
     return 0
 
 
-def check_kv_ordering(doc):
-    """The KV figure's headline claim: at the skewed mix (s=0.99), casper
-    with one ghost must clear at least original's throughput at equal
-    cores, and every row's history must have linearized. Enforced on the
-    fresh run (not just the baseline) so a regression that happens to
-    produce internally-consistent rows still fails."""
-    cols = doc["columns"]
-    i_s, i_mode = cols.index("zipf_s"), cols.index("mode")
-    i_kops, i_lin = cols.index("kops/s"), cols.index("lin")
-    rc = 0
-    by_mode = {}
-    for row in doc["rows"]:
-        if row[i_lin] != "clean":
-            rc |= fail(f"kv: row {row[i_mode]}@s={row[i_s]} did not "
-                       f"linearize ({row[i_lin]})")
-        if row[i_s] > 0.9:
-            by_mode[row[i_mode]] = row[i_kops]
-    orig, casper = by_mode.get("original"), by_mode.get("casper(g1)")
-    if orig is None or casper is None:
-        return rc | fail("kv: s=0.99 rows missing original/casper(g1)")
-    status = "ok" if casper >= orig else "REGRESSION"
-    print(f"  kv s=0.99 throughput casper(g1)={casper:.1f} kops/s vs "
-          f"original={orig:.1f} kops/s ({casper / orig:.2f}x)  {status}")
-    if casper < orig:
-        rc |= fail(
-            f"kv: casper(g1) {casper:.1f} < original {orig:.1f} kops/s at "
-            f"s=0.99 — the asynchronous-progress ordering the figure claims"
-        )
-    return rc
-
-
-def check_mwcas_ordering(doc):
-    """The MWCAS figure's headline claim: on the hot row (every 4-word CAS
-    lands on one victim rank) casper with one ghost must clear at least
-    original's MWCAS throughput at equal cores, and every row's multi-word
-    history must have linearized. Enforced on the fresh run, as with kv."""
-    cols = doc["columns"]
-    i_cont, i_mode = cols.index("contention"), cols.index("mode")
-    i_kops, i_lin = cols.index("kops/s"), cols.index("lin")
-    rc = 0
-    by_mode = {}
-    for row in doc["rows"]:
-        if row[i_lin] != "clean":
-            rc |= fail(f"mwcas: row {row[i_mode]}@{row[i_cont]} did not "
-                       f"linearize ({row[i_lin]})")
-        if row[i_cont] == "hot":
-            by_mode[row[i_mode]] = row[i_kops]
-    orig, casper = by_mode.get("original"), by_mode.get("casper(g1)")
-    if orig is None or casper is None:
-        return rc | fail("mwcas: hot rows missing original/casper(g1)")
-    status = "ok" if casper >= orig else "REGRESSION"
-    print(f"  mwcas hot throughput casper(g1)={casper:.1f} kops/s vs "
-          f"original={orig:.1f} kops/s ({casper / orig:.2f}x)  {status}")
-    if casper < orig:
-        rc |= fail(
-            f"mwcas: casper(g1) {casper:.1f} < original {orig:.1f} kops/s "
-            f"on the hot row — the asynchronous-progress ordering the "
-            f"figure claims"
-        )
-    return rc
-
-
-def check_adaptive_ordering(doc, balanced_tol=0.05):
-    """The adaptive controller's headline claim, enforced on the fresh run:
-    on skewed rows the online re-binding/policy-switching must beat the
-    static split by >= 1.2x simulated time, and on balanced rows the
-    controller must cost at most `balanced_tol` (it is supposed to sit
-    still when there is nothing to fix). The ratio column is a virtual-time
-    fact, so these floors are noise-free."""
-    cols = doc["columns"]
-    i_row, i_kind = cols.index("row"), cols.index("kind")
-    i_ratio = cols.index("ratio")
-    rc = 0
-    for row in doc["rows"]:
-        need = 1.2 if row[i_kind] == "skewed" else 1.0 - balanced_tol
-        ok = row[i_ratio] >= need
-        print(
-            f"  adaptive {row[i_row]:<13} ({row[i_kind]:<8}) "
-            f"static/adaptive = {row[i_ratio]:.2f}x "
-            f"(floor {need:.2f}x)  {'ok' if ok else 'REGRESSION'}"
-        )
-        if not ok:
-            rc |= fail(
-                f"adaptive: row {row[i_row]} ratio {row[i_ratio]:.2f}x "
-                f"below the {need:.2f}x floor — the controller stopped "
-                f"paying for itself"
-            )
-    return rc
-
-
 def compare_fig5xl(docs, base, tol):
     """The 10k-rank scale run: the virtual iteration time of every
     (nranks, shards) row is a simulation fact and must match the baseline
@@ -267,13 +184,13 @@ def compare_fig5xl(docs, base, tol):
 
 
 def compare_fig(name, docs, base, tol):
+    """A `figures --json` bench: the columns, rows and metrics of every run
+    must match the baseline exactly; the best run's casper_sweep_ms gets the
+    tolerance band."""
     rc = 0
-    best = docs[best_run(name, docs)]
-    rc |= compare_exact(name, "columns", best.get("columns"),
-                        base.get("columns"))
-    rc |= compare_exact(name, "rows", best.get("rows"), base.get("rows"))
-    rc |= compare_exact(name, "metrics", best.get("metrics"),
-                        base.get("metrics"))
+    for doc in docs:
+        for key in ("columns", "rows", "metrics"):
+            rc |= compare_exact(name, key, doc.get(key), base.get(key))
     base_ms = fig_host_ms(base)
     cand_ms = min(
         (fig_host_ms(d) for d in docs if fig_host_ms(d) is not None),
@@ -349,12 +266,6 @@ def main():
             rc |= compare_fig5xl(docs, base, args.tol)
         else:
             rc |= compare_fig(name, docs, base, args.tol)
-        if name == "kv":
-            rc |= check_kv_ordering(docs[best_run(name, docs)])
-        if name == "mwcas":
-            rc |= check_mwcas_ordering(docs[best_run(name, docs)])
-        if name == "adaptive":
-            rc |= check_adaptive_ordering(docs[best_run(name, docs)])
 
     if rc == 0:
         print(

@@ -18,7 +18,7 @@ fail=0
 case $2 in
 claims)
   fast="fig3a fig3b fig4a fig4b fig4c fig8a fig8b fig8c table1
-        ablation_hints ablation_topology"
+        ablation_hints ablation_topology kv mwcas adaptive"
   for id in $fast; do
     "$figures" "$id" >> separate.txt || { echo "FAIL: $id exited $?"; fail=1; }
   done
