@@ -1,13 +1,16 @@
 #include "check/campaign.hpp"
 
 #include <cinttypes>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 
 #include "check/fuzz.hpp"
 #include "check/kvfuzz.hpp"
 #include "check/mwfuzz.hpp"
-#include "sim/rng.hpp"
+#include "net/profile.hpp"
+#include "obs/record.hpp"
+#include "progress/progress.hpp"
 
 namespace casper::check {
 
@@ -128,6 +131,83 @@ bool parse_plan_line(const char* line, fault::FaultPlan& p) {
 
 }  // namespace
 
+const char* to_string(Mode m) {
+  static constexpr const char* kNames[] = {"original", "thread", "casper"};
+  return kNames[static_cast<int>(m)];
+}
+
+net::Topology Deployment::topology() const {
+  return {.nodes = nodes,
+          .cores_per_node = mode == Mode::Casper ? users_per_node + ghosts
+                                                 : users_per_node};
+}
+
+core::Config Deployment::casper() const {
+  return {.ghosts_per_node = ghosts, .binding = binding, .dynamic = dynamic};
+}
+
+std::vector<int> Deployment::ghost_ranks() const {
+  if (mode != Mode::Casper) return {};
+  return core::ghost_ranks(topology(), casper());
+}
+
+void draw_topology(sim::Rng& rng, Deployment& d) {
+  d.nodes = 1 + static_cast<int>(rng.next_below(2));
+  d.users_per_node = 1 + static_cast<int>(rng.next_below(3));
+  if (d.nusers() < 2) d.users_per_node = 2;
+  d.ghosts = 1 + static_cast<int>(rng.next_below(2));
+}
+
+void draw_routing(sim::Rng& rng, Deployment& d) {
+  d.binding = rng.next_below(2) ? core::Binding::Segment : core::Binding::Rank;
+  // None, Random, OpCounting, ByteCounting: the enum's order.
+  d.dynamic = static_cast<core::DynamicLb>(rng.next_below(4));
+}
+
+DeployedRun::DeployedRun(const Deployment& d, const core::Config& cc,
+                         std::uint64_t perturb, int shards, bool on_request,
+                         std::function<void(mpi::Env&)> body)
+    : faulted_(d.fault_plan.active()) {
+  const char* env = std::getenv("CASPER_TRACE");
+  traced_ = obs::kTraceCompiled &&
+            (!on_request || (env != nullptr && std::strcmp(env, "0") != 0 &&
+                             std::strcmp(env, "off") != 0));
+  const bool sharded = shards > 1;
+  mpi::RunConfig rc;
+  rc.machine.profile = net::cray_xc30_regular();
+  rc.machine.topo = d.topology();
+  rc.seed = d.seed;
+  rc.perturb_seed = sharded ? 0 : perturb;
+  rc.shards = shards;
+  if (!sharded && faulted_) rc.fault = &d.fault_plan;
+  if (d.mode == Mode::Thread) {
+    rc.progress.kind = progress::Kind::Thread;
+    rc.progress.oversubscribed = true;
+  }
+  rc.recorder = recorder();
+  rt_.emplace(rc, std::move(body),
+              d.mode == Mode::Casper ? core::layer(cc) : mpi::LayerFactory{});
+}
+
+void DeployedRun::snapshot(RunSnapshot& out, const char* prefix) {
+  out.atomicity_violations = rt_->stats().get("atomicity_violations");
+  const auto keep = [&out](const auto& all, const char* a, const char* b) {
+    for (const auto& [key, val] : all) {
+      if (key.rfind(a, 0) == 0 || key.rfind(b, 0) == 0) {
+        out.counters[key] = val;
+      }
+    }
+  };
+  if (faulted_) keep(rt_->stats().all(), "fault.", "recovery.");
+  if (traced_) keep(rec_.metrics().counters(), prefix, "linear.");
+}
+
+void CheckedWorkload::write_diags(std::FILE* f, const CheckedOutcome& out) {
+  for (const std::string& d : out.diags) put_lines(f, "violation", d);
+  std::fprintf(f, "history_hash %" PRIu64 "\n", out.history_hash);
+  std::fprintf(f, "checker_ops %zu\n", out.checker_ops);
+}
+
 std::uint64_t perturb_for(std::uint64_t seed, int s) {
   if (s == 0) return 0;  // schedule 0 is always the classic order
   sim::Rng rng(seed, 0x5eed + static_cast<std::uint64_t>(s));
@@ -176,8 +256,13 @@ void add_lossy_net(fault::FaultPlan& fp, std::uint64_t seed,
   }
 }
 
-const char* binding_name(core::Binding b) {
-  return b == core::Binding::Segment ? "segment" : "rank";
+void write_deployment(std::FILE* f, const Deployment& d, bool with_mode) {
+  std::fprintf(f, "case ");
+  if (with_mode) std::fprintf(f, "mode=%s ", to_string(d.mode));
+  std::fprintf(f, "nodes=%d users_per_node=%d ghosts=%d binding=%s dynamic=%d",
+               d.nodes, d.users_per_node, d.ghosts,
+               d.binding == core::Binding::Segment ? "segment" : "rank",
+               static_cast<int>(d.dynamic));
 }
 
 void put_lines(std::FILE* f, const char* key, const std::string& text) {

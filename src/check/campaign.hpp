@@ -1,12 +1,13 @@
-// One fuzz pipeline for every workload: the campaign loop, the op-prefix
-// minimizer, the planted-bug proof driver and the repro file format.
+// One fuzz pipeline for every workload: the deployment a case runs on and
+// its draws, the run harness and counter snapshot, the campaign loop, the
+// op-prefix minimizer, the planted-bug proof driver and the repro format.
 //
 // A workload is a traits struct (RmaWorkload in check/fuzz.hpp, KvWorkload in
-// check/kvfuzz.hpp, MwWorkload in check/mwfuzz.hpp). It keeps its own case
-// generator, runner and outcome type and describes itself with:
+// check/kvfuzz.hpp, MwWorkload in check/mwfuzz.hpp). It keeps its own op
+// stream, run body, checks and planted bugs and describes itself with:
 //
-//   using Case = ...;      // has .seed, .ops and .fault_plan
-//   using Outcome = ...;
+//   using Case = ...;      // a Deployment with .ops
+//   using Outcome = ...;   // a RunSnapshot (DeployedRun fills it)
 //   static constexpr const char* kName;        // "rma" | "kv" | "mwcas"
 //   static constexpr const char* kCountLabel;  // summary-line count label
 //   static constexpr LossyNet kLossyNet;       // --faults network shape
@@ -35,14 +36,125 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/casper.hpp"
 #include "fault/plan.hpp"
+#include "obs/record.hpp"
+#include "sim/rng.hpp"
 
 namespace casper::check {
+
+/// Progress mode a deployment runs under: original MPI (no asynchronous
+/// progress), a progress thread per rank, or Casper ghost processes.
+enum class Mode : std::uint8_t { Original = 0, Thread = 1, Casper = 2 };
+const char* to_string(Mode m);
+
+/// The deployment a fuzz case runs on. The RMA, KV and MWCAS cases derive
+/// from it, so every workload and progress mode is deployed one way
+/// (DeployedRun below).
+struct Deployment {
+  std::uint64_t seed = 0;
+  Mode mode = Mode::Casper;
+  int nodes = 1;
+  int users_per_node = 2;
+  int ghosts = 1;  ///< ghosts per node; Casper mode only
+  core::Binding binding = core::Binding::Rank;
+  core::DynamicLb dynamic = core::DynamicLb::None;
+  /// Injected network/process faults. Inert unless `fault_plan.active()`.
+  fault::FaultPlan fault_plan;
+
+  int nusers() const { return nodes * users_per_node; }
+  /// Cores per node are users + ghosts in Casper mode, users otherwise.
+  net::Topology topology() const;
+  /// The Casper layer's configuration: ghosts, binding, dynamic LB.
+  core::Config casper() const;
+  /// World ranks of the ghosts in rank order; empty outside Casper mode.
+  std::vector<int> ghost_ranks() const;
+};
+
+/// Draw nodes (1-2), users per node (1-3, raised to 2 when that would leave
+/// a single user) and ghosts per node (1-2), in that order.
+void draw_topology(sim::Rng& rng, Deployment& d);
+/// Draw the Casper binding, then the dynamic-LB policy.
+void draw_routing(sim::Rng& rng, Deployment& d);
+
+/// Named counters read back from one run.
+struct Counters : std::map<std::string, std::uint64_t> {
+  /// The counter `key`, 0 when the run never moved it.
+  std::uint64_t get(const std::string& key) const {
+    const auto it = find(key);
+    return it == end() ? 0 : it->second;
+  }
+};
+
+/// What every fuzz run reads back from its runtime.
+struct RunSnapshot {
+  std::uint64_t atomicity_violations = 0;
+  /// fault.* / recovery.* when the run had an active fault plan, plus the
+  /// workload's recorder counters when a recorder rode the run.
+  Counters counters;
+};
+
+/// One run of a deployment: the run configuration, the layer (Casper's in
+/// Casper mode, with config `cc`) and the recorder. Sharded engines reject
+/// perturb seeds and fault plans, so a sharded run uses perturb 0 and no
+/// plan. Attach observers to runtime(), then run() and snapshot().
+class DeployedRun {
+ public:
+  /// `on_request`: attach a recorder only when the CASPER_TRACE environment
+  /// variable asks (set, and not 0 or off); otherwise whenever tracing is
+  /// compiled in.
+  DeployedRun(const Deployment& d, const core::Config& cc,
+              std::uint64_t perturb, int shards, bool on_request,
+              std::function<void(mpi::Env&)> body);
+
+  mpi::Runtime& runtime() { return *rt_; }
+  /// The recorder riding the run; nullptr when none does.
+  obs::Recorder* recorder() { return traced_ ? &rec_ : nullptr; }
+  void run() { rt_->run(); }
+  /// Read the counters into `out`; recorder counters are kept when named
+  /// `prefix`* or linear.* (the history checkers').
+  void snapshot(RunSnapshot& out, const char* prefix);
+
+ private:
+  const bool faulted_;
+  bool traced_ = false;
+  obs::Recorder rec_;
+  std::optional<mpi::Runtime> rt_;
+};
+
+/// Verdicts of the history checker and shadow oracle riding a KV/MWCAS run.
+struct CheckedOutcome : RunSnapshot {
+  std::size_t violations = 0;
+  std::vector<std::string> diags;  ///< the first 4 violations' diagnostics
+  std::uint64_t history_hash = 0;  ///< canonical-history FNV
+  std::size_t checker_ops = 0;     ///< events the checker recorded
+  std::uint64_t divergences = 0;   ///< shadow oracle's (unsharded runs only)
+};
+
+/// Read `checker`'s verdict into `out`; `diag` renders one violation.
+template <class Checker, class Diag>
+void read_checker(Checker& checker, Diag diag, CheckedOutcome& out) {
+  out.violations = checker.check().size();
+  for (const auto& v : checker.check()) {
+    out.diags.push_back(diag(v));
+    if (out.diags.size() >= 4) break;
+  }
+  out.history_hash = checker.history_hash();
+  out.checker_ops = checker.ops_recorded();
+}
+
+/// What the KV and MWCAS workloads share.
+struct CheckedWorkload {
+  static std::uint64_t count(const CheckedOutcome& o) { return o.checker_ops; }
+  /// Violations, history hash and checked op count.
+  static void write_diags(std::FILE* f, const CheckedOutcome& out);
+};
 
 /// Prefix value meaning "run every op".
 inline constexpr std::size_t kAllOps = ~std::size_t{0};
@@ -184,7 +296,9 @@ ReplayResult replay_file(const std::string& path);
 
 // --- helpers for the workloads' repro writers ------------------------------
 
-const char* binding_name(core::Binding b);
+/// Write "case [mode=M ]nodes=N ... dynamic=D", the head of a repro's case
+/// line; the workload appends its own fields and the newline.
+void write_deployment(std::FILE* f, const Deployment& d, bool with_mode);
 /// Write `text` as one "key line" per line, so multi-line diagnostics keep
 /// their keyword prefix.
 void put_lines(std::FILE* f, const char* key, const std::string& text);

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
@@ -10,7 +9,6 @@
 #include "mpi/datatype.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/record.hpp"
-#include "net/profile.hpp"
 #include "sim/rng.hpp"
 
 namespace casper::check {
@@ -214,18 +212,8 @@ FuzzCase make_case(std::uint64_t seed, bool reduced) {
   sim::Rng rng(seed, 0xfa22);
   FuzzCase fc;
   fc.seed = seed;
-  fc.nodes = 1 + static_cast<int>(rng.next_below(2));
-  fc.users_per_node = 1 + static_cast<int>(rng.next_below(3));
-  if (fc.nodes * fc.users_per_node < 2) fc.users_per_node = 2;
-  fc.ghosts = 1 + static_cast<int>(rng.next_below(2));
-  fc.binding =
-      rng.next_below(2) ? core::Binding::Segment : core::Binding::Rank;
-  switch (rng.next_below(4)) {
-    case 0: fc.dynamic = core::DynamicLb::None; break;
-    case 1: fc.dynamic = core::DynamicLb::Random; break;
-    case 2: fc.dynamic = core::DynamicLb::OpCounting; break;
-    default: fc.dynamic = core::DynamicLb::ByteCounting; break;
-  }
+  draw_topology(rng, fc);
+  draw_routing(rng, fc);
   fc.epoch = static_cast<EpochStyle>(rng.next_below(4));
   fc.rounds = 1 + static_cast<int>(rng.next_below(2));
   fc.mid_flush = (fc.epoch == EpochStyle::Lock ||
@@ -473,43 +461,22 @@ bool planted_flagged(const RunOutcome& out, const FuzzCase::PlantedRace& pr) {
 
 RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
                     bool inject_flip_fault) {
-  mpi::RunConfig rc;
-  rc.machine.profile = net::cray_xc30_regular();
-  rc.machine.topo.nodes = fc.nodes;
-  rc.machine.topo.cores_per_node = fc.users_per_node + fc.ghosts;
-  rc.seed = fc.seed;
-  rc.perturb_seed = perturb_seed;
-  if (fc.fault_plan.active()) rc.fault = &fc.fault_plan;
-  core::Config cc;
-  cc.ghosts_per_node = fc.ghosts;
-  cc.binding = fc.binding;
-  cc.dynamic = fc.dynamic;
+  core::Config cc = fc.casper();
   cc.adaptive.enabled = fc.adaptive;
   cc.fault.flip_segment_binding = inject_flip_fault;
-
-  // CASPER_TRACE=<anything but 0/off> attaches a recorder so repro files can
-  // embed the tail of the virtual-time trace (see scripts/check.sh gate 4).
-  const char* trace_env = std::getenv("CASPER_TRACE");
-  const bool want_trace = obs::kTraceCompiled && trace_env != nullptr &&
-                          std::strcmp(trace_env, "0") != 0 &&
-                          std::strcmp(trace_env, "off") != 0;
-  obs::Recorder rec;
-  if (want_trace) rc.recorder = &rec;
 
   RunOutcome out;
   out.content_hash.assign(static_cast<std::size_t>(fc.nusers()), 0);
   out.world_of.assign(static_cast<std::size_t>(fc.nusers()), -1);
   ShadowOracle oracle;
   RaceAnalyzer race;
-  if (want_trace) race.set_recorder(&rec);
-  mpi::Runtime rt(
-      rc, [&fc, &out](mpi::Env& env) { fuzz_body(env, fc, out); },
-      core::layer(cc));
-  rt.add_observer(&oracle);
-  rt.add_observer(&race);
-  rt.engine().set_schedule_trace(&out.trace);
-  rt.run();
-  out.atomicity_violations = rt.stats().get("atomicity_violations");
+  DeployedRun run(fc, cc, perturb_seed, 1, /*on_request=*/true,
+                  [&fc, &out](mpi::Env& env) { fuzz_body(env, fc, out); });
+  race.set_recorder(run.recorder());
+  run.runtime().add_observer(&oracle);
+  run.runtime().add_observer(&race);
+  run.runtime().engine().set_schedule_trace(&out.trace);
+  run.run();
   out.divergences = oracle.divergences();
   out.commits = oracle.commits_seen();
   out.race_conflict_events = race.conflict_events();
@@ -519,14 +486,11 @@ RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
     out.race_diags.push_back(c.diag);
     if (out.race_diags.size() >= 8) break;
   }
-  if (fc.fault_plan.active()) {
-    for (const auto& [key, val] : rt.stats().all()) {
-      if (key.rfind("fault.", 0) == 0 || key.rfind("recovery.", 0) == 0) {
-        out.fault_stats[key] = val;
-      }
-    }
-  }
-  if (want_trace) out.trace_tail = rec.trace().tail_text(32);
+  // Repro files embed the tail of the virtual-time trace when CASPER_TRACE
+  // attached a recorder (scripts/check.sh stage 11).
+  if (obs::Recorder* rec = run.recorder())
+    out.trace_tail = rec->trace().tail_text(32);
+  run.snapshot(out, "race.");
   return out;
 }
 
@@ -599,16 +563,15 @@ std::span<const PlantedBug<RmaWorkload>> RmaWorkload::bugs() {
 
 void RmaWorkload::write_case(std::FILE* f, const RmaCase& fc,
                              std::size_t nops) {
+  write_deployment(f, fc, /*with_mode=*/false);
   std::fprintf(
       f,
-      "case nodes=%d users_per_node=%d ghosts=%d binding=%s dynamic=%d "
-      "epoch=%s rounds=%d mid_flush=%d pscw_nocheck=%d hint_exact=%d "
+      " epoch=%s rounds=%d mid_flush=%d pscw_nocheck=%d hint_exact=%d "
       "acc_dt=%s acc_op=%s order_sensitive=%d slot_bytes=%zu adaptive=%d\n",
-      fc.nodes, fc.users_per_node, fc.ghosts, binding_name(fc.binding),
-      static_cast<int>(fc.dynamic), to_string(fc.epoch), fc.rounds,
-      fc.mid_flush ? 1 : 0, fc.pscw_nocheck ? 1 : 0, fc.hint_exact ? 1 : 0,
-      to_string(fc.acc_dt), to_string(fc.acc_op), fc.order_sensitive ? 1 : 0,
-      fc.slot_bytes, fc.adaptive ? 1 : 0);
+      to_string(fc.epoch), fc.rounds, fc.mid_flush ? 1 : 0,
+      fc.pscw_nocheck ? 1 : 0, fc.hint_exact ? 1 : 0, to_string(fc.acc_dt),
+      to_string(fc.acc_op), fc.order_sensitive ? 1 : 0, fc.slot_bytes,
+      fc.adaptive ? 1 : 0);
   for (std::size_t i = 0; i < nops; ++i) {
     const OpRec& op = fc.ops[i];
     std::fprintf(f,

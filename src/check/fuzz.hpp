@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "check/oracle.hpp"
 #include "check/race.hpp"
 #include "core/casper.hpp"
-#include "fault/plan.hpp"
 #include "mpi/types.hpp"
 #include "sim/engine.hpp"
 
@@ -57,14 +55,10 @@ struct OpRec {
   bool local = false;
 };
 
-/// A complete generated test case.
-struct FuzzCase {
-  std::uint64_t seed = 0;
-  int nodes = 1;
-  int users_per_node = 2;
-  int ghosts = 1;
-  core::Binding binding = core::Binding::Rank;
-  core::DynamicLb dynamic = core::DynamicLb::None;
+/// A complete generated test case, deployed in Casper mode (the default).
+/// Its fault plan carries the --faults network, the fault matrix and the
+/// ghost-failure suites' kills.
+struct FuzzCase : Deployment {
   /// Online adaptive progress control (DESIGN.md §15) on for the run. Drawn
   /// from a stream separate from the main case stream so the established
   /// corpus replays identical programs with the controller merely toggled.
@@ -78,9 +72,6 @@ struct FuzzCase {
   mpi::AccOp acc_op = mpi::AccOp::Sum;  ///< the case's commutative acc op
   bool order_sensitive = false;
   std::size_t slot_bytes = 64;  ///< per-slot bytes; layout below
-  /// Injected network/process faults (--faults mode, the fault matrix and
-  /// the ghost-failure suites). Inert unless `fault_plan.active()`.
-  fault::FaultPlan fault_plan;
   /// One deliberately planted same-epoch conflicting access pair (racy
   /// mode). The analyzer must flag every planted pair in every schedule.
   struct PlantedRace {
@@ -95,7 +86,6 @@ struct FuzzCase {
   std::vector<PlantedRace> planted;
   std::vector<OpRec> ops;
 
-  int nusers() const { return nodes * users_per_node; }
   /// Segment layout: nusers() per-origin put slots, then the shared
   /// accumulate region, then a never-written read-only slot.
   std::size_t seg_bytes() const {
@@ -115,12 +105,9 @@ FuzzCase make_case(std::uint64_t seed, bool reduced);
 FuzzCase make_racy_case(std::uint64_t seed, bool reduced, int races);
 
 /// Outcome of one simulated run of a case.
-struct RunOutcome {
+struct RunOutcome : RunSnapshot {
   std::vector<Divergence> divergences;
-  std::uint64_t atomicity_violations = 0;
   std::uint64_t commits = 0;
-  /// fault.* / recovery.* engine counters (empty when the run had no plan).
-  std::map<std::string, std::uint64_t> fault_stats;
   std::vector<std::uint64_t> content_hash;  ///< per user rank, own segment
   std::vector<sim::Engine::SchedRecord> trace;
   /// Last obs-trace lines (export_text form); populated only when the

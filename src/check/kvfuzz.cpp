@@ -5,43 +5,21 @@
 
 #include "check/oracle.hpp"
 #include "mpi/runtime.hpp"
-#include "net/profile.hpp"
-#include "obs/record.hpp"
-#include "progress/progress.hpp"
 #include "sim/rng.hpp"
 
 namespace casper::check {
-
-const char* to_string(KvMode m) {
-  switch (m) {
-    case KvMode::Original: return "original";
-    case KvMode::Thread: return "thread";
-    case KvMode::Casper: return "casper";
-  }
-  return "?";
-}
 
 KvCase make_kv_case(std::uint64_t seed, bool reduced, int ops_per_client) {
   sim::Rng rng(seed, 0x6b76);
   KvCase fc;
   fc.seed = seed;
-  fc.nodes = 1 + static_cast<int>(rng.next_below(2));
-  fc.users_per_node = 1 + static_cast<int>(rng.next_below(3));
-  if (fc.nodes * fc.users_per_node < 2) fc.users_per_node = 2;
-  fc.ghosts = 1 + static_cast<int>(rng.next_below(2));
+  draw_topology(rng, fc);
   switch (rng.next_below(4)) {
-    case 0: fc.mode = KvMode::Original; break;
-    case 1: fc.mode = KvMode::Thread; break;
-    default: fc.mode = KvMode::Casper; break;  // Casper twice as often
+    case 0: fc.mode = Mode::Original; break;
+    case 1: fc.mode = Mode::Thread; break;
+    default: fc.mode = Mode::Casper; break;  // Casper twice as often
   }
-  fc.binding =
-      rng.next_below(2) ? core::Binding::Segment : core::Binding::Rank;
-  switch (rng.next_below(4)) {
-    case 0: fc.dynamic = core::DynamicLb::None; break;
-    case 1: fc.dynamic = core::DynamicLb::Random; break;
-    case 2: fc.dynamic = core::DynamicLb::OpCounting; break;
-    default: fc.dynamic = core::DynamicLb::ByteCounting; break;
-  }
+  draw_routing(rng, fc);
   // Tiny tables keep every bucket hot: collisions, overflow PUTs, and lock
   // contention all happen at ctest scale.
   fc.store.nbuckets = 2 + static_cast<int>(rng.next_below(6));
@@ -66,48 +44,24 @@ KvCase make_kv_case(std::uint64_t seed, bool reduced, int ops_per_client) {
   fc.traffic.ops_per_client = ops_per_client > 0 ? ops_per_client : drawn;
   fc.traffic.think_mean = sim::us(1 + rng.next_below(6));
   fc.traffic.seed = seed;
-  fc.ops = kv::make_ops(fc.traffic, fc.nclients());
+  fc.ops = kv::make_ops(fc.traffic, fc.nusers());
   return fc;
 }
 
 KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
                       int shards, std::size_t op_limit) {
-  const bool sharded = shards > 1;
-  mpi::RunConfig rc;
-  rc.machine.profile = net::cray_xc30_regular();
-  rc.machine.topo.nodes = fc.nodes;
-  rc.machine.topo.cores_per_node =
-      fc.mode == KvMode::Casper ? fc.users_per_node + fc.ghosts
-                                : fc.users_per_node;
-  rc.seed = fc.seed;
-  // Sharded engines reject perturb_seed and fault plans (runtime.hpp).
-  rc.perturb_seed = sharded ? 0 : perturb_seed;
-  rc.shards = shards;
-  if (!sharded && fc.fault_plan.active()) rc.fault = &fc.fault_plan;
-  if (fc.mode == KvMode::Thread) {
-    rc.progress.kind = progress::Kind::Thread;
-    rc.progress.oversubscribed = true;
-  }
-
-  obs::Recorder rec;
-  if (obs::kTraceCompiled) {
-    rc.recorder = &rec;
-    if (sharded) rec.set_shards(shards);
-  }
-
   kv::KvConfig store_cfg = fc.store;
   store_cfg.skip_unlock_flush = fc.broken_skip_flush;
 
   KvOutcome out;
   LinearChecker checker;
   ShadowOracle oracle;
-  const std::vector<kv::KvOp>& ops = fc.ops;
   auto body = [&](mpi::Env& env) {
     mpi::Comm w = env.world();
     kv::KvStore store(env, store_cfg, w);
     store.set_sink(&checker);
     store.open();
-    kv::run_ops(env, store, ops, op_limit, fc.traffic);
+    kv::run_ops(env, store, fc.ops, op_limit, fc.traffic);
     store.close();
     if (env.rank(w) == 0) {
       out.end_time = env.now();
@@ -116,54 +70,23 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
       out.acc_ops = store.acc_total(0);
     }
   };
-
-  core::Config cc;
-  cc.ghosts_per_node = fc.ghosts;
-  cc.binding = fc.binding;
-  cc.dynamic = fc.dynamic;
-  mpi::Runtime rt(rc, body,
-                  fc.mode == KvMode::Casper ? core::layer(cc)
-                                            : mpi::LayerFactory{});
+  DeployedRun run(fc, fc.casper(), perturb_seed, shards,
+                  /*on_request=*/false, body);
   // The oracle is not concurrent_safe; it only rides unsharded runs. The
   // checker is internally synchronized and rides every run.
-  if (!sharded) rt.add_observer(&oracle);
-  rt.add_observer(&checker);
-  rt.run();
-
-  if (obs::kTraceCompiled) {
-    rec.merge_shards();
-    checker.set_recorder(&rec);
-  }
-  out.violations = checker.check().size();
-  for (const LinearChecker::Violation& v : checker.check()) {
-    out.diags.push_back("key " + std::to_string(v.key) + ":\n" + v.diag);
-    if (out.diags.size() >= 4) break;
-  }
-  out.history_hash = checker.history_hash();
-  out.checker_ops = checker.ops_recorded();
-  out.atomicity = rt.stats().get("atomicity_violations");
-  if (!sharded) out.divergences = oracle.divergences().size();
-  if (obs::kTraceCompiled) {
-    for (const auto& [key, val] : rec.metrics().counters()) {
-      if (key.rfind("kv.", 0) == 0 || key.rfind("linear.", 0) == 0) {
-        out.metrics[key] = val;
-      }
-    }
-  }
-  if (fc.fault_plan.active()) {
-    for (const auto& [key, val] : rt.stats().all()) {
-      if (key.rfind("fault.", 0) == 0 || key.rfind("recovery.", 0) == 0) {
-        out.fault_stats[key] = val;
-      }
-    }
-  }
+  if (shards == 1) run.runtime().add_observer(&oracle);
+  run.runtime().add_observer(&checker);
+  checker.set_recorder(run.recorder());
+  run.run();
+  read_checker(
+      checker,
+      [](const LinearChecker::Violation& v) {
+        return "key " + std::to_string(v.key) + ":\n" + v.diag;
+      },
+      out);
+  if (shards == 1) out.divergences = oracle.divergences().size();
+  run.snapshot(out, "kv.");
   return out;
-}
-
-KvCase KvWorkload::generate(const Repro& r) {
-  KvCase c = make_kv_case(r.seed, r.reduced);
-  if (r.lockfree) c.store.lock = kv::KvConfig::LockKind::LockFree;
-  return c;
 }
 
 std::span<const Check<KvWorkload>> KvWorkload::checks() {
@@ -175,7 +98,7 @@ std::span<const Check<KvWorkload>> KvWorkload::checks() {
        nullptr},
       {"kv-oracle-divergence",
        [](const KvCase&, std::size_t, const KvOutcome& o) {
-         return o.divergences > 0 || o.atomicity > 0;
+         return o.divergences > 0 || o.atomicity_violations > 0;
        },
        nullptr},
   };
@@ -188,7 +111,7 @@ std::span<const PlantedBug<KvWorkload>> KvWorkload::bugs() {
       // clients hammering few keys.
       {"skip-unlock-flush", 200,
        [](const KvCase& c) {
-         return c.traffic.read_pct <= 80 && c.nclients() >= 2;
+         return c.traffic.read_pct <= 80 && c.nusers() >= 2;
        },
        [](KvCase& c) { c.broken_skip_flush = true; },
        // Heavy delay, nothing else: a jitter window much wider than the
@@ -208,13 +131,11 @@ std::span<const PlantedBug<KvWorkload>> KvWorkload::bugs() {
 
 void KvWorkload::write_case(std::FILE* f, const KvCase& fc,
                             std::size_t nops) {
+  write_deployment(f, fc, /*with_mode=*/true);
   std::fprintf(
       f,
-      "case mode=%s nodes=%d users_per_node=%d ghosts=%d binding=%s "
-      "dynamic=%d nbuckets=%d assoc=%d lock=%d nkeys=%d zipf=%.3f "
-      "read_pct=%d rmw_pct=%d ops_per_client=%d\n",
-      to_string(fc.mode), fc.nodes, fc.users_per_node, fc.ghosts,
-      binding_name(fc.binding), static_cast<int>(fc.dynamic),
+      " nbuckets=%d assoc=%d lock=%d nkeys=%d zipf=%.3f read_pct=%d "
+      "rmw_pct=%d ops_per_client=%d\n",
       fc.store.nbuckets, fc.store.assoc, static_cast<int>(fc.store.lock),
       fc.traffic.nkeys, fc.traffic.zipf_s, fc.traffic.read_pct,
       fc.traffic.rmw_pct, fc.traffic.ops_per_client);
@@ -226,12 +147,6 @@ void KvWorkload::write_case(std::FILE* f, const KvCase& fc,
                  i, op.client, op.kind, op.key,
                  static_cast<long long>(op.val), op.think);
   }
-}
-
-void KvWorkload::write_diags(std::FILE* f, const KvOutcome& out) {
-  for (const std::string& d : out.diags) put_lines(f, "violation", d);
-  std::fprintf(f, "history_hash %" PRIu64 "\n", out.history_hash);
-  std::fprintf(f, "checker_ops %zu\n", out.checker_ops);
 }
 
 }  // namespace casper::check

@@ -22,40 +22,24 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "check/campaign.hpp"
 #include "check/linear.hpp"
-#include "core/casper.hpp"
-#include "fault/plan.hpp"
 #include "kv/kv.hpp"
 #include "kv/traffic.hpp"
 
 namespace casper::check {
 
-enum class KvMode : std::uint8_t { Original = 0, Thread = 1, Casper = 2 };
-const char* to_string(KvMode m);
-
-/// A complete generated KV test case. The op list is pre-materialized so a
-/// prefix truncation is a pure prefix of every client's program.
-struct KvCase {
-  std::uint64_t seed = 0;
-  KvMode mode = KvMode::Casper;
-  int nodes = 1;
-  int users_per_node = 2;
-  int ghosts = 1;  ///< Casper mode only
-  core::Binding binding = core::Binding::Rank;
-  core::DynamicLb dynamic = core::DynamicLb::None;
+/// A complete generated KV test case; every user rank is a client. The op
+/// list is pre-materialized so a prefix truncation is a pure prefix of every
+/// client's program.
+struct KvCase : Deployment {
   kv::KvConfig store;
   kv::TrafficConfig traffic;
-  fault::FaultPlan fault_plan;  ///< inert unless active()
   /// Planted bug: run the store with skip_unlock_flush (tests / proofs).
   bool broken_skip_flush = false;
   std::vector<kv::KvOp> ops;
-
-  int nclients() const { return nodes * users_per_node; }
 };
 
 /// Deterministically generate the case for `seed`. `reduced` shrinks op
@@ -63,24 +47,13 @@ struct KvCase {
 /// seed-drawn per-client op count.
 KvCase make_kv_case(std::uint64_t seed, bool reduced, int ops_per_client = 0);
 
-/// Outcome of one simulated run of a KV case.
-struct KvOutcome {
-  std::size_t violations = 0;           ///< linearizability violations
-  std::vector<std::string> diags;       ///< per-violation diagnostics
-  std::uint64_t history_hash = 0;       ///< canonical-history FNV
-  std::size_t checker_ops = 0;          ///< events the checker recorded
+/// Outcome of one simulated run of a KV case; `violations` counts
+/// linearizability violations, `counters` keeps kv.* / linear.*.
+struct KvOutcome : CheckedOutcome {
   sim::Time end_time = 0;               ///< rank 0 virtual end time
   std::uint64_t fingerprint = 0;        ///< final-table digest
   kv::KvStats stats;                    ///< cluster-wide client counters
   std::uint64_t acc_ops = 0;            ///< server-side ACC op total
-  std::uint64_t divergences = 0;        ///< shadow-oracle (unsharded only)
-  std::uint64_t atomicity = 0;          ///< runtime atomicity violations
-  std::map<std::string, std::uint64_t> metrics;     ///< kv.* / linear.*
-  std::map<std::string, std::uint64_t> fault_stats; ///< fault.* / recovery.*
-
-  bool clean() const {
-    return violations == 0 && divergences == 0 && atomicity == 0;
-  }
 };
 
 /// Run the case once under schedule `perturb_seed` and `shards` engine
@@ -92,24 +65,26 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
                       std::size_t op_limit = ~std::size_t{0});
 
 /// The KV workload of the shared fuzz pipeline (check/campaign.hpp).
-struct KvWorkload {
+struct KvWorkload : CheckedWorkload {
   using Case = KvCase;
   using Outcome = KvOutcome;
   static constexpr const char* kName = "kv";
   static constexpr const char* kCountLabel = "checked KV op(s)";
   static constexpr LossyNet kLossyNet{0xfa06b, 0x6b76a5a5a5a5a5a5ULL, 0.13,
                                       0.25, 40, 0.10};
-  static Case generate(const Repro& r);
+  static Case generate(const Repro& r) {
+    KvCase c = make_kv_case(r.seed, r.reduced);
+    if (r.lockfree) c.store.lock = kv::KvConfig::LockKind::LockFree;
+    return c;
+  }
   /// Cuts the case with run_kv_case's op_limit.
   static Outcome run(const Case& c, std::uint64_t perturb,
                      std::size_t prefix) {
     return run_kv_case(c, perturb, 1, prefix);
   }
-  static std::uint64_t count(const Outcome& o) { return o.checker_ops; }
   static std::span<const Check<KvWorkload>> checks();
   static std::span<const PlantedBug<KvWorkload>> bugs();
   static void write_case(std::FILE* f, const Case& c, std::size_t nops);
-  static void write_diags(std::FILE* f, const Outcome& o);
 };
 
 }  // namespace casper::check

@@ -6,42 +6,15 @@
 #include "check/oracle.hpp"
 #include "check/race.hpp"
 #include "mpi/runtime.hpp"
-#include "net/profile.hpp"
-#include "obs/record.hpp"
-#include "progress/progress.hpp"
 #include "sim/rng.hpp"
 
 namespace casper::check {
 
-namespace {
-
-void apply_bug(mwcas::MwConfig& mc, MwBug bug) {
-  mc.bug_skip_help = bug == MwBug::SkipHelp;
-  mc.bug_torn_install = bug == MwBug::TornInstall;
-  mc.bug_stale_status = bug == MwBug::StaleStatus;
-}
-
-}  // namespace
-
 bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
                         const MwOutcome& b) {
-  // Thread-mode progress polling quantizes AM service instants, and a
-  // dynamic-LB Casper config routes through load state consumed in arrival
-  // order; in both, equal-time arrivals are legal ties whose resolution can
-  // shift op timing and therefore flip contended CAS races. Every resolution
-  // is a legal linearizable execution — each run is still individually gated
-  // on checker/oracle/race/atomicity — but no cross-schedule bit-match claim
-  // is sound there.
-  // An active fault plan is tie-prone too: injected delays and the reliable
-  // layer's retransmission timers are drawn/armed in arrival order.
-  // So is multi-ghost Casper, even statically bound: clients bound to
-  // DIFFERENT ghost service loops have deterministic, equal-length service
-  // intervals that can retire at the same virtual instant (one ghost
-  // serializes everything; two don't), and the tie order decides which
-  // contended CAS lands first.
   const bool timed_ties =
-      fc.mode == KvMode::Thread ||
-      (fc.mode == KvMode::Casper &&
+      fc.mode == Mode::Thread ||
+      (fc.mode == Mode::Casper &&
        (fc.dynamic != core::DynamicLb::None || fc.ghosts > 1)) ||
       fc.fault_plan.active();
   if (timed_ties) return false;
@@ -65,23 +38,13 @@ MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client) {
   sim::Rng rng(seed, 0x6d77);
   MwCase fc;
   fc.seed = seed;
-  fc.nodes = 1 + static_cast<int>(rng.next_below(2));
-  fc.users_per_node = 1 + static_cast<int>(rng.next_below(3));
-  if (fc.nodes * fc.users_per_node < 2) fc.users_per_node = 2;
-  fc.ghosts = 1 + static_cast<int>(rng.next_below(2));
+  draw_topology(rng, fc);
   switch (rng.next_below(4)) {
-    case 0: fc.mode = KvMode::Original; break;
-    case 1: fc.mode = KvMode::Thread; break;
-    default: fc.mode = KvMode::Casper; break;
+    case 0: fc.mode = Mode::Original; break;
+    case 1: fc.mode = Mode::Thread; break;
+    default: fc.mode = Mode::Casper; break;
   }
-  fc.binding =
-      rng.next_below(2) ? core::Binding::Segment : core::Binding::Rank;
-  switch (rng.next_below(4)) {
-    case 0: fc.dynamic = core::DynamicLb::None; break;
-    case 1: fc.dynamic = core::DynamicLb::Random; break;
-    case 2: fc.dynamic = core::DynamicLb::OpCounting; break;
-    default: fc.dynamic = core::DynamicLb::ByteCounting; break;
-  }
+  draw_routing(rng, fc);
   // A deliberately tiny heap: descriptors collide, helpers run, and the
   // hot-head draw below concentrates most ops on the first few words.
   fc.words_per_rank = 1 + static_cast<int>(rng.next_below(2));
@@ -96,13 +59,13 @@ MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client) {
   // Per-client RNG streams keep each client's program (and think times)
   // independent of every other client's draws — and tie-free.
   std::vector<sim::Rng> crng;
-  for (int c = 0; c < fc.nclients(); ++c) {
+  for (int c = 0; c < fc.nusers(); ++c) {
     crng.emplace_back(seed, 0x300 + static_cast<std::uint64_t>(c));
   }
   // Client-minor interleave, like kv::make_ops: a global prefix truncation
   // cuts every client's program evenly.
   for (int k = 0; k < opsper; ++k) {
-    for (int c = 0; c < fc.nclients(); ++c) {
+    for (int c = 0; c < fc.nusers(); ++c) {
       sim::Rng& r = crng[static_cast<std::size_t>(c)];
       MwProgOp op;
       op.client = c;
@@ -140,30 +103,10 @@ MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client) {
 
 MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
                       int shards, std::size_t op_limit) {
-  const bool sharded = shards > 1;
-  mpi::RunConfig rc;
-  rc.machine.profile = net::cray_xc30_regular();
-  rc.machine.topo.nodes = fc.nodes;
-  rc.machine.topo.cores_per_node =
-      fc.mode == KvMode::Casper ? fc.users_per_node + fc.ghosts
-                                : fc.users_per_node;
-  rc.seed = fc.seed;
-  rc.perturb_seed = sharded ? 0 : perturb_seed;
-  rc.shards = shards;
-  if (!sharded && fc.fault_plan.active()) rc.fault = &fc.fault_plan;
-  if (fc.mode == KvMode::Thread) {
-    rc.progress.kind = progress::Kind::Thread;
-    rc.progress.oversubscribed = true;
-  }
-
-  obs::Recorder rec;
-  if (obs::kTraceCompiled) {
-    rc.recorder = &rec;
-    if (sharded) rec.set_shards(shards);
-  }
-
   mwcas::MwConfig mc = fc.mw;
-  apply_bug(mc, fc.bug);
+  mc.bug_skip_help = fc.bug == MwBug::SkipHelp;
+  mc.bug_torn_install = fc.bug == MwBug::TornInstall;
+  mc.bug_stale_status = fc.bug == MwBug::StaleStatus;
 
   MwOutcome out;
   MwChecker checker;
@@ -294,48 +237,19 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
     }
   };
 
-  core::Config cc;
-  cc.ghosts_per_node = fc.ghosts;
-  cc.binding = fc.binding;
-  cc.dynamic = fc.dynamic;
-  mpi::Runtime rt(rc, body,
-                  fc.mode == KvMode::Casper ? core::layer(cc)
-                                            : mpi::LayerFactory{});
-  if (!sharded) rt.add_observer(&oracle);
-  rt.add_observer(&race);
-  rt.add_observer(&checker);
-  rt.run();
-
-  if (obs::kTraceCompiled) {
-    rec.merge_shards();
-    checker.set_recorder(&rec);
-    race.set_recorder(&rec);
-  }
-  out.violations = checker.check().size();
-  for (const MwChecker::Violation& v : checker.check()) {
-    out.diags.push_back(v.diag);
-    if (out.diags.size() >= 4) break;
-  }
-  out.history_hash = checker.history_hash();
+  DeployedRun run(fc, fc.casper(), perturb_seed, shards,
+                  /*on_request=*/false, body);
+  if (shards == 1) run.runtime().add_observer(&oracle);
+  run.runtime().add_observer(&race);
+  run.runtime().add_observer(&checker);
+  checker.set_recorder(run.recorder());
+  run.run();
+  read_checker(
+      checker, [](const MwChecker::Violation& v) { return v.diag; }, out);
   out.semantic_hash = checker.semantic_hash();
-  out.checker_ops = checker.ops_recorded();
-  out.atomicity = rt.stats().get("atomicity_violations");
   out.race_conflicts = race.conflict_events();
-  if (!sharded) out.divergences = oracle.divergences().size();
-  if (obs::kTraceCompiled) {
-    for (const auto& [key, val] : rec.metrics().counters()) {
-      if (key.rfind("mwcas.", 0) == 0 || key.rfind("linear.", 0) == 0) {
-        out.metrics[key] = val;
-      }
-    }
-  }
-  if (fc.fault_plan.active()) {
-    for (const auto& [key, val] : rt.stats().all()) {
-      if (key.rfind("fault.", 0) == 0 || key.rfind("recovery.", 0) == 0) {
-        out.fault_stats[key] = val;
-      }
-    }
-  }
+  if (shards == 1) out.divergences = oracle.divergences().size();
+  run.snapshot(out, "mwcas.");
   return out;
 }
 
@@ -348,7 +262,8 @@ std::span<const Check<MwWorkload>> MwWorkload::checks() {
        nullptr},
       {"mwcas-oracle-divergence",
        [](const MwCase&, std::size_t, const MwOutcome& o) {
-         return o.divergences > 0 || o.atomicity > 0 || o.race_conflicts > 0;
+         return o.divergences > 0 || o.atomicity_violations > 0 ||
+                o.race_conflicts > 0;
        },
        nullptr},
       // Exact-match invariance across schedules for event-driven configs
@@ -365,7 +280,7 @@ std::span<const PlantedBug<MwWorkload>> MwWorkload::bugs() {
   // Every bug needs real contention: several clients hammering a word pool
   // small enough that descriptors collide mid-protocol.
   constexpr auto contended = [](const MwCase& c) {
-    return c.nclients() >= 2 && c.total_words() <= 6;
+    return c.nusers() >= 2 && c.total_words() <= 6;
   };
   static constexpr PlantedBug<MwWorkload> kBugs[] = {
       {"skip-help", 200, contended,
@@ -380,12 +295,9 @@ std::span<const PlantedBug<MwWorkload>> MwWorkload::bugs() {
 
 void MwWorkload::write_case(std::FILE* f, const MwCase& fc,
                             std::size_t nops) {
-  std::fprintf(f,
-               "case mode=%s nodes=%d users_per_node=%d ghosts=%d "
-               "binding=%s dynamic=%d words_per_rank=%d bug=%s\n",
-               to_string(fc.mode), fc.nodes, fc.users_per_node, fc.ghosts,
-               binding_name(fc.binding), static_cast<int>(fc.dynamic),
-               fc.words_per_rank, to_string(fc.bug));
+  write_deployment(f, fc, /*with_mode=*/true);
+  std::fprintf(f, " words_per_rank=%d bug=%s\n", fc.words_per_rank,
+               to_string(fc.bug));
   for (std::size_t i = 0; i < nops; ++i) {
     const MwProgOp& op = fc.ops[i];
     std::fprintf(f, "op %zu client=%d width=%d stale=%d think=%" PRIu64
@@ -397,12 +309,6 @@ void MwWorkload::write_case(std::FILE* f, const MwCase& fc,
     }
     std::fprintf(f, "\n");
   }
-}
-
-void MwWorkload::write_diags(std::FILE* f, const MwOutcome& out) {
-  for (const std::string& d : out.diags) put_lines(f, "violation", d);
-  std::fprintf(f, "history_hash %" PRIu64 "\n", out.history_hash);
-  std::fprintf(f, "checker_ops %zu\n", out.checker_ops);
 }
 
 }  // namespace casper::check

@@ -24,14 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "check/campaign.hpp"
-#include "check/kvfuzz.hpp"
 #include "check/mwlinear.hpp"
-#include "fault/plan.hpp"
 #include "mwcas/mwcas.hpp"
 
 namespace casper::check {
@@ -57,46 +53,26 @@ struct MwProgOp {
   bool stale = false;
 };
 
-/// A complete generated MWCAS test case.
-struct MwCase {
-  std::uint64_t seed = 0;
-  KvMode mode = KvMode::Casper;
-  int nodes = 1;
-  int users_per_node = 2;
-  int ghosts = 1;
-  core::Binding binding = core::Binding::Rank;
-  core::DynamicLb dynamic = core::DynamicLb::None;
+/// A complete generated MWCAS test case; every user rank is a client.
+struct MwCase : Deployment {
   int words_per_rank = 2;  ///< heap data words each rank owns
   mwcas::MwConfig mw;
   MwBug bug = MwBug::None;
-  fault::FaultPlan fault_plan;
   std::vector<MwProgOp> ops;
 
-  int nclients() const { return nodes * users_per_node; }
-  int total_words() const { return nclients() * words_per_rank; }
+  int total_words() const { return nusers() * words_per_rank; }
 };
 
 MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client = 0);
 
-struct MwOutcome {
-  std::size_t violations = 0;
-  std::vector<std::string> diags;
-  std::uint64_t history_hash = 0;
+/// Outcome of one simulated run of an MWCAS case; `counters` keeps
+/// mwcas.* / linear.*.
+struct MwOutcome : CheckedOutcome {
   std::uint64_t semantic_hash = 0;  ///< timing-free per-client history digest
-  std::size_t checker_ops = 0;
   sim::Time end_time = 0;
   std::uint64_t fingerprint = 0;  ///< heap data words (descriptors excluded)
   mwcas::MwStats stats;           ///< cluster-wide protocol counters
-  std::uint64_t divergences = 0;
-  std::uint64_t atomicity = 0;
   std::uint64_t race_conflicts = 0;
-  std::map<std::string, std::uint64_t> metrics;     ///< mwcas.* / linear.*
-  std::map<std::string, std::uint64_t> fault_stats;
-
-  bool clean() const {
-    return violations == 0 && divergences == 0 && atomicity == 0 &&
-           race_conflicts == 0;
-  }
 };
 
 MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
@@ -120,7 +96,7 @@ bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
                         const MwOutcome& b);
 
 /// The MWCAS workload of the shared fuzz pipeline (check/campaign.hpp).
-struct MwWorkload {
+struct MwWorkload : CheckedWorkload {
   using Case = MwCase;
   using Outcome = MwOutcome;
   static constexpr const char* kName = "mwcas";
@@ -135,11 +111,9 @@ struct MwWorkload {
                      std::size_t prefix) {
     return run_mw_case(c, perturb, 1, prefix);
   }
-  static std::uint64_t count(const Outcome& o) { return o.checker_ops; }
   static std::span<const Check<MwWorkload>> checks();
   static std::span<const PlantedBug<MwWorkload>> bugs();
   static void write_case(std::FILE* f, const Case& c, std::size_t nops);
-  static void write_diags(std::FILE* f, const Outcome& o);
 };
 
 }  // namespace casper::check

@@ -426,25 +426,14 @@ check::FuzzCase chaos_case(std::uint64_t seed) {
   return fc;
 }
 
-std::uint64_t stat(const check::RunOutcome& out, const char* key) {
-  auto it = out.fault_stats.find(key);
-  return it == out.fault_stats.end() ? 0 : it->second;
-}
-
 }  // namespace
 
 TEST(AdaptiveChaos, GhostKillDuringRebindsStaysClean) {
-  // World ranks of node 0's ghosts for the 2x(2+2) shape.
-  net::Topology topo;
-  topo.nodes = 2;
-  topo.cores_per_node = 4;
-  core::Config cc;
-  cc.ghosts_per_node = 2;
-  std::vector<int> ghosts;
-  for (int r = 0; r < 4; ++r) {
-    if (core::is_ghost_rank(topo, cc, r)) ghosts.push_back(r);
-  }
-  ASSERT_EQ(ghosts.size(), 2u);
+  // World ranks of node 0's ghosts for the 2x(2+2) shape: the first two of
+  // the four (block placement).
+  std::vector<int> ghosts = chaos_case(1).ghost_ranks();
+  ASSERT_EQ(ghosts.size(), 4u);
+  ghosts.resize(2);
 
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     check::FuzzCase fc = chaos_case(seed);
@@ -457,9 +446,9 @@ TEST(AdaptiveChaos, GhostKillDuringRebindsStaysClean) {
         << "seed " << seed << ": " << out.divergences.size()
         << " divergence(s) after killing ghost " << victim;
     EXPECT_TRUE(out.races_clean()) << "seed " << seed;
-    EXPECT_EQ(stat(out, "fault.kills"), 1u) << "seed " << seed;
-    EXPECT_EQ(stat(out, "recovery.ghost_dead"), 1u) << "seed " << seed;
-    EXPECT_EQ(stat(out, "recovery.degraded"), 0u)
+    EXPECT_EQ(out.counters.get("fault.kills"), 1u) << "seed " << seed;
+    EXPECT_EQ(out.counters.get("recovery.ghost_dead"), 1u) << "seed " << seed;
+    EXPECT_EQ(out.counters.get("recovery.degraded"), 0u)
         << "a surviving ghost must keep the node redirected (seed " << seed
         << ")";
   }

@@ -11,6 +11,7 @@
 
 #include "check/campaign.hpp"
 #include "check/fuzz.hpp"
+#include "check/history.hpp"
 #include "check/kvfuzz.hpp"
 #include "check/mwfuzz.hpp"
 #include "check/oracle.hpp"
@@ -111,6 +112,56 @@ TEST(Fuzzer, CaseGenerationIsDeterministicAndSane) {
   }
 }
 
+namespace {
+
+/// FNV-1a of W::write_case over every op of `c`.
+template <class W>
+std::uint64_t case_hash(const typename W::Case& c, std::uint64_t h) {
+  std::FILE* f = std::tmpfile();
+  if (f == nullptr) return 0;
+  W::write_case(f, c, c.ops.size());
+  std::rewind(f);
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    h = check::fnv1a(buf, n, h);
+  }
+  std::fclose(f);
+  return h;
+}
+
+}  // namespace
+
+// The seed -> case map is part of the corpus: every check.sh count, proof
+// seed and repro depends on it. Each generator's whole output for seeds 1-40
+// is pinned to the value the generators had when the pins were recorded, so
+// a draw that moves, appears or disappears fails here.
+TEST(Fuzzer, CaseGenerationIsPinned) {
+  std::uint64_t rma = check::kFnvBasis;
+  std::uint64_t kv = check::kFnvBasis;
+  std::uint64_t mw = check::kFnvBasis;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const bool reduced : {true, false}) {
+      rma = case_hash<check::RmaWorkload>(
+          {check::make_case(seed, reduced), false}, rma);
+      rma = case_hash<check::RmaWorkload>(
+          {check::make_racy_case(seed, reduced, 2), false}, rma);
+    }
+    for (const bool lockfree : {false, true}) {
+      check::Repro r;
+      r.seed = seed;
+      r.lockfree = lockfree;
+      kv = case_hash<check::KvWorkload>(check::KvWorkload::generate(r), kv);
+    }
+    for (const bool reduced : {true, false}) {
+      mw = case_hash<check::MwWorkload>(check::make_mw_case(seed, reduced),
+                                        mw);
+    }
+  }
+  EXPECT_EQ(rma, 0xe753a0266af1011aULL);
+  EXPECT_EQ(kv, 0xc40576d378484b0aULL);
+  EXPECT_EQ(mw, 0x455db0ac2d9a94d6ULL);
+}
+
 // A handful of corpus seeds run clean under the classic schedule.
 TEST(Fuzzer, CorpusSeedsRunClean) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -200,17 +251,6 @@ TEST(Fuzzer, MinimizePrefixFindsSmallestFailing) {
 
 namespace {
 
-/// Ghost world ranks of a case (none for KV/MWCAS cases outside Casper mode).
-template <class Case>
-std::vector<int> case_ghosts(const Case& c) {
-  if constexpr (requires { c.mode; }) {
-    if (c.mode != check::KvMode::Casper) return {};
-  }
-  return core::ghost_ranks(
-      {.nodes = c.nodes, .cores_per_node = c.users_per_node + c.ghosts},
-      {.ghosts_per_node = c.ghosts});
-}
-
 /// write_repro -> parse_repro -> replay_file for workload W: a failing case
 /// with its planted bug under a plan holding net faults, a ghost kill and
 /// a stall. Every written field must parse back equal, and the file must
@@ -225,7 +265,7 @@ void round_trip() {
     rp.seed = seed;
     rp.bug = bug.name;
     typename W::Case c = W::generate(rp);
-    const std::vector<int> ghosts = case_ghosts(c);
+    const std::vector<int> ghosts = c.ghost_ranks();
     if (!bug.candidate(c) || ghosts.empty()) continue;
     bug.plant(c);
     if (bug.faults != nullptr) {

@@ -136,11 +136,6 @@ check::FuzzCase matrix_case(mpi::OpKind kind, check::EpochStyle epoch,
   return fc;
 }
 
-std::uint64_t stat(const check::RunOutcome& out, const char* key) {
-  auto it = out.fault_stats.find(key);
-  return it == out.fault_stats.end() ? 0 : it->second;
-}
-
 void run_cell(FaultMode mode, mpi::OpKind kind, check::EpochStyle epoch) {
   SCOPED_TRACE(std::string(mode_name(mode)) + " x kind " +
                std::to_string(static_cast<int>(kind)) + " x " +
@@ -161,16 +156,18 @@ void run_cell(FaultMode mode, mpi::OpKind kind, check::EpochStyle epoch) {
   // bookkeeping must be consistent with it.
   switch (mode) {
     case FaultMode::Drop:
-      EXPECT_GT(stat(out, "fault.drops") + stat(out, "fault.ack_drops"), 0u);
-      EXPECT_GT(stat(out, "fault.retries"), 0u);
+      EXPECT_GT(out.counters.get("fault.drops") +
+                    out.counters.get("fault.ack_drops"),
+                0u);
+      EXPECT_GT(out.counters.get("fault.retries"), 0u);
       break;
     case FaultMode::Dup:
-      EXPECT_GT(stat(out, "fault.dups"), 0u);
-      EXPECT_GT(stat(out, "fault.dedup_hits"), 0u);
+      EXPECT_GT(out.counters.get("fault.dups"), 0u);
+      EXPECT_GT(out.counters.get("fault.dedup_hits"), 0u);
       break;
     case FaultMode::Reorder:
     case FaultMode::Delay:
-      EXPECT_GT(stat(out, "fault.delays"), 0u);
+      EXPECT_GT(out.counters.get("fault.delays"), 0u);
       break;
   }
 }
@@ -206,7 +203,7 @@ TEST(FaultMatrixDeterminism, SameSeedSameOutcome) {
   const check::RunOutcome a = check::run_case(fc, 0);
   const check::RunOutcome b = check::run_case(fc, 0);
   EXPECT_EQ(a.content_hash, b.content_hash);
-  EXPECT_EQ(a.fault_stats, b.fault_stats);
+  EXPECT_EQ(a.counters, b.counters);
 }
 
 // Schedule invariance of the fault.* counters: verdicts key on the opid
@@ -219,11 +216,7 @@ TEST(FaultMatrixDeterminism, FaultCountersScheduleInvariant) {
       check::run_case(fc, check::perturb_for(fc.seed, 1));
   for (const char* key : {"fault.drops", "fault.dups", "fault.delays",
                           "fault.ack_drops"}) {
-    auto av = a.fault_stats.find(key);
-    auto bv = b.fault_stats.find(key);
-    EXPECT_EQ(av == a.fault_stats.end() ? 0 : av->second,
-              bv == b.fault_stats.end() ? 0 : bv->second)
-        << key;
+    EXPECT_EQ(a.counters.get(key), b.counters.get(key)) << key;
   }
   EXPECT_EQ(a.content_hash, b.content_hash);
 }

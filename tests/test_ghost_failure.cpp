@@ -28,25 +28,12 @@ using namespace casper;
 
 namespace {
 
-std::uint64_t stat(const check::RunOutcome& out, const char* key) {
-  auto it = out.fault_stats.find(key);
-  return it == out.fault_stats.end() ? 0 : it->second;
-}
-
 check::EpochStyle epoch_for(std::uint64_t seed) {
   switch (seed % 3) {
     case 0: return check::EpochStyle::Lock;
     case 1: return check::EpochStyle::LockAll;
     default: return check::EpochStyle::Fence;
   }
-}
-
-/// World ranks that are ghosts for the given shape (block placement; the
-/// same computation run_case's runtime performs).
-std::vector<int> ghost_ranks(int nodes, int users_per_node, int ghosts) {
-  return core::ghost_ranks(
-      {.nodes = nodes, .cores_per_node = users_per_node + ghosts},
-      {.ghosts_per_node = ghosts});
 }
 
 /// Mixed-op workload for the surviving-ghost scenario: puts to exclusive
@@ -112,7 +99,7 @@ check::FuzzCase survivor_case(std::uint64_t seed) {
 // Kill each ghost in turn at a seed-randomized virtual time; a surviving
 // ghost on the node absorbs its load. 64 seeds x oracle-validated contents.
 TEST(GhostFailure, KillEachGhostAcrossSeedsOracleClean) {
-  const std::vector<int> ghosts = ghost_ranks(2, 2, 2);
+  const std::vector<int> ghosts = survivor_case(0).ghost_ranks();
   ASSERT_EQ(ghosts.size(), 4u);
   std::uint64_t total_rebound_targets = 0;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
@@ -134,11 +121,11 @@ TEST(GhostFailure, KillEachGhostAcrossSeedsOracleClean) {
         << out.divergences.size() << " divergence(s) after killing ghost "
         << victim << " at " << sim::to_us(at) << "us";
     EXPECT_EQ(out.atomicity_violations, 0u);
-    EXPECT_EQ(stat(out, "fault.kills"), 1u);
-    EXPECT_EQ(stat(out, "recovery.ghost_dead"), 1u);
+    EXPECT_EQ(out.counters.get("fault.kills"), 1u);
+    EXPECT_EQ(out.counters.get("recovery.ghost_dead"), 1u);
     // The other ghost on the victim's node survived: never degraded.
-    EXPECT_EQ(stat(out, "recovery.degraded"), 0u);
-    total_rebound_targets += stat(out, "recovery.rebound_targets");
+    EXPECT_EQ(out.counters.get("recovery.degraded"), 0u);
+    total_rebound_targets += out.counters.get("recovery.rebound_targets");
   }
   // Rank-bound targets must have actually rebound somewhere in the sweep.
   EXPECT_GT(total_rebound_targets, 0u);
@@ -205,7 +192,7 @@ check::FuzzCase degraded_case(std::uint64_t seed) {
 // (ops direct to the user window), counted exactly once, contents still
 // oracle-clean. Node 1 keeps redirecting throughout.
 TEST(GhostFailure, LastGhostDeathDegradesToNoRedirect) {
-  const std::vector<int> ghosts = ghost_ranks(2, 2, 1);
+  const std::vector<int> ghosts = degraded_case(0).ghost_ranks();
   ASSERT_EQ(ghosts.size(), 2u);
   std::uint64_t total_direct = 0;
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
@@ -224,11 +211,11 @@ TEST(GhostFailure, LastGhostDeathDegradesToNoRedirect) {
         << out.divergences.size() << " divergence(s) after last-ghost kill at "
         << sim::to_us(at) << "us";
     EXPECT_EQ(out.atomicity_violations, 0u);
-    EXPECT_EQ(stat(out, "fault.kills"), 1u);
-    EXPECT_EQ(stat(out, "recovery.ghost_dead"), 1u);
-    EXPECT_EQ(stat(out, "recovery.degraded"), 1u)
+    EXPECT_EQ(out.counters.get("fault.kills"), 1u);
+    EXPECT_EQ(out.counters.get("recovery.ghost_dead"), 1u);
+    EXPECT_EQ(out.counters.get("recovery.degraded"), 1u)
         << "last-ghost death must degrade the node exactly once";
-    total_direct += stat(out, "recovery.direct_ops");
+    total_direct += out.counters.get("recovery.direct_ops");
   }
   // Across the sweep some epochs must have run in degraded direct mode.
   EXPECT_GT(total_direct, 0u);
@@ -237,10 +224,10 @@ TEST(GhostFailure, LastGhostDeathDegradesToNoRedirect) {
 // Killing BOTH of a two-ghost node (in sequence) first rebinds, then
 // degrades — recovery.degraded still exactly once.
 TEST(GhostFailure, SequentialKillsOfWholeNodeDegradeOnce) {
-  const std::vector<int> ghosts = ghost_ranks(2, 2, 2);
-  // Ghosts of node 0 are the first two (block placement).
   check::FuzzCase fc = degraded_case(7);
   fc.ghosts = 2;
+  // Ghosts of node 0 are the first two (block placement).
+  const std::vector<int> ghosts = fc.ghost_ranks();
   fc.fault_plan.kills.push_back({ghosts[0], sim::us(30)});
   fc.fault_plan.kills.push_back({ghosts[1], sim::us(90)});
   fc.fault_plan.heartbeat_period = sim::us(2);
@@ -248,15 +235,15 @@ TEST(GhostFailure, SequentialKillsOfWholeNodeDegradeOnce) {
   const check::RunOutcome out = check::run_case(fc, 0);
   EXPECT_TRUE(out.divergences.empty());
   EXPECT_EQ(out.atomicity_violations, 0u);
-  EXPECT_EQ(stat(out, "fault.kills"), 2u);
-  EXPECT_EQ(stat(out, "recovery.ghost_dead"), 2u);
-  EXPECT_EQ(stat(out, "recovery.degraded"), 1u);
+  EXPECT_EQ(out.counters.get("fault.kills"), 2u);
+  EXPECT_EQ(out.counters.get("recovery.ghost_dead"), 2u);
+  EXPECT_EQ(out.counters.get("recovery.degraded"), 1u);
 }
 
 // Kills compose with a lossy network: retransmissions addressed to a dead
 // ghost forward to the successor and the oracle stays clean.
 TEST(GhostFailure, KillUnderLossyNetworkOracleClean) {
-  const std::vector<int> ghosts = ghost_ranks(2, 2, 2);
+  const std::vector<int> ghosts = survivor_case(0).ghost_ranks();
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     check::FuzzCase fc = survivor_case(seed);
@@ -270,7 +257,7 @@ TEST(GhostFailure, KillUnderLossyNetworkOracleClean) {
     const check::RunOutcome out = check::run_case(fc, 0);
     EXPECT_TRUE(out.divergences.empty());
     EXPECT_EQ(out.atomicity_violations, 0u);
-    EXPECT_EQ(stat(out, "recovery.ghost_dead"), 1u);
+    EXPECT_EQ(out.counters.get("recovery.ghost_dead"), 1u);
   }
 }
 
