@@ -11,7 +11,8 @@
 //   claim <id>.<name>: holds|DIVERGES (<measured>)
 //
 // A claim pinned as a known divergence (open on ROADMAP.md) is expected to
-// print DIVERGES. figures exits 1 when any verdict differs from its pin, in
+// print DIVERGES. A claim whose paper-scale verdict differs carries a second
+// pin for --full. figures exits 1 when any verdict differs from its pin, in
 // either direction, and 2 on a usage error.
 #include <algorithm>
 #include <cerrno>
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1357,6 +1359,8 @@ struct Claim {
   const char* name;
   const char* terms;
   bool pinned_holds = true;  // false: a known divergence, open on ROADMAP.md
+  /// The pin under --full, where the paper-scale verdict differs.
+  std::optional<bool> full_pinned_holds = std::nullopt;
 };
 
 std::string num(double v) { return report::fmt(v, 2); }
@@ -1700,11 +1704,13 @@ const std::vector<Figure>& registry() {
        },
        "same ordering as 8(a); casper's advantage persists at the larger "
        "per-task compute of C20.",
-       // ~1.8-2.0x over original at every scale, with 10% slack.
+       // ~1.8-2.0x over original at every scale, with 10% slack. At --full
+       // the ratio measures 11.7-13.1x (ROADMAP.md).
        {{"casper_fastest",
          "casper(ms) < thread_O(ms) < original(ms); "
          "casper(ms) < thread_D(ms) < original(ms)"},
-        {"casper_about_2x", "original(ms)/casper(ms) in 1.62..2.2"}},
+        {"casper_about_2x", "original(ms)/casper(ms) in 1.62..2.2", true,
+         kDiverges}},
        kFig8Note},
       {"fig8c", "Fig 8(c)",
        "(T) portion of CCSD(T), C20 profile (compute-intensive)",
@@ -1717,8 +1723,9 @@ const std::vector<Figure>& registry() {
        "casper substantially faster than original at every scale (GETs "
        "against DGEMM-busy targets); thread modes degrade computation and "
        "trail casper.",
-       // "Almost twice as fast" at every scale.
-       {{"casper_about_2x", "casper_speedup in 1.5..2.5"},
+       // "Almost twice as fast" at every scale. At --full the speedup
+       // measures 9.2-10.7x (ROADMAP.md).
+       {{"casper_about_2x", "casper_speedup in 1.5..2.5", true, kDiverges},
         {"threads_trail_casper",
          "casper(ms) < thread_O(ms); casper(ms) < thread_D(ms)"}},
        kFig8Note},
@@ -1812,7 +1819,7 @@ const std::vector<Figure>& registry() {
 }
 
 /// Print one claim line per claim; 1 when a verdict differs from its pin.
-int check_claims(const Figure& f, const report::Table& t) {
+int check_claims(const Figure& f, const report::Table& t, bool full) {
   int rc = 0;
   for (const Claim& c : f.claims) {
     std::istringstream in(c.terms);
@@ -1824,10 +1831,12 @@ int check_claims(const Figure& f, const report::Table& t) {
     }
     std::cout << "claim " << f.id << "." << c.name << ": "
               << (holds ? "holds" : "DIVERGES") << " (" << m << ")\n";
-    if (holds != c.pinned_holds) {
+    const bool pin = full ? c.full_pinned_holds.value_or(c.pinned_holds)
+                          : c.pinned_holds;
+    if (holds != pin) {
       std::cerr << "figures: claim " << f.id << "." << c.name
-                << " is pinned as "
-                << (c.pinned_holds ? "holding" : "diverging") << "\n";
+                << " is pinned as " << (pin ? "holding" : "diverging")
+                << (full ? " at --full" : "") << "\n";
       rc = 1;
     }
   }
@@ -1845,7 +1854,7 @@ int run_figure(const Figure& f, const Opts& o) {
   if (f.expectation != nullptr) {
     std::cout << "expectation: " << f.expectation << "\n";
   }
-  int rc = check_claims(f, t);
+  int rc = check_claims(f, t, o.full);
   if (f.hook != nullptr) rc |= f.hook(o, t);
   if (g_unlinearized > 0) {
     std::cerr << "figures: " << f.id << ": " << g_unlinearized

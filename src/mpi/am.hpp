@@ -12,6 +12,7 @@
 namespace casper::mpi {
 
 class WinImpl;
+struct OriginTargetState;
 
 /// RMA operation kinds carried by active messages.
 enum class OpKind : std::uint8_t {
@@ -37,11 +38,11 @@ struct AmOp {
   WinImpl* win = nullptr;
   int origin_comm_rank = -1;
   int target_comm_rank = -1;
-  /// Accounting coordinates: the (origin_comm_rank, ·) cell whose
-  /// `outstanding` count the ack decrements. Fault forwarding may rewrite
-  /// target_comm_rank to a successor ghost; the ack still settles against
-  /// the cell the origin issued to. -1 = same as target_comm_rank.
-  int acct_target_comm = -1;
+  /// The origin's entry this op settles against: an RMA op's ack decrements
+  /// its `outstanding`, a LockReq's grant and a LockRelease's ack land in
+  /// it. Fault forwarding may rewrite target_comm_rank to a successor ghost;
+  /// the op still settles against the entry the origin issued it from.
+  OriginTargetState* acct = nullptr;
 
   // data description (target side)
   std::size_t target_disp = 0;  // bytes (disp * disp_unit resolved at issue)

@@ -349,9 +349,9 @@ class Runtime {
   sim::Time am_cost(const AmOp& op) const;
   /// Schedule wire transfer + target-side execution of an op. The origin has
   /// already paid its injection overhead (or the op comes from the delayed
-  /// lock-grant path). Increments outstanding.
-  void inject_op(WinImpl& win, int origin_comm, int target_comm, OpDesc&& d,
-                 sim::Time t_issue);
+  /// lock-grant path). Increments `ots.outstanding`.
+  void inject_op(WinImpl& win, int origin_comm, OriginTargetState& ots,
+                 OpDesc&& d, sim::Time t_issue);
   /// Route a delivered software op by the target's progress model.
   void deliver_am(AmOp&& op, sim::Time t_del);
   /// Agent-driven (thread / interrupt) processing of one op.
@@ -410,17 +410,28 @@ class Runtime {
   /// Deep copy of an op (payload cloned from the pool) for retransmission.
   AmOp fault_clone(const AmOp& op);
 
-  void send_lock_request(Env& env, WinImpl& win, int target);
+  /// Send the delayed lock request for `ots` (in state Intent).
+  void send_lock_request(Env& env, WinImpl& win, OriginTargetState& ots);
   /// Target-side lock-manager request processing (grant or queue) at time t.
+  /// `ots` is the requesting origin's entry, where the grant lands.
   void lockmgr_request(WinImpl& win, int target, int origin, LockType type,
-                       sim::Time t);
+                       sim::Time t, OriginTargetState* ots);
   /// Target-side release processing; grants pending compatible requests and
-  /// acknowledges the releaser.
+  /// acknowledges the releaser at its entry `notify` (null: a self lock,
+  /// released synchronously with no acknowledgment).
   void lockmgr_release(WinImpl& win, int target, int origin, LockType type,
-                       sim::Time t, bool notify_origin);
+                       sim::Time t, OriginTargetState* notify);
   /// Origin-side grant arrival: mark granted, inject queued ops, wake origin.
-  void on_lock_granted(WinImpl& win, int origin, int target, sim::Time t);
-  void flush_target(Env& env, int target, WinImpl& win, bool force_lock);
+  void on_lock_granted(WinImpl& win, int origin, OriginTargetState& ots,
+                       sim::Time t);
+  /// Complete the caller's ops to `target`; `ots` is its entry, or null for
+  /// an untouched target.
+  void flush_target(Env& env, WinImpl& win, int target,
+                    OriginTargetState* ots);
+  /// Release the caller's lock on `target` and end it: p_win_unlock's body.
+  /// `ots` is null for a target untouched inside lock_all.
+  void unlock_target(Env& env, WinImpl& win, int target,
+                     OriginTargetState* ots);
 
   /// Pointers into per-shard stats for per-op counters, resolved once at
   /// construction: the hot path must not pay a map lookup per operation.

@@ -206,20 +206,19 @@ void Runtime::dump_comm_state() const {
     auto win = wk.lock();
     if (!win) continue;
     for (int o = 0; o < win->comm()->size(); ++o) {
-      const auto& ost = win->ost[static_cast<std::size_t>(o)];
-      for (int t = 0; t < win->comm()->size(); ++t) {
-        const auto& ts = ost.tgt[static_cast<std::size_t>(t)];
-        if (ts.outstanding != 0 || !ts.queued.empty() ||
+      const TargetEntries& entries = win->ost[static_cast<std::size_t>(o)].tgt;
+      entries.each([&](const OriginTargetState& ts) {
+        if (ts.outstanding != 0 || ts.has_queued() ||
             ts.lock_st == OriginTargetState::LockSt::Requested ||
             ts.release_pending) {
           std::fprintf(stderr,
                        "  win %d: origin %d -> target %d: outstanding=%d "
                        "queued=%zu lock_st=%d release_pending=%d\n",
-                       win->id(), o, t, ts.outstanding, ts.queued.size(),
-                       static_cast<int>(ts.lock_st),
+                       win->id(), o, ts.target, ts.outstanding,
+                       entries.nqueued(ts), static_cast<int>(ts.lock_st),
                        static_cast<int>(ts.release_pending));
         }
-      }
+      });
     }
   }
 }
@@ -336,12 +335,11 @@ Time Runtime::am_cost(const AmOp& op) const {
 
 // -------------------------------------------------------------- inject ----
 
-void Runtime::inject_op(WinImpl& win, int origin_comm, int target_comm,
+void Runtime::inject_op(WinImpl& win, int origin_comm, OriginTargetState& ots,
                         OpDesc&& d, Time t_issue) {
+  const int target_comm = ots.target;
   const int ow = win.comm()->world_rank(origin_comm);
   const int tw = win.comm()->world_rank(target_comm);
-  auto& ots = win.ost[static_cast<std::size_t>(origin_comm)]
-                  .tgt[static_cast<std::size_t>(target_comm)];
   ++ots.outstanding;
 
   AmOp op;
@@ -353,7 +351,7 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, int target_comm,
   op.win = &win;
   op.origin_comm_rank = origin_comm;
   op.target_comm_rank = target_comm;
-  op.acct_target_comm = target_comm;
+  op.acct = &ots;
   op.target_disp = d.tdisp_bytes;
   op.target_count = d.tcount;
   op.target_dt = d.tdt;
@@ -503,12 +501,12 @@ void Runtime::agent_process(AmOp&& op, Time t_del) {
   post_event(start, [this, op = std::move(op), start, end, entity]() mutable {
     if (op.kind == OpKind::LockReq) {
       lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                      op.lock_type, end);
+                      op.lock_type, end, op.acct);
       return;
     }
     if (op.kind == OpKind::LockRelease) {
       lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                      op.lock_type, end, /*notify_origin=*/true);
+                      op.lock_type, end, op.acct);
       return;
     }
     // The agent serializes its operations (busy_until), so the
@@ -538,13 +536,13 @@ void Runtime::poller_process(Env& env, AmOp& op) {
   if (op.kind == OpKind::LockReq) {
     env.ctx().advance(cost);
     lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, env.now());
+                    op.lock_type, env.now(), op.acct);
     return;
   }
   if (op.kind == OpKind::LockRelease) {
     env.ctx().advance(cost);
     lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, env.now(), /*notify_origin=*/true);
+                    op.lock_type, env.now(), op.acct);
     return;
   }
   // Dedup gate: a duplicate delivery (network dup, or a retransmission that
@@ -857,10 +855,7 @@ void Runtime::schedule_ack(const AmOp& op, Time t_done,
                            sim::PoolBuf&& data) {
   Time t_ack =
       t_done + wire_latency(op.target_world, op.origin_world, data.size());
-  WinImpl* win = op.win;
-  const int oc = op.origin_comm_rank;
-  const int tc = op.acct_target_comm >= 0 ? op.acct_target_comm
-                                          : op.target_comm_rank;
+  OriginTargetState* ots = op.acct;
   const int ow = op.origin_world;
   const std::uint64_t opid = op.opid;
   void* res = op.origin_result;
@@ -895,13 +890,11 @@ void Runtime::schedule_ack(const AmOp& op, Time t_done,
     }
   }
 
-  post_event(t_ack, ow, [this, win, oc, tc, ow, opid, res, rcount, rdt,
+  post_event(t_ack, ow, [this, ots, ow, opid, res, rcount, rdt,
                          data = std::move(data), t_ack]() {
     if (fs_ && !fault_complete(opid)) return;  // duplicate ack
-    auto& ots = win->ost[static_cast<std::size_t>(oc)]
-                    .tgt[static_cast<std::size_t>(tc)];
-    --ots.outstanding;
-    MMPI_REQUIRE(ots.outstanding >= 0, "ack underflow");
+    --ots->outstanding;
+    MMPI_REQUIRE(ots->outstanding >= 0, "ack underflow");
     if (res != nullptr && !data.empty()) {
       unpack(res, rcount, rdt, data);
     }
@@ -952,7 +945,7 @@ AmOp Runtime::fault_clone(const AmOp& op) {
   c.win = op.win;
   c.origin_comm_rank = op.origin_comm_rank;
   c.target_comm_rank = op.target_comm_rank;
-  c.acct_target_comm = op.acct_target_comm;
+  c.acct = op.acct;
   c.target_disp = op.target_disp;
   c.target_count = op.target_count;
   c.target_dt = op.target_dt;
@@ -1085,12 +1078,12 @@ bool Runtime::fault_complete(std::uint64_t opid) {
 void Runtime::fault_serve_dead(AmOp&& op, Time t) {
   if (op.kind == OpKind::LockReq) {
     lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, t);
+                    op.lock_type, t, op.acct);
     return;
   }
   if (op.kind == OpKind::LockRelease) {
     lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, t, /*notify_origin=*/true);
+                    op.lock_type, t, op.acct);
     return;
   }
   if (!fault_should_execute(op, t)) return;
@@ -1120,10 +1113,10 @@ void Runtime::fault_kill_rank(int world_rank, Time t) {
 
 // -------------------------------------------------------- lock manager ----
 
-void Runtime::send_lock_request(Env& env, WinImpl& win, int target) {
+void Runtime::send_lock_request(Env& env, WinImpl& win,
+                                OriginTargetState& ots) {
   const int me = win.comm()->rank_of_world(env.world_rank());
-  auto& ots = win.ost[static_cast<std::size_t>(me)]
-                  .tgt[static_cast<std::size_t>(target)];
+  const int target = ots.target;
   MMPI_REQUIRE(ots.lock_st == OriginTargetState::LockSt::Intent,
                "lock request already sent or no lock intent");
   ots.lock_st = OriginTargetState::LockSt::Requested;
@@ -1132,11 +1125,12 @@ void Runtime::send_lock_request(Env& env, WinImpl& win, int target) {
   const Time t_arr = env.now() + wire_latency(env.world_rank(), tw, 16);
   WinImpl* w = &win;
   const LockType type = ots.lock_type;
+  OriginTargetState* acct = &ots;
 
   if (profile().hw_lock) {
     // NIC-level lock handling: processed at delivery with no target software.
-    post_event(t_arr, tw, [this, w, target, me, type, t_arr]() {
-      lockmgr_request(*w, target, me, type, t_arr);
+    post_event(t_arr, tw, [this, w, target, me, type, t_arr, acct]() {
+      lockmgr_request(*w, target, me, type, t_arr, acct);
     });
   } else {
     AmOp op;
@@ -1147,6 +1141,7 @@ void Runtime::send_lock_request(Env& env, WinImpl& win, int target) {
     op.win = w;
     op.origin_comm_rank = me;
     op.target_comm_rank = target;
+    op.acct = acct;
     op.lock_type = type;
     post_event(t_arr, tw, [this, op = std::move(op), t_arr]() mutable {
       deliver_am(std::move(op), t_arr);
@@ -1155,7 +1150,7 @@ void Runtime::send_lock_request(Env& env, WinImpl& win, int target) {
 }
 
 void Runtime::lockmgr_request(WinImpl& win, int target, int origin,
-                              LockType type, Time t) {
+                              LockType type, Time t, OriginTargetState* ots) {
   auto& tl = win.locks[static_cast<std::size_t>(target)];
   if (tl.grantable(type, origin) && tl.pending.empty()) {
     tl.grant(type, origin);
@@ -1163,28 +1158,26 @@ void Runtime::lockmgr_request(WinImpl& win, int target, int origin,
     const int tw = win.comm()->world_rank(target);
     const Time t_ack = t + wire_latency(tw, ow, 0);
     WinImpl* w = &win;
-    post_event(t_ack, ow, [this, w, origin, target, t_ack]() {
-      on_lock_granted(*w, origin, target, t_ack);
+    post_event(t_ack, ow, [this, w, origin, ots, t_ack]() {
+      on_lock_granted(*w, origin, *ots, t_ack);
     });
   } else {
-    tl.pending.push_back(TargetLockState::Pending{origin, type});
+    tl.pending.push_back(TargetLockState::Pending{origin, type, ots});
   }
 }
 
 void Runtime::lockmgr_release(WinImpl& win, int target, int origin,
-                              LockType type, Time t, bool notify_origin) {
+                              LockType type, Time t,
+                              OriginTargetState* notify) {
   auto& tl = win.locks[static_cast<std::size_t>(target)];
   tl.release(type, origin);
 
-  if (notify_origin) {
+  if (notify != nullptr) {
     const int ow = win.comm()->world_rank(origin);
     const int tw = win.comm()->world_rank(target);
     const Time t_ack = t + wire_latency(tw, ow, 0);
-    WinImpl* w = &win;
-    post_event(t_ack, ow, [this, w, origin, target, ow, t_ack]() {
-      auto& ots = w->ost[static_cast<std::size_t>(origin)]
-                      .tgt[static_cast<std::size_t>(target)];
-      ots.release_pending = false;
+    post_event(t_ack, ow, [this, notify, ow, t_ack]() {
+      notify->release_pending = false;
       engine_->wake(ow, t_ack);
     });
   }
@@ -1199,26 +1192,24 @@ void Runtime::lockmgr_release(WinImpl& win, int target, int origin,
     const int tw = win.comm()->world_rank(target);
     const Time t_ack = t + wire_latency(tw, ow, 0);
     WinImpl* w = &win;
-    post_event(t_ack, ow, [this, w, p, target, t_ack]() {
-      on_lock_granted(*w, p.origin, target, t_ack);
+    post_event(t_ack, ow, [this, w, p, t_ack]() {
+      on_lock_granted(*w, p.origin, *p.ots, t_ack);
     });
   }
 }
 
-void Runtime::on_lock_granted(WinImpl& win, int origin, int target, Time t) {
-  auto& ots = win.ost[static_cast<std::size_t>(origin)]
-                  .tgt[static_cast<std::size_t>(target)];
+void Runtime::on_lock_granted(WinImpl& win, int origin,
+                              OriginTargetState& ots, Time t) {
+  auto& my = win.ost[static_cast<std::size_t>(origin)];
   ots.lock_st = OriginTargetState::LockSt::Granted;
   // Inject all operations queued while the delayed lock was pending. The
   // origin CPU cost of these injections was already paid when the operations
   // were issued; here they just hit the wire in order.
   Time ti = t;
-  auto queued = std::move(ots.queued);
-  ots.queued.clear();
-  for (auto& d : queued) {
+  my.tgt.drain_queued(ots, [&](OpDesc&& d) {
     ti += profile().op_inject;
-    inject_op(win, origin, target, std::move(d), ti);
-  }
+    inject_op(win, origin, ots, std::move(d), ti);
+  });
   engine_->wake(win.comm()->world_rank(origin), t);
 }
 

@@ -140,13 +140,19 @@ void Runtime::p_win_free(Env& env, Win& win) {
   MMPI_REQUIRE(win != nullptr, "win_free on null window");
   const int me = win->comm()->rank_of_world(env.world_rank());
   const auto& my = win->ost[static_cast<std::size_t>(me)];
-  MMPI_REQUIRE(!my.fence_open || true, "unreachable");
-  for (const auto& ts : my.tgt) {
-    MMPI_REQUIRE(ts.lock_st == LockSt::None,
+  // Targets are checked in ascending order. Inside lock_all a target with
+  // no entry reads as locked, so a gap below an entry fails first.
+  int next = 0;  // lowest target not checked yet
+  my.tgt.each([&](const OriginTargetState& ts) {
+    MMPI_REQUIRE(ts.lock_st == LockSt::None &&
+                     !(my.lock_all && ts.target != next),
                  "win_free with an open passive epoch");
-    MMPI_REQUIRE(ts.outstanding == 0 && ts.queued.empty(),
+    MMPI_REQUIRE(ts.outstanding == 0 && !ts.has_queued(),
                  "win_free with incomplete operations");
-  }
+    next = ts.target + 1;
+  });
+  MMPI_REQUIRE(!(my.lock_all && next != win->comm()->size()),
+               "win_free with an open passive epoch");
   p_barrier(env, win->comm());
   // Report once (from the lowest-ranked member) so observers drop their
   // reference copies exactly when the collective free completes.
@@ -171,7 +177,7 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
   MMPI_REQUIRE(a.target >= 0 && a.target < win->comm()->size(),
                "RMA: bad target %d", a.target);
   auto& my = win->ost[static_cast<std::size_t>(me)];
-  auto& ots = my.tgt[static_cast<std::size_t>(a.target)];
+  auto& ots = my.touch(a.target);
 
   const bool in_epoch = my.fence_open || ots.lock_st != LockSt::None ||
                         group_contains(my.access_group, a.target);
@@ -267,16 +273,16 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
   // before the grant are queued; the request itself is triggered by the
   // first operation (not by MPI_Win_lock) — matching MPICH-family behaviour.
   if (ots.lock_st == LockSt::Intent) {
-    send_lock_request(env, *win, a.target);
-    ots.queued.push_back(std::move(d));
+    send_lock_request(env, *win, ots);
+    my.tgt.enqueue(ots, std::move(d));
     return;
   }
   if (ots.lock_st == LockSt::Requested) {
-    ots.queued.push_back(std::move(d));
+    my.tgt.enqueue(ots, std::move(d));
     return;
   }
 
-  inject_op(*win, me, a.target, std::move(d), env.now());
+  inject_op(*win, me, ots, std::move(d), env.now());
 }
 
 // ------------------------------------------------------- fence epochs ----
@@ -288,7 +294,7 @@ void Runtime::p_win_fence(Env& env, unsigned mode_assert, const Win& win) {
     // Complete my outstanding ops; incoming ops complete because every rank
     // polls while it waits inside the following barrier.
     for (int t = 0; t < win->comm()->size(); ++t) {
-      flush_target(env, t, *win, /*force_lock=*/false);
+      flush_target(env, *win, t, my.tgt.find(t));
     }
   }
   p_barrier(env, win->comm());
@@ -361,7 +367,7 @@ void Runtime::p_win_complete(Env& env, const Win& win) {
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(!my.access_group.empty(), "win_complete without win_start");
   for (int t : my.access_group) {
-    flush_target(env, t, *win, /*force_lock=*/false);
+    flush_target(env, *win, t, my.tgt.find(t));
   }
   WinImpl* w = win.get();
   for (int t : my.access_group) {
@@ -391,12 +397,12 @@ void Runtime::p_win_wait(Env& env, const Win& win) {
 // ----------------------------------------------------- passive epochs ----
 
 void Runtime::p_win_lock(Env& env, LockType type, int target,
-                         unsigned mode_assert, const Win& win) {
+                         unsigned /*mode_assert*/, const Win& win) {
   const int me = win->comm()->rank_of_world(env.world_rank());
   MMPI_REQUIRE(target >= 0 && target < win->comm()->size(),
                "win_lock: bad target %d", target);
   auto& my = win->ost[static_cast<std::size_t>(me)];
-  auto& ots = my.tgt[static_cast<std::size_t>(target)];
+  auto& ots = my.touch(target);
   MMPI_REQUIRE(ots.lock_st == LockSt::None, "nested lock to target %d",
                target);
   MMPI_REQUIRE(my.epoch == EpochKind::None || my.epoch == EpochKind::Lock,
@@ -413,7 +419,6 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
       type == LockType::Exclusive ? EpochEv::LockExcl : EpochEv::Lock, target,
       env.now());
   ots.lock_type = type;
-  ots.lock_assert = mode_assert;
   ++my.nlocked;
 
   if (win->comm()->world_rank(target) == env.world_rank()) {
@@ -424,7 +429,7 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
       tl.grant(type, me);
       ots.lock_st = LockSt::Granted;
     } else {
-      tl.pending.push_back(TargetLockState::Pending{me, type});
+      tl.pending.push_back(TargetLockState::Pending{me, type, &ots});
       progress_wait(env,
                     [&ots]() { return ots.lock_st == LockSt::Granted; });
     }
@@ -435,28 +440,36 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
 
 void Runtime::p_win_unlock(Env& env, int target, const Win& win) {
   const int me = win->comm()->rank_of_world(env.world_rank());
-  auto& my = win->ost[static_cast<std::size_t>(me)];
-  auto& ots = my.tgt[static_cast<std::size_t>(target)];
+  // Inside lock_all this records the unlock of a target never touched.
+  auto& ots = win->ost[static_cast<std::size_t>(me)].touch(target);
   MMPI_REQUIRE(ots.lock_st != LockSt::None, "unlock without lock");
+  unlock_target(env, *win, target, &ots);
+}
 
-  if (win->comm()->world_rank(target) == env.world_rank()) {
-    MMPI_REQUIRE(ots.lock_st == LockSt::Granted, "self lock state corrupt");
-    lockmgr_release(*win, target, me, ots.lock_type, env.now(),
-                    /*notify_origin=*/false);
-    ots.lock_st = LockSt::None;
-  } else {
-    flush_target(env, target, *win, /*force_lock=*/false);
-    if (ots.lock_st == LockSt::Granted) {
+void Runtime::unlock_target(Env& env, WinImpl& win, int target,
+                            OriginTargetState* ots) {
+  const int me = win.comm()->rank_of_world(env.world_rank());
+  auto& my = win.ost[static_cast<std::size_t>(me)];
+  if (win.comm()->world_rank(target) == env.world_rank()) {
+    // Untouched, the self target reads as granted by lock_all.
+    MMPI_REQUIRE(ots == nullptr || ots->lock_st == LockSt::Granted,
+                 "self lock state corrupt");
+    lockmgr_release(win, target, me,
+                    ots != nullptr ? ots->lock_type : LockType::Shared,
+                    env.now(), /*notify=*/nullptr);
+    if (ots != nullptr) ots->lock_st = LockSt::None;
+  } else if (ots != nullptr) {
+    flush_target(env, win, target, ots);
+    if (ots->lock_st == LockSt::Granted) {
       // Send the release and wait for its remote completion.
-      ots.release_pending = true;
-      const int tw = win->comm()->world_rank(target);
+      ots->release_pending = true;
+      const int tw = win.comm()->world_rank(target);
       const Time t_arr = env.now() + wire_latency(env.world_rank(), tw, 8);
-      WinImpl* w = win.get();
-      const LockType type = ots.lock_type;
+      WinImpl* w = &win;
+      const LockType type = ots->lock_type;
       if (profile().hw_lock) {
-        post_event(t_arr, tw, [this, w, target, me, type, t_arr]() {
-          lockmgr_release(*w, target, me, type, t_arr,
-                          /*notify_origin=*/true);
+        post_event(t_arr, tw, [this, w, target, me, type, t_arr, ots]() {
+          lockmgr_release(*w, target, me, type, t_arr, ots);
         });
       } else {
         AmOp op;
@@ -467,29 +480,34 @@ void Runtime::p_win_unlock(Env& env, int target, const Win& win) {
         op.win = w;
         op.origin_comm_rank = me;
         op.target_comm_rank = target;
+        op.acct = ots;
         op.lock_type = type;
         post_event(t_arr, tw, [this, op = std::move(op), t_arr]() mutable {
           deliver_am(std::move(op), t_arr);
         });
       }
-      progress_wait(env, [&ots]() { return !ots.release_pending; });
-      ots.lock_st = LockSt::None;
+      progress_wait(env, [ots]() { return !ots->release_pending; });
+      ots->lock_st = LockSt::None;
     } else {
       // The lock was never actually requested (no operations issued): the
       // epoch completes with no remote interaction, as real MPI
       // implementations optimize this case.
-      ots.lock_st = LockSt::None;
+      ots->lock_st = LockSt::None;
     }
   }
+  // An untouched non-self target inside lock_all is such a never-requested
+  // lock with nothing to flush; it has no entry to clear.
 
   if (--my.nlocked == 0 && my.epoch == EpochKind::Lock) {
     my.epoch = EpochKind::None;
   }
-  observe_sync(*win, env.world_rank(), SyncKind::Unlock, target, env.now());
+  observe_sync(win, env.world_rank(), SyncKind::Unlock, target, env.now());
 }
 
-void Runtime::p_win_lock_all(Env& env, unsigned mode_assert, const Win& win) {
+void Runtime::p_win_lock_all(Env& env, unsigned /*mode_assert*/,
+                             const Win& win) {
   const int me = win->comm()->rank_of_world(env.world_rank());
+  const int n = win->comm()->size();
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.epoch == EpochKind::None,
                "win_lock_all while another epoch is active");
@@ -502,26 +520,30 @@ void Runtime::p_win_lock_all(Env& env, unsigned mode_assert, const Win& win) {
   }
   observe_epoch_begin(*win, env.world_rank(), EpochEv::LockAll, -1,
                       env.now());
-  for (int t = 0; t < win->comm()->size(); ++t) {
-    auto& ots = my.tgt[static_cast<std::size_t>(t)];
-    MMPI_REQUIRE(ots.lock_st == LockSt::None, "lock_all over existing lock");
-    ots.lock_type = LockType::Shared;
-    ots.lock_assert = mode_assert;
-    ++my.nlocked;
-    if (win->comm()->world_rank(t) == env.world_rank()) {
-      auto& tl = win->locks[static_cast<std::size_t>(t)];
-      if (tl.grantable(LockType::Shared, me) && tl.pending.empty()) {
-        tl.grant(LockType::Shared, me);
-        ots.lock_st = LockSt::Granted;
-      } else {
-        tl.pending.push_back(
-            TargetLockState::Pending{me, LockType::Shared});
-        progress_wait(env,
-                      [&ots]() { return ots.lock_st == LockSt::Granted; });
-      }
-    } else {
-      ots.lock_st = LockSt::Intent;
-    }
+  // Only touched targets hold state to reset; every other target reads as
+  // lock_all leaves it once the flag is set. A flag still set from an
+  // earlier lock_all (its epoch overwritten by a fence) means untouched
+  // targets are still locked.
+  MMPI_REQUIRE(!(my.lock_all && my.tgt.size() < static_cast<std::size_t>(n)),
+               "lock_all over existing lock");
+  my.tgt.each([me](OriginTargetState& ts) {
+    MMPI_REQUIRE(ts.lock_st == LockSt::None, "lock_all over existing lock");
+    ts.lock_type = LockType::Shared;
+    if (ts.target != me) ts.lock_st = LockSt::Intent;
+  });
+  my.lock_all = true;
+  my.nlocked += n;
+  // The self target is granted synchronously, as p_win_lock does.
+  auto& tl = win->locks[static_cast<std::size_t>(me)];
+  OriginTargetState* self = my.tgt.find(me);
+  if (tl.grantable(LockType::Shared, me) && tl.pending.empty()) {
+    tl.grant(LockType::Shared, me);
+    if (self != nullptr) self->lock_st = LockSt::Granted;
+  } else {
+    // Contended: the grant must land in an entry.
+    if (self == nullptr) self = &my.tgt.add(me);
+    tl.pending.push_back(TargetLockState::Pending{me, LockType::Shared, self});
+    progress_wait(env, [self]() { return self->lock_st == LockSt::Granted; });
   }
 }
 
@@ -530,47 +552,59 @@ void Runtime::p_win_unlock_all(Env& env, const Win& win) {
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.epoch == EpochKind::LockAll,
                "win_unlock_all without win_lock_all");
-  my.epoch = EpochKind::Lock;  // let p_win_unlock's bookkeeping run
+  my.epoch = EpochKind::Lock;  // let unlock_target's bookkeeping run
+  // Every target in order, entry or not: each locked one is one Unlock sync.
   for (int t = 0; t < win->comm()->size(); ++t) {
-    if (my.tgt[static_cast<std::size_t>(t)].lock_st != LockSt::None) {
-      p_win_unlock(env, t, win);
+    OriginTargetState* ots = my.tgt.find(t);
+    if (ots == nullptr || ots->lock_st != LockSt::None) {
+      unlock_target(env, *win, t, ots);
     }
   }
+  my.lock_all = false;
   my.epoch = EpochKind::None;
   observe_sync(*win, env.world_rank(), SyncKind::UnlockAll, -1, env.now());
 }
 
 // ------------------------------------------------------------- flushes ----
 
-void Runtime::flush_target(Env& env, int target, WinImpl& win,
-                           bool force_lock) {
-  const int me = win.comm()->rank_of_world(env.world_rank());
-  auto& ots = win.ost[static_cast<std::size_t>(me)]
-                  .tgt[static_cast<std::size_t>(target)];
-  if (ots.lock_st == LockSt::Intent) {
-    if (ots.queued.empty() && ots.outstanding == 0 && !force_lock) {
+void Runtime::flush_target(Env& env, WinImpl& win, int target,
+                           OriginTargetState* ots) {
+  if (ots == nullptr) {
+    // Nothing was ever issued to an untouched target. Its delayed lock
+    // needs no acquisition; any other state completes at once, after the
+    // one progress poll the wait below would make.
+    const int me = win.comm()->rank_of_world(env.world_rank());
+    if (win.ost[static_cast<std::size_t>(me)].untouched_lock(target) !=
+        LockSt::Intent) {
+      progress_wait(env, []() { return true; });
+    }
+    return;
+  }
+  if (ots->lock_st == LockSt::Intent) {
+    if (!ots->has_queued() && ots->outstanding == 0) {
       return;  // nothing to complete, no acquisition needed
     }
-    send_lock_request(env, win, target);
+    send_lock_request(env, win, *ots);
   }
-  progress_wait(env, [&ots]() {
-    const bool lock_ok = ots.lock_st == LockSt::None ||
-                         ots.lock_st == LockSt::Granted ||
-                         ots.lock_st == LockSt::Intent;
-    return lock_ok && ots.queued.empty() && ots.outstanding == 0;
+  progress_wait(env, [ots]() {
+    const bool lock_ok = ots->lock_st == LockSt::None ||
+                         ots->lock_st == LockSt::Granted ||
+                         ots->lock_st == LockSt::Intent;
+    return lock_ok && !ots->has_queued() && ots->outstanding == 0;
   });
 }
 
 void Runtime::p_win_flush(Env& env, int target, const Win& win) {
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
-  MMPI_REQUIRE(my.tgt[static_cast<std::size_t>(target)].lock_st !=
+  OriginTargetState* ots = my.tgt.find(target);
+  MMPI_REQUIRE((ots != nullptr ? ots->lock_st : my.untouched_lock(target)) !=
                    LockSt::None,
                "win_flush outside a passive epoch");
-  // force_lock=false: a flush with no outstanding operations is a no-op (a
-  // delayed lock that was never used stays unacquired, as in MPICH); when
-  // operations were issued, the acquisition was already triggered by them.
-  flush_target(env, target, *win, /*force_lock=*/false);
+  // A flush with no outstanding operations is a no-op (a delayed lock that
+  // was never used stays unacquired, as in MPICH); when operations were
+  // issued, the acquisition was already triggered by them.
+  flush_target(env, *win, target, ots);
   observe_sync(*win, env.world_rank(), SyncKind::Flush, target, env.now());
 }
 
@@ -579,11 +613,18 @@ void Runtime::p_win_flush_all(Env& env, const Win& win) {
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.epoch == EpochKind::Lock || my.epoch == EpochKind::LockAll,
                "win_flush_all outside a passive epoch");
-  for (int t = 0; t < win->comm()->size(); ++t) {
-    if (my.tgt[static_cast<std::size_t>(t)].lock_st != LockSt::None) {
-      flush_target(env, t, *win, /*force_lock=*/false);
+  // Locked targets in ascending order. Untouched ones inside lock_all are
+  // unused delayed locks that flush_target skips, except the self target:
+  // it reads as granted, so it is flushed in its place too.
+  bool self_due = my.lock_all && my.tgt.find(me) == nullptr;
+  my.tgt.each([&](OriginTargetState& ts) {
+    if (self_due && ts.target > me) {
+      self_due = false;
+      flush_target(env, *win, me, nullptr);
     }
-  }
+    if (ts.lock_st != LockSt::None) flush_target(env, *win, ts.target, &ts);
+  });
+  if (self_due) flush_target(env, *win, me, nullptr);
   observe_sync(*win, env.world_rank(), SyncKind::FlushAll, -1, env.now());
 }
 

@@ -1,11 +1,14 @@
 // RMA window state: memory segments, epochs, target-side lock manager,
-// origin-side completion tracking, and in-flight software-op records used to
-// detect atomicity violations (the hazard Casper's static binding prevents).
+// sparse origin-side completion tracking, and in-flight software-op records
+// used to detect atomicity violations (the hazard Casper's static binding
+// prevents).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "mpi/am.hpp"
@@ -27,6 +30,34 @@ struct Segment {
 /// Which epoch a rank currently has open on a window (origin side).
 enum class EpochKind : std::uint8_t { None, Fence, Pscw, Lock, LockAll };
 
+/// FIFO queue that allocates nothing until its first push (libstdc++'s
+/// std::deque allocates ~576 B at construction). Popped slots are reclaimed
+/// when the queue drains, or compacted once they make up half of it.
+template <class T>
+class LazyFifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  const T& front() const { return items_[head_]; }
+  void push_back(const T& v) { items_.push_back(v); }
+  void pop_front() {
+    ++head_;
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (head_ >= 32 && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
+struct OriginTargetState;
+
 /// Target-side lock manager state for one target rank of a window.
 struct TargetLockState {
   int excl_holder = -1;  ///< comm rank holding the exclusive lock, or -1
@@ -34,8 +65,9 @@ struct TargetLockState {
   struct Pending {
     int origin;  ///< comm rank
     LockType type;
+    OriginTargetState* ots;  ///< the origin's entry the grant lands in
   };
-  std::deque<Pending> pending;
+  LazyFifo<Pending> pending;  ///< waiting requests, granted in FIFO order
 
   bool grantable(LockType t, int origin) const {
     (void)origin;
@@ -59,22 +91,187 @@ struct TargetLockState {
   }
 };
 
-/// Origin-side per-target state within an epoch.
+/// Origin-side state for one target, created the first time the origin
+/// locks the target or issues an op to it.
 struct OriginTargetState {
   enum class LockSt : std::uint8_t { None, Intent, Requested, Granted };
+  int target = -1;      ///< target comm rank
+  int outstanding = 0;  ///< RMA ops issued but not remotely acknowledged
+  /// Ops queued origin-side while the (delayed) lock is not yet granted:
+  /// 1 + the index of the newest one's node in TargetEntries, or 0.
+  std::uint32_t queue = 0;
   LockSt lock_st = LockSt::None;
   LockType lock_type = LockType::Shared;
-  unsigned lock_assert = 0;
   bool release_pending = false;  ///< unlock sent, release-ack not yet back
-  int outstanding = 0;  ///< RMA ops issued but not remotely acknowledged
-  /// Ops queued origin-side while the (delayed) lock is not yet granted.
-  std::vector<OpDesc> queued;
+
+  bool has_queued() const { return queue != 0; }
+};
+
+/// One origin's sparse per-target entries. Lookup is one open-addressing
+/// probe on the target rank; a slot points straight at its entry. Entries
+/// live in fixed-size chunks and never move, so pointers to them stay valid
+/// across progress waits, and in in-flight ops and lock requests, for the
+/// life of the window.
+class TargetEntries {
+ public:
+  OriginTargetState* find(int target) const {
+    if (slots_.empty()) return nullptr;
+    for (std::size_t s = home(target);;) {
+      OriginTargetState* e = slots_[s];
+      if (e == nullptr || e->target == target) return e;
+      if (++s == slots_.size()) s = 0;
+    }
+  }
+
+  /// Create the entry for `target`, which must not have one yet.
+  OriginTargetState& add(int target) {
+    if (size_ % kChunk == 0) {
+      chunks_.push_back(std::make_unique<OriginTargetState[]>(kChunk));
+    }
+    const auto i = static_cast<std::uint32_t>(size_);
+    OriginTargetState& e = at(i);
+    e.target = target;
+    // While targets arrive in ascending order (lock loops run low to high)
+    // storage order is target order; the first one out of order switches
+    // to an explicit ascending index.
+    if (order_.empty() && i > 0 && target < at(i - 1).target) {
+      order_.resize(i);
+      std::iota(order_.begin(), order_.end(), 0u);
+    }
+    if (!order_.empty()) {
+      order_.insert(std::upper_bound(order_.begin(), order_.end(), target,
+                                     [this](int t, std::uint32_t j) {
+                                       return t < at(j).target;
+                                     }),
+                    i);
+    }
+    ++size_;
+    if (4 * size_ > 3 * slots_.size()) {
+      rehash();
+    } else {
+      place(&e);
+    }
+    return e;
+  }
+
+  std::size_t size() const { return size_; }
+
+  /// Visit every entry in ascending target order. `f` must not add entries.
+  template <class F>
+  void each(F&& f) const {
+    if (order_.empty()) {
+      for (std::size_t i = 0; i < size_; ++i) f(at(i));
+    } else {
+      for (const std::uint32_t i : order_) f(at(i));
+    }
+  }
+
+  /// Queue `d` behind `e`'s delayed lock.
+  void enqueue(OriginTargetState& e, OpDesc&& d) {
+    std::uint32_t n = free_;
+    if (n != 0) {
+      free_ = nodes_[n - 1].next;
+    } else {
+      nodes_.emplace_back();
+      n = static_cast<std::uint32_t>(nodes_.size());
+    }
+    Node& node = nodes_[n - 1];
+    node.d = std::move(d);
+    if (e.queue == 0) {
+      node.next = n;  // a one-node ring
+    } else {
+      Node& tail = nodes_[e.queue - 1];
+      node.next = tail.next;
+      tail.next = n;
+    }
+    e.queue = n;
+  }
+  /// Hand `e`'s queued ops to `f` in issue order and free their nodes.
+  /// `f` must not queue.
+  template <class F>
+  void drain_queued(OriginTargetState& e, F&& f) {
+    const std::uint32_t tail = e.queue;
+    if (tail == 0) return;
+    e.queue = 0;
+    for (std::uint32_t n = nodes_[tail - 1].next;;) {
+      Node& node = nodes_[n - 1];
+      const std::uint32_t next = node.next;
+      f(std::move(node.d));
+      node.next = free_;
+      free_ = n;
+      if (n == tail) return;
+      n = next;
+    }
+  }
+  std::size_t nqueued(const OriginTargetState& e) const {
+    if (e.queue == 0) return 0;
+    std::size_t k = 1;
+    for (std::uint32_t n = nodes_[e.queue - 1].next; n != e.queue;
+         n = nodes_[n - 1].next) {
+      ++k;
+    }
+    return k;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 16;
+
+  OriginTargetState& at(std::size_t i) const {
+    return chunks_[i / kChunk][i % kChunk];
+  }
+  /// Slot groups of eight: a run of neighbouring ranks (a node's ghosts,
+  /// say) shares one group and so one cache line. The group is picked by a
+  /// Fibonacci hash of the rank's group, scaled to the group count.
+  std::size_t home(int target) const {
+    const auto t = static_cast<std::uint32_t>(target);
+    const std::uint64_t h = (t >> 3) * 0x9E3779B9u;
+    return static_cast<std::size_t>((h * (slots_.size() / 8)) >> 32) * 8 +
+           (t & 7);
+  }
+  void place(OriginTargetState* e) {
+    std::size_t s = home(e->target);
+    while (slots_[s] != nullptr) {
+      if (++s == slots_.size()) s = 0;
+    }
+    slots_[s] = e;
+  }
+  /// Resize to load 1/2: slot count is any multiple of eight, so the table
+  /// tracks the entry count closely instead of doubling past it.
+  void rehash() {
+    slots_.assign(std::max<std::size_t>(16, (2 * size_ + 7) / 8 * 8),
+                  nullptr);
+    for (std::size_t i = 0; i < size_; ++i) place(&at(i));
+  }
+
+  std::vector<OriginTargetState*> slots_;  ///< load at most 3/4
+  std::vector<std::unique_ptr<OriginTargetState[]>> chunks_;
+  std::size_t size_ = 0;
+  /// Entry indices by ascending target; empty while storage order is that
+  /// order.
+  std::vector<std::uint32_t> order_;
+  /// Ops queued behind delayed locks. Each entry's queue is a ring of
+  /// nodes, and `queue` names its newest (tail) node, whose `next` is the
+  /// oldest. Drained nodes go on a free list, so a warm origin queues
+  /// without allocating.
+  struct Node {
+    OpDesc d;
+    std::uint32_t next = 0;  ///< 1 + node index
+  };
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = 0;  ///< 1 + index of the first free node, or 0
 };
 
 /// One rank's origin-side view of a window.
 struct WinOriginState {
+  using LockSt = OriginTargetState::LockSt;
+
+  int self = -1;  ///< this origin's comm rank
   EpochKind epoch = EpochKind::None;
-  std::vector<OriginTargetState> tgt;  // indexed by target comm rank
+  /// Set by win_lock_all, cleared by win_unlock_all. While set, a target
+  /// with no entry reads as lock_all left it: granted if it is `self`, a
+  /// delayed (Intent) shared lock otherwise.
+  bool lock_all = false;
+  TargetEntries tgt;  ///< entries for the targets touched so far
   int nlocked = 0;  // targets locked by p_win_lock/_lock_all, not yet unlocked
   // PSCW bookkeeping.
   std::vector<int> access_group;    // comm ranks I will access
@@ -83,6 +280,21 @@ struct WinOriginState {
   int completes_seen = 0;  // "complete" notifications received (as target)
   unsigned pscw_assert = 0;
   bool fence_open = false;
+
+  /// Lock state of a target with no entry; outside lock_all a missing entry
+  /// reads as a default-constructed one.
+  LockSt untouched_lock(int target) const {
+    if (!lock_all) return LockSt::None;
+    return target == self ? LockSt::Granted : LockSt::Intent;
+  }
+  /// The entry for `target`, created (as it read untouched) on first use.
+  /// Only this origin's own calls create entries.
+  OriginTargetState& touch(int target) {
+    if (OriginTargetState* e = tgt.find(target)) return *e;
+    OriginTargetState& e = tgt.add(target);
+    e.lock_st = untouched_lock(target);
+    return e;
+  }
 };
 
 /// In-flight software operation record: a target-memory byte range being
@@ -107,7 +319,7 @@ class WinImpl {
     segs.resize(static_cast<std::size_t>(n));
     ost.resize(static_cast<std::size_t>(n));
     locks.resize(static_cast<std::size_t>(n));
-    for (auto& o : ost) o.tgt.resize(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) ost[static_cast<std::size_t>(r)].self = r;
   }
 
   int id() const { return id_; }
@@ -126,6 +338,10 @@ class WinImpl {
 
   /// Origin-side state, indexed by comm rank.
   std::vector<WinOriginState> ost;
+  /// Number of targets `origin` holds an entry for (tests read this).
+  std::size_t origin_entries(int origin) const {
+    return ost[static_cast<std::size_t>(origin)].tgt.size();
+  }
   /// Target-side lock manager, indexed by target comm rank.
   std::vector<TargetLockState> locks;
 

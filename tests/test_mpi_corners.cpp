@@ -163,6 +163,43 @@ TEST(MpiCorners, BcastLargePayload) {
   });
 }
 
+TEST(MpiCorners, LockAllCreatesEntriesOnlyForTouchedTargets) {
+  // Origin-side target state is sparse: lock_all creates no entry, and each
+  // target gets one on its first op. Entries outlive the epoch.
+  constexpr int kRanks = 8;
+  std::vector<std::size_t> before(kRanks), during(kRanks), after(kRanks);
+  mpi::exec(cfg(kRanks, 1), [&](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    void* base = nullptr;
+    Win win = env.win_allocate(4 * sizeof(double), sizeof(double), Info{}, w,
+                               &base);
+    env.win_lock_all(0, win);
+    before[static_cast<std::size_t>(me)] = win->origin_entries(me);
+    if (me == 0) {
+      const double v = 1.0;
+      for (int round = 0; round < 3; ++round) {
+        for (int t : {2, 5, 7}) env.accumulate(&v, 1, t, 0, AccOp::Sum, win);
+      }
+      env.win_flush_all(win);
+    }
+    during[static_cast<std::size_t>(me)] = win->origin_entries(me);
+    env.win_unlock_all(win);
+    after[static_cast<std::size_t>(me)] = win->origin_entries(me);
+    env.barrier(w);
+    if (me == 2 || me == 5 || me == 7) {
+      EXPECT_EQ(static_cast<double*>(base)[0], 3.0);
+    }
+    env.win_free(win);
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(before[i], 0u) << "rank " << r;
+    EXPECT_EQ(during[i], r == 0 ? 3u : 0u) << "rank " << r;
+    EXPECT_EQ(after[i], during[i]) << "rank " << r;
+  }
+}
+
 using MpiDeath = ::testing::Test;
 
 TEST(MpiDeath, RmaOutsideEpochAborts) {
@@ -177,6 +214,68 @@ TEST(MpiDeath, RmaOutsideEpochAborts) {
                   env.put(&v, 1, 1 - env.rank(w), 0, win);  // no epoch!
                 }),
       "outside any epoch");
+  // After lock_all ends, a target with an entry and one without both read
+  // as unlocked again.
+  for (const int touched : {1, 0}) {
+    EXPECT_DEATH(
+        mpi::exec(cfg(3, 1),
+                  [touched](mpi::Env& env) {
+                    Comm w = env.world();
+                    void* base = nullptr;
+                    Win win = env.win_allocate(8, 1, Info{}, w, &base);
+                    double v = 1.0;
+                    env.win_lock_all(0, win);
+                    if (touched) env.put(&v, 1, 2, 0, win);
+                    env.win_unlock_all(win);
+                    env.put(&v, 1, 2, 0, win);
+                  }),
+        "outside any epoch");
+  }
+}
+
+TEST(MpiDeath, WinFreeInsideLockAllAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      mpi::exec(cfg(2, 1),
+                [](mpi::Env& env) {
+                  Comm w = env.world();
+                  void* base = nullptr;
+                  Win win = env.win_allocate(8, 1, Info{}, w, &base);
+                  env.win_lock_all(0, win);  // no op touches any target
+                  env.win_free(win);
+                }),
+      "win_free with an open passive epoch");
+}
+
+TEST(MpiDeath, WinLockUnderLockAllAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      mpi::exec(cfg(2, 1),
+                [](mpi::Env& env) {
+                  Comm w = env.world();
+                  void* base = nullptr;
+                  Win win = env.win_allocate(8, 1, Info{}, w, &base);
+                  env.win_lock_all(0, win);
+                  env.win_lock(LockType::Shared, 1, 0, win);
+                }),
+      "nested lock to target 1");
+}
+
+TEST(MpiDeath, LockAllOverExistingLockAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A NOSUCCEED fence ends the epoch bookkeeping but not the lock on
+  // target 1, so the following lock_all finds it still held.
+  EXPECT_DEATH(
+      mpi::exec(cfg(2, 1),
+                [](mpi::Env& env) {
+                  Comm w = env.world();
+                  void* base = nullptr;
+                  Win win = env.win_allocate(8, 1, Info{}, w, &base);
+                  env.win_lock(LockType::Shared, 1, 0, win);
+                  env.win_fence(mpi::kModeNoSucceed, win);
+                  env.win_lock_all(0, win);
+                }),
+      "lock_all over existing lock");
 }
 
 TEST(MpiDeath, RmaOutOfBoundsAborts) {
