@@ -41,7 +41,6 @@
 #include "progress/progress.hpp"
 #include "sim/engine.hpp"
 #include "sim/pool.hpp"
-#include "sim/ring.hpp"
 
 namespace casper::fault {
 struct FaultPlan;
@@ -189,11 +188,30 @@ class Runtime {
   void progress_poll(Env& env);
   /// Poll + block until `pred()` holds. The canonical "inside the MPI
   /// runtime" wait: incoming software operations are serviced while waiting.
-  void progress_wait(Env& env, const std::function<bool()>& pred);
+  /// `pred` is called in place, never stored.
+  template <typename Pred>
+  void progress_wait(Env& env, Pred&& pred) {
+    RankIo& io = io_[static_cast<std::size_t>(env.world_rank())];
+    io.in_mpi = true;  // operations arriving now are serviced promptly
+    for (;;) {
+      progress_poll(env);
+      if (pred()) break;
+      engine_->block_self();
+    }
+    io.in_mpi = false;
+  }
 
   /// Software operations waiting for this rank's progress (diagnostics).
   std::size_t pending_am_count(int world_rank) const {
     return io_[static_cast<std::size_t>(world_rank)].inbox.size();
+  }
+  /// Inbox nodes allocated across every shard's arena (tests): the peak
+  /// number of software ops queued or in service at once, per shard,
+  /// rounded up to AmArena::kChunk.
+  std::size_t am_nodes() const {
+    std::size_t n = 0;
+    for (const AmArena& a : arenas_) n += a.nodes();
+    return n;
   }
 
   /// Hint from the interception layer that the NEXT RMA operation issued by
@@ -290,10 +308,11 @@ class Runtime {
     RankIo() = default;
     RankIo(RankIo&&) = default;
     RankIo& operator=(RankIo&&) = default;
-    RankIo(const RankIo&) = delete;  // inbox ops are move-only
+    RankIo(const RankIo&) = delete;  // a copy would alias inbox nodes
     RankIo& operator=(const RankIo&) = delete;
 
-    sim::RingQueue<AmOp> inbox;    // software RMA ops awaiting progress
+    AmQueue inbox;                 // software RMA ops awaiting progress
+    AmArena* arena = nullptr;      // this rank's shard's node arena
     std::deque<P2pMsg> unexpected; // unmatched arrived messages
     std::vector<Request> posted;   // pending receives, in post order
     sim::Time agent_busy_until = 0;  // progress-agent serialization point
@@ -455,6 +474,9 @@ class Runtime {
   /// both: pending event closures and queued inbox ops own PoolBufs that
   /// release into this pool on destruction.
   sim::BytePool pool_;
+  /// Inbox node arenas, one per engine shard (RankIo::arena points into
+  /// this; sized once). Declared after pool_: queued nodes own PoolBufs.
+  std::vector<AmArena> arenas_;
   std::vector<HotStats> hot_;
   /// One byte per rank, not std::vector<bool>: ghosts on different shards
   /// set their flags concurrently, and packed bits would share a word.

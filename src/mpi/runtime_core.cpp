@@ -135,6 +135,13 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   if (engine_->sharded()) shard_clamp_for_members(world_->members());
   inflight_.resize(static_cast<std::size_t>(nnodes));
   opid_seq_.assign(static_cast<std::size_t>(engine_->shards()), 1);
+  // A rank never changes shard, so its inbox binds its shard's arena once
+  // and the per-op path does no shard lookup.
+  arenas_.resize(static_cast<std::size_t>(engine_->shards()));
+  for (int r = 0; r < n; ++r) {
+    io_[static_cast<std::size_t>(r)].arena =
+        &arenas_[static_cast<std::size_t>(engine_->shard_of_rank(r))];
+  }
 
   // Fault state must exist before the layer factory runs: the layer's ctor
   // registers its ghost-death handler only when faults_on() is already true.
@@ -283,21 +290,12 @@ void Runtime::p_rank_main(Env& env,
 void Runtime::progress_poll(Env& env) {
   auto& io = io_[static_cast<std::size_t>(env.world_rank())];
   while (!io.inbox.empty()) {
-    AmOp op = std::move(io.inbox.front());
-    io.inbox.pop_front();
-    poller_process(env, op);
+    // Served in place: the node stays put while poller_process yields, and
+    // goes back to the arena (payload block to the pool) once served.
+    AmNode* node = io.inbox.pop_front();
+    poller_process(env, node->op);
+    io.arena->free(node);
   }
-}
-
-void Runtime::progress_wait(Env& env, const std::function<bool()>& pred) {
-  auto& io = io_[static_cast<std::size_t>(env.world_rank())];
-  io.in_mpi = true;  // operations arriving now are serviced promptly
-  for (;;) {
-    progress_poll(env);
-    if (pred()) break;
-    engine_->block_self();
-  }
-  io.in_mpi = false;
 }
 
 Time Runtime::wire_latency(int a_world, int b_world,
@@ -462,7 +460,7 @@ void Runtime::deliver_am(AmOp&& op, Time t_del) {
       const int tw = op.target_world;
       op.busy_arrival = !io.in_mpi;
       ++*(op.busy_arrival ? hot().am_busy_arrival : hot().am_prompt);
-      io.inbox.push_back(std::move(op));
+      io.inbox.push_back(io.arena->alloc(std::move(op)));
       engine_->wake(tw, t_del);
       break;
     }
@@ -1105,8 +1103,9 @@ void Runtime::fault_kill_rank(int world_rank, Time t) {
   // arrival (see deliver_am).
   auto& io = io_[static_cast<std::size_t>(world_rank)];
   while (!io.inbox.empty()) {
-    AmOp op = std::move(io.inbox.front());
-    io.inbox.pop_front();
+    AmNode* node = io.inbox.pop_front();
+    AmOp op = std::move(node->op);
+    io.arena->free(node);
     deliver_am(std::move(op), t);
   }
 }

@@ -12,8 +12,10 @@
 // worker thread per shard and PoolBufs can migrate across shards with the
 // messages that carry them, so set_thread_safe(true) arms a mutex around the
 // freelists; the unsharded path keeps paying only one predictable branch.
-// Blocks are returned uncleared; callers fully overwrite what they read back
-// (PoolBuf::resize preserves existing contents on growth, like std::vector).
+// PoolBuf contents of up to PoolBuf::kInline bytes stay in the buffer and
+// never reach the pool, its counters or its mutex. Blocks are returned
+// uncleared; callers fully overwrite what they read back (PoolBuf::resize
+// preserves existing contents on growth, like std::vector).
 #pragma once
 
 #include <cstddef>
@@ -108,27 +110,23 @@ class BytePool {
 
 /// A movable byte buffer drawing storage from a BytePool. Behaves like a
 /// minimal std::vector<std::byte>: resize preserves contents, clear keeps
-/// capacity. Unbound (no pool) instances fall back to the global heap, so a
-/// default-constructed PoolBuf is always usable — binding is an optimization,
-/// not a requirement. Destruction returns the block to the pool.
+/// capacity. Up to kInline bytes live in the buffer itself and never touch
+/// the pool (single-element RMA payloads, CAS operand pairs, 8-byte acks).
+/// Larger contents take a pool block; unbound (no pool) instances fall back
+/// to the global heap, so a default-constructed PoolBuf is always usable —
+/// binding is an optimization, not a requirement. Destruction returns the
+/// block to the pool.
 class PoolBuf {
  public:
+  static constexpr std::size_t kInline = 16;
+
   PoolBuf() = default;
   explicit PoolBuf(BytePool* pool) : pool_(pool) {}
-  PoolBuf(PoolBuf&& o) noexcept
-      : pool_(o.pool_), data_(o.data_), size_(o.size_), cap_(o.cap_) {
-    o.data_ = nullptr;
-    o.size_ = o.cap_ = 0;
-  }
+  PoolBuf(PoolBuf&& o) noexcept { take(o); }
   PoolBuf& operator=(PoolBuf&& o) noexcept {
     if (this != &o) {
       dealloc();
-      pool_ = o.pool_;
-      data_ = o.data_;
-      size_ = o.size_;
-      cap_ = o.cap_;
-      o.data_ = nullptr;
-      o.size_ = o.cap_ = 0;
+      take(o);
     }
     return *this;
   }
@@ -136,10 +134,10 @@ class PoolBuf {
   PoolBuf& operator=(const PoolBuf&) = delete;
   ~PoolBuf() { dealloc(); }
 
-  /// Attach to a pool. Storage already held is kept (released to its own
-  /// source on dealloc is wrong), so binding is only allowed while empty.
+  /// Attach to a pool. A held block must be released to its own source, so
+  /// binding is only allowed while the storage is inline.
   void bind(BytePool* pool) {
-    if (data_ == nullptr) pool_ = pool;
+    if (data_ == inline_) pool_ = pool;
   }
 
   std::byte* data() { return data_; }
@@ -152,6 +150,8 @@ class PoolBuf {
     size_ = n;
   }
   void clear() { size_ = 0; }
+  /// Empty the buffer and return any held block now.
+  void reset() noexcept { dealloc(); }
 
   void assign(const void* src, std::size_t n) {
     resize(n);
@@ -162,6 +162,20 @@ class PoolBuf {
   operator std::span<const std::byte>() const { return span(); }
 
  private:
+  /// Steal o's storage and leave it empty. The inline bytes are copied
+  /// unconditionally and data_ is selected, not branched on: moves run once
+  /// per hop of every queued op, and a branch around the copy cost more
+  /// than the 16-byte copy itself.
+  void take(PoolBuf& o) noexcept {
+    pool_ = o.pool_;
+    size_ = o.size_;
+    cap_ = o.cap_;
+    std::memcpy(inline_, o.inline_, kInline);
+    data_ = o.data_ == o.inline_ ? inline_ : o.data_;
+    o.data_ = o.inline_;
+    o.size_ = 0;
+    o.cap_ = kInline;
+  }
   void grow(std::size_t n) {
     std::size_t ncap = 0;
     std::byte* nd = pool_ != nullptr
@@ -173,19 +187,21 @@ class PoolBuf {
     cap_ = ncap;
   }
   void dealloc() noexcept {
-    if (data_ == nullptr) return;
+    size_ = 0;
+    if (data_ == inline_) return;
     if (pool_ != nullptr)
       pool_->release(data_, cap_);
     else
       ::operator delete(data_);
-    data_ = nullptr;
-    size_ = cap_ = 0;
+    data_ = inline_;
+    cap_ = kInline;
   }
 
   BytePool* pool_ = nullptr;
-  std::byte* data_ = nullptr;
+  std::byte* data_ = inline_;  ///< inline_ or a block of cap_ bytes
   std::size_t size_ = 0;
-  std::size_t cap_ = 0;
+  std::size_t cap_ = kInline;
+  std::byte inline_[kInline]{};
 };
 
 }  // namespace casper::sim

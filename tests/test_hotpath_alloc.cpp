@@ -3,10 +3,12 @@
 // The zero-allocation claim of the RMA fast path is enforced here, not just
 // benchmarked: global operator new/delete are replaced with counting
 // wrappers, a passive-target PUT/ACC loop is warmed until every pool
-// (payload arena, event slots, inbox rings, plan cache, scheduler heap) has
-// reached steady state, and then a 1k-op measured window must perform ZERO
-// heap allocations end to end — origin issue, ghost-side processing, and
-// completion acks included.
+// (payload blocks, inbox node arena, event slots, plan cache, scheduler heap)
+// has reached steady state, and then a 1k-op measured window must perform
+// ZERO heap allocations end to end — origin issue, ghost-side processing, and
+// completion acks included. The same loop under original MPI with thread and
+// interrupt progress covers the agent path, whose event closures carry a
+// whole AmOp and must fit the event slot's inline buffer.
 //
 // The plan-cache tests pin the invalidation contract: cached split plans
 // survive flushes under lockall (no binding transition), are shared across
@@ -93,10 +95,11 @@ core::Config one_ghost() {
   return cc;
 }
 
-/// Heap allocations in a measured 1k-op window of user 0's warm PUT/ACC
-/// loop over users 1..nodes-1, one per node (every target node's ghost
+/// Heap allocations in a measured 1k-op window of rank 0's warm PUT/ACC
+/// loop over ranks 1..size-1 (under Casper, every target node's ghost
 /// commits, so every per-node runtime structure on the path is exercised).
-std::uint64_t steady_state_allocs(int nodes) {
+std::uint64_t steady_state_allocs(const mpi::RunConfig& rc,
+                                  const mpi::LayerFactory& layer) {
   std::uint64_t measured = ~std::uint64_t{0};
   auto workload = [&measured](mpi::Env& env) {
     mpi::Comm w = env.world();
@@ -134,8 +137,7 @@ std::uint64_t steady_state_allocs(int nodes) {
     env.win_unlock_all(win);
     env.win_free(win);
   };
-  mpi::exec(casper_config(nullptr, nodes), workload,
-            core::layer(one_ghost()));
+  mpi::exec(rc, workload, layer);
   return measured;
 }
 
@@ -143,9 +145,25 @@ TEST(HotPathAlloc, ZeroSteadyStateAllocationsInPutAccLoop) {
   // 5 nodes = 4 target nodes: each has its own in-flight atomicity list,
   // and once warm none of them may grow or reallocate.
   for (const int nodes : {2, 5}) {
-    EXPECT_EQ(steady_state_allocs(nodes), 0u)
+    EXPECT_EQ(steady_state_allocs(casper_config(nullptr, nodes),
+                                  core::layer(one_ghost())),
+              0u)
         << "steady-state PUT/ACC fast path performed heap allocations ("
         << nodes << " nodes)";
+  }
+}
+
+TEST(HotPathAlloc, ZeroSteadyStateAllocationsOnAgentPath) {
+  // Original MPI, 3 nodes x 1 core: ranks 1 and 2's progress agents serve
+  // every op in event closures.
+  for (const auto kind :
+       {progress::Kind::Thread, progress::Kind::Interrupt}) {
+    mpi::RunConfig rc = casper_config(nullptr, 3);
+    rc.machine.topo.cores_per_node = 1;
+    rc.progress.kind = kind;
+    EXPECT_EQ(steady_state_allocs(rc, nullptr), 0u)
+        << "agent-path PUT/ACC loop performed heap allocations (progress "
+        << (kind == progress::Kind::Thread ? "thread" : "interrupt") << ")";
   }
 }
 

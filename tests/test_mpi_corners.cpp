@@ -1,10 +1,13 @@
 // Corner-case and error-path tests for minimpi: fence asserts,
-// get_accumulate, flush_local, zero-size windows, bounds checking and
-// epoch-misuse aborts (death tests).
+// get_accumulate, flush_local, zero-size windows, sparse origin state, the
+// inbox node arena, bounds checking and epoch-misuse aborts (death tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "core/casper.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
 
@@ -198,6 +201,102 @@ TEST(MpiCorners, LockAllCreatesEntriesOnlyForTouchedTargets) {
     EXPECT_EQ(during[i], r == 0 ? 3u : 0u) << "rank " << r;
     EXPECT_EQ(after[i], during[i]) << "rank " << r;
   }
+}
+
+/// Commit order and queue depth at one serving rank: records every op
+/// `server` commits and the most ops queued or in service there at any
+/// commit (every queue depth is seen by a later commit, so this is the
+/// peak).
+struct ServerCommits final : mpi::RmaObserver {
+  struct Commit {
+    int origin;
+    std::uint64_t opid;
+    sim::Time delivered;
+  };
+  mpi::Runtime* rt = nullptr;
+  int server = -1;
+  std::vector<Commit> commits;
+  std::size_t peak = 0;
+
+  void on_win_register(mpi::WinImpl&) override {}
+  void on_win_free(mpi::WinImpl&) override {}
+  void on_sync(mpi::WinImpl&, int, mpi::SyncKind, int, sim::Time) override {}
+  void on_op_commit(const mpi::AmOp& op, sim::Time, int entity) override {
+    if (entity != server) return;
+    commits.push_back({op.origin_world, op.opid, op.delivered});
+    peak = std::max(peak, rt->pending_am_count(server) + 1);
+  }
+};
+
+TEST(MpiCorners, GhostInboxBurstReusesArenaNodes) {
+  // 2 nodes x (3 users + 1 ghost): node 0's users each burst accumulates at
+  // user 3, so every op queues at node 1's ghost (world rank 7).
+  constexpr int kBurst = 200;
+  constexpr int kGhost = 7;
+  RunConfig rc = cfg(2, 4);
+  std::size_t nodes[2] = {0, 0};
+  mpi::Runtime rt(
+      rc,
+      [&](mpi::Env& env) {
+        Comm w = env.world();
+        const int me = env.rank(w);
+        void* base = nullptr;
+        Win win = env.win_allocate(8 * sizeof(double), sizeof(double), Info{},
+                                   w, &base);
+        env.win_lock_all(0, win);
+        // One flushed op first: the delayed lock is granted before the
+        // bursts, so no op waits in the origin's grant queue and each
+        // origin's ops reach the ghost in issue order.
+        const double zero = 0.0;
+        if (me < 3) {
+          env.accumulate(&zero, 1, 3, 0, AccOp::Sum, win);
+          env.win_flush(3, win);
+        }
+        const double v = 1.0;
+        for (int pass = 0; pass < 2; ++pass) {
+          if (me < 3) {
+            for (int i = 0; i < kBurst; ++i) {
+              env.accumulate(&v, 1, 3, static_cast<std::size_t>(i % 8),
+                             AccOp::Sum, win);
+            }
+            env.win_flush(3, win);
+          }
+          env.barrier(w);
+          if (me == 0) nodes[pass] = env.runtime().am_nodes();
+        }
+        env.win_unlock_all(win);
+        env.barrier(w);
+        if (me == 3) {
+          for (int i = 0; i < 8; ++i) {
+            EXPECT_EQ(static_cast<double*>(base)[i], 2.0 * 3 * kBurst / 8);
+          }
+        }
+        env.win_free(win);
+      },
+      core::layer(core::Config{}));
+  ServerCommits log;
+  log.rt = &rt;
+  log.server = kGhost;
+  rt.add_observer(&log);
+  rt.run();
+
+  // The ghost serves in arrival order, and each origin's ops in the order
+  // it issued them.
+  ASSERT_EQ(log.commits.size(), 3u + 2u * 3 * kBurst);
+  std::uint64_t last_opid[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < log.commits.size(); ++i) {
+    const ServerCommits::Commit& c = log.commits[i];
+    ASSERT_TRUE(c.origin >= 0 && c.origin < 3) << "commit " << i;
+    if (i > 0) {
+      ASSERT_LE(log.commits[i - 1].delivered, c.delivered) << "commit " << i;
+    }
+    ASSERT_LT(last_opid[c.origin], c.opid) << "commit " << i;
+    last_opid[c.origin] = c.opid;
+  }
+  constexpr std::size_t kChunk = mpi::AmArena::kChunk;
+  EXPECT_GT(log.peak, kChunk) << "the burst must queue past one chunk";
+  EXPECT_LE(nodes[0], (log.peak + kChunk - 1) / kChunk * kChunk);
+  EXPECT_EQ(nodes[1], nodes[0]) << "second burst allocated new nodes";
 }
 
 using MpiDeath = ::testing::Test;
