@@ -122,8 +122,13 @@ cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null
 cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
   test_check_oracle test_race_analyzer test_fault_matrix \
   test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas \
-  test_casper
+  test_casper test_pool test_mpi_corners
 "./$BUILD_ASAN/tests/test_check_oracle"
+# Op node lifetime: one arena node per op from issue to ack (freed by the
+# ack, or after service for lock messages), inline/pooled buffer moves. A
+# node used after its ack freed it is a use-after-free here.
+"./$BUILD_ASAN/tests/test_pool"
+"./$BUILD_ASAN/tests/test_mpi_corners"
 # Window set-up: the one-time table fill at registration and the ghosts'
 # handle-only records, freed by sequence number out of allocation order.
 "./$BUILD_ASAN/tests/test_casper"
@@ -163,13 +168,17 @@ echo "== [10/14] TSan: sharded engine + sharded runtime determinism =="
 # The sharded engine is the only multi-threaded subsystem: shard workers,
 # the cross-shard outbox hand-off, and the window barrier. Fiber switches
 # are TSan-annotated (src/sim/fiber.cpp), so rank-fiber stacks are tracked
-# correctly. Both suites sweep shards in {1,2,4,8}.
+# correctly. Both suites sweep shards in {1,2,4,8}. The cross-node burst
+# test then checks op nodes: allocated and freed on the origin's shard,
+# served by a ghost on another, with no lock on the arena.
 BUILD_TSAN=build-tsan
 cmake -B "$BUILD_TSAN" -S . -DCASPER_TSAN=ON >/dev/null
 cmake --build "$BUILD_TSAN" -j"$JOBS" --target test_sim_engine_sharded \
-  test_sharded_runtime
+  test_sharded_runtime test_mpi_corners
 "./$BUILD_TSAN/tests/test_sim_engine_sharded"
 "./$BUILD_TSAN/tests/test_sharded_runtime"
+"./$BUILD_TSAN/tests/test_mpi_corners" \
+  --gtest_filter=MpiCorners.ShardedCrossNodeBurstReusesArenaNodes
 
 echo "== [11/14] trace-enabled fuzz smoke (CASPER_TRACE=1) =="
 # Same corpus slice with the recorder attached: exercises every obs

@@ -415,6 +415,10 @@ class CasperLayer final : public mpi::Layer {
   /// lazy user-window lock for passive epochs.
   void issue_degraded(mpi::Env& env, CspWin& cw, OriginEp& ep,
                       const mpi::RmaArgs& a);
+  /// Record a completed epoch-translation interval [t0, now) as an
+  /// EpochTranslate span plus a sync-latency histogram sample.
+  void note_epoch_sync(mpi::Env& env, const mpi::Win& user_win,
+                       mpi::SyncKind k, sim::Time t0);
 
   mpi::Runtime* rt_;
   Config cfg_;
@@ -434,6 +438,11 @@ class CasperLayer final : public mpi::Layer {
   /// lookup at the call site instead of caching a pointer here.
   std::uint64_t* plan_hit_ = nullptr;
   std::uint64_t* plan_miss_ = nullptr;
+  /// Recorder handles for keys built per op or per sync; see obs::Interned.
+  obs::Interned<std::uint64_t> ghost_ops_;    ///< ghost.<g>.ops, by world rank
+  obs::Interned<std::uint64_t> ghost_bytes_;  ///< ghost.<g>.bytes
+  obs::Interned<std::uint64_t> lb_ops_;       ///< casper.lb.<policy>
+  obs::Interned<obs::Histogram> sync_ns_;     ///< sync_ns.<kind>
 
   /// Index into the per-shard stat pointer vectors for the calling worker
   /// thread (0 on the main thread and in single-shard runs).

@@ -50,20 +50,20 @@ const char* lb_name(DynamicLb d) {
   return "?";
 }
 
-/// Record a completed epoch-translation interval [t0, now) as an
-/// EpochTranslate span plus a sync-latency histogram sample.
-void note_epoch_sync(mpi::Runtime& rt, Env& env, const mpi::Win& user_win,
-                     mpi::SyncKind k, sim::Time t0) {
-  if (!obs::on(rt.recorder())) return;
-  obs::Recorder* rec = rt.recorder();
+}  // namespace
+
+void CasperLayer::note_epoch_sync(Env& env, const mpi::Win& user_win,
+                                  mpi::SyncKind k, sim::Time t0) {
+  if (!obs::on(rt_->recorder())) return;
+  obs::Recorder* rec = rt_->recorder();
   const sim::Time dur = env.now() - t0;
   rec->trace().span(env.world_rank(), obs::Ev::EpochTranslate, t0, dur,
                   static_cast<std::uint64_t>(k),
                   static_cast<std::uint64_t>(user_win->id()));
-  rec->metrics().histogram(std::string("sync_ns.") + mpi::to_string(k))
-      .add(dur);
+  sync_ns_.get(*rec, static_cast<std::size_t>(k), [k] {
+    return std::string("sync_ns.") + mpi::to_string(k);
+  }).add(dur);
 }
-}  // namespace
 
 // ------------------------------------------------------------- routing ----
 
@@ -390,9 +390,12 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
                        static_cast<std::uint64_t>(kind), nbytes);
     ++rec->metrics().counter("casper.redirected_ops");
     rec->metrics().histogram("redirect_bytes").add(nbytes);
-    const std::string g = std::to_string(gw);
-    ++rec->metrics().counter("ghost." + g + ".ops");
-    rec->metrics().counter("ghost." + g + ".bytes") += nbytes;
+    auto key = [gw](const char* what) {
+      return "ghost." + std::to_string(gw) + what;
+    };
+    const auto g = static_cast<std::size_t>(gw);
+    ++ghost_ops_.get(*rec, g, [&] { return key(".ops"); });
+    ghost_bytes_.get(*rec, g, [&] { return key(".bytes"); }) += nbytes;
   };
 
   // NUMA hint: the ghost processing this op touches the target user's
@@ -424,7 +427,9 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
                              iw->comm()->world_rank(ghost)),
                          static_cast<std::uint64_t>(lb), bytes);
       ++rec->metrics().counter("casper.dynamic_ops");
-      ++rec->metrics().counter(std::string("casper.lb.") + lb_name(lb));
+      ++lb_ops_.get(*rec, static_cast<std::size_t>(lb), [lb] {
+        return std::string("casper.lb.") + lb_name(lb);
+      });
     }
     note_redirect(ghost, bytes);
     numa_hint(ghost);
@@ -691,7 +696,7 @@ void CasperLayer::win_fence(Env& env, unsigned mode_assert, const Win& w) {
   }
 
   ep.fence_open = !(mode_assert & mpi::kModeNoSucceed);
-  note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::Fence, t0);
+  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Fence, t0);
   // Report the *user-facing* sync on the user window: the oracle validates
   // real window bytes here, after the translated completion above.
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Fence, -1,
@@ -774,7 +779,7 @@ void CasperLayer::win_complete(Env& env, const Win& w) {
   }
   ep.access_group.clear();
   std::fill(ep.access_mask.begin(), ep.access_mask.end(), 0);
-  note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::Complete, t0);
+  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Complete, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Complete,
                     -1, env.now());
 }
@@ -797,7 +802,7 @@ void CasperLayer::win_wait(Env& env, const Win& w) {
   }
   ep.exposure_group.clear();
   pmpi_->win_sync(env, cw->global_win);
-  note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::Wait, t0);
+  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Wait, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Wait, -1,
                     env.now());
 }
@@ -875,7 +880,7 @@ void CasperLayer::win_unlock(Env& env, int target, const Win& w) {
     tl.unflushed_acc = 0;
   }
   ++ep.plans.gen;  // lock transition: cached split plans are stale
-  note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::Unlock, t0);
+  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Unlock, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Unlock,
                     target, env.now());
 }
@@ -948,7 +953,7 @@ void CasperLayer::win_unlock_all(Env& env, const Win& w) {
   }
   if (cw->adapt.on) ep.adapt_acc.unflushed_acc = 0;
   ++ep.plans.gen;  // lock transition: cached split plans are stale
-  note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::UnlockAll, t0);
+  note_epoch_sync(env, cw->user_win, mpi::SyncKind::UnlockAll, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::UnlockAll,
                     -1, env.now());
 }
@@ -989,7 +994,7 @@ void CasperLayer::win_flush(Env& env, int target, const Win& w) {
     tl.binding_free = true;
     ++ep.plans.gen;
   }
-  note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::Flush, t0);
+  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Flush, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Flush,
                     target, env.now());
 }
@@ -1008,7 +1013,7 @@ void CasperLayer::win_flush_all(Env& env, const Win& w) {
       win_flush(env, u, w);
     }
   }
-  note_epoch_sync(*rt_, env, cw->user_win, mpi::SyncKind::FlushAll, t0);
+  note_epoch_sync(env, cw->user_win, mpi::SyncKind::FlushAll, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::FlushAll,
                     -1, env.now());
 }

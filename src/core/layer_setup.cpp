@@ -96,6 +96,9 @@ CasperLayer::CasperLayer(mpi::Runtime& rt, Config cfg)
     stat_split_subops_[s] = &st.counter("casper_split_subops");
     stat_self_ops_[s] = &st.counter("casper_self_ops");
   }
+  for (auto* k : {&ghost_ops_, &ghost_bytes_, &lb_ops_})
+    k->set_shards(eng.shards());
+  sync_ns_.set_shards(eng.shards());
   if (obs::on(rt_->recorder()) && !eng.sharded()) {
     // Sharded runs skip the cached pointers: the recorder's per-shard metric
     // replicas only exist once run() starts, so those paths do the (colder)

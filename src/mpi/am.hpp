@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include <sanitizer/asan_interface.h>  // (un)poison macros: no-ops without ASan
+
 #include "mpi/types.hpp"
 #include "sim/pool.hpp"
 #include "sim/time.hpp"
@@ -29,15 +31,10 @@ enum class OpKind : std::uint8_t {
   LockRelease,  // passive-target unlock
 };
 
-/// A software-path operation delivered to a target rank's inbox (or handled
-/// by that rank's progress agent). Executed target-side with a processing
-/// cost; an acknowledgment (optionally carrying fetched data) returns to the
-/// origin on completion.
-///
-/// Fields are ordered by alignment (8-byte, 4-byte, then 1-byte) so the op
-/// packs into 152 bytes: the agent path's event closures carry a whole AmOp
-/// plus a few scalars and must stay inside sim::EventFn's inline buffer.
-struct AmOp {
+/// The fixed-size fields of an active message: everything but the payload.
+/// Split out of AmOp so an arena node is cleared, or a wire copy cloned, with
+/// one assignment.
+struct AmHeader {
   std::uint64_t opid = 0;
   WinImpl* win = nullptr;
   /// The origin's entry this op settles against: an RMA op's ack decrements
@@ -49,10 +46,6 @@ struct AmOp {
   // origin-side result destination for Get/GetAcc/Fao/Cas
   void* origin_result = nullptr;
   sim::Time delivered = 0;
-
-  // payload for Put/Acc/GetAcc/Fao/Cas (packed origin data), drawn from the
-  // runtime's buffer pool. Cas: payload = [compare | new]; single elements.
-  sim::PoolBuf payload;
 
   int origin_world = -1;
   int target_world = -1;
@@ -68,43 +61,63 @@ struct AmOp {
   OpKind kind = OpKind::Put;
   AccOp op = AccOp::Replace;
   LockType lock_type = LockType::Shared;  // lock protocol
-  /// Arrived while the target was busy outside the MPI runtime: it will be
-  /// drained late and pays the in-application progress penalty.
-  bool busy_arrival = false;
   /// The memory this op touches lives in a different NUMA domain than the
   /// processing entity (Casper: a ghost serving a remote-domain user's
   /// segment); processing pays the cross-domain memory penalty.
   bool cross_numa = false;
 };
-static_assert(sizeof(AmOp) <= 152,
-              "agent-path closures carrying an AmOp must fit sim::EventFn");
 
-/// A queued software op: the op plus its inbox link. Nodes live in an
-/// AmArena and never move, so a poller that yields mid-service keeps a valid
+/// A software-path operation delivered to a target rank's inbox (or handled
+/// by that rank's progress agent). Executed target-side with a processing
+/// cost; an acknowledgment (optionally carrying fetched data) returns to the
+/// origin on completion.
+struct AmOp : AmHeader {
+  /// Put/Acc/GetAcc/Fao/Cas: the packed origin data (Cas: [compare | new];
+  /// single elements), drawn from the runtime's buffer pool. After commit
+  /// it holds what the ack carries back: the fetched bytes, or nothing.
+  sim::PoolBuf payload;
+};
+
+/// An op's one record, from issue to ack: the op plus an intrusive link for
+/// the target's inbox. Nodes live in an AmArena and never move, so events
+/// carry a node pointer and a poller that yields mid-service keeps a valid
 /// reference to the op it is serving.
 struct AmNode {
   AmOp op;
   AmNode* next = nullptr;
 };
 
-/// Chunked node arena with a LIFO free list, one per engine shard. Nodes are
-/// allocated at delivery and freed after service, both on the target rank's
-/// shard, so the arena needs no lock. Memory tracks the peak number of ops
-/// queued at once on the shard, rounded up to one chunk.
+/// Chunked node arena with a LIFO free list, one per engine shard. An RMA
+/// op's node is allocated at issue and freed when its ack lands, both on
+/// the origin's shard; a lock message's node is allocated at delivery and
+/// freed after service, both on the target's shard. So the arena needs no
+/// lock. Memory tracks the peak number of nodes live at once on the shard,
+/// rounded up to one chunk. Under ASan a free node's op is poisoned, so a
+/// node used after its free is reported as a use-after-poison.
 class AmArena {
  public:
   static constexpr std::size_t kChunk = 256;
 
-  AmNode* alloc(AmOp&& op) {
+  AmArena() = default;
+  AmArena(AmArena&&) = default;
+  ~AmArena() {
+    for (const auto& c : chunks_)
+      ASAN_UNPOISON_MEMORY_REGION(c.get(), kChunk * sizeof(AmNode));
+  }
+
+  /// A node whose op has default fields and an empty payload.
+  AmNode* alloc() {
     if (free_ == nullptr) grow();
     AmNode* n = free_;
     free_ = n->next;
-    n->op = std::move(op);
+    ASAN_UNPOISON_MEMORY_REGION(&n->op, sizeof(AmOp));
     return n;
   }
-  /// Return a served node; its payload block goes back to the pool now.
+  /// Return a node; its payload block goes back to the pool now.
   void free(AmNode* n) noexcept {
     n->op.payload.reset();
+    static_cast<AmHeader&>(n->op) = AmHeader{};
+    ASAN_POISON_MEMORY_REGION(&n->op, sizeof(AmOp));
     n->next = free_;
     free_ = n;
   }
@@ -123,7 +136,7 @@ class AmArena {
 };
 
 /// Intrusive FIFO of arena nodes: a rank's software-op inbox. It owns no
-/// storage; popped nodes go back to their arena after service.
+/// storage; a served node goes on with its ack or back to its arena.
 class AmQueue {
  public:
   bool empty() const { return head_ == nullptr; }
@@ -149,21 +162,16 @@ class AmQueue {
   std::size_t size_ = 0;
 };
 
-/// Origin-side description of an RMA operation after packing: everything
-/// needed to inject it onto the wire. Ops issued before a (delayed) lock is
-/// granted are queued in this form and injected when the grant arrives.
-struct OpDesc {
-  OpKind kind = OpKind::Put;
-  AccOp op = AccOp::Replace;
-  bool cross_numa = false;  ///< processing crosses a NUMA domain (see AmOp)
-  sim::PoolBuf payload;     // packed origin data (Put/Acc/GetAcc/Fao);
-                            // for Cas: [compare | desired]
-  std::size_t tdisp_bytes = 0;
-  int tcount = 0;
-  Datatype tdt;
-  void* origin_result = nullptr;  // Get/GetAcc/Fao/Cas destination
-  int ocount = 0;
-  Datatype odt;
+/// A passive-target lock request or release on the wire. It gets an inbox
+/// node only at delivery, on the target's shard.
+struct LockMsg {
+  WinImpl* win = nullptr;
+  OriginTargetState* acct = nullptr;  ///< where the grant / release ack lands
+  std::uint64_t opid = 0;
+  int origin_comm_rank = -1;
+  int target_comm_rank = -1;
+  OpKind kind = OpKind::LockReq;  ///< LockReq or LockRelease
+  LockType lock_type = LockType::Shared;
 };
 
 /// A two-sided message in flight / queued unexpected.

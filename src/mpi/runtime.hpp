@@ -205,9 +205,9 @@ class Runtime {
   std::size_t pending_am_count(int world_rank) const {
     return io_[static_cast<std::size_t>(world_rank)].inbox.size();
   }
-  /// Inbox nodes allocated across every shard's arena (tests): the peak
-  /// number of software ops queued or in service at once, per shard,
-  /// rounded up to AmArena::kChunk.
+  /// Op nodes allocated across every shard's arena (tests): per shard, the
+  /// peak number of ops issued from it and not yet acked, plus lock
+  /// messages queued or in service there, rounded up to AmArena::kChunk.
   std::size_t am_nodes() const {
     std::size_t n = 0;
     for (const AmArena& a : arenas_) n += a.nodes();
@@ -311,7 +311,7 @@ class Runtime {
     RankIo(const RankIo&) = delete;  // a copy would alias inbox nodes
     RankIo& operator=(const RankIo&) = delete;
 
-    AmQueue inbox;                 // software RMA ops awaiting progress
+    AmQueue inbox;                 // software ops awaiting progress
     AmArena* arena = nullptr;      // this rank's shard's node arena
     std::deque<P2pMsg> unexpected; // unmatched arrived messages
     std::vector<Request> posted;   // pending receives, in post order
@@ -362,21 +362,32 @@ class Runtime {
   void shard_clamp_for_members(const std::vector<int>& members);
 
   // --- RMA internals -------------------------------------------------------
+  // An RMA op's AmNode is its only record from issue to ack: events carry
+  // the node pointer, the target queues and serves it in place, and the ack
+  // frees it on the origin's shard (see AmArena).
   sim::Time wire_latency(int a_world, int b_world, std::size_t bytes) const;
-  bool is_hw_op(const OpDesc& d) const;
+  bool is_hw_op(const AmOp& op) const;
   /// Target-side software processing cost of an op.
   sim::Time am_cost(const AmOp& op) const;
+  /// Progress-agent occupancy of one op: the per-message lead plus am_cost.
+  sim::Time agent_span(const AmOp& op) const;
   /// Schedule wire transfer + target-side execution of an op. The origin has
   /// already paid its injection overhead (or the op comes from the delayed
-  /// lock-grant path). Increments `ots.outstanding`.
-  void inject_op(WinImpl& win, int origin_comm, OriginTargetState& ots,
-                 OpDesc&& d, sim::Time t_issue);
+  /// lock-grant path). Increments the outstanding count of its entry.
+  void inject_op(AmNode* n, sim::Time t_issue);
+  /// Give a delivered lock message its inbox node and route it.
+  void deliver_lock(const LockMsg& m, sim::Time t_del);
   /// Route a delivered software op by the target's progress model.
-  void deliver_am(AmOp&& op, sim::Time t_del);
+  void deliver_am(AmNode* n, sim::Time t_del);
   /// Agent-driven (thread / interrupt) processing of one op.
-  void agent_process(AmOp&& op, sim::Time t_del);
+  void agent_process(AmNode* n, sim::Time t_del);
   /// Rank-driven (poll) processing of one op; runs on the target's thread.
-  void poller_process(Env& env, AmOp& op);
+  void poller_process(Env& env, AmNode* n);
+  /// Serve a lock message at time t and free its node.
+  void serve_lock(AmNode* n, sim::Time t);
+  /// Return a node to the arena it came from: the origin's for RMA ops,
+  /// the target's for lock messages.
+  void free_node(AmNode* n);
   /// Target-memory read phase at processing start; returns data the write
   /// phase commits at processing end (the read-at-start / write-at-end model
   /// that exposes lost updates under concurrent unsynchronized processing).
@@ -384,22 +395,29 @@ class Runtime {
   sim::PoolBuf am_read_phase(const AmOp& op);
   /// Commit phase: writes target memory, records the access for atomicity-
   /// violation detection, and schedules the acknowledgment.
-  void am_write_phase(const AmOp& op, sim::PoolBuf&& staged, sim::Time t0,
+  void am_write_phase(AmNode& n, sim::PoolBuf&& staged, sim::Time t0,
                       sim::Time t1, int entity);
   /// Fused read+commit for paths where both phases run at the same host
   /// moment (NIC hardware execution, agent end-events): byte-identical to
   /// am_read_phase + am_write_phase but reduces in place, with no staging
   /// copy of the target region.
-  void am_commit(const AmOp& op, sim::Time t0, sim::Time t1, int entity);
+  void am_commit(AmNode& n, sim::Time t0, sim::Time t1, int entity);
   /// Execute a self-targeted op synchronously (loads/stores, not delayed).
   void exec_self(Env& env, const AmOp& op);
   /// Atomicity-violation check for one committed access to `node`'s memory.
   void record_access(int node, std::uintptr_t lo, std::uintptr_t hi,
                      sim::Time t0, sim::Time t1, int entity, bool is_write);
-  void schedule_ack(const AmOp& op, sim::Time t_done, sim::PoolBuf&& data);
+  /// Shared tail of both commit forms: the access record, the commit trace
+  /// and observers, then the ack, which carries `ack` in the op's payload
+  /// and takes the node.
+  void finish_commit(AmNode& n, sim::PoolBuf&& ack, sim::Time t0,
+                     sim::Time t1, int entity, bool is_write);
+  /// Send the ack for a committed op back to its origin; the ack event takes
+  /// the node and frees it once the origin has consumed the payload.
+  void schedule_ack(AmNode& n, sim::Time t_done);
+  /// Origin-side ack arrival: complete the op and free its node.
+  void on_ack(AmNode* n, sim::Time t_ack);
 
-  // --- lock protocol -------------------------------------------------------
-  /// Ensure the delayed lock request for (win, target) has been sent.
   // --- fault machinery (runtime_core.cpp; all paths require fs_) -----------
   /// Reliable-transport state; allocated in the constructor iff a FaultPlan
   /// is installed. Defined in runtime_core.cpp.
@@ -407,28 +425,32 @@ class Runtime {
   /// Post kill / stall / heartbeat-detection events (called before run()).
   void fault_setup();
   /// First transmission of a faultable data op: records the retransmission
-  /// entry and runs the verdict-driven wire step.
-  void fault_send(AmOp&& op, sim::Time t_send);
+  /// entry (which keeps the node until the first ack) and runs the
+  /// verdict-driven wire step.
+  void fault_send(AmNode* n, sim::Time t_send);
   /// One wire attempt (initial or retransmission) of a pending op.
   void fault_transmit(std::uint64_t opid, sim::Time t_send);
   /// Schedule delivery of one (cloned) copy at t_del, honoring stalls and
   /// dead targets.
   void fault_deliver_copy(const AmOp& op, sim::Time t_del);
   /// Target-side dedup: true = first execution, proceed; false = the op
-  /// already executed — its cached ack was re-sent, skip execution.
-  bool fault_should_execute(AmOp& op, sim::Time t_now);
+  /// already executed, so skip it: the node goes with a re-sent cached ack,
+  /// or back to its arena.
+  bool fault_should_execute(AmNode& n, sim::Time t_now);
   /// Origin-side completion gate: true = first ack for this op, complete it;
   /// false = duplicate ack, ignore.
   bool fault_complete(std::uint64_t opid);
   /// Serve an AM addressed to a dead rank at delivery time (event context):
   /// lock traffic goes straight to the lock manager, data ops commit via the
   /// NIC/memory path.
-  void fault_serve_dead(AmOp&& op, sim::Time t);
+  void fault_serve_dead(AmNode* n, sim::Time t);
   /// Mark a rank dead and drain its queued inbox through fault_serve_dead.
   void fault_kill_rank(int world_rank, sim::Time t);
-  /// Deep copy of an op (payload cloned from the pool) for retransmission.
-  AmOp fault_clone(const AmOp& op);
+  /// Wire copy of an op for one delivery: a node from the origin's arena
+  /// with the payload cloned from the pool.
+  AmNode* fault_clone(const AmOp& op);
 
+  // --- lock protocol -------------------------------------------------------
   /// Send the delayed lock request for `ots` (in state Intent).
   void send_lock_request(Env& env, WinImpl& win, OriginTargetState& ots);
   /// Target-side lock-manager request processing (grant or queue) at time t.
@@ -468,14 +490,23 @@ class Runtime {
     return hot_[static_cast<std::size_t>(sim::Engine::current_shard())];
   }
 
+  /// Recorder handles for the keys built per op or per sync (ghost.<g>.*,
+  /// sync.<kind>); see obs::Interned. Sized per shard at construction.
+  struct ObsKeys {
+    obs::Interned<std::uint64_t> service_ops;    ///< by ghost world rank
+    obs::Interned<std::uint64_t> service_bytes;  ///< by ghost world rank
+    obs::Interned<obs::Histogram> service_ns;    ///< one key
+    obs::Interned<std::uint64_t> sync;           ///< by SyncKind
+  };
+
   RunConfig cfg_;
   std::function<void(Env&)> user_main_;
   /// Transient-buffer pool. Declared before engine_ and io_ so it outlives
-  /// both: pending event closures and queued inbox ops own PoolBufs that
+  /// both: layers' scratch buffers and the op nodes own PoolBufs that
   /// release into this pool on destruction.
   sim::BytePool pool_;
-  /// Inbox node arenas, one per engine shard (RankIo::arena points into
-  /// this; sized once). Declared after pool_: queued nodes own PoolBufs.
+  /// Op node arenas, one per engine shard (RankIo::arena points into this;
+  /// sized once). Declared after pool_: nodes own PoolBufs.
   std::vector<AmArena> arenas_;
   std::vector<HotStats> hot_;
   /// One byte per rank, not std::vector<bool>: ghosts on different shards
@@ -505,6 +536,7 @@ class Runtime {
   std::vector<RmaObserver*> observers_;
   /// Null unless RunConfig::fault is installed (the zero-cost-off gate).
   std::unique_ptr<FaultState> fs_;
+  ObsKeys keys_;
 };
 
 /// Convenience: build a runtime and run `user_main` on every rank.

@@ -31,10 +31,10 @@ bool faultable_kind(OpKind k) {
 /// Reliable-transport + process-fault state. Allocated only when a FaultPlan
 /// is installed: an unfaulted run never touches (or pays for) any of this.
 struct Runtime::FaultState {
-  /// Origin-side retransmission record: the op is kept (payload and all)
-  /// until the first ack arrives; the timeout event retransmits a clone.
+  /// Origin-side retransmission record: the op's node is kept (payload and
+  /// all) until the first ack arrives; every wire attempt sends a clone.
   struct Retrans {
-    AmOp op;
+    AmNode* node = nullptr;  ///< the issued op; each wire attempt clones it
     std::uint32_t attempt = 0;
   };
   std::unordered_map<std::uint64_t, Retrans> pending;
@@ -187,6 +187,9 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   }
 
   if (obs::on(cfg_.recorder)) {
+    for (auto* k : {&keys_.service_ops, &keys_.service_bytes, &keys_.sync})
+      k->set_shards(engine_->shards());
+    keys_.service_ns.set_shards(engine_->shards());
     engine_->set_sched_observer(cfg_.recorder);
     // Default track names by entity-id space; the Casper layer refines rank
     // tracks to "user N" / "ghost N" once roles are known.
@@ -289,13 +292,9 @@ void Runtime::p_rank_main(Env& env,
 
 void Runtime::progress_poll(Env& env) {
   auto& io = io_[static_cast<std::size_t>(env.world_rank())];
-  while (!io.inbox.empty()) {
-    // Served in place: the node stays put while poller_process yields, and
-    // goes back to the arena (payload block to the pool) once served.
-    AmNode* node = io.inbox.pop_front();
-    poller_process(env, node->op);
-    io.arena->free(node);
-  }
+  // Served in place: the node stays put while poller_process yields, then
+  // goes on with the op's ack (a lock message's back to the arena).
+  while (!io.inbox.empty()) poller_process(env, io.inbox.pop_front());
 }
 
 Time Runtime::wire_latency(int a_world, int b_world,
@@ -303,17 +302,17 @@ Time Runtime::wire_latency(int a_world, int b_world,
   return profile().latency(topo().same_node(a_world, b_world), bytes);
 }
 
-bool Runtime::is_hw_op(const OpDesc& d) const {
-  switch (d.kind) {
+bool Runtime::is_hw_op(const AmOp& op) const {
+  switch (op.kind) {
     case OpKind::Put:
-      return profile().hw_contig_put && d.tdt.contiguous();
+      return profile().hw_contig_put && op.target_dt.contiguous();
     case OpKind::Get:
-      return profile().hw_contig_get && d.tdt.contiguous();
+      return profile().hw_contig_get && op.target_dt.contiguous();
     case OpKind::Acc:
     case OpKind::GetAcc:
     case OpKind::Fao:
     case OpKind::Cas:
-      return profile().hw_contig_acc && d.tdt.contiguous();
+      return profile().hw_contig_acc && op.target_dt.contiguous();
     case OpKind::LockReq:
     case OpKind::LockRelease:
       return profile().hw_lock;
@@ -331,33 +330,32 @@ Time Runtime::am_cost(const AmOp& op) const {
   return profile().handling(moved, op.cross_numa);
 }
 
+Time Runtime::agent_span(const AmOp& op) const {
+  // The per-message lead occupies the serving entity: for interrupts it is
+  // the handler entry/exit (the throughput limit Fig. 4(c) measures); for
+  // the background thread it is the thread-safety/lock-contention cost that
+  // makes thread progress expensive at scale (paper Section I, [8]).
+  const Time lead = cfg_.progress.kind == progress::Kind::Interrupt
+                        ? profile().interrupt_cost
+                        : profile().thread_handoff;
+  return lead + am_cost(op);
+}
+
+void Runtime::free_node(AmNode* n) {
+  const AmOp& op = n->op;
+  const int home = faultable_kind(op.kind) ? op.origin_world
+                                          : op.target_world;  // lock msg
+  io_[static_cast<std::size_t>(home)].arena->free(n);
+}
+
 // -------------------------------------------------------------- inject ----
 
-void Runtime::inject_op(WinImpl& win, int origin_comm, OriginTargetState& ots,
-                        OpDesc&& d, Time t_issue) {
-  const int target_comm = ots.target;
-  const int ow = win.comm()->world_rank(origin_comm);
-  const int tw = win.comm()->world_rank(target_comm);
-  ++ots.outstanding;
-
-  AmOp op;
-  op.kind = d.kind;
-  op.op = d.op;
+void Runtime::inject_op(AmNode* n, Time t_issue) {
+  AmOp& op = n->op;
+  const int ow = op.origin_world;
+  const int tw = op.target_world;
+  ++op.acct->outstanding;
   op.opid = make_opid();
-  op.origin_world = ow;
-  op.target_world = tw;
-  op.win = &win;
-  op.origin_comm_rank = origin_comm;
-  op.target_comm_rank = target_comm;
-  op.acct = &ots;
-  op.target_disp = d.tdisp_bytes;
-  op.target_count = d.tcount;
-  op.target_dt = d.tdt;
-  op.payload = std::move(d.payload);
-  op.origin_result = d.origin_result;
-  op.origin_count = d.ocount;
-  op.origin_dt = d.odt;
-  op.cross_numa = d.cross_numa;
   if (op.cross_numa) ++*hot().cross_numa_ops;
 
   const bool request_like =
@@ -365,14 +363,14 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, OriginTargetState& ots,
   const std::size_t wire_bytes = request_like ? 16 : op.payload.size();
   const Time t_del = t_issue + wire_latency(ow, tw, wire_bytes);
 
-  if (is_hw_op(d)) {
+  if (is_hw_op(op)) {
     ++*hot().hw_ops;
     if (obs::on(recorder())) ++recorder()->metrics().counter("ops.hw_path");
     // Hardware execution: performed "by the NIC" instantly at delivery; the
     // target CPU is not involved. NIC entity ids live above agent ids.
-    const int nic_entity = 2 * engine_->nranks() + tw;
-    post_event(t_del, tw,
-               [this, op = std::move(op), t_del, nic_entity]() mutable {
+    post_event(t_del, tw, [this, n, t_del]() {
+      const AmOp& op = n->op;
+      const int nic_entity = 2 * engine_->nranks() + op.target_world;
       if (obs::on(recorder())) {
         recorder()->trace().instant(nic_entity, obs::Ev::OpHwPath, t_del,
                                   op.opid,
@@ -381,7 +379,7 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, OriginTargetState& ots,
       }
       // Both processing phases happen at the same host moment, so the
       // staged read buffer is unobservable: commit in place.
-      am_commit(op, t_del, t_del, nic_entity);
+      am_commit(*n, t_del, t_del, nic_entity);
     });
   } else {
     ++*hot().sw_ops;
@@ -389,12 +387,10 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, OriginTargetState& ots,
     if (fs_) {
       // Faulted transport: the op is parked in a retransmission record and
       // every wire attempt (this one included) runs the verdict machinery.
-      fault_send(std::move(op), t_issue);
+      fault_send(n, t_issue);
       return;
     }
-    post_event(t_del, tw, [this, op = std::move(op), t_del]() mutable {
-      deliver_am(std::move(op), t_del);
-    });
+    post_event(t_del, tw, [this, n, t_del]() { deliver_am(n, t_del); });
   }
 }
 
@@ -432,7 +428,24 @@ void Runtime::register_win(const Win& win) {
 
 // ------------------------------------------------------------- deliver ----
 
-void Runtime::deliver_am(AmOp&& op, Time t_del) {
+void Runtime::deliver_lock(const LockMsg& m, Time t_del) {
+  const int tw = m.win->comm()->world_rank(m.target_comm_rank);
+  AmNode* n = io_[static_cast<std::size_t>(tw)].arena->alloc();
+  AmOp& op = n->op;
+  op.opid = m.opid;
+  op.win = m.win;
+  op.acct = m.acct;
+  op.origin_world = m.win->comm()->world_rank(m.origin_comm_rank);
+  op.target_world = tw;
+  op.origin_comm_rank = m.origin_comm_rank;
+  op.target_comm_rank = m.target_comm_rank;
+  op.kind = m.kind;
+  op.lock_type = m.lock_type;
+  deliver_am(n, t_del);
+}
+
+void Runtime::deliver_am(AmNode* n, Time t_del) {
+  AmOp& op = n->op;
   if (fs_ && fs_->dead[static_cast<std::size_t>(op.target_world)]) {
     // Forward data ops to the (transitively live) successor so one live
     // entity keeps serializing RMWs on the node's memory. Ghost windows
@@ -449,7 +462,7 @@ void Runtime::deliver_am(AmOp&& op, Time t_del) {
       MMPI_REQUIRE(op.target_comm_rank >= 0,
                    "fault successor not in the op's communicator");
     } else {
-      fault_serve_dead(std::move(op), t_del);
+      fault_serve_dead(n, t_del);
       return;
     }
   }
@@ -457,54 +470,42 @@ void Runtime::deliver_am(AmOp&& op, Time t_del) {
   switch (cfg_.progress.kind) {
     case progress::Kind::None: {
       auto& io = io_[static_cast<std::size_t>(op.target_world)];
-      const int tw = op.target_world;
-      op.busy_arrival = !io.in_mpi;
-      ++*(op.busy_arrival ? hot().am_busy_arrival : hot().am_prompt);
-      io.inbox.push_back(io.arena->alloc(std::move(op)));
-      engine_->wake(tw, t_del);
+      // Arrived while the target was busy outside the MPI runtime: it will
+      // be drained late and pays the in-application progress penalty.
+      ++*(io.in_mpi ? hot().am_prompt : hot().am_busy_arrival);
+      io.inbox.push_back(n);
+      engine_->wake(op.target_world, t_del);
       break;
     }
     case progress::Kind::Thread:
     case progress::Kind::Interrupt:
-      agent_process(std::move(op), t_del);
+      agent_process(n, t_del);
       break;
   }
 }
 
-void Runtime::agent_process(AmOp&& op, Time t_del) {
+void Runtime::agent_process(AmNode* n, Time t_del) {
+  const AmOp& op = n->op;
   auto& io = io_[static_cast<std::size_t>(op.target_world)];
-  const auto& prof = profile();
-  const bool interrupt = cfg_.progress.kind == progress::Kind::Interrupt;
-  const Time lead = interrupt ? prof.interrupt_cost : prof.thread_handoff;
-  const Time cost = am_cost(op);
-
-  // The per-message lead occupies the serving entity: for interrupts it is
-  // the handler entry/exit (the throughput limit Fig. 4(c) measures); for
-  // the background thread it is the thread-safety/lock-contention cost that
-  // makes thread progress expensive at scale (paper Section I, [8]).
+  const Time span = agent_span(op);
   const Time start = std::max(t_del, io.agent_busy_until);
-  const Time end = start + lead + cost;
-  io.agent_busy_until = end;
+  io.agent_busy_until = start + span;
 
-  if (interrupt) {
+  if (cfg_.progress.kind == progress::Kind::Interrupt) {
     ++*hot().interrupts;
     // The interrupt handler preempts the target core: if the target is
     // computing, the handler's time is stolen from the computation.
     if (engine_->rank_computing(op.target_world)) {
-      engine_->add_compute_penalty(op.target_world, lead + cost);
+      engine_->add_compute_penalty(op.target_world, span);
     }
   }
 
-  const int entity = engine_->nranks() + op.target_world;  // agent id space
-  post_event(start, [this, op = std::move(op), start, end, entity]() mutable {
-    if (op.kind == OpKind::LockReq) {
-      lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                      op.lock_type, end, op.acct);
-      return;
-    }
-    if (op.kind == OpKind::LockRelease) {
-      lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                      op.lock_type, end, op.acct);
+  // The events carry only the node: the service end is start + agent_span,
+  // and the op does not change until it commits.
+  post_event(start, [this, n, start]() {
+    const Time end = start + agent_span(n->op);
+    if (n->op.kind == OpKind::LockReq || n->op.kind == OpKind::LockRelease) {
+      serve_lock(n, end);
       return;
     }
     // The agent serializes its operations (busy_until), so the
@@ -512,14 +513,28 @@ void Runtime::agent_process(AmOp&& op, Time t_del) {
     // [start, end) interval still exposes overlaps with *other* entities.
     // Read and write both execute at the end event (same host moment), so
     // the fused in-place commit is byte-identical to the two-phase form.
-    post_event(end, [this, op = std::move(op), start, end, entity]() mutable {
-      if (fs_ && !fault_should_execute(op, end)) return;
-      am_commit(op, start, end, entity);
+    post_event(end, [this, n, end]() {
+      if (fs_ && !fault_should_execute(*n, end)) return;
+      const int entity = engine_->nranks() + n->op.target_world;  // agent ids
+      am_commit(*n, end - agent_span(n->op), end, entity);
     });
   });
 }
 
-void Runtime::poller_process(Env& env, AmOp& op) {
+void Runtime::serve_lock(AmNode* n, Time t) {
+  const AmOp& op = n->op;
+  if (op.kind == OpKind::LockReq) {
+    lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
+                    op.lock_type, t, op.acct);
+  } else {
+    lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
+                    op.lock_type, t, op.acct);
+  }
+  free_node(n);
+}
+
+void Runtime::poller_process(Env& env, AmNode* n) {
+  AmOp& op = n->op;
   // In-application progress penalty: an application process drains software
   // operations at degraded per-op efficiency, scaled by node-core contention
   // (cache pollution, progress-engine entry, unexpected-queue matching under
@@ -531,21 +546,14 @@ void Runtime::poller_process(Env& env, AmOp& op) {
                             : profile().busy_factor(topo().cores_per_node);
   const Time cost =
       static_cast<Time>(static_cast<double>(am_cost(op)) * factor);
-  if (op.kind == OpKind::LockReq) {
+  if (op.kind == OpKind::LockReq || op.kind == OpKind::LockRelease) {
     env.ctx().advance(cost);
-    lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, env.now(), op.acct);
-    return;
-  }
-  if (op.kind == OpKind::LockRelease) {
-    env.ctx().advance(cost);
-    lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, env.now(), op.acct);
+    serve_lock(n, env.now());
     return;
   }
   // Dedup gate: a duplicate delivery (network dup, or a retransmission that
   // raced the ack) must not re-execute — especially not a read-modify-write.
-  if (fs_ && !fault_should_execute(op, env.now())) return;
+  if (fs_ && !fault_should_execute(*n, env.now())) return;
   const Time t0 = env.now();
   auto staged = am_read_phase(op);
   env.ctx().advance(cost);
@@ -554,6 +562,7 @@ void Runtime::poller_process(Env& env, AmOp& op) {
     // write never lands. Release the dedup claim so the origin's
     // retransmission re-executes the op (at the successor).
     fs_->served.erase(op.opid);
+    free_node(n);
     return;
   }
   if (obs::on(recorder()) && dedicated_progress(env.world_rank())) {
@@ -563,12 +572,19 @@ void Runtime::poller_process(Env& env, AmOp& op) {
     obs::Recorder* rec = recorder();
     rec->trace().span(env.world_rank(), obs::Ev::GhostService, t0,
                     env.now() - t0, op.opid, moved);
-    const std::string g = std::to_string(env.world_rank());
-    ++rec->metrics().counter("ghost." + g + ".service_ops");
-    rec->metrics().counter("ghost." + g + ".service_bytes") += moved;
-    rec->metrics().histogram("ghost_service_ns").add(env.now() - t0);
+    const int g = env.world_rank();
+    auto key = [g](const char* what) {
+      return "ghost." + std::to_string(g) + what;
+    };
+    ++keys_.service_ops.get(*rec, static_cast<std::size_t>(g),
+                            [&] { return key(".service_ops"); });
+    keys_.service_bytes.get(*rec, static_cast<std::size_t>(g),
+                            [&] { return key(".service_bytes"); }) += moved;
+    keys_.service_ns
+        .get(*rec, 0, [] { return std::string("ghost_service_ns"); })
+        .add(env.now() - t0);
   }
-  am_write_phase(op, std::move(staged), t0, env.now(), env.world_rank());
+  am_write_phase(*n, std::move(staged), t0, env.now(), env.world_rank());
 }
 
 // ----------------------------------------------------------- execution ----
@@ -627,13 +643,10 @@ sim::PoolBuf Runtime::am_read_phase(const AmOp& op) {
   return staged;
 }
 
-void Runtime::am_write_phase(const AmOp& op, sim::PoolBuf&& staged, Time t0,
+void Runtime::am_write_phase(AmNode& n, sim::PoolBuf&& staged, Time t0,
                              Time t1, int entity) {
+  const AmOp& op = n.op;
   std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  const std::size_t span = span_bytes(op.target_count, op.target_dt);
-  const auto lo = reinterpret_cast<std::uintptr_t>(taddr);
-  const auto hi = lo + span;
-
   sim::PoolBuf ack_data(&pool_);
   bool is_write = true;
 
@@ -681,31 +694,18 @@ void Runtime::am_write_phase(const AmOp& op, sim::PoolBuf&& staged, Time t0,
     case OpKind::LockRelease:
       MMPI_REQUIRE(false, "lock ops do not reach am_write_phase");
   }
-
-  record_access(topo().node_of(op.target_world), lo, hi, t0, t1, entity,
-                is_write);
-  if (obs::on(recorder())) {
-    recorder()->trace().instant(entity, obs::Ev::OpCommitted, t1, op.opid,
-                              static_cast<std::uint64_t>(op.kind),
-                              data_bytes(op.target_count, op.target_dt));
-    ++recorder()->metrics().counter("ops.committed");
-  }
-  observe_commit(op, t1, entity);
-  schedule_ack(op, t1, std::move(ack_data));
+  finish_commit(n, std::move(ack_data), t0, t1, entity, is_write);
 }
 
-void Runtime::am_commit(const AmOp& op, Time t0, Time t1, int entity) {
+void Runtime::am_commit(AmNode& n, Time t0, Time t1, int entity) {
   // Fused read+write for paths whose two phases execute at the same host
   // moment (NIC hardware ops; agent end-events). Reading the target here
   // instead of staging it at processing start is byte-identical on those
   // paths and skips the doubled scratch buffer entirely: accumulates reduce
   // in place, fetches pack the old value straight into the ack. The poller
   // path yields between phases and must keep the staged two-phase form.
+  const AmOp& op = n.op;
   std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  const std::size_t span = span_bytes(op.target_count, op.target_dt);
-  const auto lo = reinterpret_cast<std::uintptr_t>(taddr);
-  const auto hi = lo + span;
-
   sim::PoolBuf ack_data(&pool_);
   bool is_write = true;
 
@@ -752,9 +752,17 @@ void Runtime::am_commit(const AmOp& op, Time t0, Time t1, int entity) {
     case OpKind::LockRelease:
       MMPI_REQUIRE(false, "lock ops do not reach am_commit");
   }
+  finish_commit(n, std::move(ack_data), t0, t1, entity, is_write);
+}
 
-  record_access(topo().node_of(op.target_world), lo, hi, t0, t1, entity,
-                is_write);
+void Runtime::finish_commit(AmNode& n, sim::PoolBuf&& ack, Time t0, Time t1,
+                            int entity, bool is_write) {
+  AmOp& op = n.op;
+  const auto lo = reinterpret_cast<std::uintptr_t>(
+      seg_addr(*op.win, op.target_comm_rank, op.target_disp));
+  record_access(topo().node_of(op.target_world), lo,
+                lo + span_bytes(op.target_count, op.target_dt), t0, t1,
+                entity, is_write);
   if (obs::on(recorder())) {
     recorder()->trace().instant(entity, obs::Ev::OpCommitted, t1, op.opid,
                               static_cast<std::uint64_t>(op.kind),
@@ -762,7 +770,9 @@ void Runtime::am_commit(const AmOp& op, Time t0, Time t1, int entity) {
     ++recorder()->metrics().counter("ops.committed");
   }
   observe_commit(op, t1, entity);
-  schedule_ack(op, t1, std::move(ack_data));
+  // Observers have seen the origin data; the payload now carries the ack.
+  op.payload = std::move(ack);
+  schedule_ack(n, t1);
 }
 
 void Runtime::exec_self(Env& env, const AmOp& op) {
@@ -849,57 +859,60 @@ void Runtime::record_access(int node, std::uintptr_t lo, std::uintptr_t hi,
   inflight.push_back(InflightOp{entity, lo, hi, t0, t1, is_write});
 }
 
-void Runtime::schedule_ack(const AmOp& op, Time t_done,
-                           sim::PoolBuf&& data) {
-  Time t_ack =
-      t_done + wire_latency(op.target_world, op.origin_world, data.size());
-  OriginTargetState* ots = op.acct;
-  const int ow = op.origin_world;
-  const std::uint64_t opid = op.opid;
-  void* res = op.origin_result;
-  const int rcount = op.origin_count;
-  const Datatype rdt = op.origin_dt;
-
+void Runtime::schedule_ack(AmNode& n, Time t_done) {
+  const AmOp& op = n.op;
+  Time t_ack = t_done + wire_latency(op.target_world, op.origin_world,
+                                     op.payload.size());
   if (fs_ && faultable_kind(op.kind)) {
     // Transport-faulted op (it has a dedup entry from the execution gate):
     // cache the ack payload for idempotent re-acks, then run the
     // ack-direction verdict. A dropped ack is recovered by the origin's
     // retransmission timer: the redelivery hits the dedup cache and re-acks.
-    auto it = fs_->served.find(opid);
+    auto it = fs_->served.find(op.opid);
     if (it != fs_->served.end()) {
       FaultState::Served& sv = it->second;
       if (!sv.have_ack) {
         sv.have_ack = true;
         sv.ack.bind(&pool_);
-        sv.ack.assign(data.data(), data.size());
+        sv.ack.assign(op.payload.data(), op.payload.size());
       }
-      const fault::Verdict v =
-          fault::draw(*cfg_.fault, opid, sv.ack_attempt++, /*is_ack=*/true);
+      const fault::Verdict v = fault::draw(*cfg_.fault, op.opid,
+                                           sv.ack_attempt++, /*is_ack=*/true);
       if (v.kind == fault::NetVerdict::Drop) {
         ++*fs_->c_ack_drops;
         if (obs::on(recorder())) {
           recorder()->trace().instant(op.target_world, obs::Ev::FaultInject,
-                                    t_done, opid,
+                                    t_done, op.opid,
                                     static_cast<std::uint64_t>(v.kind), 1);
         }
+        free_node(&n);
         return;
       }
       t_ack += v.extra;  // Delay; Dup of an ack is modeled as Deliver
     }
   }
+  AmNode* node = &n;
+  post_event(t_ack, op.origin_world,
+             [this, node, t_ack]() { on_ack(node, t_ack); });
+}
 
-  post_event(t_ack, ow, [this, ots, ow, opid, res, rcount, rdt,
-                         data = std::move(data), t_ack]() {
-    if (fs_ && !fault_complete(opid)) return;  // duplicate ack
-    --ots->outstanding;
-    MMPI_REQUIRE(ots->outstanding >= 0, "ack underflow");
-    if (res != nullptr && !data.empty()) {
-      unpack(res, rcount, rdt, data);
-    }
-    if (obs::on(recorder()))
-      recorder()->trace().instant(ow, obs::Ev::OpFlushed, t_ack, opid);
-    engine_->wake(ow, t_ack);
-  });
+void Runtime::on_ack(AmNode* n, Time t_ack) {
+  const AmOp& op = n->op;
+  if (fs_ && !fault_complete(op.opid)) {  // duplicate ack
+    free_node(n);
+    return;
+  }
+  OriginTargetState* ots = op.acct;
+  --ots->outstanding;
+  MMPI_REQUIRE(ots->outstanding >= 0, "ack underflow");
+  if (op.origin_result != nullptr && !op.payload.empty()) {
+    unpack(op.origin_result, op.origin_count, op.origin_dt, op.payload);
+  }
+  if (obs::on(recorder()))
+    recorder()->trace().instant(op.origin_world, obs::Ev::OpFlushed, t_ack,
+                              op.opid);
+  engine_->wake(op.origin_world, t_ack);
+  free_node(n);
 }
 
 // ----------------------------------------------- fault injection layer ----
@@ -934,34 +947,19 @@ void Runtime::fault_setup() {
   }
 }
 
-AmOp Runtime::fault_clone(const AmOp& op) {
-  AmOp c;
-  c.kind = op.kind;
-  c.opid = op.opid;
-  c.origin_world = op.origin_world;
-  c.target_world = op.target_world;
-  c.win = op.win;
-  c.origin_comm_rank = op.origin_comm_rank;
-  c.target_comm_rank = op.target_comm_rank;
-  c.acct = op.acct;
-  c.target_disp = op.target_disp;
-  c.target_count = op.target_count;
-  c.target_dt = op.target_dt;
-  c.op = op.op;
-  c.payload.bind(&pool_);
-  if (!op.payload.empty()) c.payload.assign(op.payload.data(), op.payload.size());
-  c.origin_result = op.origin_result;
-  c.origin_count = op.origin_count;
-  c.origin_dt = op.origin_dt;
-  c.lock_type = op.lock_type;
-  c.cross_numa = op.cross_numa;
+AmNode* Runtime::fault_clone(const AmOp& op) {
+  AmNode* c = io_[static_cast<std::size_t>(op.origin_world)].arena->alloc();
+  static_cast<AmHeader&>(c->op) = op;
+  c->op.payload.bind(&pool_);
+  if (!op.payload.empty())
+    c->op.payload.assign(op.payload.data(), op.payload.size());
   return c;
 }
 
-void Runtime::fault_send(AmOp&& op, Time t_send) {
-  const std::uint64_t opid = op.opid;
+void Runtime::fault_send(AmNode* n, Time t_send) {
+  const std::uint64_t opid = n->op.opid;
   FaultState::Retrans& r = fs_->pending[opid];
-  r.op = std::move(op);
+  r.node = n;
   r.attempt = 0;
   fault_transmit(opid, t_send);
 }
@@ -970,7 +968,7 @@ void Runtime::fault_transmit(std::uint64_t opid, Time t_send) {
   auto it = fs_->pending.find(opid);
   if (it == fs_->pending.end()) return;  // acked while the timer slept
   FaultState::Retrans& r = it->second;
-  const AmOp& op = r.op;
+  const AmOp& op = r.node->op;
   // Verdicts are a pure function of (plan seed, opid, attempt, direction):
   // the opid set of a fixed program is schedule-invariant, so the fault.*
   // counters are too — see DESIGN.md §11.
@@ -1011,7 +1009,8 @@ void Runtime::fault_transmit(std::uint64_t opid, Time t_send) {
     if (it2 == fs_->pending.end()) return;  // acked in time
     ++*fs_->c_retries;
     if (obs::on(recorder())) {
-      recorder()->trace().instant(it2->second.op.origin_world, obs::Ev::AmRetry,
+      recorder()->trace().instant(it2->second.node->op.origin_world,
+                                obs::Ev::AmRetry,
                                 t_retry, opid, it2->second.attempt);
     }
     fault_transmit(opid, t_retry);
@@ -1026,13 +1025,12 @@ void Runtime::fault_deliver_copy(const AmOp& op, Time t_del) {
     if (s.world_rank == op.target_world && t >= s.at && t < s.at + s.duration)
       t = s.at + s.duration;
   }
-  AmOp copy = fault_clone(op);
-  post_event(t, [this, copy = std::move(copy), t]() mutable {
-    deliver_am(std::move(copy), t);
-  });
+  AmNode* copy = fault_clone(op);
+  post_event(t, [this, copy, t]() { deliver_am(copy, t); });
 }
 
-bool Runtime::fault_should_execute(AmOp& op, Time t_now) {
+bool Runtime::fault_should_execute(AmNode& n, Time t_now) {
+  AmOp& op = n.op;
   auto [it, fresh] = fs_->served.try_emplace(op.opid);
   if (fresh) {
     fs_->served_fifo.push_back(op.opid);
@@ -1046,19 +1044,21 @@ bool Runtime::fault_should_execute(AmOp& op, Time t_now) {
   if (it->second.have_ack) {
     // Re-ack from the cached payload (the originally fetched value for RMW
     // ops) without re-executing.
-    sim::PoolBuf again(&pool_);
-    if (!it->second.ack.empty())
-      again.assign(it->second.ack.data(), it->second.ack.size());
-    schedule_ack(op, t_now, std::move(again));
+    const sim::PoolBuf& ack = it->second.ack;
+    op.payload.assign(ack.data(), ack.size());
+    schedule_ack(n, t_now);
+  } else {
+    // No cached ack yet: the first execution is still in flight; its own
+    // ack (or the next retransmission) completes the op.
+    free_node(&n);
   }
-  // No cached ack yet: the first execution is still in flight; its own ack
-  // (or the next retransmission) completes the op.
   return false;
 }
 
 bool Runtime::fault_complete(std::uint64_t opid) {
   auto it = fs_->pending.find(opid);
   if (it != fs_->pending.end()) {
+    free_node(it->second.node);  // the acking clone completes the op
     fs_->pending.erase(it);
     fs_->completed.insert(opid);
     fs_->completed_fifo.push_back(opid);
@@ -1073,24 +1073,18 @@ bool Runtime::fault_complete(std::uint64_t opid) {
   return fs_->completed.count(opid) == 0;
 }
 
-void Runtime::fault_serve_dead(AmOp&& op, Time t) {
-  if (op.kind == OpKind::LockReq) {
-    lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, t, op.acct);
+void Runtime::fault_serve_dead(AmNode* n, Time t) {
+  if (!faultable_kind(n->op.kind)) {
+    serve_lock(n, t);
     return;
   }
-  if (op.kind == OpKind::LockRelease) {
-    lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, t, op.acct);
-    return;
-  }
-  if (!fault_should_execute(op, t)) return;
+  if (!fault_should_execute(*n, t)) return;
   ++*fs_->c_dead_serves;
   // In-flight one-sided data is not lost when the serving process dies: the
   // NIC/memory system completes the transfer at delivery time. Zero-width
   // commit, so it cannot interleave with a live entity's two-phase service.
-  const int nic_entity = 2 * engine_->nranks() + op.target_world;
-  am_commit(op, t, t, nic_entity);
+  const int nic_entity = 2 * engine_->nranks() + n->op.target_world;
+  am_commit(*n, t, t, nic_entity);
 }
 
 void Runtime::fault_kill_rank(int world_rank, Time t) {
@@ -1102,12 +1096,7 @@ void Runtime::fault_kill_rank(int world_rank, Time t) {
   // inbox is re-dispatched now and future deliveries are redirected at
   // arrival (see deliver_am).
   auto& io = io_[static_cast<std::size_t>(world_rank)];
-  while (!io.inbox.empty()) {
-    AmNode* node = io.inbox.pop_front();
-    AmOp op = std::move(node->op);
-    io.arena->free(node);
-    deliver_am(std::move(op), t);
-  }
+  while (!io.inbox.empty()) deliver_am(io.inbox.pop_front(), t);
 }
 
 // -------------------------------------------------------- lock manager ----
@@ -1132,19 +1121,8 @@ void Runtime::send_lock_request(Env& env, WinImpl& win,
       lockmgr_request(*w, target, me, type, t_arr, acct);
     });
   } else {
-    AmOp op;
-    op.kind = OpKind::LockReq;
-    op.opid = make_opid();
-    op.origin_world = env.world_rank();
-    op.target_world = tw;
-    op.win = w;
-    op.origin_comm_rank = me;
-    op.target_comm_rank = target;
-    op.acct = acct;
-    op.lock_type = type;
-    post_event(t_arr, tw, [this, op = std::move(op), t_arr]() mutable {
-      deliver_am(std::move(op), t_arr);
-    });
+    const LockMsg m{w, acct, make_opid(), me, target, OpKind::LockReq, type};
+    post_event(t_arr, tw, [this, m, t_arr]() { deliver_lock(m, t_arr); });
   }
 }
 
@@ -1205,9 +1183,9 @@ void Runtime::on_lock_granted(WinImpl& win, int origin,
   // origin CPU cost of these injections was already paid when the operations
   // were issued; here they just hit the wire in order.
   Time ti = t;
-  my.tgt.drain_queued(ots, [&](OpDesc&& d) {
+  my.tgt.drain_queued(ots, [&](AmNode* n) {
     ti += profile().op_inject;
-    inject_op(win, origin, ots, std::move(d), ti);
+    inject_op(n, ti);
   });
   engine_->wake(win.comm()->world_rank(origin), t);
 }
@@ -1221,7 +1199,9 @@ void Runtime::observe_sync(WinImpl& win, int world_rank, SyncKind kind,
     recorder()->trace().instant(world_rank, obs::Ev::EpochEnd, t,
                               static_cast<std::uint64_t>(kind),
                               static_cast<std::uint64_t>(win.id()));
-    ++recorder()->metrics().counter(std::string("sync.") + to_string(kind));
+    ++keys_.sync.get(*recorder(), static_cast<std::size_t>(kind), [kind] {
+      return std::string("sync.") + to_string(kind);
+    });
   }
 }
 

@@ -200,31 +200,39 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
     ++recorder()->metrics().counter("ops.issued");
   }
 
+  // The op's arena node is its only record until the ack frees it.
   auto& rio = io_[static_cast<std::size_t>(env.world_rank())];
-  OpDesc d;
-  d.kind = a.kind;
-  d.op = a.op;
-  d.cross_numa = rio.next_op_cross_numa;
+  AmNode* n = rio.arena->alloc();
+  AmOp& op = n->op;
+  op.win = win.get();
+  op.acct = &ots;
+  op.target_disp = disp_bytes;
+  op.origin_result = a.result_addr;
+  op.origin_world = env.world_rank();
+  op.target_world = win->comm()->world_rank(a.target);
+  op.origin_comm_rank = me;
+  op.target_comm_rank = a.target;
+  op.target_count = a.tcount;
+  op.origin_count = a.rcount;
+  op.target_dt = a.tdt;
+  op.origin_dt = a.rdt;
+  op.kind = a.kind;
+  op.op = a.op;
+  op.cross_numa = rio.next_op_cross_numa;
   rio.next_op_cross_numa = false;
-  d.tdisp_bytes = disp_bytes;
-  d.tcount = a.tcount;
-  d.tdt = a.tdt;
-  d.origin_result = a.result_addr;
-  d.ocount = a.rcount;
-  d.odt = a.rdt;
-  d.payload.bind(&pool_);
+  op.payload.bind(&pool_);
   switch (a.kind) {
     case OpKind::Put:
     case OpKind::Acc:
     case OpKind::GetAcc:
     case OpKind::Fao:
-      pack_into(d.payload, a.origin_addr, a.ocount, a.odt);
+      pack_into(op.payload, a.origin_addr, a.ocount, a.odt);
       break;
     case OpKind::Cas: {
       const std::size_t es = a.tdt.elem_size();
-      d.payload.resize(2 * es);
-      std::memcpy(d.payload.data(), a.origin_addr, es);
-      std::memcpy(d.payload.data() + es, a.origin_addr2, es);
+      op.payload.resize(2 * es);
+      std::memcpy(op.payload.data(), a.origin_addr, es);
+      std::memcpy(op.payload.data() + es, a.origin_addr2, es);
       break;
     }
     case OpKind::Get:
@@ -242,24 +250,9 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
       cfg_.progress.kind != progress::Kind::None &&
       (a.kind == OpKind::Acc || a.kind == OpKind::GetAcc ||
        a.kind == OpKind::Fao || a.kind == OpKind::Cas);
-  if (win->comm()->world_rank(a.target) == env.world_rank() &&
-      !self_acc_needs_agent) {
-    AmOp op;
-    op.kind = d.kind;
-    op.op = d.op;
-    op.origin_world = env.world_rank();
-    op.target_world = env.world_rank();
-    op.win = win.get();
-    op.origin_comm_rank = me;
-    op.target_comm_rank = a.target;
-    op.target_disp = d.tdisp_bytes;
-    op.target_count = d.tcount;
-    op.target_dt = d.tdt;
-    op.payload = std::move(d.payload);
-    op.origin_result = d.origin_result;
-    op.origin_count = d.ocount;
-    op.origin_dt = d.odt;
+  if (op.target_world == env.world_rank() && !self_acc_needs_agent) {
     exec_self(env, op);
+    rio.arena->free(n);
     return;
   }
 
@@ -274,15 +267,15 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
   // first operation (not by MPI_Win_lock) — matching MPICH-family behaviour.
   if (ots.lock_st == LockSt::Intent) {
     send_lock_request(env, *win, ots);
-    my.tgt.enqueue(ots, std::move(d));
+    my.tgt.enqueue(ots, n);
     return;
   }
   if (ots.lock_st == LockSt::Requested) {
-    my.tgt.enqueue(ots, std::move(d));
+    my.tgt.enqueue(ots, n);
     return;
   }
 
-  inject_op(*win, me, ots, std::move(d), env.now());
+  inject_op(n, env.now());
 }
 
 // ------------------------------------------------------- fence epochs ----
@@ -472,19 +465,9 @@ void Runtime::unlock_target(Env& env, WinImpl& win, int target,
           lockmgr_release(*w, target, me, type, t_arr, ots);
         });
       } else {
-        AmOp op;
-        op.kind = OpKind::LockRelease;
-        op.opid = make_opid();
-        op.origin_world = env.world_rank();
-        op.target_world = tw;
-        op.win = w;
-        op.origin_comm_rank = me;
-        op.target_comm_rank = target;
-        op.acct = ots;
-        op.lock_type = type;
-        post_event(t_arr, tw, [this, op = std::move(op), t_arr]() mutable {
-          deliver_am(std::move(op), t_arr);
-        });
+        const LockMsg m{w, ots, make_opid(), me, target, OpKind::LockRelease,
+                        type};
+        post_event(t_arr, tw, [this, m, t_arr]() { deliver_lock(m, t_arr); });
       }
       progress_wait(env, [ots]() { return !ots->release_pending; });
       ots->lock_st = LockSt::None;

@@ -106,6 +106,8 @@ struct OriginTargetState {
 
   bool has_queued() const { return queue != 0; }
 };
+static_assert(sizeof(OriginTargetState) == 16,
+              "one entry per touched (origin, target) pair; keep it small");
 
 /// One origin's sparse per-target entries. Lookup is one open-addressing
 /// probe on the target rank; a slot points straight at its entry. Entries
@@ -166,8 +168,8 @@ class TargetEntries {
     }
   }
 
-  /// Queue `d` behind `e`'s delayed lock.
-  void enqueue(OriginTargetState& e, OpDesc&& d) {
+  /// Queue op node `op` behind `e`'s delayed lock.
+  void enqueue(OriginTargetState& e, AmNode* op) {
     std::uint32_t n = free_;
     if (n != 0) {
       free_ = nodes_[n - 1].next;
@@ -176,7 +178,7 @@ class TargetEntries {
       n = static_cast<std::uint32_t>(nodes_.size());
     }
     Node& node = nodes_[n - 1];
-    node.d = std::move(d);
+    node.op = op;
     if (e.queue == 0) {
       node.next = n;  // a one-node ring
     } else {
@@ -186,7 +188,7 @@ class TargetEntries {
     }
     e.queue = n;
   }
-  /// Hand `e`'s queued ops to `f` in issue order and free their nodes.
+  /// Hand `e`'s queued op nodes to `f` in issue order and free their links.
   /// `f` must not queue.
   template <class F>
   void drain_queued(OriginTargetState& e, F&& f) {
@@ -196,7 +198,7 @@ class TargetEntries {
     for (std::uint32_t n = nodes_[tail - 1].next;;) {
       Node& node = nodes_[n - 1];
       const std::uint32_t next = node.next;
-      f(std::move(node.d));
+      f(node.op);
       node.next = free_;
       free_ = n;
       if (n == tail) return;
@@ -250,12 +252,12 @@ class TargetEntries {
   /// order.
   std::vector<std::uint32_t> order_;
   /// Ops queued behind delayed locks. Each entry's queue is a ring of
-  /// nodes, and `queue` names its newest (tail) node, whose `next` is the
-  /// oldest. Drained nodes go on a free list, so a warm origin queues
+  /// links, and `queue` names its newest (tail) link, whose `next` is the
+  /// oldest. Drained links go on a free list, so a warm origin queues
   /// without allocating.
   struct Node {
-    OpDesc d;
-    std::uint32_t next = 0;  ///< 1 + node index
+    AmNode* op = nullptr;  ///< the queued op's arena node
+    std::uint32_t next = 0;  ///< 1 + link index
   };
   std::vector<Node> nodes_;
   std::uint32_t free_ = 0;  ///< 1 + index of the first free node, or 0

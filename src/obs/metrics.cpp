@@ -81,7 +81,7 @@ void Metrics::write_json(std::ostream& os, int indent) const {
   os << pad << "}";
 }
 
-std::uint64_t Metrics::counter_value(const std::string& name) const {
+std::uint64_t Metrics::counter_value(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }

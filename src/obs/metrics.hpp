@@ -5,9 +5,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "sim/time.hpp"
 
@@ -64,17 +66,22 @@ class Histogram {
 
 class Metrics {
  public:
-  /// Get-or-create; returned reference stays valid (map nodes are stable).
-  std::uint64_t& counter(const std::string& name) { return counters_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
+  /// Ordered by name; std::less<> finds a key from a string_view, so a
+  /// lookup by literal builds no std::string (only a new key's insert does).
+  template <class T>
+  using Registry = std::map<std::string, T, std::less<>>;
 
-  std::uint64_t counter_value(const std::string& name) const;
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
+  /// Get-or-create; returned reference stays valid (map nodes are stable).
+  std::uint64_t& counter(std::string_view name) {
+    return get_or_add(counters_, name);
   }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
+  Histogram& histogram(std::string_view name) {
+    return get_or_add(histograms_, name);
   }
+
+  std::uint64_t counter_value(std::string_view name) const;
+  const Registry<std::uint64_t>& counters() const { return counters_; }
+  const Registry<Histogram>& histograms() const { return histograms_; }
 
   /// Add every counter and histogram of `o` into this registry (counters
   /// sum, histograms merge). std::map keys keep the dump order fixed no
@@ -87,8 +94,15 @@ class Metrics {
   void write_json(std::ostream& os, int indent = 0) const;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
+  template <class T>
+  static T& get_or_add(Registry<T>& m, std::string_view name) {
+    auto it = m.find(name);
+    if (it == m.end()) it = m.emplace(std::string(name), T{}).first;
+    return it->second;
+  }
+
+  Registry<std::uint64_t> counters_;
+  Registry<Histogram> histograms_;
 };
 
 /// Windowed-rate view over a Metrics registry: per-counter EWMA of

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -106,5 +107,43 @@ class Recorder final : public sim::SchedObserver {
 
 /// The single gate for every instrumentation site.
 inline bool on(const Recorder* rec) { return kTraceCompiled && rec != nullptr; }
+
+/// Interned handles for a family of metric keys built at run time
+/// ("ghost.<g>.ops", "sync.<kind>"), indexed by a small integer such as a
+/// rank or an enum value. Each engine shard resolves a handle on its first
+/// use into its own recorder replica, so a key enters the dump exactly when
+/// an uncached site would create it, and later uses cost one index instead
+/// of a string build and a map lookup. Size with set_shards() before worker
+/// threads run; each shard then touches only its own table. Handles are
+/// valid for one run: merge_shards() drops the replicas they point into.
+/// T is std::uint64_t (a counter) or Histogram.
+template <class T>
+class Interned {
+ public:
+  void set_shards(int n) {
+    tables_.resize(static_cast<std::size_t>(n < 1 ? 1 : n));
+  }
+
+  /// The calling shard's metric for `key`; `name()` builds its key string
+  /// on first use.
+  template <class Name>
+  T& get(Recorder& rec, std::size_t key, Name&& name) {
+    const int s = sim::Engine::current_shard();
+    std::vector<T*>& tab = tables_[s <= 0 ? 0 : static_cast<std::size_t>(s)];
+    if (key >= tab.size()) tab.resize(key + 1, nullptr);
+    T*& h = tab[key];
+    if (h == nullptr) {
+      if constexpr (std::is_same_v<T, Histogram>) {
+        h = &rec.metrics().histogram(name());
+      } else {
+        h = &rec.metrics().counter(name());
+      }
+    }
+    return *h;
+  }
+
+ private:
+  std::vector<std::vector<T*>> tables_ = std::vector<std::vector<T*>>(1);
+};
 
 }  // namespace casper::obs

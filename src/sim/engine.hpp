@@ -354,9 +354,10 @@ class Engine {
   };
 
   /// Two-tier pooled event-callback slots. Most closures are a couple of
-  /// scalars and live in compact SmallEventFn slots; only closures larger
-  /// than SmallEventFn::kInline (the AmOp-carrying RMA deliveries) use the
-  /// full-width tier. Splitting tiers keeps the live-slot array inside the
+  /// scalars and live in compact SmallEventFn slots (every per-op RMA event
+  /// carries just an op node pointer and a time); only closures larger than
+  /// SmallEventFn::kInline (p2p sends, lock messages) use the full-width
+  /// tier. Splitting tiers keeps the live-slot array inside the
   /// cache at high event counts — the difference between 10M and 14M
   /// dispatches/sec at 16 ranks, and more at 1024. Slot ids carry the tier
   /// in the top bit.

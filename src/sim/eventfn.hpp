@@ -1,21 +1,21 @@
 // Move-only type-erased callable for engine event callbacks.
 //
 // std::function cannot hold move-only closures (it requires copy
-// construction), which rules out capturing pooled buffers, and it heap-
+// construction), which rules out capturing owning buffers, and it heap-
 // allocates any capture over its small-object threshold (16 bytes on
-// libstdc++) — one malloc/free per posted event on the RMA hot path, where
-// closures carry a full AmOp. BasicEventFn stores captures up to N bytes in
-// place; relocation moves only the bytes the closure actually uses
-// (trivially-copyable captures memcpy, others run their move constructor).
-// Oversized closures fall back to the heap — a cold path kept for safety,
-// not used by the runtime.
+// libstdc++) — one malloc/free per posted event. BasicEventFn stores
+// captures up to N bytes in place; relocation moves only the bytes the
+// closure actually uses (trivially-copyable captures memcpy, others run
+// their move constructor). Oversized closures fall back to the heap — a
+// cold path kept for safety, not used by the runtime.
 //
 // Two capacities exist because the engine's pooled event slots dominate the
-// scheduler's cache footprint: most events are tiny (a couple of captured
-// scalars), but sizing every slot for the largest hot-path closure (an AmOp)
-// made the live-slot array ~6x larger than the closures stored in it and
-// measurably slowed event dispatch at scale. The engine keeps two slot
-// tiers; the shared VTable lives at namespace scope so a closure moved from
+// scheduler's cache footprint. Every per-op RMA event (delivery, agent
+// service, NIC commit, ack) carries only {runtime, op node, time}: 24 bytes,
+// the compact tier. The full tier holds the few larger closures, which are
+// per message or per epoch: a point-to-point send with its P2pMsg (64
+// bytes, the largest), lock-protocol messages (up to 56). The engine keeps
+// two slot tiers; the shared VTable lives at namespace scope so a closure moved from
 // an EventFn into a SmallEventFn (or back) keeps its original vtable — a
 // cross-capacity move is legal whenever the payload fits the destination
 // (payload_size() tells the engine which tier to pick).
@@ -173,8 +173,9 @@ class BasicEventFn {
   };
 };
 
-/// Sized for the largest hot-path closure (an AmOp plus a few scalars).
-using EventFn = BasicEventFn<192>;
+/// Sized for the largest closure the runtime posts (p_send's, 64 bytes).
+/// A larger one still works, but pays a heap allocation per event.
+using EventFn = BasicEventFn<64>;
 
 /// Compact slot tier for the common case: closures of a few scalars. Sized
 /// so the whole slot (vtable pointer + buffer) is 32 bytes.

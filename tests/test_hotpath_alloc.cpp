@@ -7,8 +7,9 @@
 // has reached steady state, and then a 1k-op measured window must perform
 // ZERO heap allocations end to end — origin issue, ghost-side processing, and
 // completion acks included. The same loop under original MPI with thread and
-// interrupt progress covers the agent path, whose event closures carry a
-// whole AmOp and must fit the event slot's inline buffer.
+// interrupt progress covers the agent path, and the Casper loop again with a
+// recorder attached covers every instrumentation site on the path: metric
+// keys built per op (ghost.<g>.ops, sync.<kind>, ...) are interned handles.
 //
 // The plan-cache tests pin the invalidation contract: cached split plans
 // survive flushes under lockall (no binding transition), are shared across
@@ -164,6 +165,19 @@ TEST(HotPathAlloc, ZeroSteadyStateAllocationsOnAgentPath) {
     EXPECT_EQ(steady_state_allocs(rc, nullptr), 0u)
         << "agent-path PUT/ACC loop performed heap allocations (progress "
         << (kind == progress::Kind::Thread ? "thread" : "interrupt") << ")";
+  }
+}
+
+TEST(HotPathAlloc, ZeroSteadyStateAllocationsWithRecorder) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with CASPER_TRACE=0";
+  for (const int nodes : {2, 5}) {
+    obs::Recorder rec;
+    EXPECT_EQ(steady_state_allocs(casper_config(&rec, nodes),
+                                  core::layer(one_ghost())),
+              0u)
+        << "recorder-attached PUT/ACC loop performed heap allocations ("
+        << nodes << " nodes)";
+    EXPECT_GT(rec.metrics().counter_value("ops.committed"), 0u);
   }
 }
 

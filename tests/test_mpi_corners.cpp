@@ -1,10 +1,15 @@
 // Corner-case and error-path tests for minimpi: fence asserts,
 // get_accumulate, flush_local, zero-size windows, sparse origin state, the
-// inbox node arena, bounds checking and epoch-misuse aborts (death tests).
+// op node arena (one node per op from issue to ack, sharded too), the
+// delayed-grant drain order, bounds checking and epoch-misuse aborts (death
+// tests).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/casper.hpp"
@@ -293,10 +298,152 @@ TEST(MpiCorners, GhostInboxBurstReusesArenaNodes) {
     ASSERT_LT(last_opid[c.origin], c.opid) << "commit " << i;
     last_opid[c.origin] = c.opid;
   }
+  // A node holds its op from issue to ack, so the arena covers at least the
+  // peak queue depth and at most the peak ops in flight (issued, not yet
+  // acked), rounded up to one chunk. Each origin flushes its burst, so at
+  // most 3 * kBurst ops are in flight at once; the few lock messages fit in
+  // the rounding.
   constexpr std::size_t kChunk = mpi::AmArena::kChunk;
+  constexpr std::size_t kInFlight = 3 * kBurst;
   EXPECT_GT(log.peak, kChunk) << "the burst must queue past one chunk";
-  EXPECT_LE(nodes[0], (log.peak + kChunk - 1) / kChunk * kChunk);
+  EXPECT_GE(nodes[0], log.peak);
+  EXPECT_LE(nodes[0], (kInFlight + kChunk - 1) / kChunk * kChunk);
   EXPECT_EQ(nodes[1], nodes[0]) << "second burst allocated new nodes";
+}
+
+/// What a sharded cross-node burst leaves behind.
+struct BurstOutcome {
+  std::vector<double> window;  ///< every user's segment, by user rank
+  std::map<std::string, std::uint64_t> counters;
+  std::size_t am_nodes = 0;
+};
+
+/// Casper on 4 nodes x (3 users + 1 ghost): each user sends `passes` bursts
+/// of kBurst accumulates to the user with its local index on the next node,
+/// flushing after each burst. Every op's node is allocated on the origin's
+/// shard and freed there by the ack, after a ghost on another node (another
+/// shard when sharded) served it.
+BurstOutcome sharded_burst(int shards, int passes) {
+  constexpr int kNodes = 4;
+  constexpr int kUsersPerNode = 3;
+  constexpr int kBurst = 128;
+  constexpr int kSlots = 8;
+  RunConfig rc = cfg(kNodes, kUsersPerNode + 1);
+  rc.shards = shards;
+  BurstOutcome out;
+  out.window.assign(kNodes * kUsersPerNode * kSlots, -1.0);
+  mpi::Runtime rt(
+      rc,
+      [&](mpi::Env& env) {
+        Comm w = env.world();
+        const int me = env.rank(w);
+        const int peer = (me + kUsersPerNode) % env.size(w);
+        void* base = nullptr;
+        Win win = env.win_allocate(kSlots * sizeof(double), sizeof(double),
+                                   Info{}, w, &base);
+        env.win_lock_all(0, win);
+        const double v = me + 1;
+        for (int pass = 0; pass < passes; ++pass) {
+          for (int i = 0; i < kBurst; ++i) {
+            env.accumulate(&v, 1, peer, static_cast<std::size_t>(i % kSlots),
+                           AccOp::Sum, win);
+          }
+          env.win_flush(peer, win);
+        }
+        env.win_unlock_all(win);
+        env.barrier(w);
+        // Each user writes only its own slice of the pre-sized vector.
+        const auto* d = static_cast<const double*>(base);
+        std::copy(d, d + kSlots, out.window.begin() + me * kSlots);
+        env.win_free(win);
+      },
+      core::layer(core::Config{}));
+  rt.run();
+  out.counters = rt.stats().all();
+  out.am_nodes = rt.am_nodes();
+  return out;
+}
+
+TEST(MpiCorners, ShardedCrossNodeBurstReusesArenaNodes) {
+  constexpr int kUsers = 12;
+  const BurstOutcome ref = sharded_burst(1, 2);
+  for (int u = 0; u < kUsers; ++u) {
+    const int src = (u + kUsers - 3) % kUsers;
+    for (int k = 0; k < 8; ++k) {
+      ASSERT_EQ(ref.window[static_cast<std::size_t>(u * 8 + k)],
+                2.0 * (128 / 8) * (src + 1))
+          << "user " << u << " slot " << k;
+    }
+  }
+  for (const int shards : {1, 2, 4}) {
+    const BurstOutcome two = sharded_burst(shards, 2);
+    EXPECT_EQ(two.window, ref.window) << "shards=" << shards;
+    EXPECT_EQ(two.counters, ref.counters) << "shards=" << shards;
+    EXPECT_EQ(two.am_nodes, sharded_burst(shards, 1).am_nodes)
+        << "the repeat burst allocated new nodes, shards=" << shards;
+  }
+}
+
+/// Commit order of the single-double payloads one serving rank applies.
+struct ValueCommits final : mpi::RmaObserver {
+  int server = -1;
+  std::vector<double> values;
+
+  void on_win_register(mpi::WinImpl&) override {}
+  void on_win_free(mpi::WinImpl&) override {}
+  void on_sync(mpi::WinImpl&, int, mpi::SyncKind, int, sim::Time) override {}
+  void on_op_commit(const mpi::AmOp& op, sim::Time, int entity) override {
+    if (entity != server || op.payload.size() != sizeof(double)) return;
+    double v = 0.0;
+    std::memcpy(&v, op.payload.data(), sizeof v);
+    values.push_back(v);
+  }
+};
+
+TEST(MpiCorners, DelayedGrantDrainIsOvertakenByNextOp) {
+  // Characterizes a known deviation (DESIGN.md §2): ops queued behind a
+  // delayed lock go on the wire at grant + k * op_inject, so the op whose
+  // issue the grant lands in is injected at once and overtakes every queued
+  // op but the first. MPI orders same-origin accumulates to one location,
+  // so the last-issued Replace should win; here queued op Q's value does.
+  std::vector<double> issued;
+  mpi::Runtime rt(cfg(2, 1), [&](mpi::Env& env) {
+    Comm w = env.world();
+    void* base = nullptr;
+    Win win =
+        env.win_allocate(sizeof(double), sizeof(double), Info{}, w, &base);
+    if (env.rank(w) == 0) {
+      env.win_lock(LockType::Exclusive, 1, 0, win);
+      const mpi::OriginTargetState& ots = *win->ost[0].tgt.find(1);
+      // Issue until the grant lands inside an issue: that last op is the
+      // first one issued after the grant.
+      double v = 0.0;
+      do {
+        v += 1.0;
+        issued.push_back(v);
+        env.accumulate(&v, 1, 1, 0, AccOp::Replace, win);
+      } while (ots.lock_st != mpi::OriginTargetState::LockSt::Granted);
+      env.win_unlock(1, win);
+    }
+    env.barrier(w);
+    if (env.rank(w) == 1) {
+      EXPECT_EQ(*static_cast<double*>(base), issued[issued.size() - 2])
+          << "the last queued op, not the last issued one, wins";
+    }
+    env.win_free(win);
+  });
+  ValueCommits log;
+  log.server = 1;
+  rt.add_observer(&log);
+  rt.run();
+
+  // Q queued ops, then the overtaker, which commits first; the queued ops
+  // follow in issue order.
+  ASSERT_GE(issued.size(), 3u) << "the grant must find at least 2 queued ops";
+  const std::size_t q = issued.size() - 1;
+  std::vector<double> expect = {issued[q]};
+  expect.insert(expect.end(), issued.begin(), issued.begin() + q);
+  EXPECT_EQ(log.values, expect);
 }
 
 using MpiDeath = ::testing::Test;

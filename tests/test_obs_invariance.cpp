@@ -71,7 +71,7 @@ void workload(mpi::Env& env) {
 }
 
 struct Observed {
-  std::map<std::string, std::uint64_t> counters;
+  obs::Metrics::Registry<std::uint64_t> counters;
   std::string trace_text;
 };
 
