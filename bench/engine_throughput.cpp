@@ -58,8 +58,8 @@ double measure_switch_rate(int nranks, int switches_per_rank) {
 }
 
 /// One designated rank posts batches of timestamp-ordered events; all other
-/// ranks just finish. Returns host-side events/sec through the scheduler
-/// heap + slot pool.
+/// ranks just finish. Returns host-side events/sec through the event
+/// calendar + slot pool.
 double measure_event_rate(int nranks, int total_events) {
   sim::Engine::Options o;
   o.nranks = nranks;
@@ -85,8 +85,8 @@ double measure_event_rate(int nranks, int total_events) {
 /// contiguous 128-rank block at nranks=1024, so exactly one per shard at
 /// shards=8) each post timestamp-ordered batches of events homed to
 /// themselves. The workload is byte-identical for every shard count — only
-/// the partitioning changes — so the shards=1 row (which runs the classic
-/// single-threaded scheduler) is the honest denominator of the sharded
+/// the partitioning changes — so the shards=1 row (one shard on the calling
+/// thread, no worker threads) is the honest denominator of the sharded
 /// speedup gate. A generous lookahead keeps the whole run inside one
 /// conservative window: this measures queue + dispatch cost, not barriers.
 double measure_sharded_event_rate(int nranks, int shards, int total_events) {
@@ -178,8 +178,8 @@ int main(int argc, char** argv) {
   }
   json += "  ],\n";
 
-  // Shard-count sweep at the largest rank count. shards=1 is the classic
-  // scheduler; the ISSUE gate is events_per_sec(shards>=4) >= 2.5x that row.
+  // Shard-count sweep at the largest rank count. shards=1 runs without
+  // worker threads; the gate is events_per_sec(shards>=4) >= 2.5x that row.
   const std::vector<int> shard_counts = {1, 2, 4, 8};
   json += "  \"shard_sweep\": [\n";
   for (std::size_t i = 0; i < shard_counts.size(); ++i) {

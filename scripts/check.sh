@@ -122,7 +122,12 @@ cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null
 cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
   test_check_oracle test_race_analyzer test_fault_matrix \
   test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas \
-  test_casper test_pool test_mpi_corners
+  test_casper test_pool test_mpi_corners test_sim_engine \
+  test_sim_engine_sharded
+# The engine's one scheduler loop for every shard count and perturb seed:
+# calendar node free list, spill heap refills and SlotPool recycling.
+"./$BUILD_ASAN/tests/test_sim_engine"
+"./$BUILD_ASAN/tests/test_sim_engine_sharded"
 "./$BUILD_ASAN/tests/test_check_oracle"
 # Op node lifetime: one arena node per op from issue to ack (freed by the
 # ack, or after service for lock messages), inline/pooled buffer moves. A

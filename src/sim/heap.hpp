@@ -1,13 +1,11 @@
 // Minimal binary min-heap with move-out pop.
 //
-// std::priority_queue only exposes `const T& top()`, which forces a deep copy
-// before pop() — for the engine's event queue that meant copying a
-// std::function (a heap allocation) per event on the hottest path. This heap
-// pops by move. Elements order via `operator>` (smallest on top), exactly the
-// comparator std::priority_queue<T, vector<T>, greater<>> used before, so the
-// pop order — and therefore the simulation's execution order — is unchanged:
-// the engine's comparators are total orders (unique sequence numbers break
-// every tie), which makes heap-internal layout differences unobservable.
+// Elements order via `operator>` (smallest on top) and pop by move, so
+// entries never need a copy on the way out. The engine's ready and spill
+// heaps use comparators that are total orders (a sequence number breaks
+// every tie), which makes heap-internal layout unobservable: pop order —
+// and therefore the simulation's execution order — depends on the keys
+// alone.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +59,6 @@ class MinHeap {
     }
     return out;
   }
-
-  void reserve(std::size_t n) { v_.reserve(n); }
 
  private:
   std::vector<T> v_;

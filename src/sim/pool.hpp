@@ -3,7 +3,7 @@
 // The RMA hot path stages every payload, scratch and acknowledgment buffer
 // through short-lived allocations; with std::vector<std::byte> each op paid
 // one malloc/free per buffer. BytePool recycles blocks in power-of-two size
-// classes (the pooled-slot pattern of sim::MinHeap / Engine::event_cbs_):
+// classes (the pooled-slot pattern of the engine's event SlotPool):
 // after a short warm-up the working set of block sizes is resident and
 // acquire/release are two vector operations, no heap traffic.
 //

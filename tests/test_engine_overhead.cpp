@@ -41,7 +41,7 @@ using Clock = std::chrono::steady_clock;
 namespace {
 
 // Mirrors measure_event_rate in bench/engine_throughput.cpp: one rank posts
-// timestamp-ordered event batches through the scheduler heap.
+// timestamp-ordered event batches through the shard's event calendar.
 double event_rate(int nranks, int total_events) {
   sim::Engine::Options o;
   o.nranks = nranks;

@@ -3,7 +3,7 @@
 // The zero-allocation claim of the RMA fast path is enforced here, not just
 // benchmarked: global operator new/delete are replaced with counting
 // wrappers, a passive-target PUT/ACC loop is warmed until every pool
-// (payload blocks, inbox node arena, event slots, plan cache, scheduler heap)
+// (payload blocks, inbox node arena, event slots, plan cache, event calendar)
 // has reached steady state, and then a 1k-op measured window must perform
 // ZERO heap allocations end to end — origin issue, ghost-side processing, and
 // completion acks included. The same loop under original MPI with thread and
