@@ -2,6 +2,8 @@
 // delayed lock acquisition, software vs hardware paths, progress behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "mpi/runtime.hpp"
@@ -356,6 +358,186 @@ TEST(MpiRma, DelayedLockGrantOrderingNoCorruption) {
     }
     env.win_free(win);
   });
+}
+
+// One RMA op means the same thing whoever applies it at the target: the
+// target's own poll, a thread or interrupt agent, the NIC, or the origin
+// itself (self ops). Each case below owns one 8-double slot of the window;
+// every path must leave the same window bytes and fetch the same values as
+// the reference table.
+enum class Kind { Put, Get, Acc, GetAcc, Fao, CasHit, CasMiss };
+struct OpCase {
+  Kind kind;
+  AccOp op;
+  bool strided;  // target is vector_of(Double, 1, 2), else contiguous
+};
+constexpr std::size_t kSlot = 8;
+constexpr double kUnset = -7.0;
+
+std::vector<OpCase> op_cases() {
+  std::vector<OpCase> v;
+  for (bool strided : {false, true}) {
+    v.push_back({Kind::Put, AccOp::Replace, strided});
+    v.push_back({Kind::Get, AccOp::Replace, strided});
+    for (AccOp op : {AccOp::Sum, AccOp::Min, AccOp::Max, AccOp::Replace,
+                     AccOp::NoOp})
+      v.push_back({Kind::Acc, op, strided});
+    for (AccOp op : {AccOp::Sum, AccOp::Replace, AccOp::NoOp})
+      v.push_back({Kind::GetAcc, op, strided});
+  }
+  v.push_back({Kind::Fao, AccOp::Sum, false});
+  v.push_back({Kind::Fao, AccOp::NoOp, false});
+  v.push_back({Kind::CasHit, AccOp::Replace, false});
+  v.push_back({Kind::CasMiss, AccOp::Replace, false});
+  return v;
+}
+
+double initial_value(std::size_t i) { return 100.0 + static_cast<double>(i); }
+
+// Origin data of slot s: Min/Max take some elements from each side.
+std::array<double, 4> origin_data(std::size_t s) {
+  const double d = static_cast<double>(s);
+  return {1.5 + d, 500.0 + d, -3.0 + d, 1000.25 + d};
+}
+
+struct OpOutcome {
+  std::vector<double> window;
+  std::vector<double> fetched;  // 4 per case
+};
+
+OpOutcome reference_outcome(const std::vector<OpCase>& cases) {
+  OpOutcome r;
+  for (std::size_t i = 0; i < cases.size() * kSlot; ++i)
+    r.window.push_back(initial_value(i));
+  r.fetched.assign(cases.size() * 4, kUnset);
+  for (std::size_t s = 0; s < cases.size(); ++s) {
+    const OpCase& c = cases[s];
+    const auto o = origin_data(s);
+    const bool single = c.kind == Kind::Fao || c.kind == Kind::CasHit ||
+                        c.kind == Kind::CasMiss;
+    for (std::size_t i = 0; i < (single ? 1u : 4u); ++i) {
+      double& x = r.window[s * kSlot + i * (c.strided ? 2 : 1)];
+      double& f = r.fetched[s * 4 + i];
+      if (c.kind != Kind::Put && c.kind != Kind::Acc) f = x;
+      if (c.kind == Kind::Get || c.kind == Kind::CasMiss) continue;
+      switch (c.op) {
+        case AccOp::Sum: x += o[i]; break;
+        case AccOp::Min: x = std::min(x, o[i]); break;
+        case AccOp::Max: x = std::max(x, o[i]); break;
+        case AccOp::Replace: x = o[i]; break;
+        case AccOp::NoOp: break;
+      }
+    }
+  }
+  return r;
+}
+
+struct PathRun {
+  OpOutcome out;
+  std::uint64_t hw_ops = 0;
+  std::uint64_t sw_ops = 0;
+  std::uint64_t violations = 0;
+};
+
+// Rank `origin` issues every case against rank `target` in one lock_all
+// epoch; the target waits in a barrier meanwhile.
+PathRun run_op_cases(RunConfig c, int origin, int target) {
+  const std::vector<OpCase> cases = op_cases();
+  const std::size_t n = cases.size() * kSlot;
+  PathRun run;
+  run.out.fetched.assign(cases.size() * 4, kUnset);
+  mpi::Runtime rt(std::move(c), [&](mpi::Env& env) {
+    Comm w = env.world();
+    void* base = nullptr;
+    Win win = env.win_allocate(n * sizeof(double), sizeof(double), Info{}, w,
+                               &base);
+    auto* mem = static_cast<double*>(base);
+    for (std::size_t i = 0; i < n; ++i) mem[i] = initial_value(i);
+    env.barrier(w);
+    if (env.rank(w) == origin) {
+      const auto dd = mpi::contig(Dt::Double);
+      env.win_lock_all(0, win);
+      for (std::size_t s = 0; s < cases.size(); ++s) {
+        const OpCase& k = cases[s];
+        const auto tdt = k.strided ? mpi::vector_of(Dt::Double, 1, 2) : dd;
+        const auto o = origin_data(s);
+        const std::size_t disp = s * kSlot;
+        double* f = run.out.fetched.data() + s * 4;
+        switch (k.kind) {
+          case Kind::Put:
+            env.put(o.data(), 4, dd, target, disp, 4, tdt, win);
+            break;
+          case Kind::Get:
+            env.get(f, 4, dd, target, disp, 4, tdt, win);
+            break;
+          case Kind::Acc:
+            env.accumulate(o.data(), 4, dd, target, disp, 4, tdt, k.op, win);
+            break;
+          case Kind::GetAcc:
+            env.get_accumulate(o.data(), 4, dd, f, 4, dd, target, disp, 4, tdt,
+                               k.op, win);
+            break;
+          case Kind::Fao:
+            env.fetch_and_op(o.data(), f, Dt::Double, target, disp, k.op,
+                             win);
+            break;
+          case Kind::CasHit:
+          case Kind::CasMiss: {
+            const double expected =
+                k.kind == Kind::CasHit ? initial_value(disp) : -1.0;
+            env.compare_and_swap(&expected, o.data(), f, Dt::Double, target,
+                                 disp, win);
+            break;
+          }
+        }
+      }
+      env.win_unlock_all(win);
+    }
+    env.barrier(w);
+    if (env.rank(w) == target) run.out.window.assign(mem, mem + n);
+    env.win_free(win);
+  });
+  rt.run();
+  run.hw_ops = rt.stats().get("hw_ops");
+  run.sw_ops = rt.stats().get("sw_ops");
+  run.violations = rt.stats().get("atomicity_violations");
+  return run;
+}
+
+RunConfig path_cfg(progress::Kind kind,
+                   net::Profile prof = net::cray_xc30_regular()) {
+  RunConfig c = cfg(2, 1, std::move(prof));
+  c.progress.kind = kind;
+  return c;
+}
+
+TEST(MpiRma, OpSemanticsMatchOnEveryCommitPath) {
+  const OpOutcome want = reference_outcome(op_cases());
+  const std::uint64_t nops = op_cases().size();
+  struct Path {
+    const char* name;
+    RunConfig c;
+    int origin, target;
+    std::uint64_t hw_ops, sw_ops;
+  };
+  const Path paths[] = {
+      {"poller", path_cfg(progress::Kind::None), 0, 1, 0, nops},
+      {"thread agent", path_cfg(progress::Kind::Thread), 0, 1, 0, nops},
+      {"interrupt agent", path_cfg(progress::Kind::Interrupt), 0, 1, 0, nops},
+      // Contiguous PUT and GET run on the NIC; the rest on the poller.
+      {"nic", path_cfg(progress::Kind::None, net::cray_xc30_dmapp()), 0, 1,
+       2, nops - 2},
+      {"self", path_cfg(progress::Kind::None), 0, 0, 0, 0},
+  };
+  for (const Path& p : paths) {
+    SCOPED_TRACE(p.name);
+    const PathRun run = run_op_cases(p.c, p.origin, p.target);
+    EXPECT_EQ(run.out.window, want.window);
+    EXPECT_EQ(run.out.fetched, want.fetched);
+    EXPECT_EQ(run.hw_ops, p.hw_ops);
+    EXPECT_EQ(run.sw_ops, p.sw_ops);
+    EXPECT_EQ(run.violations, 0u);
+  }
 }
 
 }  // namespace
