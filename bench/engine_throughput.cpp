@@ -1,8 +1,8 @@
 // Host-side throughput of the simulator scheduler itself: rank switches/sec
 // and event dispatches/sec at 16 / 256 / 1024 simulated ranks, plus a
-// shard-count sweep of the sharded scheduler at 1024 ranks. Emits
-// BENCH_engine.json so successive PRs have a perf trajectory for the engine
-// (these are host costs, not virtual time).
+// shard-count sweep of the sharded scheduler at 1024 ranks. With --out it
+// writes them as JSON (scripts/bench.sh gates that against the committed
+// BENCH_engine.json); these are host costs, not virtual time.
 //
 // Every number is the best of --reps identical runs: the quantity being
 // tracked is the code's cost, and min-time (max-rate) is the standard
@@ -136,7 +136,7 @@ void collect_obs_metrics(obs::Metrics* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_engine.json";
+  const char* out = nullptr;
   int switches_per_rank = 2000;
   int total_events = 200000;
   int reps = 3;
@@ -215,13 +215,14 @@ int main(int argc, char** argv) {
   json += ms.str();
   json += "\n}\n";
 
-  std::FILE* f = std::fopen(out.c_str(), "w");
+  if (out == nullptr) return 0;
+  std::FILE* f = std::fopen(out, "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "engine_throughput: cannot write %s\n", out.c_str());
+    std::fprintf(stderr, "engine_throughput: cannot write %s\n", out);
     return 1;
   }
   std::fputs(json.c_str(), f);
   std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
+  std::printf("wrote %s\n", out);
   return 0;
 }

@@ -49,7 +49,7 @@ const char* const kUsage =
     "usage: figures <id>... [--csv] [--full] [--shards N] [--trace PATH]\n"
     "  [--json] [--adaptive] [--out PATH] [--iters N]; N is an integer >= 1.\n"
     "  --full: paper scale, also kv, mwcas; --shards: fig5a/b/c;\n"
-    "  --trace: fig4a; --json: fig4a, fig6a, kv, mwcas, adaptive;\n"
+    "  --trace: fig4a; --json: fig4a, fig6a, kv, mwcas, adaptive, fig5xl;\n"
     "  --adaptive: fig7a/b/c; --out, --iters: fig5xl. ids:";
 
 struct Opts {
@@ -687,8 +687,9 @@ void fig5xl(const Opts& o, report::Table& t) {
   }
 }
 
-/// Always writes the sweep to --out (default BENCH_fig5xl.json).
+/// Writes the sweep to --out PATH, or under --json to BENCH_fig5xl.json.
 int fig5xl_hook(const Opts& o, const report::Table& t) {
+  if (o.out == nullptr && !o.json) return 0;
   const std::string out = o.out != nullptr ? o.out : "BENCH_fig5xl.json";
   char line[256];
   std::snprintf(line, sizeof line,

@@ -122,8 +122,8 @@ cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null
 cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
   test_check_oracle test_race_analyzer test_fault_matrix \
   test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas \
-  test_casper test_pool test_mpi_corners test_sim_engine \
-  test_sim_engine_sharded
+  test_casper test_pool test_mpi_corners test_mpi_rma test_progress_agents \
+  test_sim_engine test_sim_engine_sharded
 # The engine's one scheduler loop for every shard count and perturb seed:
 # calendar node free list, spill heap refills and SlotPool recycling.
 "./$BUILD_ASAN/tests/test_sim_engine"
@@ -134,6 +134,10 @@ cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
 # node used after its ack freed it is a use-after-free here.
 "./$BUILD_ASAN/tests/test_pool"
 "./$BUILD_ASAN/tests/test_mpi_corners"
+# Every commit path (poller, thread and interrupt agents, NIC, self ops)
+# stages through the same pooled read/write-phase scratch.
+"./$BUILD_ASAN/tests/test_mpi_rma"
+"./$BUILD_ASAN/tests/test_progress_agents"
 # Window set-up: the one-time table fill at registration and the ghosts'
 # handle-only records, freed by sequence number out of allocation order.
 "./$BUILD_ASAN/tests/test_casper"

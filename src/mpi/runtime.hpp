@@ -391,25 +391,27 @@ class Runtime {
   /// Target-memory read phase at processing start; returns data the write
   /// phase commits at processing end (the read-at-start / write-at-end model
   /// that exposes lost updates under concurrent unsynchronized processing).
-  /// Used only by the poller path, where a fiber yield separates the phases.
+  /// Every path runs both phases; only the poller yields between them, the
+  /// NIC, agents, dead-target serves and self ops run them at one instant.
   sim::PoolBuf am_read_phase(const AmOp& op);
-  /// Commit phase: writes target memory, records the access for atomicity-
-  /// violation detection, and schedules the acknowledgment.
-  void am_write_phase(AmNode& n, sim::PoolBuf&& staged, sim::Time t0,
+  /// Write phase: applies the op to target memory from the origin payload
+  /// and `staged` (am_read_phase's result) and packs any fetched bytes into
+  /// `ack`. Returns whether target memory was written.
+  bool write_target(const AmOp& op, const sim::PoolBuf& staged,
+                    sim::PoolBuf& ack);
+  /// write_target, then finish_commit.
+  void am_write_phase(AmNode& n, const sim::PoolBuf& staged, sim::Time t0,
                       sim::Time t1, int entity);
-  /// Fused read+commit for paths where both phases run at the same host
-  /// moment (NIC hardware execution, agent end-events): byte-identical to
-  /// am_read_phase + am_write_phase but reduces in place, with no staging
-  /// copy of the target region.
-  void am_commit(AmNode& n, sim::Time t0, sim::Time t1, int entity);
-  /// Execute a self-targeted op synchronously (loads/stores, not delayed).
+  /// Execute a self-targeted op synchronously (loads/stores, not delayed):
+  /// both phases, a zero-width access record and the commit observers, with
+  /// fetched bytes unpacked straight into the origin's result buffer.
   void exec_self(Env& env, const AmOp& op);
   /// Atomicity-violation check for one committed access to `node`'s memory.
   void record_access(int node, std::uintptr_t lo, std::uintptr_t hi,
                      sim::Time t0, sim::Time t1, int entity, bool is_write);
-  /// Shared tail of both commit forms: the access record, the commit trace
-  /// and observers, then the ack, which carries `ack` in the op's payload
-  /// and takes the node.
+  /// Tail of every acked commit: the access record, the commit trace and
+  /// observers, then the ack, which carries `ack` in the op's payload and
+  /// takes the node.
   void finish_commit(AmNode& n, sim::PoolBuf&& ack, sim::Time t0,
                      sim::Time t1, int entity, bool is_write);
   /// Send the ack for a committed op back to its origin; the ack event takes

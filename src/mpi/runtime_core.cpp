@@ -26,6 +26,12 @@ std::byte* seg_addr(const WinImpl& win, int comm_rank, std::size_t disp_bytes) {
 bool faultable_kind(OpKind k) {
   return k != OpKind::LockReq && k != OpKind::LockRelease;
 }
+
+/// Bytes an op puts on the wire, on the clean and the faulted transport
+/// alike: a GET sends a small request and its response carries the data.
+std::size_t wire_bytes(const AmOp& op) {
+  return op.kind == OpKind::Get ? 16 : op.payload.size();
+}
 }  // namespace
 
 /// Reliable-transport + process-fault state. Allocated only when a FaultPlan
@@ -303,21 +309,16 @@ Time Runtime::wire_latency(int a_world, int b_world,
 }
 
 bool Runtime::is_hw_op(const AmOp& op) const {
+  // Accumulates always run in target-side software. Lock messages never get
+  // here: their senders check hw_lock themselves.
   switch (op.kind) {
     case OpKind::Put:
       return profile().hw_contig_put && op.target_dt.contiguous();
     case OpKind::Get:
       return profile().hw_contig_get && op.target_dt.contiguous();
-    case OpKind::Acc:
-    case OpKind::GetAcc:
-    case OpKind::Fao:
-    case OpKind::Cas:
-      return profile().hw_contig_acc && op.target_dt.contiguous();
-    case OpKind::LockReq:
-    case OpKind::LockRelease:
-      return profile().hw_lock;
+    default:
+      return false;
   }
-  return false;
 }
 
 Time Runtime::am_cost(const AmOp& op) const {
@@ -358,10 +359,7 @@ void Runtime::inject_op(AmNode* n, Time t_issue) {
   op.opid = make_opid();
   if (op.cross_numa) ++*hot().cross_numa_ops;
 
-  const bool request_like =
-      op.kind == OpKind::Get;  // request small, response carries data
-  const std::size_t wire_bytes = request_like ? 16 : op.payload.size();
-  const Time t_del = t_issue + wire_latency(ow, tw, wire_bytes);
+  const Time t_del = t_issue + wire_latency(ow, tw, wire_bytes(op));
 
   if (is_hw_op(op)) {
     ++*hot().hw_ops;
@@ -377,9 +375,7 @@ void Runtime::inject_op(AmNode* n, Time t_issue) {
                                   static_cast<std::uint64_t>(op.kind),
                                   op.payload.size());
       }
-      // Both processing phases happen at the same host moment, so the
-      // staged read buffer is unobservable: commit in place.
-      am_commit(*n, t_del, t_del, nic_entity);
+      am_write_phase(*n, am_read_phase(op), t_del, t_del, nic_entity);
     });
   } else {
     ++*hot().sw_ops;
@@ -508,15 +504,14 @@ void Runtime::agent_process(AmNode* n, Time t_del) {
       serve_lock(n, end);
       return;
     }
-    // The agent serializes its operations (busy_until), so the
-    // read-modify-write commits atomically at the end event; the recorded
+    // The agent serializes its operations (busy_until), so both phases run
+    // at the end event and the read-modify-write is atomic; the recorded
     // [start, end) interval still exposes overlaps with *other* entities.
-    // Read and write both execute at the end event (same host moment), so
-    // the fused in-place commit is byte-identical to the two-phase form.
     post_event(end, [this, n, end]() {
       if (fs_ && !fault_should_execute(*n, end)) return;
       const int entity = engine_->nranks() + n->op.target_world;  // agent ids
-      am_commit(*n, end - agent_span(n->op), end, entity);
+      am_write_phase(*n, am_read_phase(n->op), end - agent_span(n->op), end,
+                     entity);
     });
   });
 }
@@ -584,7 +579,7 @@ void Runtime::poller_process(Env& env, AmNode* n) {
         .get(*rec, 0, [] { return std::string("ghost_service_ns"); })
         .add(env.now() - t0);
   }
-  am_write_phase(*n, std::move(staged), t0, env.now(), env.world_rank());
+  am_write_phase(*n, staged, t0, env.now(), env.world_rank());
 }
 
 // ----------------------------------------------------------- execution ----
@@ -606,7 +601,7 @@ sim::PoolBuf Runtime::am_read_phase(const AmOp& op) {
       // entities loses updates — by design, to model the real hazard.
       pack_into(staged, taddr, op.target_count, op.target_dt);
       reduce_contig(staged.data(), op.payload.data(), nelems, op.target_dt.base,
-                    op.op == AccOp::Sum ? AccOp::Sum : op.op);
+                    op.op);
       // staged now holds op(target_old, origin): note reduce_contig computes
       // dst = op(dst, src) with dst = target_old, src = origin. For Sum /
       // Min / Max this matches MPI_Accumulate semantics.
@@ -643,116 +638,50 @@ sim::PoolBuf Runtime::am_read_phase(const AmOp& op) {
   return staged;
 }
 
-void Runtime::am_write_phase(AmNode& n, sim::PoolBuf&& staged, Time t0,
-                             Time t1, int entity) {
-  const AmOp& op = n.op;
+bool Runtime::write_target(const AmOp& op, const sim::PoolBuf& staged,
+                           sim::PoolBuf& ack) {
   std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  sim::PoolBuf ack_data(&pool_);
-  bool is_write = true;
-
   switch (op.kind) {
     case OpKind::Put:
       unpack(taddr, op.target_count, op.target_dt, op.payload);
-      break;
+      return true;
     case OpKind::Get:
-      pack_into(ack_data, taddr, op.target_count, op.target_dt);
-      is_write = false;
-      break;
+      pack_into(ack, taddr, op.target_count, op.target_dt);
+      return false;
     case OpKind::Acc:
-      if (op.op == AccOp::NoOp) {
-        is_write = false;
-      } else if (op.op == AccOp::Replace) {
-        unpack(taddr, op.target_count, op.target_dt, op.payload);
-      } else {
-        unpack(taddr, op.target_count, op.target_dt, staged);
-      }
-      break;
+      if (op.op == AccOp::NoOp) return false;
+      unpack(taddr, op.target_count, op.target_dt,
+             op.op == AccOp::Replace ? op.payload : staged);
+      return true;
     case OpKind::GetAcc:
     case OpKind::Fao: {
       const std::size_t half = staged.size() / 2;
-      ack_data.assign(staged.data(), half);
-      if (op.op != AccOp::NoOp) {
-        unpack(taddr, op.target_count, op.target_dt,
-               std::span<const std::byte>(staged.data() + half, half));
-      } else {
-        is_write = false;
-      }
-      break;
+      ack.assign(staged.data(), half);
+      if (op.op == AccOp::NoOp) return false;
+      unpack(taddr, op.target_count, op.target_dt,
+             std::span<const std::byte>(staged.data() + half, half));
+      return true;
     }
     case OpKind::Cas: {
       const std::size_t es = op.target_dt.elem_size();
-      ack_data.assign(staged.data(), es);
-      if (staged.data()[es] == static_cast<std::byte>(1)) {
-        // payload = [expected | desired]
-        std::memcpy(taddr, op.payload.data() + es, es);
-      } else {
-        is_write = false;
-      }
-      break;
+      ack.assign(staged.data(), es);
+      if (staged.data()[es] != static_cast<std::byte>(1)) return false;
+      // payload = [expected | desired]
+      std::memcpy(taddr, op.payload.data() + es, es);
+      return true;
     }
     case OpKind::LockReq:
     case OpKind::LockRelease:
-      MMPI_REQUIRE(false, "lock ops do not reach am_write_phase");
+      MMPI_REQUIRE(false, "lock ops do not reach write_target");
   }
-  finish_commit(n, std::move(ack_data), t0, t1, entity, is_write);
+  return false;
 }
 
-void Runtime::am_commit(AmNode& n, Time t0, Time t1, int entity) {
-  // Fused read+write for paths whose two phases execute at the same host
-  // moment (NIC hardware ops; agent end-events). Reading the target here
-  // instead of staging it at processing start is byte-identical on those
-  // paths and skips the doubled scratch buffer entirely: accumulates reduce
-  // in place, fetches pack the old value straight into the ack. The poller
-  // path yields between phases and must keep the staged two-phase form.
-  const AmOp& op = n.op;
-  std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  sim::PoolBuf ack_data(&pool_);
-  bool is_write = true;
-
-  switch (op.kind) {
-    case OpKind::Put:
-      unpack(taddr, op.target_count, op.target_dt, op.payload);
-      break;
-    case OpKind::Get:
-      pack_into(ack_data, taddr, op.target_count, op.target_dt);
-      is_write = false;
-      break;
-    case OpKind::Acc:
-      if (op.op == AccOp::NoOp) {
-        is_write = false;
-      } else if (op.op == AccOp::Replace) {
-        unpack(taddr, op.target_count, op.target_dt, op.payload);
-      } else {
-        reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      }
-      break;
-    case OpKind::GetAcc:
-    case OpKind::Fao:
-      pack_into(ack_data, taddr, op.target_count, op.target_dt);  // old value
-      if (op.op == AccOp::NoOp) {
-        is_write = false;
-      } else if (op.op == AccOp::Replace) {
-        unpack(taddr, op.target_count, op.target_dt, op.payload);
-      } else {
-        reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      }
-      break;
-    case OpKind::Cas: {
-      const std::size_t es = op.target_dt.elem_size();
-      ack_data.assign(taddr, es);  // old value
-      if (std::memcmp(taddr, op.payload.data(), es) == 0) {
-        // payload = [expected | desired]
-        std::memcpy(taddr, op.payload.data() + es, es);
-      } else {
-        is_write = false;
-      }
-      break;
-    }
-    case OpKind::LockReq:
-    case OpKind::LockRelease:
-      MMPI_REQUIRE(false, "lock ops do not reach am_commit");
-  }
-  finish_commit(n, std::move(ack_data), t0, t1, entity, is_write);
+void Runtime::am_write_phase(AmNode& n, const sim::PoolBuf& staged, Time t0,
+                             Time t1, int entity) {
+  sim::PoolBuf ack(&pool_);
+  const bool is_write = write_target(n.op, staged, ack);
+  finish_commit(n, std::move(ack), t0, t1, entity, is_write);
 }
 
 void Runtime::finish_commit(AmNode& n, sim::PoolBuf&& ack, Time t0, Time t1,
@@ -781,58 +710,20 @@ void Runtime::exec_self(Env& env, const AmOp& op) {
   env.ctx().advance(sim::ns(80) + static_cast<Time>(
                                       0.02 * static_cast<double>(
                                                  op.payload.size())));
-  // Commit immediately with a zero-width interval; no ack (nothing is
-  // outstanding for self ops). Fetch results land via pooled scratch.
-  std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  const std::size_t span = span_bytes(op.target_count, op.target_dt);
-  const auto lo = reinterpret_cast<std::uintptr_t>(taddr);
+  // Both phases at one instant, recorded as a zero-width access. Nothing is
+  // outstanding for self ops, so the fetched bytes go straight to the
+  // origin's result buffer instead of into an ack.
+  sim::PoolBuf fetched(&pool_);
+  const bool is_write = write_target(op, am_read_phase(op), fetched);
+  if (op.origin_result != nullptr && !fetched.empty())
+    unpack(op.origin_result, op.origin_count, op.origin_dt, fetched);
+  const auto lo = reinterpret_cast<std::uintptr_t>(
+      seg_addr(*op.win, op.target_comm_rank, op.target_disp));
   const Time t = env.now();
-  const int node = topo().node_of(op.target_world);
-
-  switch (op.kind) {
-    case OpKind::Put:
-      unpack(taddr, op.target_count, op.target_dt, op.payload);
-      record_access(node, lo, lo + span, t, t, env.world_rank(), true);
-      break;
-    case OpKind::Get:
-      if (op.origin_result) {
-        sim::PoolBuf data(&pool_);
-        pack_into(data, taddr, op.target_count, op.target_dt);
-        unpack(op.origin_result, op.origin_count, op.origin_dt, data);
-      }
-      record_access(node, lo, lo + span, t, t, env.world_rank(), false);
-      break;
-    case OpKind::Acc: {
-      reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      record_access(node, lo, lo + span, t, t, env.world_rank(),
-                    op.op != AccOp::NoOp);
-      break;
-    }
-    case OpKind::GetAcc:
-    case OpKind::Fao: {
-      if (op.origin_result) {
-        sim::PoolBuf old(&pool_);
-        pack_into(old, taddr, op.target_count, op.target_dt);
-        unpack(op.origin_result, op.origin_count, op.origin_dt, old);
-      }
-      reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      record_access(node, lo, lo + span, t, t, env.world_rank(),
-                    op.op != AccOp::NoOp);
-      break;
-    }
-    case OpKind::Cas: {
-      const std::size_t es = op.target_dt.elem_size();
-      if (op.origin_result) std::memcpy(op.origin_result, taddr, es);
-      if (std::memcmp(taddr, op.payload.data(), es) == 0) {
-        std::memcpy(taddr, op.payload.data() + es, es);
-      }
-      record_access(node, lo, lo + es, t, t, env.world_rank(), true);
-      break;
-    }
-    case OpKind::LockReq:
-    case OpKind::LockRelease:
-      MMPI_REQUIRE(false, "lock ops are not self-executed ops");
-  }
+  // A self CAS is recorded as a write even when it misses.
+  record_access(topo().node_of(op.target_world), lo,
+                lo + span_bytes(op.target_count, op.target_dt), t, t,
+                env.world_rank(), is_write || op.kind == OpKind::Cas);
   observe_commit(op, t, env.world_rank());
 }
 
@@ -974,10 +865,8 @@ void Runtime::fault_transmit(std::uint64_t opid, Time t_send) {
   // counters are too — see DESIGN.md §11.
   const fault::Verdict v =
       fault::draw(*cfg_.fault, opid, r.attempt, /*is_ack=*/false);
-  const std::size_t wire_bytes =
-      op.kind == OpKind::Get ? 16 : op.payload.size();
   const Time t_del =
-      t_send + wire_latency(op.origin_world, op.target_world, wire_bytes);
+      t_send + wire_latency(op.origin_world, op.target_world, wire_bytes(op));
   if (v.kind != fault::NetVerdict::Deliver && obs::on(recorder())) {
     recorder()->trace().instant(op.origin_world, obs::Ev::FaultInject, t_send,
                               opid, static_cast<std::uint64_t>(v.kind),
@@ -1084,7 +973,7 @@ void Runtime::fault_serve_dead(AmNode* n, Time t) {
   // NIC/memory system completes the transfer at delivery time. Zero-width
   // commit, so it cannot interleave with a live entity's two-phase service.
   const int nic_entity = 2 * engine_->nranks() + n->op.target_world;
-  am_commit(*n, t, t, nic_entity);
+  am_write_phase(*n, am_read_phase(n->op), t, t, nic_entity);
 }
 
 void Runtime::fault_kill_rank(int world_rank, Time t) {

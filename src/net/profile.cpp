@@ -7,7 +7,6 @@ Profile cray_xc30_regular() {
   p.name = "CrayXC30-regular";
   p.hw_contig_put = false;
   p.hw_contig_get = false;
-  p.hw_contig_acc = false;
   p.hw_lock = false;
   p.net_latency = sim::ns(1400);
   p.net_ns_per_byte = 0.12;  // ~8.3 GB/s Aries
@@ -28,7 +27,6 @@ Profile fusion_mvapich() {
   p.name = "Fusion-MVAPICH";
   p.hw_contig_put = true;
   p.hw_contig_get = true;
-  p.hw_contig_acc = false;
   p.hw_lock = true;
   p.net_latency = sim::ns(2300);  // QDR InfiniBand
   p.net_ns_per_byte = 0.3;        // ~3.2 GB/s

@@ -1,5 +1,6 @@
 // Machine profiles: which RMA operations the "network hardware" executes
-// without target-side software, and the cost constants of the platform model.
+// without target-side software (at most contiguous PUT/GET and the lock
+// protocol; never accumulates), and the cost constants of the platform model.
 //
 // Three built-in profiles mirror the paper's evaluation platforms:
 //  - CrayXC30Regular: Cray MPI in regular mode — every RMA operation is
@@ -28,7 +29,6 @@ struct Profile {
   // --- hardware RMA capability -------------------------------------------
   bool hw_contig_put = false;  ///< contiguous PUT executes in hardware
   bool hw_contig_get = false;  ///< contiguous GET executes in hardware
-  bool hw_contig_acc = false;  ///< basic-datatype accumulate in hardware
   bool hw_lock = false;        ///< passive-target lock protocol at the NIC
 
   // --- wire latency / bandwidth -------------------------------------------

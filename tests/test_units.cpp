@@ -53,7 +53,6 @@ TEST(Profile, HardwareCapabilityMatrix) {
   EXPECT_TRUE(net::cray_xc30_dmapp().hw_contig_put);
   EXPECT_TRUE(net::cray_xc30_dmapp().hw_lock);
   EXPECT_TRUE(net::fusion_mvapich().hw_contig_put);
-  EXPECT_FALSE(net::fusion_mvapich().hw_contig_acc);
 }
 
 TEST(Profile, BusyFactorScalesWithCores) {
