@@ -1,9 +1,14 @@
 // Property-style parameterized sweeps: data integrity of Casper's
 // redirection must hold across every combination of binding policy, dynamic
 // load-balancing policy, ghost count, epoch type, and operation mix — and
-// the atomicity checker must stay silent throughout.
+// the atomicity checker must stay silent throughout. SegmentRouting pins
+// which ghost serves each op under static segment binding, per ghost and
+// across epoch transitions.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +16,7 @@
 #include "core/casper.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
+#include "obs/record.hpp"
 
 namespace {
 
@@ -245,6 +251,137 @@ TEST(CasperBindings, DynamicPoliciesProduceIdenticalContents) {
     }
   }
   EXPECT_GT(compared, 0);
+}
+
+// Routing characterization for static segment binding with 2 ghosts per
+// node: the ghost that serves an op is a pure function of (target,
+// displacement, layout), across flushes, lock transitions and windows.
+// 2 nodes x (1 user + 2 ghosts); each user runs the same op stream against
+// the user on the other node, so both origin parities route (the injected
+// flip mirrors odd origins only). A 16-double window makes each node's
+// memory two 64-byte segments: element 0 belongs to the node's first ghost
+// (world 1 / 4), element 8 to its second (world 2 / 5).
+using Load = std::map<std::string, std::uint64_t>;  // ghost.<g>.ops/bytes
+using Stream = std::function<void(mpi::Env&, int peer, std::vector<Win>&)>;
+
+/// Runs `stream` over `nwins` fresh windows, then checks the per-ghost load
+/// and that element e of every window on both users holds elems[e] (else 0).
+void expect_routing(int nwins, bool flip, const Stream& stream,
+                    const Load& load,
+                    const std::map<std::size_t, double>& elems) {
+  constexpr std::size_t kElems = 16;
+  RunConfig rc;
+  rc.machine.profile = net::cray_xc30_regular();
+  rc.machine.topo.nodes = 2;
+  rc.machine.topo.cores_per_node = 3;
+  rc.seed = 12345;
+  obs::Recorder rec;
+  rc.recorder = &rec;
+  core::Config cc;
+  cc.ghosts_per_node = 2;
+  cc.binding = core::Binding::Segment;
+  cc.fault.flip_segment_binding = flip;
+  mpi::exec(rc, [&](mpi::Env& env) {
+    Comm w = env.world();
+    std::vector<Win> wins(static_cast<std::size_t>(nwins));
+    std::vector<void*> bases(wins.size(), nullptr);
+    for (std::size_t i = 0; i < wins.size(); ++i) {
+      wins[i] = env.win_allocate(kElems * sizeof(double), sizeof(double),
+                                 Info{}, w, &bases[i]);
+    }
+    stream(env, 1 - env.rank(w), wins);
+    env.barrier(w);
+    for (void* b : bases) {
+      for (std::size_t e = 0; e < kElems; ++e) {
+        const auto it = elems.find(e);
+        EXPECT_EQ(static_cast<const double*>(b)[e],
+                  it == elems.end() ? 0.0 : it->second)
+            << "user " << env.rank(w) << " elem " << e;
+      }
+    }
+    for (std::size_t i = wins.size(); i-- > 0;) env.win_free(wins[i]);
+  }, core::layer(cc));
+  if (!obs::kTraceCompiled) return;
+  Load got;
+  for (const auto& [key, v] : rec.metrics().counters()) {
+    if (key.rfind("ghost.", 0) == 0 &&
+        key.find(".service_") == std::string::npos) {
+      got[key] = v;
+    }
+  }
+  EXPECT_EQ(got, load);
+}
+
+TEST(SegmentRouting, LockallFlushAndRelock) {
+  // Per origin: 11 puts + 1 accumulate on element 0, 4 accumulates on 8.
+  expect_routing(
+      1, false,
+      [](mpi::Env& env, int peer, std::vector<Win>& wins) {
+        Win& win = wins[0];
+        double v = 1.0;
+        env.win_lock_all(0, win);
+        for (int i = 0; i < 8; ++i) env.put(&v, 1, peer, 0, win);
+        env.accumulate(&v, 1, peer, 0, AccOp::Sum, win);
+        for (int i = 0; i < 4; ++i) {
+          env.accumulate(&v, 1, peer, 8, AccOp::Sum, win);
+        }
+        env.win_flush_all(win);
+        env.put(&v, 1, peer, 0, win);
+        env.win_unlock_all(win);
+        env.win_lock_all(0, win);
+        env.put(&v, 1, peer, 0, win);
+        env.put(&v, 1, peer, 0, win);
+        env.win_unlock_all(win);
+      },
+      {{"ghost.1.ops", 12}, {"ghost.1.bytes", 96},
+       {"ghost.2.ops", 4}, {"ghost.2.bytes", 32},
+       {"ghost.4.ops", 12}, {"ghost.4.bytes", 96},
+       {"ghost.5.ops", 4}, {"ghost.5.bytes", 32}},
+      {{0, 1.0}, {8, 4.0}});
+}
+
+TEST(SegmentRouting, PerTargetLockRebindingFlushAndRelock) {
+  // Dynamic binding is off, so all 7 puts stay on element 0's owner.
+  expect_routing(
+      1, false,
+      [](mpi::Env& env, int peer, std::vector<Win>& wins) {
+        Win& win = wins[0];
+        double v = 1.0;
+        env.win_lock(LockType::Shared, peer, 0, win);
+        for (int i = 0; i < 3; ++i) env.put(&v, 1, peer, 0, win);
+        env.win_flush(peer, win);  // opens the static-binding-free interval
+        for (int i = 0; i < 2; ++i) env.put(&v, 1, peer, 0, win);
+        env.win_flush(peer, win);
+        env.put(&v, 1, peer, 0, win);
+        env.win_unlock(peer, win);
+        env.win_lock(LockType::Shared, peer, 0, win);
+        env.put(&v, 1, peer, 0, win);
+        env.win_unlock(peer, win);
+      },
+      {{"ghost.1.ops", 7}, {"ghost.1.bytes", 56},
+       {"ghost.4.ops", 7}, {"ghost.4.bytes", 56}},
+      {{0, 1.0}});
+}
+
+TEST(SegmentRouting, FlipFaultOnTwoWindows) {
+  // The flip applies to both windows: origin 0 routes element 0 of user 1
+  // to its owner (world 4); odd origin 1 sees the mirrored map and sends
+  // element 0 of user 0 to the second ghost (world 2), never to world 1.
+  expect_routing(
+      2, true,
+      [](mpi::Env& env, int peer, std::vector<Win>& wins) {
+        double v = 1.0;
+        env.win_lock_all(0, wins[0]);
+        env.win_lock_all(0, wins[1]);
+        for (Win& win : wins) {
+          for (int i = 0; i < 8; ++i) env.put(&v, 1, peer, 0, win);
+        }
+        env.win_unlock_all(wins[1]);
+        env.win_unlock_all(wins[0]);
+      },
+      {{"ghost.2.ops", 16}, {"ghost.2.bytes", 128},
+       {"ghost.4.ops", 16}, {"ghost.4.bytes", 128}},
+      {{0, 1.0}});
 }
 
 }  // namespace
