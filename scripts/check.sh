@@ -90,7 +90,7 @@ replay_repros
 
 echo "== [7/14] adaptive progress control: unit suite + forced-on fuzz =="
 # The online controller (DESIGN.md §15): decision invariance across fiber
-# schedules and engine shards, plan-cache invalidation on rebind, KV
+# schedules and engine shards, map changes on rebind, KV
 # linearizability, and the ghost-kill chaos composition in the unit suite;
 # then the conformance corpus with the controller forced on for EVERY case
 # (seed streams only draw it for ~25%): oracle, race analyzer, and
@@ -122,8 +122,8 @@ cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null
 cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
   test_check_oracle test_race_analyzer test_fault_matrix \
   test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas \
-  test_casper test_pool test_mpi_corners test_mpi_rma test_progress_agents \
-  test_sim_engine test_sim_engine_sharded
+  test_casper test_casper_bindings test_pool test_mpi_corners test_mpi_rma \
+  test_progress_agents test_sim_engine test_sim_engine_sharded
 # The engine's one scheduler loop for every shard count and perturb seed:
 # calendar node free list, spill heap refills and SlotPool recycling.
 "./$BUILD_ASAN/tests/test_sim_engine"
@@ -141,6 +141,10 @@ cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
 # Window set-up: the one-time table fill at registration and the ghosts'
 # handle-only records, freed by sequence number out of allocation order.
 "./$BUILD_ASAN/tests/test_casper"
+# Redirect routing: the segment split path iterates the origin's reused
+# route vector across its p_rma and win_flush calls, so a reference into it
+# that dangles is a use-after-free here.
+"./$BUILD_ASAN/tests/test_casper_bindings"
 # The interval-treap recorder (insert/coalesce/prune) under ASan, plus a racy
 # slice: planted-race detection must hold with sanitized allocation patterns.
 "./$BUILD_ASAN/tests/test_race_analyzer"

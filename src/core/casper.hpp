@@ -80,10 +80,6 @@ struct Config {
     /// exactly the hazard static segment binding exists to prevent
     /// (paper III.B.2). Requires ghosts_per_node >= 2 to have any effect.
     bool flip_segment_binding = false;
-    /// Scope the flip (and its plan-cache bypass) to the managed window with
-    /// this allocation sequence number; -1 applies it to every window. An
-    /// unfaulted window keeps its plan cache during faulted runs.
-    int flip_only_seq = -1;
   } fault{};
 };
 

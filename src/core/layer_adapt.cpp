@@ -163,7 +163,6 @@ void CasperLayer::adapt_decide(Env& env, CspWin& cw, int me_u) {
   const auto& board = cw.adapt.board[ep.adapt.round & 1];
   const progress::AdaptOutcome out =
       progress::decide(cfg_.adaptive, cw.adapt.nodes, board, ep.adapt);
-  if (out.remapped) ++ep.plans.gen;  // cached splits route by the old map
   if (me_u != 0 || !obs::on(rt_->recorder())) return;
   obs::Recorder* rec = rt_->recorder();
   auto& m = rec->metrics();
@@ -242,18 +241,22 @@ void CasperLayer::resolve_adaptive(CspWin& cw, int origin, int target,
     return;
   }
 
-  // Segment binding at subchunk granularity: the walk is resolve_static's,
-  // with the byte→owner map indirected through the controller's replicated
-  // item→slot map. Subchunk boundaries are 16B aligned, so a split never
-  // divides a basic element, and all origins share one map at any instant —
-  // accumulate atomicity holds exactly as for the static chunking.
+  // Segment binding at subchunk granularity: the walk is resolve_static's
+  // (a contiguous layout is one block), with the byte→owner map indirected
+  // through the controller's replicated item→slot map. Subchunk boundaries
+  // are 16B aligned, so a split never divides a basic element, and all
+  // origins share one map at any instant — accumulate atomicity holds
+  // exactly as for the static chunking.
   const std::size_t sb = cw.adapt.sub_bytes[static_cast<std::size_t>(ti.node)];
   const std::size_t last = static_cast<std::size_t>(nd.count - 1);
   const std::size_t es = tdt.elem_size();
-  const std::size_t block = static_cast<std::size_t>(tdt.blocklen) * es;
+  const bool one_block = tdt.contiguous();
+  const int nblocks = one_block ? 1 : tcount;
+  const std::size_t block = static_cast<std::size_t>(one_block ? tcount : 1) *
+                            static_cast<std::size_t>(tdt.blocklen) * es;
   const std::size_t stride = static_cast<std::size_t>(tdt.stride) * es;
   std::size_t payload_off = 0;
-  for (int b = 0; b < tcount; ++b) {
+  for (int b = 0; b < nblocks; ++b) {
     std::size_t lo = base + static_cast<std::size_t>(b) * stride;
     std::size_t remaining = block;
     while (remaining > 0) {
@@ -305,12 +308,6 @@ int CasperLayer::adapt_policy(const mpi::Win& user_win) {
   auto& cw = managed_checked(user_win, "adapt_policy");
   MMPI_REQUIRE(cw.adapt.on, "casper: adapt_policy on a non-adaptive run");
   return cw.ep[0].adapt.policy;
-}
-
-std::uint64_t CasperLayer::plan_generation(const mpi::Win& user_win,
-                                           int origin) {
-  auto& cw = managed_checked(user_win, "plan_generation");
-  return cw.ep[static_cast<std::size_t>(origin)].plans.gen;
 }
 
 }  // namespace casper::core

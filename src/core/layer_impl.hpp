@@ -162,12 +162,10 @@ class CasperLayer final : public mpi::Layer {
   /// Adaptive-controller introspection (tests & benches; adaptive runs
   /// only): the decision digest, current item→slot map and effective
   /// dynamic policy of origin 0's replica (all origins agree by
-  /// construction), and one origin's plan-cache generation (to observe the
-  /// invalidation a rebind performs).
+  /// construction).
   std::uint64_t adapt_digest(const mpi::Win& user_win);
   std::vector<int> adapt_map(const mpi::Win& user_win);
   int adapt_policy(const mpi::Win& user_win);
-  std::uint64_t plan_generation(const mpi::Win& user_win, int origin);
 
  private:
   /// Per-user-target placement of window memory.
@@ -208,30 +206,6 @@ class CasperLayer final : public mpi::Layer {
     std::size_t payload_off = 0;  ///< offset into packed origin data
   };
 
-  /// Memoized resolve_static output: applications re-issue the same op shape
-  /// (target, displacement, count, datatype) every iteration, and the
-  /// byte→ghost split is pure in that key while the binding stands. Open
-  /// addressing over a fixed power-of-two slot array with bounded linear
-  /// probing; entries from an older generation are stale and overwritten in
-  /// place (their SubOp vectors are reused, so a warm cache allocates
-  /// nothing). Lives per origin so hit/miss counts depend only on that
-  /// origin's own call sequence, never on rank interleaving.
-  struct PlanEntry {
-    std::uint64_t gen = 0;  ///< 0 = empty; valid iff == PlanCache::gen
-    int target = -1;
-    std::size_t disp_bytes = 0;
-    int tcount = 0;
-    mpi::Datatype tdt;
-    std::vector<SubOp> subs;
-  };
-  struct PlanCache {
-    static constexpr std::size_t kSlots = 64;  // power of two
-    static constexpr std::size_t kProbe = 4;   // bounded displacement
-    std::uint64_t gen = 1;  ///< bump to invalidate (lock/epoch transitions)
-    std::vector<PlanEntry> slots;  // sized kSlots at window build
-    std::vector<SubOp> scratch;    ///< uncached path (fault injection)
-  };
-
   /// Per-origin epoch state on one Casper window.
   struct OriginEp {
     std::vector<OriginTargetEp> tl;  // per target user rank
@@ -244,8 +218,11 @@ class CasperLayer final : public mpi::Layer {
     std::vector<std::uint64_t> access_mask;
     std::vector<std::uint64_t> ops_to_ghost;    // by ghost world rank
     std::vector<std::uint64_t> bytes_to_ghost;  // by ghost world rank
-    std::uint64_t rr = 0;  ///< round-robin cursor for the "random" policy
-    PlanCache plans;       ///< memoized static-binding splits (this origin)
+    /// Static-binding resolution of the op this origin is issuing, rebuilt
+    /// per op. It keeps its capacity, so a warm origin allocates nothing, and
+    /// stays intact across the p_rma/win_flush calls of one issue(): only
+    /// this origin's next issue() rewrites it.
+    std::vector<SubOp> subs;
     /// Adaptive progress control (cfg.adaptive.enabled only; see
     /// layer_adapt.cpp and DESIGN.md §15). `adapt` is this origin's replica
     /// of the controller state — every origin computes the same values from
@@ -292,10 +269,6 @@ class CasperLayer final : public mpi::Layer {
     std::vector<std::size_t> node_total;  // per node: shared buffer bytes
     std::vector<OriginEp> ep;             // per user comm rank
     int seq = 0;  ///< allocation sequence number (ghost free matching)
-    /// Fault-injection scoping (satellite fix for the global-flag bypass):
-    /// only a window whose sequence number matches Config::Fault selection
-    /// bypasses the plan cache / applies the origin-dependent segment flip.
-    bool flip_fault = false;
     /// Fence-epoch degradation is latched *collectively*: at every fence all
     /// ranks allreduce the death sequence they observed, so every rank takes
     /// the direct-to-user-window route for the same epochs.
@@ -345,21 +318,14 @@ class CasperLayer final : public mpi::Layer {
   /// currently active epoch of `origin`.
   mpi::Win& route_window(CspWin& cw, int origin, int target);
   /// Static binding: resolve an op from user `origin` on user target `u`
-  /// into sub-ops. (`origin` only matters under fault injection, where the
-  /// segment→ghost map is deliberately made origin-dependent.)
+  /// into sub-ops, appended to `out`. (`origin` only matters under fault
+  /// injection, where the segment→ghost map is deliberately made
+  /// origin-dependent.)
   void resolve_static(CspWin& cw, int origin, int target,
                       std::size_t disp_bytes, int tcount,
                       const mpi::Datatype& tdt, std::vector<SubOp>& out);
-  /// Cached resolve_static: returns the split plan for the key, computing it
-  /// on miss. The reference stays valid until the next plan_lookup by the
-  /// SAME origin (other origins use their own caches), which cannot happen
-  /// inside one issue() call.
-  const std::vector<SubOp>& plan_lookup(CspWin& cw, OriginEp& ep, int origin,
-                                        int target, std::size_t disp_bytes,
-                                        int tcount, const mpi::Datatype& tdt);
   /// Dynamic binding ghost choice (paper III.B.3), PUT/GET only.
-  int choose_dynamic_ghost(mpi::Env& env, CspWin& cw, int origin, int node,
-                           std::size_t bytes);
+  int choose_dynamic_ghost(mpi::Env& env, CspWin& cw, int origin, int node);
   bool dynamic_applicable(const CspWin& cw, int origin, int target,
                           mpi::OpKind kind) const;
   /// Issue one user RMA op through Casper's redirection machinery.
@@ -380,8 +346,8 @@ class CasperLayer final : public mpi::Layer {
   /// and reset the private accumulators.
   void adapt_seal(CspWin& cw, int me_u);
   /// Replay the pure decision over the sealed board (post-barrier): every
-  /// origin updates its own replica identically; a remap bumps the plan
-  /// generation; origin 0 emits the adapt.* counters and lb.adapt instant.
+  /// origin updates its own replica identically; origin 0 emits the adapt.*
+  /// counters and lb.adapt instant.
   void adapt_decide(mpi::Env& env, CspWin& cw, int me_u);
   /// Barrier override body for adaptive runs: seal every managed window,
   /// barrier, decide every managed window.
@@ -405,8 +371,8 @@ class CasperLayer final : public mpi::Layer {
   void setup_fault_recovery();
   /// Death-handler callback, one heartbeat after a kill (event context —
   /// pure state mutation, no MPI calls): removes the ghost from the alive
-  /// sets, rebinds its targets onto survivors, invalidates cached plans, and
-  /// flips the node into degraded (no-redirect) mode when it was the last.
+  /// sets, rebinds its targets onto survivors, and flips the node into
+  /// degraded (no-redirect) mode when it was the last.
   void on_ghost_death(int world_rank, sim::Time t);
   /// True when fence-epoch ops on `cw` to targets on `node` must go direct
   /// to user memory: the node's total ghost loss was latched at a fence.
@@ -432,12 +398,6 @@ class CasperLayer final : public mpi::Layer {
   std::vector<std::uint64_t*> stat_dynamic_ops_;
   std::vector<std::uint64_t*> stat_split_subops_;
   std::vector<std::uint64_t*> stat_self_ops_;
-  /// Recorder metric pointers (null if obs off). Also null when sharded: the
-  /// recorder's per-shard replicas are created at run() — after this layer's
-  /// constructor — so sharded runs fall back to the per-shard metrics map
-  /// lookup at the call site instead of caching a pointer here.
-  std::uint64_t* plan_hit_ = nullptr;
-  std::uint64_t* plan_miss_ = nullptr;
   /// Recorder handles for keys built per op or per sync; see obs::Interned.
   obs::Interned<std::uint64_t> ghost_ops_;    ///< ghost.<g>.ops, by world rank
   obs::Interned<std::uint64_t> ghost_bytes_;  ///< ghost.<g>.bytes

@@ -88,8 +88,7 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
                                  std::vector<SubOp>& out) {
   if (cw.adapt.on) {
     // Adaptive runs route by the controller's replicated item→slot map
-    // (layer_adapt.cpp); the plan cache still memoizes the result — a remap
-    // bumps the generation. Fault-injected map flips don't compose with the
+    // (layer_adapt.cpp). Fault-injected map flips don't compose with the
     // controller (the flip exists to break the static owner function).
     resolve_adaptive(cw, origin, target, disp_bytes, tcount, tdt, out);
     return;
@@ -113,16 +112,13 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
           ~(mpi::kMaxBasicDtSize - 1);  // 16B alignment
   if (chunk == 0) chunk = mpi::kMaxBasicDtSize;
 
-  auto owner = [&](std::size_t b) {
-    std::size_t ow = std::min(b / chunk, g - 1);
-    // Injected fault (tests only): odd origins see a mirrored map, so two
-    // ghosts end up serving the same segment concurrently. A *consistent*
-    // flip would still be a valid binding; only the origin dependence
-    // breaks the one-segment-one-ghost invariant. Scoped per window so an
-    // unfaulted window keeps its ordinary (cached) resolution.
-    if (cw.flip_fault && (origin & 1)) ow = g - 1 - ow;
-    return ow;
-  };
+  auto owner = [&](std::size_t b) { return std::min(b / chunk, g - 1); };
+
+  // Injected fault (tests only): odd origins see a mirrored map, so two
+  // ghosts end up serving the same segment concurrently. A *consistent*
+  // flip would still be a valid binding; only the origin dependence breaks
+  // the one-segment-one-ghost invariant.
+  const bool mirrored = cfg_.fault.flip_segment_binding && (origin & 1);
 
   // Ghost-failure rebinding: a chunk owned by a dead ghost is served by a
   // survivor instead. The remap is a pure function of global death state, so
@@ -131,6 +127,7 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
   // owner is kept: the runtime completes those deliveries at the NIC.
   const auto& alive = alive_ghosts_[static_cast<std::size_t>(ti.node)];
   auto ghost_at = [&](std::size_t ow) {
+    if (mirrored) ow = g - 1 - ow;
     int gw = ng[ow];
     if (any_ghost_dead_ && ghost_dead_[static_cast<std::size_t>(gw)] != 0 &&
         !alive.empty()) {
@@ -139,15 +136,18 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
     return gw;
   };
 
+  // Walk the target layout block by block, splitting each contiguous block
+  // at chunk boundaries — never inside a basic element (boundaries are 16B
+  // aligned and displacements element-aligned). A contiguous layout is one
+  // block, so resolving costs one step per piece, not per element.
   const std::size_t es = tdt.elem_size();
-  const std::size_t block = static_cast<std::size_t>(tdt.blocklen) * es;
+  const bool one_block = tdt.contiguous();
+  const int nblocks = one_block ? 1 : tcount;
+  const std::size_t block = static_cast<std::size_t>(one_block ? tcount : 1) *
+                            static_cast<std::size_t>(tdt.blocklen) * es;
   const std::size_t stride = static_cast<std::size_t>(tdt.stride) * es;
   std::size_t payload_off = 0;
-
-  // Walk the (possibly strided) target layout block by block, splitting each
-  // contiguous block at chunk boundaries — never inside a basic element
-  // (boundaries are 16B aligned and displacements element-aligned).
-  for (int b = 0; b < tcount; ++b) {
+  for (int b = 0; b < nblocks; ++b) {
     std::size_t lo = base + static_cast<std::size_t>(b) * stride;
     std::size_t remaining = block;
     while (remaining > 0) {
@@ -181,76 +181,6 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
   }
 }
 
-const std::vector<CasperLayer::SubOp>& CasperLayer::plan_lookup(
-    CspWin& cw, OriginEp& ep, int origin, int target, std::size_t disp_bytes,
-    int tcount, const Datatype& tdt) {
-  PlanCache& pc = ep.plans;
-  if (cw.flip_fault) {
-    // Fault injection (tests only) makes the split origin-dependent; keep
-    // that path uncached so the fuzzer sees the raw resolution every time.
-    // Scoped to the flipped window: co-resident unfaulted windows keep
-    // their plan caches hot.
-    pc.scratch.clear();
-    resolve_static(cw, origin, target, disp_bytes, tcount, tdt, pc.scratch);
-    return pc.scratch;
-  }
-
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<std::uint64_t>(target));
-  mix(disp_bytes);
-  mix(static_cast<std::uint64_t>(tcount));
-  mix(static_cast<std::uint64_t>(tdt.base));
-  mix(static_cast<std::uint64_t>(tdt.blocklen));
-  mix(static_cast<std::uint64_t>(tdt.stride));
-
-  const std::size_t slot_mask = PlanCache::kSlots - 1;
-  const std::size_t idx = static_cast<std::size_t>(h) & slot_mask;
-  for (std::size_t p = 0; p < PlanCache::kProbe; ++p) {
-    PlanEntry& e = pc.slots[(idx + p) & slot_mask];
-    if (e.gen == pc.gen && e.target == target &&
-        e.disp_bytes == disp_bytes && e.tcount == tcount &&
-        e.tdt.base == tdt.base && e.tdt.blocklen == tdt.blocklen &&
-        e.tdt.stride == tdt.stride) {
-      if (plan_hit_ != nullptr) {
-        ++*plan_hit_;
-      } else if (obs::on(rt_->recorder())) {
-        // Sharded: no cached pointer (replicas appear after construction);
-        // bump this shard's metrics replica through the routed accessor.
-        ++rt_->recorder()->metrics().counter("casper.plan_cache_hit");
-      }
-      return e.subs;
-    }
-  }
-
-  // Miss: fill the first stale slot in the probe window, else evict the home
-  // slot. Stale entries keep their SubOp storage, so a warm cache refills
-  // without allocating.
-  PlanEntry* victim = &pc.slots[idx];
-  for (std::size_t p = 0; p < PlanCache::kProbe; ++p) {
-    PlanEntry& e = pc.slots[(idx + p) & slot_mask];
-    if (e.gen != pc.gen) {
-      victim = &e;
-      break;
-    }
-  }
-  if (plan_miss_ != nullptr) {
-    ++*plan_miss_;
-  } else if (obs::on(rt_->recorder())) {
-    ++rt_->recorder()->metrics().counter("casper.plan_cache_miss");
-  }
-  victim->gen = pc.gen;
-  victim->target = target;
-  victim->disp_bytes = disp_bytes;
-  victim->tcount = tcount;
-  victim->tdt = tdt;
-  victim->subs.clear();
-  resolve_static(cw, origin, target, disp_bytes, tcount, tdt, victim->subs);
-  return victim->subs;
-}
-
 bool CasperLayer::dynamic_applicable(const CspWin& cw, int origin, int target,
                                      OpKind kind) const {
   if (cfg_.dynamic == DynamicLb::None || acc_like(kind)) return false;
@@ -263,7 +193,7 @@ bool CasperLayer::dynamic_applicable(const CspWin& cw, int origin, int target,
 }
 
 int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
-                                      int node, std::size_t bytes) {
+                                      int node) {
   const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
   auto& ep = cw.ep[static_cast<std::size_t>(origin)];
   switch (effective_lb(cw, ep)) {
@@ -295,7 +225,6 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
     case DynamicLb::None:
       break;
   }
-  (void)bytes;
   return ng[0];
 }
 
@@ -411,7 +340,7 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
   // --- dynamic binding fast path: whole op to one chosen ghost -------------
   if (dynamic_applicable(cw, me_u, target, kind)) {
     const DynamicLb lb = effective_lb(cw, ep);
-    const int ghost = choose_dynamic_ghost(env, cw, me_u, ti.node, bytes);
+    const int ghost = choose_dynamic_ghost(env, cw, me_u, ti.node);
     ++ep.ops_to_ghost[static_cast<std::size_t>(ghost)];
     ep.bytes_to_ghost[static_cast<std::size_t>(ghost)] += bytes;
     if (cw.adapt.on) {
@@ -442,8 +371,9 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
   }
 
   // --- static binding -------------------------------------------------------
-  const std::vector<SubOp>& subs =
-      plan_lookup(cw, ep, me_u, target, disp_bytes, a.tcount, a.tdt);
+  std::vector<SubOp>& subs = ep.subs;
+  subs.clear();
+  resolve_static(cw, me_u, target, disp_bytes, a.tcount, a.tdt, subs);
 
   // Accumulate atomicity requires every target byte to be read-modify-
   // written by exactly ONE processing entity, regardless of which op shapes
@@ -824,7 +754,6 @@ void CasperLayer::win_lock(Env& env, mpi::LockType type, int target,
   tl.type = type;
   tl.mode_assert = mode_assert;
   tl.binding_free = false;
-  ++ep.plans.gen;  // lock transition: cached split plans are stale
   rt_->observe_epoch_begin(*cw->user_win, env.world_rank(),
                            type == mpi::LockType::Exclusive
                                ? mpi::EpochEv::LockExcl
@@ -879,7 +808,6 @@ void CasperLayer::win_unlock(Env& env, int target, const Win& w) {
     ep.adapt_acc.unflushed_acc -= tl.unflushed_acc;
     tl.unflushed_acc = 0;
   }
-  ++ep.plans.gen;  // lock transition: cached split plans are stale
   note_epoch_sync(env, cw->user_win, mpi::SyncKind::Unlock, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Unlock,
                     target, env.now());
@@ -897,7 +825,6 @@ void CasperLayer::win_lock_all(Env& env, unsigned mode_assert, const Win& w) {
   auto& ep = cw->ep[static_cast<std::size_t>(me_u)];
   MMPI_REQUIRE(!ep.lockall, "casper: nested lock_all");
   ep.lockall = true;
-  ++ep.plans.gen;  // lock transition: cached split plans are stale
   rt_->observe_epoch_begin(*cw->user_win, env.world_rank(),
                            mpi::EpochEv::LockAll, -1, env.now());
   if (!cw->ug_wins.empty()) {
@@ -952,7 +879,6 @@ void CasperLayer::win_unlock_all(Env& env, const Win& w) {
     tl.unflushed_acc = 0;  // unlock_all remotely completed everything
   }
   if (cw->adapt.on) ep.adapt_acc.unflushed_acc = 0;
-  ++ep.plans.gen;  // lock transition: cached split plans are stale
   note_epoch_sync(env, cw->user_win, mpi::SyncKind::UnlockAll, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::UnlockAll,
                     -1, env.now());
@@ -988,12 +914,8 @@ void CasperLayer::win_flush(Env& env, int target, const Win& w) {
     tl.unflushed_acc = 0;
   }
   // After a completed flush the lock is known acquired: the
-  // static-binding-free interval begins (paper III.B.3) — a rebinding
-  // transition, so cached split plans from before it are stale.
-  if (tl.locked && !tl.binding_free) {
-    tl.binding_free = true;
-    ++ep.plans.gen;
-  }
+  // static-binding-free interval begins (paper III.B.3).
+  if (tl.locked) tl.binding_free = true;
   note_epoch_sync(env, cw->user_win, mpi::SyncKind::Flush, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Flush,
                     target, env.now());

@@ -99,13 +99,6 @@ CasperLayer::CasperLayer(mpi::Runtime& rt, Config cfg)
   for (auto* k : {&ghost_ops_, &ghost_bytes_, &lb_ops_})
     k->set_shards(eng.shards());
   sync_ns_.set_shards(eng.shards());
-  if (obs::on(rt_->recorder()) && !eng.sharded()) {
-    // Sharded runs skip the cached pointers: the recorder's per-shard metric
-    // replicas only exist once run() starts, so those paths do the (colder)
-    // per-shard map lookup at the call site instead.
-    plan_hit_ = &rt_->recorder()->metrics().counter("casper.plan_cache_hit");
-    plan_miss_ = &rt_->recorder()->metrics().counter("casper.plan_cache_miss");
-  }
   setup_topology();
   setup_fault_recovery();
 }

@@ -89,9 +89,6 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   cw->user_win = user_win;
   cw->epochs = epochs;
   cw->seq = seq;
-  cw->flip_fault = cfg_.fault.flip_segment_binding &&
-                   (cfg_.fault.flip_only_seq < 0 ||
-                    cfg_.fault.flip_only_seq == seq);
   cw->shm_by_node.resize(static_cast<std::size_t>(rt_->topo().nodes));
   cw->shm_by_node[my_node] = std::move(h.shm);
   cw->ug_wins = std::move(h.ug_wins);
@@ -215,7 +212,6 @@ void CasperLayer::fill_tables(CspWin& cw, Layout lay, std::size_t du) {
     ep.access_mask.assign((users + 63) / 64, 0);
     ep.ops_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
     ep.bytes_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
-    ep.plans.slots.resize(PlanCache::kSlots);
   }
   // Adaptive progress control: size the board and seed every origin's
   // replica.

@@ -20,7 +20,7 @@
 //
 // Layering: this header is self-contained (obs + std only) so core::Config
 // can embed AdaptiveConfig without a core→progress→core include cycle. The
-// Casper layer owns all MPI-side wiring (sealing, plan-cache invalidation,
+// Casper layer owns all MPI-side wiring (sealing, issue-time routing,
 // fault composition); see DESIGN.md §15.
 #pragma once
 

@@ -5,8 +5,7 @@
 //     the decision digest, item→slot map, effective policy, and every
 //     adapt.* counter are EXACTLY identical across perturbed fiber schedules
 //     and across engine shard counts;
-//   * a rebind invalidates the route-plan cache through the existing
-//     per-origin generation bump;
+//   * a hot-chunk skew makes the controller change the item→slot map;
 //   * adaptive runs stay shadow-oracle / race-analyzer clean, and produce
 //     byte-identical window contents to the same program with the
 //     controller off (routing must never change results);
@@ -207,12 +206,11 @@ TEST(AdaptiveDecisions, PolicySwitchInvariantAcrossSchedulesAndShards) {
   expect_same(ref, run_dyn(0, 2), "shards 2");
 }
 
-TEST(AdaptiveRebind, BumpsPlanGenerationAndChangesMap) {
+TEST(AdaptiveRebind, HotChunkSkewChangesMap) {
   core::Config cc;
   cc.ghosts_per_node = 2;
   cc.binding = core::Binding::Segment;
   cc.adaptive.enabled = true;
-  std::uint64_t gen_before = 0, gen_after = 0;
   std::vector<int> map_before, map_after;
   mpi::exec(
       base_rc(2, 4, 0, 1, nullptr),
@@ -227,7 +225,6 @@ TEST(AdaptiveRebind, BumpsPlanGenerationAndChangesMap) {
         env.barrier(w);  // round with an all-cold board: no remap yet
         if (me == 0) {
           auto& L = layer_of(env);
-          gen_before = L.plan_generation(win, 0);
           map_before = L.adapt_map(win);
         }
         std::vector<double> v(8, 1.0);
@@ -240,15 +237,12 @@ TEST(AdaptiveRebind, BumpsPlanGenerationAndChangesMap) {
         }
         if (me == 0) {
           auto& L = layer_of(env);
-          gen_after = L.plan_generation(win, 0);
           map_after = L.adapt_map(win);
         }
         env.win_unlock_all(win);
         env.win_free(win);
       },
       core::layer(cc));
-  EXPECT_GT(gen_after, gen_before)
-      << "rebind must invalidate cached split plans via the generation bump";
   EXPECT_NE(map_before, map_after);
 }
 

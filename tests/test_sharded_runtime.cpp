@@ -141,7 +141,6 @@ TEST_F(ShardedRuntime, Fig5CasperModeShardInvariant) {
 struct WindowState {
   std::vector<int> bound_ghost;            // [win][user] flattened
   std::vector<int> internal_windows;       // [win]
-  std::vector<std::uint64_t> plan_gen;     // [win][user] flattened
   std::vector<std::uint64_t> adapt_digest;  // [win]
   std::vector<double> window;              // rank 0's window bytes, all wins
   std::map<std::string, std::uint64_t> counters;
@@ -167,7 +166,6 @@ WindowState run_multiwin(int shards) {
   WindowState out;
   out.bound_ghost.assign(kWins * kUsers, -1);
   out.internal_windows.assign(kWins, -1);
-  out.plan_gen.assign(kWins * kUsers, 0);
   out.adapt_digest.assign(kWins, 0);
   auto body = [&out](mpi::Env& env) {
     Comm w = env.world();
@@ -201,7 +199,6 @@ WindowState run_multiwin(int shards) {
     for (int i = 0; i < kWins; ++i) {
       const auto at = static_cast<std::size_t>(i * kUsers + me);
       out.bound_ghost[at] = L.bound_ghost_of(wins[i], me);
-      out.plan_gen[at] = L.plan_generation(wins[i], me);
       if (me == 0) {
         out.internal_windows[static_cast<std::size_t>(i)] =
             L.internal_window_count(wins[i]);
@@ -232,7 +229,6 @@ TEST_F(ShardedRuntime, CasperMultiWindowStateShardInvariant) {
     EXPECT_EQ(ref.bound_ghost, got.bound_ghost) << "shards=" << shards;
     EXPECT_EQ(ref.internal_windows, got.internal_windows)
         << "shards=" << shards;
-    EXPECT_EQ(ref.plan_gen, got.plan_gen) << "shards=" << shards;
     EXPECT_EQ(ref.adapt_digest, got.adapt_digest) << "shards=" << shards;
     EXPECT_EQ(ref.window, got.window) << "shards=" << shards;
     EXPECT_EQ(ref.counters, got.counters) << "shards=" << shards;
