@@ -3,7 +3,8 @@
 // load-balancing policy, ghost count, epoch type, and operation mix — and
 // the atomicity checker must stay silent throughout. SegmentRouting pins
 // which ghost serves each op under static segment binding, per ghost and
-// across epoch transitions.
+// across epoch transitions, and under the adaptive controller's remaps and
+// ghost kills.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -14,6 +15,8 @@
 
 #include "check/fuzz.hpp"
 #include "core/casper.hpp"
+#include "core/layer_impl.hpp"
+#include "fault/plan.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
 #include "obs/record.hpp"
@@ -382,6 +385,141 @@ TEST(SegmentRouting, FlipFaultOnTwoWindows) {
       {{"ghost.2.ops", 16}, {"ghost.2.bytes", 128},
        {"ghost.4.ops", 16}, {"ghost.4.bytes", 128}},
       {{0, 1.0}});
+}
+
+// Routing characterization with the adaptive controller on: 2 nodes x
+// (2 users + 2 ghosts). Each node's first user exposes 6 doubles and its
+// second 14, so a node's 160-byte buffer makes two 80-byte chunks (the
+// boundary is element 4 of the second user), each split into 32-byte
+// subchunks. Subchunk 2 (node bytes 64..95) straddles the chunk boundary and
+// starts on the first ghost; subchunk 3 (96..127) is the first on the
+// second. Every origin runs the same stream against the two users of the
+// other node: boundary-crossing and strided accumulates, then hot PUTs on
+// the second user's upper half that force a remap, the accumulates again
+// under the new map, a ghost kill on node 1 in a quiet gap, and the
+// accumulates once more through the survivor.
+struct AdaptRouting {
+  Load load;
+  std::vector<int> map;                    // origin 0's item -> slot map
+  std::vector<std::vector<double>> elems;  // per user rank, whole window
+  std::uint64_t ghosts_dead = 0;
+};
+
+AdaptRouting run_adaptive_routing(core::Binding binding) {
+  RunConfig rc;
+  rc.machine.profile = net::cray_xc30_regular();
+  rc.machine.topo.nodes = 2;
+  rc.machine.topo.cores_per_node = 4;
+  rc.seed = 12345;
+  obs::Recorder rec;
+  rc.recorder = &rec;
+  core::Config cc;
+  cc.ghosts_per_node = 2;
+  cc.binding = binding;
+  cc.adaptive.enabled = true;
+  const std::vector<int> ghosts = core::ghost_ranks(rc.machine.topo, cc);
+  fault::FaultPlan plan;
+  plan.kills.push_back({ghosts[2], sim::us(260)});  // node 1, slot 0
+  rc.fault = &plan;
+  AdaptRouting out;
+  out.elems.resize(4);
+  mpi::exec(rc, [&](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    const std::size_t elems = me % 2 == 0 ? 6 : 14;
+    const int peer0 = me < 2 ? 2 : 0;  // the other node's users
+    const int peer1 = peer0 + 1;
+    void* base = nullptr;
+    Win win = env.win_allocate(elems * sizeof(double), sizeof(double),
+                               Info{}, w, &base);
+    std::vector<double> v(16, 1.0);
+    env.win_lock_all(0, win);
+    env.barrier(w);
+    auto shaped = [&] {
+      // Node bytes 16..47: subchunks 0 and 1, one ghost, one piece.
+      env.accumulate(v.data(), 4, peer0, 2, AccOp::Sum, win);
+      // Node bytes 64..111: across the chunk boundary (80) and subchunks
+      // 2/3 (96).
+      env.accumulate(v.data(), 6, peer1, 2, AccOp::Sum, win);
+      // Pairs of doubles every third element of the second user: node
+      // bytes 48..63, 72..87, 96..111 and 120..135 (subchunks 1 to 4).
+      env.accumulate(v.data(), 8, mpi::contig(Dt::Double), peer1, 0, 4,
+                     mpi::vector_of(Dt::Double, 2, 3), AccOp::Sum, win);
+      env.win_flush_all(win);
+      env.barrier(w);  // epoch boundary: seal + replicated decide
+    };
+    shaped();
+    for (int r = 0; r < 3; ++r) {
+      for (int i = 0; i < 16; ++i) {
+        env.put(&v[0], 1, peer1, static_cast<std::size_t>(6 + i % 8), win);
+      }
+      env.win_flush_all(win);
+      env.barrier(w);
+    }
+    shaped();
+    env.compute(sim::us(200));  // the kill and its detection land here
+    env.barrier(w);
+    shaped();
+    if (me == 0) {
+      out.map = dynamic_cast<core::CasperLayer&>(env.runtime().layer())
+                    .adapt_map(win);
+      out.ghosts_dead = env.runtime().stats().get("recovery.ghost_dead");
+    }
+    env.win_unlock_all(win);
+    env.barrier(w);
+    const auto* d = static_cast<const double*>(base);
+    out.elems[static_cast<std::size_t>(me)].assign(d, d + elems);
+    env.win_free(win);
+  }, core::layer(cc));
+  for (const auto& [key, v] : rec.metrics().counters()) {
+    if (key.rfind("ghost.", 0) == 0 &&
+        key.find(".service_") == std::string::npos) {
+      out.load[key] = v;
+    }
+  }
+  return out;
+}
+
+/// Checks one adaptive run against its pinned per-ghost load and map; the
+/// window contents are the same under every routing.
+void expect_adaptive_routing(core::Binding binding, const Load& load,
+                             const std::vector<int>& map) {
+  const AdaptRouting got = run_adaptive_routing(binding);
+  EXPECT_EQ(got.ghosts_dead, 1u);
+  EXPECT_EQ(got.map, map);
+  const std::vector<double> first_user = {0, 0, 6, 6, 6, 6};
+  const std::vector<double> second_user = {6, 6, 6, 12, 12, 6, 9,
+                                           9, 1, 5, 5,  1,  1, 1};
+  for (std::size_t u = 0; u < got.elems.size(); ++u) {
+    EXPECT_EQ(got.elems[u], u % 2 == 0 ? first_user : second_user)
+        << "user " << u;
+  }
+  if (obs::kTraceCompiled) {
+    EXPECT_EQ(got.load, load);
+  }
+}
+
+TEST(SegmentRouting, AdaptiveRemapStridedAndGhostKill) {
+  // Ghosts are world 1, 3 (node 0) and 5, 7 (node 1); the kill moves
+  // world 5's remaining pieces to world 7.
+  expect_adaptive_routing(
+      core::Binding::Segment,
+      {{"ghost.1.ops", 60}, {"ghost.1.bytes", 688},
+       {"ghost.3.ops", 88}, {"ghost.3.bytes", 944},
+       {"ghost.5.ops", 50}, {"ghost.5.bytes", 544},
+       {"ghost.7.ops", 92}, {"ghost.7.bytes", 1088}},
+      {1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1});
+}
+
+TEST(SegmentRouting, AdaptiveRankBindingGhostKill) {
+  // The hot second user swaps slots with the first on both nodes.
+  expect_adaptive_routing(
+      core::Binding::Rank,
+      {{"ghost.1.ops", 74}, {"ghost.1.bytes", 1024},
+       {"ghost.3.ops", 40}, {"ghost.3.bytes", 608},
+       {"ghost.5.ops", 70}, {"ghost.5.bytes", 800},
+       {"ghost.7.ops", 44}, {"ghost.7.bytes", 832}},
+      {1, 0, 1, 0});
 }
 
 }  // namespace
