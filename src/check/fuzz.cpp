@@ -549,8 +549,8 @@ std::span<const Check<RmaWorkload>> RmaWorkload::checks() {
 std::span<const PlantedBug<RmaWorkload>> RmaWorkload::bugs() {
   static constexpr PlantedBug<RmaWorkload> kBugs[] = {
       // The flip only has a surface when segment binding spreads one target
-      // over >= 2 ghosts; adaptive cases resolve through the controller's
-      // map instead of the flippable static owner function.
+      // over >= 2 ghosts. Adaptive cases stay out of the candidate set, which
+      // keeps the seeds the proof has always picked.
       {"flip-binding", 500,
        [](const RmaCase& c) {
          return c.binding == core::Binding::Segment && c.ghosts >= 2 &&

@@ -60,9 +60,9 @@
 // set is independent of host arrival order — sharded runs (the analyzer is
 // concurrent_safe) and perturbed fiber schedules produce the same groups.
 //
-// Gating: the observation sites fold away under -DCASPER_RACE=0 and cost one
-// emptiness test when compiled in but unattached (mpi/observe.hpp); the
-// analyzer itself is ordinary library code in casper_check.
+// Gating: the observation sites cost one emptiness test when no observer is
+// attached (mpi/observe.hpp); the analyzer itself is ordinary library code
+// in casper_check.
 #pragma once
 
 #include <cstddef>

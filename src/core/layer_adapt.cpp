@@ -20,7 +20,6 @@
 
 #include "core/layer_impl.hpp"
 #include "mpi/check.hpp"
-#include "mpi/datatype.hpp"
 #include "progress/adaptive.hpp"
 
 namespace casper::core {
@@ -35,18 +34,11 @@ static_assert(static_cast<int>(DynamicLb::OpCounting) ==
 static_assert(static_cast<int>(DynamicLb::ByteCounting) ==
               progress::kLbByteCount);
 
-namespace {
-std::size_t align16(std::size_t v) {
-  return (v + mpi::kMaxBasicDtSize - 1) & ~(mpi::kMaxBasicDtSize - 1);
-}
-}  // namespace
-
 void CasperLayer::init_adapt(CspWin& cw) {
   auto& ad = cw.adapt;
   ad.on = true;
   const std::size_t nnodes = node_ghosts_.size();
   ad.nodes.assign(nnodes, progress::AdaptNode{});
-  ad.sub_bytes.assign(nnodes, 0);
   std::vector<int> init_map;
   int first = 0;
   for (std::size_t n = 0; n < nnodes; ++n) {
@@ -56,26 +48,16 @@ void CasperLayer::init_adapt(CspWin& cw) {
       count = static_cast<int>(node_users_[n].size());
       init_map.resize(static_cast<std::size_t>(first + count), 0);
     } else {
-      // Mirror resolve_static's chunk computation, then split every chunk
-      // into `subchunks` 16B-aligned pieces the controller can move
-      // independently. When sub_bytes divides the chunk (the common
-      // power-of-two case) the initial map routes byte-for-byte like the
-      // static owner function.
-      const std::size_t total = cw.node_total[n];
-      std::size_t chunk = (total + static_cast<std::size_t>(g) - 1) /
-                          static_cast<std::size_t>(g);
-      chunk = align16(chunk);
-      if (chunk == 0) chunk = mpi::kMaxBasicDtSize;
-      const int sub = std::max(1, cfg_.adaptive.subchunks);
-      std::size_t sb = align16((chunk + static_cast<std::size_t>(sub) - 1) /
-                               static_cast<std::size_t>(sub));
-      if (sb == 0) sb = mpi::kMaxBasicDtSize;
-      ad.sub_bytes[n] = sb;
-      count = g * sub;
+      // The segment table's subchunks are the items. Each starts on the
+      // slot of the chunk holding its first byte, so when the subchunk size
+      // divides the chunk (the common power-of-two case) the initial map
+      // routes byte-for-byte like the static binding.
+      const SegTable& st = cw.seg[n];
+      count = static_cast<int>(st.count);
       init_map.resize(static_cast<std::size_t>(first + count), 0);
       for (int i = 0; i < count; ++i) {
         init_map[static_cast<std::size_t>(first + i)] = static_cast<int>(
-            std::min(static_cast<std::size_t>(i) * sb / chunk,
+            std::min(static_cast<std::size_t>(i) * st.piece / st.chunk,
                      static_cast<std::size_t>(g - 1)));
       }
     }
@@ -122,7 +104,7 @@ void CasperLayer::adapt_note(CspWin& cw, OriginEp& ep, const TargetInfo& ti,
   }
   // Segment: attribute exactly per subchunk, so a remapped piece keeps an
   // honest weight no matter which ghost currently serves it.
-  const std::size_t sb = cw.adapt.sub_bytes[static_cast<std::size_t>(ti.node)];
+  const std::size_t sb = cw.seg[static_cast<std::size_t>(ti.node)].piece;
   const std::size_t last = static_cast<std::size_t>(nd.count - 1);
   std::size_t off = node_off;
   std::size_t left = nbytes;
@@ -162,7 +144,7 @@ void CasperLayer::adapt_decide(Env& env, CspWin& cw, int me_u) {
   auto& ep = cw.ep[static_cast<std::size_t>(me_u)];
   const auto& board = cw.adapt.board[ep.adapt.round & 1];
   const progress::AdaptOutcome out =
-      progress::decide(cfg_.adaptive, cw.adapt.nodes, board, ep.adapt);
+      progress::decide(cw.adapt.nodes, board, ep.adapt);
   if (me_u != 0 || !obs::on(rt_->recorder())) return;
   obs::Recorder* rec = rt_->recorder();
   auto& m = rec->metrics();
@@ -205,89 +187,10 @@ void CasperLayer::adapt_barrier(Env& env, const mpi::Comm& c) {
   for (CspWin* cw : wins) adapt_decide(env, *cw, me_u);
 }
 
-int CasperLayer::adapt_ghost(int node, int slot) const {
-  const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
-  int gw = ng[static_cast<std::size_t>(slot) % ng.size()];
-  // Same pure death-fallback as the static path's ghost_at: decisions never
-  // read death state, issue time applies it, so a rebind in flight during a
-  // ghost kill still resolves to one agreed map on every origin.
-  const auto& alive = alive_ghosts_[static_cast<std::size_t>(node)];
-  if (any_ghost_dead_ && ghost_dead_[static_cast<std::size_t>(gw)] != 0 &&
-      !alive.empty()) {
-    gw = alive[static_cast<std::size_t>(slot) % alive.size()];
-  }
-  return gw;
-}
-
 DynamicLb CasperLayer::effective_lb(const CspWin& cw,
                                     const OriginEp& ep) const {
   if (!cw.adapt.on) return cfg_.dynamic;
   return static_cast<DynamicLb>(ep.adapt.policy);
-}
-
-void CasperLayer::resolve_adaptive(CspWin& cw, int origin, int target,
-                                   std::size_t disp_bytes, int tcount,
-                                   const mpi::Datatype& tdt,
-                                   std::vector<SubOp>& out) {
-  const auto& ti = cw.tgt[static_cast<std::size_t>(target)];
-  const auto& ep = cw.ep[static_cast<std::size_t>(origin)];
-  const auto& nd = cw.adapt.nodes[static_cast<std::size_t>(ti.node)];
-  const std::size_t base = ti.offset + disp_bytes;
-
-  if (cfg_.binding == Binding::Rank) {
-    const int slot = ep.adapt.map[static_cast<std::size_t>(nd.first +
-                                                           ti.local_idx)];
-    out.push_back(SubOp{adapt_ghost(ti.node, slot), base, tcount, tdt, 0});
-    return;
-  }
-
-  // Segment binding at subchunk granularity: the walk is resolve_static's
-  // (a contiguous layout is one block), with the byte→owner map indirected
-  // through the controller's replicated item→slot map. Subchunk boundaries
-  // are 16B aligned, so a split never divides a basic element, and all
-  // origins share one map at any instant — accumulate atomicity holds
-  // exactly as for the static chunking.
-  const std::size_t sb = cw.adapt.sub_bytes[static_cast<std::size_t>(ti.node)];
-  const std::size_t last = static_cast<std::size_t>(nd.count - 1);
-  const std::size_t es = tdt.elem_size();
-  const bool one_block = tdt.contiguous();
-  const int nblocks = one_block ? 1 : tcount;
-  const std::size_t block = static_cast<std::size_t>(one_block ? tcount : 1) *
-                            static_cast<std::size_t>(tdt.blocklen) * es;
-  const std::size_t stride = static_cast<std::size_t>(tdt.stride) * es;
-  std::size_t payload_off = 0;
-  for (int b = 0; b < nblocks; ++b) {
-    std::size_t lo = base + static_cast<std::size_t>(b) * stride;
-    std::size_t remaining = block;
-    while (remaining > 0) {
-      const std::size_t ci = std::min(lo / sb, last);
-      const std::size_t len =
-          ci == last ? remaining : std::min(remaining, (ci + 1) * sb - lo);
-      MMPI_REQUIRE(len % es == 0 && lo % es == 0,
-                   "casper: adaptive subchunk boundary would split a basic "
-                   "element (misaligned displacement)");
-      const int slot = ep.adapt.map[static_cast<std::size_t>(nd.first) + ci];
-      const int gw = adapt_ghost(ti.node, slot);
-      if (!out.empty() && out.back().ghost == gw &&
-          out.back().tdisp + static_cast<std::size_t>(out.back().tcount) *
-                                 out.back().tdt.elem_size() *
-                                 static_cast<std::size_t>(
-                                     out.back().tdt.blocklen) ==
-              lo &&
-          out.back().tdt.contiguous() &&
-          out.back().payload_off +
-                  mpi::data_bytes(out.back().tcount, out.back().tdt) ==
-              payload_off) {
-        out.back().tcount += static_cast<int>(len / es);
-      } else {
-        out.push_back(SubOp{gw, lo, static_cast<int>(len / es),
-                            mpi::contig(tdt.base), payload_off});
-      }
-      lo += len;
-      payload_off += len;
-      remaining -= len;
-    }
-  }
 }
 
 // ------------------------------------------------- introspection ----------

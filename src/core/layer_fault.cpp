@@ -3,7 +3,7 @@
 // later and invokes the handler registered here. Recovery has three tiers:
 //
 //   1. surviving ghosts on the node absorb the dead ghost's load — rank
-//      bindings rebind and segment chunks remap (resolve_static::ghost_at);
+//      bindings rebind and binding slots remap (slot_ghost);
 //   2. while retransmissions are still addressed to the dead ghost, the
 //      runtime forwards them to a live successor precomputed below, so
 //      read-modify-writes stay serialized through one live entity;
@@ -69,8 +69,8 @@ void CasperLayer::on_ghost_death(int world_rank, sim::Time t) {
   ++rt_->stats().counter("recovery.ghost_dead");
 
   // Rebind every managed window: targets rank-bound to the dead ghost move
-  // to a survivor (segment chunks owned by the dead ghost remap through
-  // resolve_static::ghost_at).
+  // to a survivor (segment pieces and adaptive slots served by the dead
+  // ghost remap through slot_ghost).
   std::uint64_t rebound = 0;
   for (auto& [impl, cwp] : winmap_) {
     CspWin& cw = *cwp;

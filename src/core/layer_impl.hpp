@@ -255,19 +255,30 @@ class CasperLayer final : public mpi::Layer {
     std::vector<std::size_t> node_total;  // per node: shared buffer bytes
   };
 
+  /// Segment binding's pieces on one node (paper III.B.2): the node buffer
+  /// splits into `count` pieces of `piece` bytes (the last piece takes any
+  /// remainder). Static: each piece is one ghost's 16B-aligned `chunk`.
+  /// Adaptive: each chunk splits into progress::kSubchunks 16B-aligned
+  /// pieces.
+  struct SegTable {
+    std::size_t chunk = 0;
+    std::size_t piece = 0;
+    std::size_t count = 0;
+  };
+
   /// All internal state Casper keeps for one user window. One canonical
   /// instance is shared by all member ranks: the rank that registers it
-  /// fills its per-window tables (tgt, ep, adapt) once; later members only
-  /// merge their node's shared-memory window, the one per-node handle.
+  /// fills its per-window tables (tgt, seg, ep, adapt) once; later members
+  /// only merge their node's shared-memory window, the one per-node handle.
   struct CspWin {
     mpi::Win user_win;  ///< handle returned to the application
     std::vector<mpi::Win> shm_by_node;  ///< node shared-memory windows
     std::vector<mpi::Win> ug_wins;  ///< per local-user-index, over world
     mpi::Win global_win;            ///< fence/pscw/lockall window, over world
     unsigned epochs = kEpochAll;
-    std::vector<TargetInfo> tgt;          // per user comm rank
-    std::vector<std::size_t> node_total;  // per node: shared buffer bytes
-    std::vector<OriginEp> ep;             // per user comm rank
+    std::vector<TargetInfo> tgt;  // per user comm rank
+    std::vector<SegTable> seg;    // per node
+    std::vector<OriginEp> ep;     // per user comm rank
     int seq = 0;  ///< allocation sequence number (ghost free matching)
     /// Fence-epoch degradation is latched *collectively*: at every fence all
     /// ranks allreduce the death sequence they observed, so every rank takes
@@ -286,7 +297,6 @@ class CasperLayer final : public mpi::Layer {
     struct AdaptShared {
       bool on = false;
       std::vector<progress::AdaptNode> nodes;  ///< item layout per node
-      std::vector<std::size_t> sub_bytes;      ///< per node (segment mode)
       std::vector<progress::AdaptSample> board[2];  ///< [parity][origin]
     };
     AdaptShared adapt;
@@ -305,8 +315,9 @@ class CasperLayer final : public mpi::Layer {
   WinHandles build_windows(mpi::Env& env, std::size_t bytes, unsigned epochs,
                            const mpi::Info& info, Layout& lay);
   /// Pure fill of a window's per-window tables (target placement and
-  /// binding, per-origin epoch state, adaptive state) from the layout. Runs
-  /// once per window, in the rank that registers it; no pmpi_ calls.
+  /// binding, segment table, per-origin epoch state, adaptive state) from
+  /// the layout. Runs once per window, in the rank that registers it; no
+  /// pmpi_ calls.
   void fill_tables(CspWin& cw, Layout lay, std::size_t du);
   void free_internal_windows(mpi::Env& env, WinHandles h);
 
@@ -317,13 +328,18 @@ class CasperLayer final : public mpi::Layer {
   /// The internal window carrying operations to user target `u` under the
   /// currently active epoch of `origin`.
   mpi::Win& route_window(CspWin& cw, int origin, int target);
-  /// Static binding: resolve an op from user `origin` on user target `u`
-  /// into sub-ops, appended to `out`. (`origin` only matters under fault
-  /// injection, where the segment→ghost map is deliberately made
-  /// origin-dependent.)
+  /// Static (non-dynamic) binding: resolve an op from user `origin` on user
+  /// target `target` into sub-ops, appended to `out`. Rank and segment
+  /// binding, with the adaptive controller off or on, all resolve here.
   void resolve_static(CspWin& cw, int origin, int target,
                       std::size_t disp_bytes, int tcount,
                       const mpi::Datatype& tdt, std::vector<SubOp>& out);
+  /// Ghost world rank serving binding slot `slot` (an index into the node's
+  /// ghost list), with the pure death fallback: a dead ghost's slots go to
+  /// `alive[slot % alive.size()]`, so every origin agrees on the survivor.
+  /// (`origin` only matters under fault injection, where the map is
+  /// deliberately made origin-dependent.)
+  int slot_ghost(int node, int slot, int origin) const;
   /// Dynamic binding ghost choice (paper III.B.3), PUT/GET only.
   int choose_dynamic_ghost(mpi::Env& env, CspWin& cw, int origin, int node);
   bool dynamic_applicable(const CspWin& cw, int origin, int target,
@@ -336,7 +352,8 @@ class CasperLayer final : public mpi::Layer {
 
   // --- adaptive progress control (layer_adapt.cpp) -------------------------
   /// Size the board/replicas and seed the initial map so that adaptive
-  /// resolution routes exactly like the static binding until a remap.
+  /// resolution routes like the static binding until a remap (exactly,
+  /// whenever no segment piece straddles a chunk boundary).
   void init_adapt(CspWin& cw);
   /// Issue-time attribution of one routed (sub)op's demand to its binding
   /// item, into the origin's PRIVATE accumulators.
@@ -352,18 +369,9 @@ class CasperLayer final : public mpi::Layer {
   /// Barrier override body for adaptive runs: seal every managed window,
   /// barrier, decide every managed window.
   void adapt_barrier(mpi::Env& env, const mpi::Comm& c);
-  /// Ghost world rank for a map slot, with the same pure death-fallback the
-  /// static path uses (decisions never read death state; issue time does).
-  int adapt_ghost(int node, int slot) const;
   /// Dynamic-binding policy in force: the controller's replica when
   /// adaptive, cfg.dynamic otherwise.
   DynamicLb effective_lb(const CspWin& cw, const OriginEp& ep) const;
-  /// Adaptive counterpart of resolve_static: routes by the origin's
-  /// replicated item→slot map (finer-grained subchunks under segment
-  /// binding).
-  void resolve_adaptive(CspWin& cw, int origin, int target,
-                        std::size_t disp_bytes, int tcount,
-                        const mpi::Datatype& tdt, std::vector<SubOp>& out);
 
   // --- ghost failure recovery (layer_fault.cpp) ----------------------------
   /// Register the runtime death handler and precompute successor forwarding

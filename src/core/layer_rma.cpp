@@ -82,64 +82,62 @@ mpi::Win& CasperLayer::route_window(CspWin& cw, int origin, int target) {
   return cw.global_win;
 }
 
-void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
-                                 std::size_t disp_bytes, int tcount,
-                                 const Datatype& tdt,
-                                 std::vector<SubOp>& out) {
-  if (cw.adapt.on) {
-    // Adaptive runs route by the controller's replicated item→slot map
-    // (layer_adapt.cpp). Fault-injected map flips don't compose with the
-    // controller (the flip exists to break the static owner function).
-    resolve_adaptive(cw, origin, target, disp_bytes, tcount, tdt, out);
-    return;
-  }
-  const auto& ti = cw.tgt[static_cast<std::size_t>(target)];
-  const std::size_t base = ti.offset + disp_bytes;  // node-buffer frame
-
-  if (cfg_.binding == Binding::Rank) {
-    out.push_back(SubOp{ti.bound_ghost, base, tcount, tdt, 0});
-    return;
-  }
-
-  // Static segment binding: the node's exposed memory is divided into
-  // ghosts_per_node chunks aligned to the maximum basic datatype size
-  // (16 bytes), and each chunk is owned by one ghost (paper III.B.2).
-  const auto& ng = node_ghosts_[static_cast<std::size_t>(ti.node)];
-  const std::size_t g = ng.size();
-  const std::size_t total = cw.node_total[static_cast<std::size_t>(ti.node)];
-  std::size_t chunk = (total + g - 1) / g;
-  chunk = (chunk + mpi::kMaxBasicDtSize - 1) &
-          ~(mpi::kMaxBasicDtSize - 1);  // 16B alignment
-  if (chunk == 0) chunk = mpi::kMaxBasicDtSize;
-
-  auto owner = [&](std::size_t b) { return std::min(b / chunk, g - 1); };
-
+int CasperLayer::slot_ghost(int node, int slot, int origin) const {
+  const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
   // Injected fault (tests only): odd origins see a mirrored map, so two
   // ghosts end up serving the same segment concurrently. A *consistent*
   // flip would still be a valid binding; only the origin dependence breaks
   // the one-segment-one-ghost invariant.
-  const bool mirrored = cfg_.fault.flip_segment_binding && (origin & 1);
-
-  // Ghost-failure rebinding: a chunk owned by a dead ghost is served by a
+  if (cfg_.fault.flip_segment_binding && (origin & 1) != 0) {
+    slot = static_cast<int>(ng.size()) - 1 - slot;
+  }
+  int gw = ng[static_cast<std::size_t>(slot)];
+  // Ghost-failure rebinding: a slot whose ghost is dead is served by a
   // survivor instead. The remap is a pure function of global death state, so
   // every origin routes a shared byte to the SAME survivor (accumulate
-  // atomicity holds across the rebinding). With no survivors the original
-  // owner is kept: the runtime completes those deliveries at the NIC.
-  const auto& alive = alive_ghosts_[static_cast<std::size_t>(ti.node)];
-  auto ghost_at = [&](std::size_t ow) {
-    if (mirrored) ow = g - 1 - ow;
-    int gw = ng[ow];
-    if (any_ghost_dead_ && ghost_dead_[static_cast<std::size_t>(gw)] != 0 &&
-        !alive.empty()) {
-      gw = alive[ow % alive.size()];
-    }
-    return gw;
-  };
+  // atomicity holds across the rebinding), and the adaptive controller's
+  // decisions never read it. With no survivors the original ghost is kept:
+  // the runtime completes those deliveries at the NIC.
+  const auto& alive = alive_ghosts_[static_cast<std::size_t>(node)];
+  if (any_ghost_dead_ && ghost_dead_[static_cast<std::size_t>(gw)] != 0 &&
+      !alive.empty()) {
+    gw = alive[static_cast<std::size_t>(slot) % alive.size()];
+  }
+  return gw;
+}
 
-  // Walk the target layout block by block, splitting each contiguous block
-  // at chunk boundaries — never inside a basic element (boundaries are 16B
+void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
+                                 std::size_t disp_bytes, int tcount,
+                                 const Datatype& tdt,
+                                 std::vector<SubOp>& out) {
+  const auto& ti = cw.tgt[static_cast<std::size_t>(target)];
+  const std::size_t base = ti.offset + disp_bytes;  // node-buffer frame
+  // The adaptive controller binds the node's items through the origin's
+  // replicated item→slot map (layer_adapt.cpp); statically, item i is slot i.
+  const int* map = nullptr;
+  if (cw.adapt.on) {
+    map = cw.ep[static_cast<std::size_t>(origin)].adapt.map.data() +
+          cw.adapt.nodes[static_cast<std::size_t>(ti.node)].first;
+  }
+
+  if (cfg_.binding == Binding::Rank) {
+    // The static rank binding keeps its own death rebinding (on_ghost_death).
+    const int gw = map != nullptr
+                       ? slot_ghost(ti.node, map[ti.local_idx], origin)
+                       : ti.bound_ghost;
+    out.push_back(SubOp{gw, base, tcount, tdt, 0});
+    return;
+  }
+
+  // Segment binding: piece ci of the node's segment table is item ci. Walk
+  // the target layout block by block, splitting each contiguous block at
+  // piece boundaries, never inside a basic element (boundaries are 16B
   // aligned and displacements element-aligned). A contiguous layout is one
-  // block, so resolving costs one step per piece, not per element.
+  // block, so resolving costs one step per piece, not per element. All
+  // origins share one map at any instant, so any two overlapping
+  // accumulates meet at the same ghost for the bytes they share.
+  const SegTable& st = cw.seg[static_cast<std::size_t>(ti.node)];
+  const std::size_t last = st.count - 1;
   const std::size_t es = tdt.elem_size();
   const bool one_block = tdt.contiguous();
   const int nblocks = one_block ? 1 : tcount;
@@ -151,13 +149,15 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
     std::size_t lo = base + static_cast<std::size_t>(b) * stride;
     std::size_t remaining = block;
     while (remaining > 0) {
-      const std::size_t ow = owner(lo);
-      const std::size_t chunk_end = (ow + 1) * chunk;
-      std::size_t len = std::min(remaining, chunk_end - lo);
+      const std::size_t ci = std::min(lo / st.piece, last);
+      const std::size_t len =
+          ci == last ? remaining
+                     : std::min(remaining, (ci + 1) * st.piece - lo);
       MMPI_REQUIRE(len % es == 0 && lo % es == 0,
                    "casper: segment boundary would split a basic element "
                    "(misaligned displacement; see paper III.B.2)");
-      const int gw = ghost_at(ow);
+      const int slot = map != nullptr ? map[ci] : static_cast<int>(ci);
+      const int gw = slot_ghost(ti.node, slot, origin);
       // Extend an existing sub-op for the same ghost if contiguous with it.
       if (!out.empty() && out.back().ghost == gw &&
           out.back().tdisp + static_cast<std::size_t>(out.back().tcount) *

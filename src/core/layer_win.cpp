@@ -1,6 +1,7 @@
 // CasperLayer: window allocation — the shared-memory mapping and the
 // overlapping internal windows (paper II.B, Fig. 2), controlled by the
 // `epochs_used` info hint (paper III.A).
+#include <algorithm>
 #include <utility>
 
 #include "core/layer_impl.hpp"
@@ -14,6 +15,9 @@ using mpi::Win;
 
 namespace {
 std::size_t align64(std::size_t v) { return (v + 63) & ~std::size_t{63}; }
+std::size_t align16(std::size_t v) {
+  return (v + mpi::kMaxBasicDtSize - 1) & ~(mpi::kMaxBasicDtSize - 1);
+}
 }  // namespace
 
 CasperLayer::CspWin* CasperLayer::managed(const Win& w) {
@@ -177,7 +181,6 @@ CasperLayer::WinHandles CasperLayer::build_windows(Env& env,
 void CasperLayer::fill_tables(CspWin& cw, Layout lay, std::size_t du) {
   const auto& topo = rt_->topo();
   const auto users = static_cast<std::size_t>(user_world_->size());
-  cw.node_total = std::move(lay.node_total);
   cw.tgt.resize(users);
   cw.ep.resize(users);
   for (int node = 0; node < topo.nodes; ++node) {
@@ -206,6 +209,20 @@ void CasperLayer::fill_tables(CspWin& cw, Layout lay, std::size_t du) {
         ti.bound_ghost = ng[li % ng.size()];
       }
     }
+  }
+  // Segment table (paper III.B.2): each node's exposed memory divides into
+  // ghosts_per_node chunks aligned to the maximum basic datatype size (16
+  // bytes), one per ghost. The adaptive controller moves kSubchunks pieces
+  // of every chunk independently. Origins only read it afterwards.
+  const std::size_t sub = cfg_.adaptive.enabled ? progress::kSubchunks : 1;
+  cw.seg.resize(static_cast<std::size_t>(topo.nodes));
+  for (std::size_t n = 0; n < cw.seg.size(); ++n) {
+    const std::size_t g = node_ghosts_[n].size();
+    SegTable& st = cw.seg[n];
+    st.chunk = std::max(align16((lay.node_total[n] + g - 1) / g),
+                        mpi::kMaxBasicDtSize);
+    st.piece = align16((st.chunk + sub - 1) / sub);
+    st.count = g * sub;
   }
   for (auto& ep : cw.ep) {
     ep.tl.resize(users);

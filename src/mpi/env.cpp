@@ -193,7 +193,7 @@ Segment Env::win_shared_query(const Win& win, int comm_rank) {
 void Env::put(const void* origin, int ocount, Datatype odt, int target,
               std::size_t tdisp, int tcount, Datatype tdt, const Win& win) {
   prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
+  if (rt_->has_observers()) {
     observe_rma_issue(OpKind::Put, AccOp::Replace, target, tdisp, tcount, tdt,
                       win);
   }
@@ -203,7 +203,7 @@ void Env::put(const void* origin, int ocount, Datatype odt, int target,
 void Env::get(void* origin, int ocount, Datatype odt, int target,
               std::size_t tdisp, int tcount, Datatype tdt, const Win& win) {
   prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
+  if (rt_->has_observers()) {
     observe_rma_issue(OpKind::Get, AccOp::Replace, target, tdisp, tcount, tdt,
                       win);
   }
@@ -214,7 +214,7 @@ void Env::accumulate(const void* origin, int ocount, Datatype odt, int target,
                      std::size_t tdisp, int tcount, Datatype tdt, AccOp op,
                      const Win& win) {
   prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
+  if (rt_->has_observers()) {
     observe_rma_issue(OpKind::Acc, op, target, tdisp, tcount, tdt, win);
   }
   layer().accumulate(*this, origin, ocount, odt, target, tdisp, tcount, tdt,
@@ -226,7 +226,7 @@ void Env::get_accumulate(const void* origin, int ocount, Datatype odt,
                          std::size_t tdisp, int tcount, Datatype tdt,
                          AccOp op, const Win& win) {
   prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
+  if (rt_->has_observers()) {
     observe_rma_issue(OpKind::GetAcc, op, target, tdisp, tcount, tdt, win);
   }
   layer().get_accumulate(*this, origin, ocount, odt, result, rcount, rdt,
@@ -236,7 +236,7 @@ void Env::get_accumulate(const void* origin, int ocount, Datatype odt,
 void Env::fetch_and_op(const void* value, void* result, Dt dt, int target,
                        std::size_t tdisp, AccOp op, const Win& win) {
   prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
+  if (rt_->has_observers()) {
     observe_rma_issue(OpKind::Fao, op, target, tdisp, 1, contig(dt), win);
   }
   layer().fetch_and_op(*this, value, result, dt, target, tdisp, op, win);
@@ -246,7 +246,7 @@ void Env::compare_and_swap(const void* expected, const void* desired,
                            void* result, Dt dt, int target, std::size_t tdisp,
                            const Win& win) {
   prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
+  if (rt_->has_observers()) {
     observe_rma_issue(OpKind::Cas, AccOp::Replace, target, tdisp, 1,
                       contig(dt), win);
   }

@@ -160,8 +160,8 @@ class Env {
   void prologue();
   /// Report a program-order RMA issue to conformance observers BEFORE the
   /// interception layer sees (and possibly redirects) it. Defined out of line
-  /// so env.hpp needs no Runtime definition; callers gate on kRaceObsCompiled
-  /// so the call folds away under -DCASPER_RACE=0.
+  /// so env.hpp needs no Runtime definition; callers gate on
+  /// Runtime::has_observers().
   void observe_rma_issue(OpKind kind, AccOp op, int target, std::size_t tdisp,
                          int tcount, const Datatype& tdt, const Win& win);
 

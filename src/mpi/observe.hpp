@@ -23,8 +23,7 @@
 // issue MPI calls, advance time, or touch engine state. The runtime invokes
 // them synchronously while holding the token, so the simulation is quiescent
 // at every callback. With no observers attached the whole machinery costs one
-// emptiness test per commit; the issue/epoch/local-access hooks additionally
-// fold away entirely under -DCASPER_RACE=0 (same two-level gating as tracing).
+// emptiness test per commit or access hook.
 #pragma once
 
 #include <cstddef>
@@ -32,17 +31,9 @@
 #include "mpi/am.hpp"
 #include "sim/time.hpp"
 
-#ifndef CASPER_RACE
-#define CASPER_RACE 1
-#endif
-
 namespace casper::mpi {
 
 class WinImpl;
-
-/// Compile-time gate for the access-recording hooks (op issue, epoch begin,
-/// local load/store). -DCASPER_RACE=0 turns every such site into `if (false)`.
-inline constexpr bool kRaceObsCompiled = CASPER_RACE != 0;
 
 /// Which synchronization primitive completed (from the caller's view; the
 /// Casper layer reports the *user-facing* call, not its internal translation).
@@ -112,7 +103,7 @@ class RmaObserver {
   virtual void on_sync(WinImpl& win, int world_rank, SyncKind kind, int target,
                        sim::Time t) = 0;
 
-  // --- optional access-recording hooks (default no-op; CASPER_RACE-gated) ---
+  // --- optional access-recording hooks (default no-op) ---
 
   /// Rank `op.origin_world` issued `op` at time `t`, in program order, at the
   /// Env call surface — BEFORE any layer redirection. `op` is a synthesized

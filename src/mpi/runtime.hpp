@@ -248,22 +248,21 @@ class Runtime {
   void observe_sync(WinImpl& win, int world_rank, SyncKind kind, int target,
                     sim::Time t);
   /// Pre-redirection program-order access report (Env call surface). The
-  /// issue/epoch/local hooks follow the tracing gate discipline: a
-  /// compile-time fold (-DCASPER_RACE=0) plus one emptiness test at runtime.
+  /// issue/epoch/local hooks cost one emptiness test with no observers.
   void observe_issue(const AmOp& op, sim::Time t) {
-    if (!kRaceObsCompiled || observers_.empty()) return;
+    if (observers_.empty()) return;
     for (RmaObserver* o : observers_) o->on_op_issue(op, t);
   }
   void observe_epoch_begin(WinImpl& win, int world_rank, EpochEv kind,
                            int target, sim::Time t) {
-    if (!kRaceObsCompiled || observers_.empty()) return;
+    if (observers_.empty()) return;
     for (RmaObserver* o : observers_) {
       o->on_epoch_begin(win, world_rank, kind, target, t);
     }
   }
   void observe_local(WinImpl& win, int comm_rank, std::size_t offset,
                      std::size_t len, bool is_store, sim::Time t) {
-    if (!kRaceObsCompiled || observers_.empty()) return;
+    if (observers_.empty()) return;
     for (RmaObserver* o : observers_) {
       o->on_local_access(win, comm_rank, offset, len, is_store, t);
     }

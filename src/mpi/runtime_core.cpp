@@ -248,7 +248,7 @@ void Runtime::run() {
   if (cfg_.progress.kind == progress::Kind::Thread &&
       cfg_.progress.oversubscribed) {
     for (int r = 0; r < engine_->nranks(); ++r) {
-      engine_->set_compute_scale(r, cfg_.progress.oversub_scale);
+      engine_->set_compute_scale(r, progress::kOversubScale);
     }
   }
   if (fs_) fault_setup();

@@ -5,6 +5,24 @@
 
 namespace casper::progress {
 
+namespace {
+/// EWMA smoothing (obs::Ewma shift): the per-item load estimate has a
+/// half-life of roughly 2^shift rounds, so phase shifts are tracked in a few
+/// epochs without thrashing on one noisy round.
+constexpr int kEwmaShift = 2;
+/// Byte-equivalent weight of one operation: item load = bytes + ops*cost
+/// (an op has fixed ghost-side service overhead even when tiny).
+constexpr std::uint64_t kOpCostBytes = 512;
+/// Re-partition when max per-ghost load exceeds this percentage of the mean
+/// (125 = 1.25x). At or below, the current map is kept: a balanced workload
+/// never remaps and stays byte-identical to static binding.
+constexpr int kSkewPct = 125;
+/// Rounds with fewer total ops than this (per node) are ignored entirely:
+/// no EWMA advance, no remap; cold windows keep their bindings. Also the
+/// minimum PUT/GET sample for a policy switch.
+constexpr std::uint64_t kMinRoundOps = 16;
+}  // namespace
+
 void lpt_partition(const std::uint64_t* weight, int nitems, int slots,
                    int* map) {
   std::vector<int> order(static_cast<std::size_t>(nitems));
@@ -67,8 +85,7 @@ std::uint64_t digest(const AdaptState& st) {
   return h;
 }
 
-AdaptOutcome decide(const AdaptiveConfig& cfg,
-                    const std::vector<AdaptNode>& nodes,
+AdaptOutcome decide(const std::vector<AdaptNode>& nodes,
                     const std::vector<AdaptSample>& board, AdaptState& st) {
   AdaptOutcome out;
   const std::size_t nitems = st.map.size();
@@ -95,18 +112,15 @@ AdaptOutcome decide(const AdaptiveConfig& cfg,
     for (int i = 0; i < nd.count; ++i) {
       node_ops += ops[static_cast<std::size_t>(nd.first + i)];
     }
-    if (node_ops < cfg.min_round_ops) continue;  // cold: freeze this node
+    if (node_ops < kMinRoundOps) continue;  // cold: freeze this node
     out.cold = false;
     w.assign(static_cast<std::size_t>(nd.count), 0);
     for (int i = 0; i < nd.count; ++i) {
       const std::size_t gi = static_cast<std::size_t>(nd.first + i);
-      st.weight[gi].advance(
-          bytes[gi] +
-              ops[gi] * static_cast<std::uint64_t>(cfg.op_cost_bytes),
-          cfg.ewma_shift);
+      st.weight[gi].advance(bytes[gi] + ops[gi] * kOpCostBytes, kEwmaShift);
       w[static_cast<std::size_t>(i)] = st.weight[gi].v;
     }
-    if (!cfg.repartition || nd.slots <= 1) continue;
+    if (nd.slots <= 1) continue;
     if (unflushed != 0) {
       // An accumulate-class op is still in flight somewhere: adopting a new
       // map now would let two ghosts RMW the same byte. Wait a round.
@@ -114,7 +128,7 @@ AdaptOutcome decide(const AdaptiveConfig& cfg,
       continue;
     }
     if (load_skew_pct(w.data(), st.map.data() + nd.first, nd.count,
-                      nd.slots) <= cfg.skew_pct) {
+                      nd.slots) <= kSkewPct) {
       continue;
     }
     remap.assign(static_cast<std::size_t>(nd.count), 0);
@@ -125,9 +139,9 @@ AdaptOutcome decide(const AdaptiveConfig& cfg,
     }
   }
 
-  if (cfg.policy_switch && st.policy != kLbNone) {
+  if (st.policy != kLbNone) {
     const int np = recommend_policy(st.policy, dyn_ops, dyn_bytes, dyn_max,
-                                    cfg.min_round_ops);
+                                    kMinRoundOps);
     if (np != st.policy) {
       st.policy = np;
       out.policy_changed = true;

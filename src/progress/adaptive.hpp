@@ -39,27 +39,12 @@ inline constexpr int kLbByteCount = 3;
 
 struct AdaptiveConfig {
   bool enabled = false;
-  /// Remap granularity under segment binding: each ghost's static chunk is
-  /// split into this many 16B-aligned subchunks the controller can move
-  /// independently. Rank binding moves whole per-target bindings instead.
-  int subchunks = 4;
-  /// EWMA smoothing (obs::Ewma shift): the per-item load estimate has a
-  /// half-life of roughly 2^shift rounds, so phase shifts are tracked in a
-  /// few epochs without thrashing on one noisy round.
-  int ewma_shift = 2;
-  /// Byte-equivalent weight of one operation: item load = bytes + ops*cost
-  /// (an op has fixed ghost-side service overhead even when tiny).
-  int op_cost_bytes = 512;
-  /// Re-partition when max per-ghost load exceeds skew_pct% of the mean
-  /// (125 = 1.25x). At or below, the current map is kept — a balanced
-  /// workload never remaps and stays byte-identical to static binding.
-  int skew_pct = 125;
-  /// Rounds with fewer total ops than this (per node) are ignored entirely:
-  /// no EWMA advance, no remap — cold windows keep their bindings.
-  std::uint64_t min_round_ops = 16;
-  bool repartition = true;
-  bool policy_switch = true;
 };
+
+/// Remap granularity under segment binding: each ghost's static chunk is
+/// split into this many 16B-aligned subchunks the controller can move
+/// independently. Rank binding moves whole per-target bindings instead.
+inline constexpr int kSubchunks = 4;
 
 /// Item layout for one node: items [first, first+count) are partitioned
 /// over `slots` ghost slots (indices into the node's ghost list).
@@ -97,7 +82,7 @@ struct AdaptOutcome {
   bool remapped = false;
   bool policy_changed = false;
   bool skipped_unflushed = false;  ///< remap vetoed by in-flight accumulates
-  bool cold = true;                ///< no node reached min_round_ops
+  bool cold = true;                ///< no node reached kMinRoundOps
   std::uint64_t digest = 0;        ///< FNV of (round, policy, map)
 };
 
@@ -125,11 +110,10 @@ int recommend_policy(int current, std::uint64_t dyn_ops,
 std::uint64_t digest(const AdaptState& st);
 
 /// One adaptation round: fold the sealed board into `st` and decide. Pure:
-/// output depends only on (cfg, nodes, board, st). The caller provides the
+/// output depends only on (nodes, board, st). The caller provides the
 /// board in a fixed order (user comm rank) — though every aggregate is a
 /// commutative sum, so even the order is immaterial.
-AdaptOutcome decide(const AdaptiveConfig& cfg,
-                    const std::vector<AdaptNode>& nodes,
+AdaptOutcome decide(const std::vector<AdaptNode>& nodes,
                     const std::vector<AdaptSample>& board, AdaptState& st);
 
 }  // namespace casper::progress

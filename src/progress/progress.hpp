@@ -29,12 +29,15 @@ namespace casper::progress {
 
 enum class Kind { None, Thread, Interrupt };
 
+/// Compute-time factor of an oversubscribed core: the application shares it
+/// with its progress thread, so it gets half the core.
+inline constexpr double kOversubScale = 2.0;
+
 struct Config {
   Kind kind = Kind::None;
   /// Thread(O) in the paper: the progress thread shares the application
-  /// core, so application compute effectively runs at `oversub_scale` cost.
+  /// core, so application compute effectively runs at kOversubScale cost.
   bool oversubscribed = false;
-  double oversub_scale = 2.0;
 };
 
 /// Processing-entity id spaces. RMA work is attributed to the entity that

@@ -135,14 +135,12 @@ TEST(ObsInvariance, CountersIdenticalAcrossEightSchedules) {
   EXPECT_EQ(ref.counters.at("mwcas.fail"), 0u);
   EXPECT_EQ(ref.counters.at("mwcas.helps"), 0u);
   EXPECT_EQ(ref.counters.at("mwcas.retries"), 0u);
-  if (mpi::kRaceObsCompiled) {
-    // The analyzer recorded accesses and epochs — and they join the
-    // exact-match comparison like every other counter.
-    EXPECT_GT(ref.counters.at("race.accesses"), 0u);
-    EXPECT_GT(ref.counters.at("race.epochs"), 0u);
-    EXPECT_EQ(ref.counters.count("race.conflict_pairs"), 0u)
-        << "clean workload must not raise conflicts";
-  }
+  // The analyzer recorded accesses and epochs — and they join the
+  // exact-match comparison like every other counter.
+  EXPECT_GT(ref.counters.at("race.accesses"), 0u);
+  EXPECT_GT(ref.counters.at("race.epochs"), 0u);
+  EXPECT_EQ(ref.counters.count("race.conflict_pairs"), 0u)
+      << "clean workload must not raise conflicts";
 
   std::set<std::string> distinct_traces;
   distinct_traces.insert(ref.trace_text);

@@ -167,7 +167,6 @@ TEST(IntervalTree, TraversalIsInsertionOrderIndependent) {
 // ---- conflict detection on native runs -------------------------------------
 
 TEST(RaceAnalyzer, PutVsGetOverlapIsFlagged) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   check::RaceAnalyzer race;
   int win_id = -1;
   mpi::Runtime rt(small_rc(1, 3), [&win_id](mpi::Env& env) {
@@ -215,7 +214,6 @@ TEST(RaceAnalyzer, PutVsGetOverlapIsFlagged) {
 // analyzers to ONE runtime is also the observer fan-out regression: every
 // observer must see the same op stream.
 TEST(RaceAnalyzer, AccVsAccLegalityAndObserverFanOut) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   check::ShadowOracle oracle;
   check::RaceAnalyzer relaxed;
   check::RaceOptions so;
@@ -257,7 +255,6 @@ TEST(RaceAnalyzer, AccVsAccLegalityAndObserverFanOut) {
 }
 
 TEST(RaceAnalyzer, LocalStoreVsPutConflictsLocalLocalLegal) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   check::RaceAnalyzer race;
   int win_id = -1;
   mpi::Runtime rt(small_rc(1, 2), [&win_id](mpi::Env& env) {
@@ -310,7 +307,6 @@ void run3(check::RaceAnalyzer& race,
 }  // namespace
 
 TEST(RaceAnalyzer, FenceEpochsResetConflicts) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   // Different fence rounds: the collective generation numbers differ.
   {
     check::RaceAnalyzer race;
@@ -350,7 +346,6 @@ TEST(RaceAnalyzer, FenceEpochsResetConflicts) {
 }
 
 TEST(RaceAnalyzer, PscwEpochsResetConflicts) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   auto body = [](bool same_round, mpi::Env& env) {
     mpi::Comm w = env.world();
     const int me = env.rank(w);
@@ -387,7 +382,6 @@ TEST(RaceAnalyzer, PscwEpochsResetConflicts) {
 }
 
 TEST(RaceAnalyzer, LockEpochsResetConflicts) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   // Barrier-separated shared-lock epochs never overlap in virtual time.
   {
     check::RaceAnalyzer race;
@@ -457,7 +451,6 @@ TEST(RaceAnalyzer, LockEpochsResetConflicts) {
 }
 
 TEST(RaceAnalyzer, LockAllEpochsResetConflicts) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   // Barrier-separated lock_all epochs: legal.
   {
     check::RaceAnalyzer race;
@@ -502,7 +495,6 @@ TEST(RaceAnalyzer, LockAllEpochsResetConflicts) {
 // A flush splits one passive epoch into ordered same-origin generations, but
 // does NOT legalize cross-origin overlap.
 TEST(RaceAnalyzer, FlushOrdersSameOriginOnly) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   check::RaceAnalyzer race;
   run3(race, [](mpi::Env& env) {
     mpi::Comm w = env.world();
@@ -527,7 +519,6 @@ TEST(RaceAnalyzer, FlushOrdersSameOriginOnly) {
 // ---- diagnostics ------------------------------------------------------------
 
 TEST(RaceAnalyzer, DiagnosticsCarryVirtualTimesAndTraceTail) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   obs::Recorder rec;
   check::RaceAnalyzer race;
   race.set_recorder(&rec);
@@ -575,7 +566,6 @@ TEST(RaceAnalyzer, DiagnosticsCarryVirtualTimesAndTraceTail) {
 // The group view of a racy fuzz case is identical across eight perturbed
 // fiber schedules, and every planted race is flagged in each of them.
 TEST(RaceAnalyzer, VerdictsAreScheduleInvariant) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   for (std::uint64_t seed : {11u, 23u, 37u}) {
     const check::FuzzCase fc = check::make_racy_case(seed, true, 2);
     ASSERT_EQ(fc.planted.size(), 2u);
@@ -604,7 +594,6 @@ TEST(RaceAnalyzer, VerdictsAreScheduleInvariant) {
 // The group view and the invariant counters are identical across engine shard
 // counts (the analyzer is concurrent_safe and its verdicts are canonical).
 TEST(RaceAnalyzer, VerdictsAreShardInvariant) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   struct Verdict {
     std::string groups;
     std::uint64_t pairs = 0;
@@ -663,7 +652,6 @@ TEST(RaceAnalyzer, VerdictsAreShardInvariant) {
 // reset() really drops everything: the same analyzer object reused across two
 // runs reports only the second run's verdicts.
 TEST(RaceAnalyzer, ResetClearsAllState) {
-  if (!mpi::kRaceObsCompiled) GTEST_SKIP() << "built with CASPER_RACE=0";
   check::RaceAnalyzer race;
   auto racy_run = [&race]() {
     run3(race, [](mpi::Env& env) {
