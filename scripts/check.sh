@@ -122,8 +122,9 @@ cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null
 cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
   test_check_oracle test_race_analyzer test_fault_matrix \
   test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas \
-  test_casper test_casper_bindings test_pool test_mpi_corners test_mpi_rma \
-  test_progress_agents test_sim_engine test_sim_engine_sharded
+  test_casper test_casper_bindings test_casper_epochs test_pool \
+  test_mpi_corners test_mpi_rma test_progress_agents test_sim_engine \
+  test_sim_engine_sharded
 # The engine's one scheduler loop for every shard count and perturb seed:
 # calendar node free list, spill heap refills and SlotPool recycling.
 "./$BUILD_ASAN/tests/test_sim_engine"
@@ -145,6 +146,9 @@ cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
 # route vector across its p_rma and win_flush calls, so a reference into it
 # that dangles is a use-after-free here.
 "./$BUILD_ASAN/tests/test_casper_bindings"
+# Epoch translation: lock and lock_all become per-ghost locks that live as
+# runs of targets until an op creates the entry, splitting its run.
+"./$BUILD_ASAN/tests/test_casper_epochs"
 # The interval-treap recorder (insert/coalesce/prune) under ASan, plus a racy
 # slice: planted-race detection must hold with sanitized allocation patterns.
 "./$BUILD_ASAN/tests/test_race_analyzer"

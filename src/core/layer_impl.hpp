@@ -330,7 +330,8 @@ class CasperLayer final : public mpi::Layer {
   mpi::Win& route_window(CspWin& cw, int origin, int target);
   /// Static (non-dynamic) binding: resolve an op from user `origin` on user
   /// target `target` into sub-ops, appended to `out`. Rank and segment
-  /// binding, with the adaptive controller off or on, all resolve here.
+  /// binding, with the adaptive controller off or on, all resolve here;
+  /// under the controller each piece is also charged to its item.
   void resolve_static(CspWin& cw, int origin, int target,
                       std::size_t disp_bytes, int tcount,
                       const mpi::Datatype& tdt, std::vector<SubOp>& out);
@@ -355,8 +356,9 @@ class CasperLayer final : public mpi::Layer {
   /// resolution routes like the static binding until a remap (exactly,
   /// whenever no segment piece straddles a chunk boundary).
   void init_adapt(CspWin& cw);
-  /// Issue-time attribution of one routed (sub)op's demand to its binding
-  /// item, into the origin's PRIVATE accumulators.
+  /// Issue-time attribution of a dynamically routed op's demand to its
+  /// binding item(s), into the origin's PRIVATE accumulators (resolve_static
+  /// charges statically routed pieces as it walks them).
   void adapt_note(CspWin& cw, OriginEp& ep, const TargetInfo& ti,
                   std::size_t node_off, std::size_t nbytes);
   /// Publish this origin's round counters to the sealed board (pre-barrier)

@@ -114,17 +114,29 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
   const std::size_t base = ti.offset + disp_bytes;  // node-buffer frame
   // The adaptive controller binds the node's items through the origin's
   // replicated item→slot map (layer_adapt.cpp); statically, item i is slot i.
+  // It also charges each routed piece's demand to its item, into the
+  // origin's private accumulators.
   const int* map = nullptr;
+  std::uint64_t* item_ops = nullptr;
+  std::uint64_t* item_bytes = nullptr;
   if (cw.adapt.on) {
-    map = cw.ep[static_cast<std::size_t>(origin)].adapt.map.data() +
-          cw.adapt.nodes[static_cast<std::size_t>(ti.node)].first;
+    auto& ep = cw.ep[static_cast<std::size_t>(origin)];
+    const auto first = static_cast<std::size_t>(
+        cw.adapt.nodes[static_cast<std::size_t>(ti.node)].first);
+    map = ep.adapt.map.data() + first;
+    item_ops = ep.adapt_acc.item_ops.data() + first;
+    item_bytes = ep.adapt_acc.item_bytes.data() + first;
   }
 
   if (cfg_.binding == Binding::Rank) {
     // The static rank binding keeps its own death rebinding (on_ghost_death).
-    const int gw = map != nullptr
-                       ? slot_ghost(ti.node, map[ti.local_idx], origin)
-                       : ti.bound_ghost;
+    int gw = ti.bound_ghost;
+    if (map != nullptr) {
+      const auto item = static_cast<std::size_t>(ti.local_idx);
+      gw = slot_ghost(ti.node, map[item], origin);
+      ++item_ops[item];
+      item_bytes[item] += mpi::data_bytes(tcount, tdt);
+    }
     out.push_back(SubOp{gw, base, tcount, tdt, 0});
     return;
   }
@@ -156,7 +168,12 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
       MMPI_REQUIRE(len % es == 0 && lo % es == 0,
                    "casper: segment boundary would split a basic element "
                    "(misaligned displacement; see paper III.B.2)");
-      const int slot = map != nullptr ? map[ci] : static_cast<int>(ci);
+      int slot = static_cast<int>(ci);
+      if (map != nullptr) {
+        slot = map[ci];
+        ++item_ops[ci];
+        item_bytes[ci] += len;
+      }
       const int gw = slot_ghost(ti.node, slot, origin);
       // Extend an existing sub-op for the same ghost if contiguous with it.
       if (!out.empty() && out.back().ghost == gw &&
@@ -386,14 +403,6 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
   MMPI_REQUIRE(subs.size() == 1 ||
                    (kind != OpKind::Fao && kind != OpKind::Cas),
                "casper: single-element op split a segment boundary");
-
-  // Adaptive demand attribution: charge every routed piece to the binding
-  // item(s) covering its bytes, into this origin's private accumulators.
-  if (cw.adapt.on) {
-    for (const SubOp& s : subs) {
-      adapt_note(cw, ep, ti, s.tdisp, mpi::data_bytes(s.tcount, s.tdt));
-    }
-  }
 
   if (subs.size() == 1 && subs[0].payload_off == 0 &&
       mpi::data_bytes(subs[0].tcount, subs[0].tdt) == bytes) {

@@ -471,7 +471,8 @@ class Runtime {
   void flush_target(Env& env, WinImpl& win, int target,
                     OriginTargetState* ots);
   /// Release the caller's lock on `target` and end it: p_win_unlock's body.
-  /// `ots` is null for a target untouched inside lock_all.
+  /// `ots` is null for an untouched target: a lock run member, or any
+  /// target inside lock_all.
   void unlock_target(Env& env, WinImpl& win, int target,
                      OriginTargetState* ots);
 

@@ -140,18 +140,21 @@ void Runtime::p_win_free(Env& env, Win& win) {
   MMPI_REQUIRE(win != nullptr, "win_free on null window");
   const int me = win->comm()->rank_of_world(env.world_rank());
   const auto& my = win->ost[static_cast<std::size_t>(me)];
-  // Targets are checked in ascending order. Inside lock_all a target with
-  // no entry reads as locked, so a gap below an entry fails first.
+  // Targets are checked in ascending order. A target with no entry reads
+  // as locked inside lock_all or as a lock run member, so a locked gap
+  // below an entry fails first.
   int next = 0;  // lowest target not checked yet
+  const auto gap_locked = [&my, &next](int below) {
+    return my.lock_all ? next != below : my.runs.lowest() < below;
+  };
   my.tgt.each([&](const OriginTargetState& ts) {
-    MMPI_REQUIRE(ts.lock_st == LockSt::None &&
-                     !(my.lock_all && ts.target != next),
+    MMPI_REQUIRE(ts.lock_st == LockSt::None && !gap_locked(ts.target),
                  "win_free with an open passive epoch");
     MMPI_REQUIRE(ts.outstanding == 0 && !ts.has_queued(),
                  "win_free with incomplete operations");
     next = ts.target + 1;
   });
-  MMPI_REQUIRE(!(my.lock_all && next != win->comm()->size()),
+  MMPI_REQUIRE(!gap_locked(win->comm()->size()),
                "win_free with an open passive epoch");
   p_barrier(env, win->comm());
   // Report once (from the lowest-ranked member) so observers drop their
@@ -395,9 +398,14 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
   MMPI_REQUIRE(target >= 0 && target < win->comm()->size(),
                "win_lock: bad target %d", target);
   auto& my = win->ost[static_cast<std::size_t>(me)];
-  auto& ots = my.touch(target);
-  MMPI_REQUIRE(ots.lock_st == LockSt::None, "nested lock to target %d",
-               target);
+  const bool self = win->comm()->world_rank(target) == env.world_rank();
+  // A delayed lock on a target with no entry joins the origin's lock runs;
+  // the entry waits for the first op.
+  OriginTargetState* ots = my.tgt.find(target);
+  if (ots == nullptr && self) ots = &my.touch(target);
+  MMPI_REQUIRE((ots != nullptr ? ots->lock_st : my.untouched_lock(target)) ==
+                   LockSt::None,
+               "nested lock to target %d", target);
   MMPI_REQUIRE(my.epoch == EpochKind::None || my.epoch == EpochKind::Lock,
                "win_lock while a different epoch type is active");
   env.ctx().advance(profile().op_inject);
@@ -411,32 +419,42 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
       *win, env.world_rank(),
       type == LockType::Exclusive ? EpochEv::LockExcl : EpochEv::Lock, target,
       env.now());
-  ots.lock_type = type;
   ++my.nlocked;
+  if (ots == nullptr) {
+    my.runs.add(target, type);
+    return;
+  }
+  ots->lock_type = type;
 
-  if (win->comm()->world_rank(target) == env.world_rank()) {
+  if (self) {
     // Self locks are granted synchronously (never delayed): required so the
     // application can use load/store on its own window memory.
     auto& tl = win->locks[static_cast<std::size_t>(target)];
     if (tl.grantable(type, me) && tl.pending.empty()) {
       tl.grant(type, me);
-      ots.lock_st = LockSt::Granted;
+      ots->lock_st = LockSt::Granted;
     } else {
-      tl.pending.push_back(TargetLockState::Pending{me, type, &ots});
+      tl.pending.push_back(TargetLockState::Pending{me, type, ots});
       progress_wait(env,
-                    [&ots]() { return ots.lock_st == LockSt::Granted; });
+                    [ots]() { return ots->lock_st == LockSt::Granted; });
     }
     return;
   }
-  ots.lock_st = LockSt::Intent;
+  ots->lock_st = LockSt::Intent;
 }
 
 void Runtime::p_win_unlock(Env& env, int target, const Win& win) {
   const int me = win->comm()->rank_of_world(env.world_rank());
+  auto& my = win->ost[static_cast<std::size_t>(me)];
+  OriginTargetState* ots = my.tgt.find(target);
+  if (ots == nullptr && my.runs.take(target)) {
+    unlock_target(env, *win, target, nullptr);  // an unused delayed lock
+    return;
+  }
   // Inside lock_all this records the unlock of a target never touched.
-  auto& ots = win->ost[static_cast<std::size_t>(me)].touch(target);
-  MMPI_REQUIRE(ots.lock_st != LockSt::None, "unlock without lock");
-  unlock_target(env, *win, target, &ots);
+  if (ots == nullptr) ots = &my.touch(target);
+  MMPI_REQUIRE(ots->lock_st != LockSt::None, "unlock without lock");
+  unlock_target(env, *win, target, ots);
 }
 
 void Runtime::unlock_target(Env& env, WinImpl& win, int target,
@@ -478,8 +496,9 @@ void Runtime::unlock_target(Env& env, WinImpl& win, int target,
       ots->lock_st = LockSt::None;
     }
   }
-  // An untouched non-self target inside lock_all is such a never-requested
-  // lock with nothing to flush; it has no entry to clear.
+  // An untouched non-self target (a lock run member, or any target inside
+  // lock_all) is such a never-requested lock with nothing to flush; it has
+  // no entry to clear.
 
   if (--my.nlocked == 0 && my.epoch == EpochKind::Lock) {
     my.epoch = EpochKind::None;
@@ -504,10 +523,11 @@ void Runtime::p_win_lock_all(Env& env, unsigned /*mode_assert*/,
   observe_epoch_begin(*win, env.world_rank(), EpochEv::LockAll, -1,
                       env.now());
   // Only touched targets hold state to reset; every other target reads as
-  // lock_all leaves it once the flag is set. A flag still set from an
-  // earlier lock_all (its epoch overwritten by a fence) means untouched
-  // targets are still locked.
-  MMPI_REQUIRE(!(my.lock_all && my.tgt.size() < static_cast<std::size_t>(n)),
+  // lock_all leaves it once the flag is set. An open lock run, or a flag
+  // still set from an earlier lock_all (its epoch overwritten by a fence),
+  // means untouched targets are still locked.
+  MMPI_REQUIRE(my.runs.empty() &&
+                   !(my.lock_all && my.tgt.size() < static_cast<std::size_t>(n)),
                "lock_all over existing lock");
   my.tgt.each([me](OriginTargetState& ts) {
     MMPI_REQUIRE(ts.lock_st == LockSt::None, "lock_all over existing lock");
@@ -553,9 +573,10 @@ void Runtime::p_win_unlock_all(Env& env, const Win& win) {
 void Runtime::flush_target(Env& env, WinImpl& win, int target,
                            OriginTargetState* ots) {
   if (ots == nullptr) {
-    // Nothing was ever issued to an untouched target. Its delayed lock
-    // needs no acquisition; any other state completes at once, after the
-    // one progress poll the wait below would make.
+    // Nothing was ever issued to an untouched target. Its delayed lock (a
+    // lock run member, or inside lock_all) needs no acquisition; any other
+    // state completes at once, after the one progress poll the wait below
+    // would make.
     const int me = win.comm()->rank_of_world(env.world_rank());
     if (win.ost[static_cast<std::size_t>(me)].untouched_lock(target) !=
         LockSt::Intent) {
@@ -596,9 +617,10 @@ void Runtime::p_win_flush_all(Env& env, const Win& win) {
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.epoch == EpochKind::Lock || my.epoch == EpochKind::LockAll,
                "win_flush_all outside a passive epoch");
-  // Locked targets in ascending order. Untouched ones inside lock_all are
-  // unused delayed locks that flush_target skips, except the self target:
-  // it reads as granted, so it is flushed in its place too.
+  // Locked targets in ascending order. Untouched ones (lock run members, or
+  // any inside lock_all) are unused delayed locks that flush_target skips,
+  // except the self target inside lock_all: it reads as granted, so it is
+  // flushed in its place too.
   bool self_due = my.lock_all && my.tgt.find(me) == nullptr;
   my.tgt.each([&](OriginTargetState& ts) {
     if (self_due && ts.target > me) {

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "mpi/am.hpp"
@@ -91,8 +93,8 @@ struct TargetLockState {
   }
 };
 
-/// Origin-side state for one target, created the first time the origin
-/// locks the target or issues an op to it.
+/// Origin-side state for one target, created by the origin's first op to
+/// the target, or by a lock on the target itself.
 struct OriginTargetState {
   enum class LockSt : std::uint8_t { None, Intent, Requested, Granted };
   int target = -1;      ///< target comm rank
@@ -263,6 +265,131 @@ class TargetEntries {
   std::uint32_t free_ = 0;  ///< 1 + index of the first free node, or 0
 };
 
+/// One origin's per-target delayed locks that no op has used yet, as
+/// ascending, disjoint runs [lo, hi) of targets locked with one type. Such
+/// a lock has no OriginTargetState; the first op to the target creates the
+/// entry from its run. Runs grow and shrink at either end in O(1)
+/// amortized, so lock and unlock loops in ascending or descending target
+/// order cost O(1) per call, and storage is O(runs), not O(locked targets).
+class LockRuns {
+ public:
+  bool empty() const { return head_ == runs_.size(); }
+  std::size_t size() const { return runs_.size() - head_; }  ///< runs
+  /// The lowest member, or INT_MAX when there is none.
+  int lowest() const {
+    return empty() ? std::numeric_limits<int>::max() : runs_[head_].lo;
+  }
+  bool contains(int target) const { return find(target) != kNone; }
+
+  /// Add `target`, which must not be a member: it extends or merges the
+  /// neighbouring runs of the same type, else it starts a run of one.
+  void add(int target, LockType type) {
+    std::size_t i = runs_.size();  // the first run above `target`
+    if (!empty() && target < runs_.back().lo) {
+      i = target < runs_[head_].lo ? head_ : upper(target);
+    }
+    Run* below = i > head_ ? &runs_[i - 1] : nullptr;
+    Run* above = i < runs_.size() ? &runs_[i] : nullptr;
+    const bool join_below =
+        below != nullptr && below->hi == target && below->type == type;
+    const bool join_above =
+        above != nullptr && above->lo == target + 1 && above->type == type;
+    if (join_below && join_above) {
+      below->hi = above->hi;
+      erase(i);
+    } else if (join_below) {
+      ++below->hi;
+    } else if (join_above) {
+      --above->lo;
+    } else {
+      insert(i, Run{target, target + 1, type});
+    }
+  }
+
+  /// Remove `target` and return its run's lock type, or nothing when
+  /// `target` is not a member.
+  std::optional<LockType> take(int target) {
+    const std::size_t i = find(target);
+    if (i == kNone) return std::nullopt;
+    Run& r = runs_[i];
+    const LockType type = r.type;
+    if (r.hi - r.lo == 1) {
+      erase(i);
+    } else if (target == r.lo) {
+      ++r.lo;
+    } else if (target == r.hi - 1) {
+      --r.hi;
+    } else {
+      const Run upper_part{target + 1, r.hi, type};
+      r.hi = target;
+      insert(i + 1, upper_part);
+    }
+    return type;
+  }
+
+ private:
+  struct Run {
+    int lo = 0, hi = 0;  ///< members are the targets in [lo, hi)
+    LockType type = LockType::Shared;
+  };
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  /// Index of the first run whose `lo` is above `target`.
+  std::size_t upper(int target) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(runs_.begin() + static_cast<std::ptrdiff_t>(head_),
+                         runs_.end(), target,
+                         [](int t, const Run& r) { return t < r.lo; }) -
+        runs_.begin());
+  }
+  /// Index of the run holding `target`, or kNone. The end runs are tried
+  /// first: lock and unlock loops work there.
+  std::size_t find(int target) const {
+    if (empty()) return kNone;
+    std::size_t i = runs_.size() - 1;
+    if (target < runs_[i].lo) {
+      i = target < runs_[head_].hi ? head_ : upper(target) - 1;
+    }
+    const Run& r = runs_[i];
+    return r.lo <= target && target < r.hi ? i : kNone;
+  }
+  void insert(std::size_t i, const Run& r) {
+    if (i == runs_.size()) {
+      // Appending at capacity: drop the freed front slots instead of
+      // growing when they are at least half of the storage.
+      if (head_ != 0 && runs_.size() == runs_.capacity() &&
+          2 * head_ >= runs_.size()) {
+        runs_.erase(runs_.begin(),
+                    runs_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+      runs_.push_back(r);
+    } else if (i == head_) {
+      if (head_ == 0) {
+        // Prepending with no free front slot: open as many as there are
+        // runs, so a descending loop pays the shift once per doubling.
+        const std::size_t slack = std::max<std::size_t>(4, runs_.size());
+        runs_.insert(runs_.begin(), slack, Run{});
+        head_ = slack;
+      }
+      runs_[--head_] = r;
+    } else {
+      runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(i), r);
+    }
+  }
+  void erase(std::size_t i) {
+    if (i != head_) {
+      runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (++head_ == runs_.size()) {
+      runs_.clear();
+      head_ = 0;
+    }
+  }
+
+  std::vector<Run> runs_;
+  std::size_t head_ = 0;  ///< runs_[0, head_) are free front slots
+};
+
 /// One rank's origin-side view of a window.
 struct WinOriginState {
   using LockSt = OriginTargetState::LockSt;
@@ -274,6 +401,10 @@ struct WinOriginState {
   /// delayed (Intent) shared lock otherwise.
   bool lock_all = false;
   TargetEntries tgt;  ///< entries for the targets touched so far
+  /// Unused per-target delayed locks on targets with no entry (never
+  /// `self`). Empty while `lock_all` is set: lock_all refuses open runs,
+  /// and a lock inside it aborts.
+  LockRuns runs;
   int nlocked = 0;  // targets locked by p_win_lock/_lock_all, not yet unlocked
   // PSCW bookkeeping.
   std::vector<int> access_group;    // comm ranks I will access
@@ -283,18 +414,24 @@ struct WinOriginState {
   unsigned pscw_assert = 0;
   bool fence_open = false;
 
-  /// Lock state of a target with no entry; outside lock_all a missing entry
-  /// reads as a default-constructed one.
+  /// Lock state of a target with no entry: a run member is a delayed
+  /// (Intent) lock; anything else outside lock_all reads as a
+  /// default-constructed entry.
   LockSt untouched_lock(int target) const {
-    if (!lock_all) return LockSt::None;
-    return target == self ? LockSt::Granted : LockSt::Intent;
+    if (lock_all) return target == self ? LockSt::Granted : LockSt::Intent;
+    return runs.contains(target) ? LockSt::Intent : LockSt::None;
   }
-  /// The entry for `target`, created (as it read untouched) on first use.
-  /// Only this origin's own calls create entries.
+  /// The entry for `target`, created (as it read untouched, taking it out
+  /// of its run) on first use. Only this origin's own calls create entries.
   OriginTargetState& touch(int target) {
     if (OriginTargetState* e = tgt.find(target)) return *e;
     OriginTargetState& e = tgt.add(target);
-    e.lock_st = untouched_lock(target);
+    if (const std::optional<LockType> type = runs.take(target)) {
+      e.lock_st = LockSt::Intent;
+      e.lock_type = *type;
+    } else {
+      e.lock_st = untouched_lock(target);
+    }
     return e;
   }
 };

@@ -3,6 +3,11 @@
 // hint misuse diagnostics.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
+#include <vector>
+
 #include "core/casper.hpp"
 #include "core/layer_impl.hpp"
 #include "mpi/runtime.hpp"
@@ -185,6 +190,63 @@ TEST(CasperEpochs, ExclusiveLockVsLockallIsSerialized) {
     EXPECT_EQ(env.runtime().stats().get("atomicity_violations"), 0u);
     env.win_free(win);
   }, core::layer(csp(2)));
+}
+
+TEST(CasperEpochs, LockAllTranslationCreatesEntriesOnlyForReachedGhosts) {
+  // lock_all becomes a shared lock on every ghost of every overlapping
+  // window (paper III.C.3). No op uses most of them, so they create no
+  // origin entry: a user's entries, summed over the internal windows, are
+  // exactly the (window, ghost) pairs its ops reached.
+  struct Reached final : mpi::RmaObserver {
+    std::vector<mpi::WinImpl*> wins;
+    /// (window, origin world rank, target comm rank) of every commit.
+    std::set<std::tuple<const mpi::WinImpl*, int, int>> pairs;
+
+    void on_win_register(mpi::WinImpl& w) override { wins.push_back(&w); }
+    void on_win_free(mpi::WinImpl&) override {}
+    void on_sync(mpi::WinImpl&, int, mpi::SyncKind, int, sim::Time) override {
+    }
+    void on_op_commit(const mpi::AmOp& op, sim::Time, int) override {
+      pairs.emplace(op.win, op.origin_world, op.target_comm_rank);
+    }
+  };
+  constexpr int kNodes = 2, kUsers = 6, kGhosts = 2, kLen = 64;
+  Reached reached;
+  std::vector<std::size_t> entries(kNodes * (kUsers + kGhosts));
+  mpi::Runtime rt(cfg(kNodes, kUsers + kGhosts), [&](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    const int n = w->size();
+    void* base = nullptr;
+    Win win = env.win_allocate(kLen * sizeof(double), sizeof(double), Info{},
+                               w, &base);
+    env.win_lock_all(0, win);
+    const std::vector<double> ones(kLen, 1.0);
+    env.accumulate(ones.data(), 1, (me + 1) % n, 0, AccOp::Sum, win);
+    env.accumulate(ones.data(), kLen, (me + 5) % n, 0, AccOp::Sum, win);
+    env.win_flush_all(win);
+    std::size_t sum = 0;
+    for (const mpi::WinImpl* iw : reached.wins) {
+      const int cr = iw->comm()->rank_of_world(env.world_rank());
+      if (cr >= 0) sum += iw->origin_entries(cr);
+    }
+    entries[static_cast<std::size_t>(env.world_rank())] = sum;
+    env.win_unlock_all(win);
+    env.barrier(w);
+    env.win_free(win);
+  }, core::layer(csp(kGhosts)));
+  rt.add_observer(&reached);
+  rt.run();
+
+  std::map<int, std::size_t> per_origin;
+  for (const auto& p : reached.pairs) ++per_origin[std::get<1>(p)];
+  ASSERT_EQ(per_origin.size(), static_cast<std::size_t>(kNodes * kUsers));
+  for (const auto& [origin, npairs] : per_origin) {
+    // Each user locked kUsers windows x kNodes * kGhosts ghosts.
+    EXPECT_LT(npairs, static_cast<std::size_t>(kUsers * kNodes * kGhosts));
+    EXPECT_EQ(entries[static_cast<std::size_t>(origin)], npairs)
+        << "user at world rank " << origin;
+  }
 }
 
 TEST(CasperEpochs, UnmanagedWindowPassthrough) {
