@@ -187,17 +187,24 @@ echo "== [10/14] TSan: sharded engine + sharded runtime determinism =="
 # are TSan-annotated (src/sim/fiber.cpp), so rank-fiber stacks are tracked
 # correctly. Both suites sweep shards in {1,2,4,8}. The cross-node burst
 # test then checks op nodes: allocated and freed on the origin's shard,
-# served by a ghost on another, with no lock on the arena. The adaptive
-# decision suites run sharded too: the per-window segment table is filled
-# once at registration and then read by origins on every shard.
+# served by a ghost on another, with no lock on the arena. PoolBufs
+# migrate across shards with their messages (test_pool: their storage
+# switch). The flush-wake tests sweep shards {1, 2, 4}: a flushing rank's
+# fiber writes the entry it waits on, and ack events on its shard read it.
+# The adaptive decision suites run sharded too: the per-window segment
+# table is filled once at registration and then read by origins on every
+# shard.
 BUILD_TSAN=build-tsan
 cmake -B "$BUILD_TSAN" -S . -DCASPER_TSAN=ON >/dev/null
 cmake --build "$BUILD_TSAN" -j"$JOBS" --target test_sim_engine_sharded \
-  test_sharded_runtime test_mpi_corners test_adaptive
+  test_sharded_runtime test_mpi_corners test_adaptive test_pool
 "./$BUILD_TSAN/tests/test_sim_engine_sharded"
 "./$BUILD_TSAN/tests/test_sharded_runtime"
-"./$BUILD_TSAN/tests/test_mpi_corners" \
-  --gtest_filter=MpiCorners.ShardedCrossNodeBurstReusesArenaNodes
+"./$BUILD_TSAN/tests/test_pool"
+"./$BUILD_TSAN/tests/test_mpi_corners" --gtest_filter=\
+MpiCorners.ShardedCrossNodeBurstReusesArenaNodes:\
+MpiCorners.FlushResumesOnlyForItsLastAck:\
+MpiCorners.FlushingOriginStillServesItsInbox
 "./$BUILD_TSAN/tests/test_adaptive" --gtest_filter='AdaptiveDecisions.*'
 
 echo "== [11/14] trace-enabled fuzz smoke (CASPER_TRACE=1) =="

@@ -43,8 +43,8 @@ void CasperLayer::setup_fault_recovery() {
   std::vector<std::vector<int>> alive = node_ghosts_;
   for (const auto& k : kills) {
     const int w = k.world_rank;
-    MMPI_REQUIRE(w >= 0 && w < static_cast<int>(is_ghost_.size()) &&
-                     is_ghost_[static_cast<std::size_t>(w)],
+    MMPI_REQUIRE(w >= 0 && w < static_cast<int>(ghost_slot_.size()) &&
+                     ghost_rank(w),
                  "fault: kill names world rank %d which is not a ghost", w);
     auto& a = alive[static_cast<std::size_t>(rt_->topo().node_of(w))];
     a.erase(std::remove(a.begin(), a.end(), w), a.end());
@@ -53,8 +53,8 @@ void CasperLayer::setup_fault_recovery() {
 }
 
 void CasperLayer::on_ghost_death(int world_rank, sim::Time t) {
-  if (world_rank < 0 || world_rank >= static_cast<int>(is_ghost_.size()) ||
-      !is_ghost_[static_cast<std::size_t>(world_rank)]) {
+  if (world_rank < 0 || world_rank >= static_cast<int>(ghost_slot_.size()) ||
+      !ghost_rank(world_rank)) {
     return;
   }
   if (ghost_dead_[static_cast<std::size_t>(world_rank)] != 0) return;

@@ -138,7 +138,7 @@ class CasperLayer final : public mpi::Layer {
   // ---- introspection for tests & benches ---------------------------------
   const mpi::Comm& user_world() const { return user_world_; }
   bool ghost_rank(int world_rank) const {
-    return is_ghost_[static_cast<std::size_t>(world_rank)];
+    return ghost_slot_[static_cast<std::size_t>(world_rank)] >= 0;
   }
   /// World rank of the ghost statically bound to a user rank of a window.
   int bound_ghost_of(const mpi::Win& user_win, int user_rank);
@@ -216,8 +216,8 @@ class CasperLayer final : public mpi::Layer {
     /// Bitset mirror of access_group, indexed by user comm rank: the
     /// per-op epoch check must not scan the group vector.
     std::vector<std::uint64_t> access_mask;
-    std::vector<std::uint64_t> ops_to_ghost;    // by ghost world rank
-    std::vector<std::uint64_t> bytes_to_ghost;  // by ghost world rank
+    std::vector<std::uint64_t> ops_to_ghost;    // by ghost_slot()
+    std::vector<std::uint64_t> bytes_to_ghost;  // by ghost_slot()
     /// Static-binding resolution of the op this origin is issuing, rebuilt
     /// per op. It keeps its capacity, so a warm origin allocates nothing, and
     /// stays intact across the p_rma/win_flush calls of one issue(): only
@@ -419,9 +419,16 @@ class CasperLayer final : public mpi::Layer {
   static std::size_t shard_idx() {
     return static_cast<std::size_t>(sim::Engine::current_shard());
   }
+  /// Index of a ghost's per-origin counters (OriginEp::ops_to_ghost).
+  std::size_t ghost_slot(int ghost_world) const {
+    return static_cast<std::size_t>(
+        ghost_slot_[static_cast<std::size_t>(ghost_world)]);
+  }
 
   // topology-derived, computed once in the constructor
-  std::vector<bool> is_ghost_;                 // by world rank
+  /// By world rank: the ghost's dense index in [0, nghosts_), -1 for users.
+  std::vector<int> ghost_slot_;
+  int nghosts_ = 0;
   std::vector<std::vector<int>> node_ghosts_;  // per node: ghost world ranks
   std::vector<std::vector<int>> node_users_;   // per node: user world ranks
   std::vector<int> node_master_;               // per node: first user rank

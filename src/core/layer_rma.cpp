@@ -222,8 +222,8 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
     case DynamicLb::OpCounting: {
       int best = ng[0];
       for (int g : ng) {
-        if (ep.ops_to_ghost[static_cast<std::size_t>(g)] <
-            ep.ops_to_ghost[static_cast<std::size_t>(best)]) {
+        if (ep.ops_to_ghost[ghost_slot(g)] <
+            ep.ops_to_ghost[ghost_slot(best)]) {
           best = g;
         }
       }
@@ -232,8 +232,8 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
     case DynamicLb::ByteCounting: {
       int best = ng[0];
       for (int g : ng) {
-        if (ep.bytes_to_ghost[static_cast<std::size_t>(g)] <
-            ep.bytes_to_ghost[static_cast<std::size_t>(best)]) {
+        if (ep.bytes_to_ghost[ghost_slot(g)] <
+            ep.bytes_to_ghost[ghost_slot(best)]) {
           best = g;
         }
       }
@@ -358,8 +358,8 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
   if (dynamic_applicable(cw, me_u, target, kind)) {
     const DynamicLb lb = effective_lb(cw, ep);
     const int ghost = choose_dynamic_ghost(env, cw, me_u, ti.node);
-    ++ep.ops_to_ghost[static_cast<std::size_t>(ghost)];
-    ep.bytes_to_ghost[static_cast<std::size_t>(ghost)] += bytes;
+    ++ep.ops_to_ghost[ghost_slot(ghost)];
+    ep.bytes_to_ghost[ghost_slot(ghost)] += bytes;
     if (cw.adapt.on) {
       adapt_note(cw, ep, ti, ti.offset + disp_bytes, bytes);
       auto& acc = ep.adapt_acc;
@@ -408,8 +408,8 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
       mpi::data_bytes(subs[0].tcount, subs[0].tdt) == bytes) {
     // Fast path: whole op through one ghost, original datatypes preserved.
     const SubOp& s = subs[0];
-    ++ep.ops_to_ghost[static_cast<std::size_t>(s.ghost)];
-    ep.bytes_to_ghost[static_cast<std::size_t>(s.ghost)] += bytes;
+    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
+    ep.bytes_to_ghost[ghost_slot(s.ghost)] += bytes;
     if (rec != nullptr) ++rec->metrics().counter("casper.binding_fastpath");
     note_redirect(s.ghost, bytes);
     numa_hint(s.ghost);
@@ -441,9 +441,9 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
   if (fetches) gather.resize(bytes);
 
   for (const SubOp& s : subs) {
-    ++ep.ops_to_ghost[static_cast<std::size_t>(s.ghost)];
+    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
     const std::size_t sbytes = mpi::data_bytes(s.tcount, s.tdt);
-    ep.bytes_to_ghost[static_cast<std::size_t>(s.ghost)] += sbytes;
+    ep.bytes_to_ghost[ghost_slot(s.ghost)] += sbytes;
     note_redirect(s.ghost, sbytes);
     numa_hint(s.ghost);
     mpi::RmaArgs piece = a;
@@ -509,7 +509,7 @@ void CasperLayer::exec_self(Env& env, const mpi::RmaArgs& a,
     aop.win = cw.user_win.get();
     aop.origin_comm_rank = a.target;
     aop.target_comm_rank = a.target;
-    aop.target_disp = disp_bytes;
+    aop.target_disp = static_cast<std::uint32_t>(disp_bytes);
     aop.target_count = a.tcount;
     aop.target_dt = a.tdt;
     aop.payload.bind(&rt_->buffer_pool());

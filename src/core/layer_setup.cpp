@@ -106,7 +106,8 @@ CasperLayer::CasperLayer(mpi::Runtime& rt, Config cfg)
 void CasperLayer::setup_topology() {
   const auto& topo = rt_->topo();
   const int n = topo.nranks();
-  is_ghost_.assign(static_cast<std::size_t>(n), false);
+  ghost_slot_.assign(static_cast<std::size_t>(n), -1);
+  nghosts_ = 0;
   node_ghosts_.assign(static_cast<std::size_t>(topo.nodes), {});
   node_users_.assign(static_cast<std::size_t>(topo.nodes), {});
   node_master_.assign(static_cast<std::size_t>(topo.nodes), -1);
@@ -116,7 +117,7 @@ void CasperLayer::setup_topology() {
   for (int r = 0; r < n; ++r) {
     const int node = topo.node_of(r);
     if (is_ghost_rank(topo, cfg_, r)) {
-      is_ghost_[static_cast<std::size_t>(r)] = true;
+      ghost_slot_[static_cast<std::size_t>(r)] = nghosts_++;
       node_ghosts_[static_cast<std::size_t>(node)].push_back(r);
     } else {
       node_users_[static_cast<std::size_t>(node)].push_back(r);
@@ -143,7 +144,7 @@ void CasperLayer::setup_topology() {
 
 void CasperLayer::setup_comms(Env& env) {
   const int me = env.world_rank();
-  const bool ghost = is_ghost_[static_cast<std::size_t>(me)];
+  const bool ghost = ghost_rank(me);
   // COMM_USER_WORLD: all non-ghost ranks, ordered by world rank.
   Comm uw = rt_->p_comm_split(env, rt_->world(), ghost ? -1 : 0, me);
   if (!ghost) {
@@ -167,7 +168,7 @@ void CasperLayer::on_rank_start(Env& env,
                                 const std::function<void(Env&)>& user_main) {
   setup_comms(env);
   const int me = env.world_rank();
-  const bool ghost = is_ghost_[static_cast<std::size_t>(me)];
+  const bool ghost = ghost_rank(me);
   if (obs::on(rt_->recorder())) {
     // Refine the default "rank N" track names now roles are known: trace
     // viewers then separate ghost service tracks from user compute tracks.
@@ -257,7 +258,7 @@ void CasperLayer::notify_ghosts(Env& env, const GhostCmd& cmd) {
 // ----------------------------------------------------- comm passthroughs --
 
 Comm CasperLayer::comm_world(Env& env) {
-  MMPI_REQUIRE(!is_ghost_[static_cast<std::size_t>(env.world_rank())],
+  MMPI_REQUIRE(!ghost_rank(env.world_rank()),
                "casper: ghost rank asked for the user world");
   return user_world_;
 }
@@ -309,7 +310,7 @@ void CasperLayer::barrier(Env& env, const Comm& c) {
   // consistently right after it (layer_adapt.cpp). Ghosts never call user
   // collectives, and unrelated comms pass straight through.
   if (cfg_.adaptive.enabled && c == user_world_ &&
-      !is_ghost_[static_cast<std::size_t>(env.world_rank())]) {
+      !ghost_rank(env.world_rank())) {
     adapt_barrier(env, c);
     return;
   }

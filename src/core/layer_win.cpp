@@ -110,7 +110,7 @@ CasperLayer::WinHandles CasperLayer::build_windows(Env& env,
                                                    Layout& lay) {
   const auto& topo = rt_->topo();
   const int me = env.world_rank();
-  const bool ghost = is_ghost_[static_cast<std::size_t>(me)];
+  const bool ghost = ghost_rank(me);
   const Comm& nc = node_comm_of_[static_cast<std::size_t>(me)];
   WinHandles h;
 
@@ -227,8 +227,8 @@ void CasperLayer::fill_tables(CspWin& cw, Layout lay, std::size_t du) {
   for (auto& ep : cw.ep) {
     ep.tl.resize(users);
     ep.access_mask.assign((users + 63) / 64, 0);
-    ep.ops_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
-    ep.bytes_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
+    ep.ops_to_ghost.assign(static_cast<std::size_t>(nghosts_), 0);
+    ep.bytes_to_ghost.assign(static_cast<std::size_t>(nghosts_), 0);
   }
   // Adaptive progress control: size the board and seed every origin's
   // replica.
@@ -241,7 +241,7 @@ void CasperLayer::free_internal_windows(Env& env, WinHandles h) {
   // member ranks, and one rank's teardown must not null the handles another
   // rank is still about to free.
   if (h.global_win &&
-      !is_ghost_[static_cast<std::size_t>(env.world_rank())]) {
+      !ghost_rank(env.world_rank())) {
     pmpi_->win_unlock_all(env, h.global_win);
   }
   pmpi_->win_free(env, h.shm);
@@ -320,8 +320,8 @@ std::vector<CasperLayer::GhostLoad> CasperLayer::ghost_load(
       GhostLoad gl;
       gl.ghost_world = g;
       for (const auto& ep : cw.ep) {
-        gl.ops += ep.ops_to_ghost[static_cast<std::size_t>(g)];
-        gl.bytes += ep.bytes_to_ghost[static_cast<std::size_t>(g)];
+        gl.ops += ep.ops_to_ghost[ghost_slot(g)];
+        gl.bytes += ep.bytes_to_ghost[ghost_slot(g)];
       }
       out.push_back(gl);
     }

@@ -12,7 +12,6 @@
 
 #include "mpi/types.hpp"
 #include "sim/pool.hpp"
-#include "sim/time.hpp"
 
 namespace casper::mpi {
 
@@ -33,7 +32,8 @@ enum class OpKind : std::uint8_t {
 
 /// The fixed-size fields of an active message: everything but the payload.
 /// Split out of AmOp so an arena node is cleared, or a wire copy cloned, with
-/// one assignment.
+/// one assignment. Every in-flight op carries one, so the field order packs
+/// it into 88 bytes with no padding (DESIGN.md, "Per-op record budget").
 struct AmHeader {
   std::uint64_t opid = 0;
   WinImpl* win = nullptr;
@@ -42,11 +42,12 @@ struct AmHeader {
   /// it. Fault forwarding may rewrite target_comm_rank to a successor ghost;
   /// the op still settles against the entry the origin issued it from.
   OriginTargetState* acct = nullptr;
-  std::size_t target_disp = 0;  // bytes (disp * disp_unit resolved at issue)
   // origin-side result destination for Get/GetAcc/Fao/Cas
   void* origin_result = nullptr;
-  sim::Time delivered = 0;
 
+  /// Bytes (disp * disp_unit resolved at issue). 32 bits suffice because
+  /// window creation requires every segment to be under kMaxSegmentBytes.
+  std::uint32_t target_disp = 0;
   int origin_world = -1;
   int target_world = -1;
   int origin_comm_rank = -1;
@@ -67,6 +68,10 @@ struct AmHeader {
   bool cross_numa = false;
 };
 
+/// Window segments must be smaller than this, so every byte displacement
+/// fits AmHeader::target_disp.
+inline constexpr std::size_t kMaxSegmentBytes = std::size_t{1} << 32;
+
 /// A software-path operation delivered to a target rank's inbox (or handled
 /// by that rank's progress agent). Executed target-side with a processing
 /// cost; an acknowledgment (optionally carrying fetched data) returns to the
@@ -81,11 +86,16 @@ struct AmOp : AmHeader {
 /// An op's one record, from issue to ack: the op plus an intrusive link for
 /// the target's inbox. Nodes live in an AmArena and never move, so events
 /// carry a node pointer and a poller that yields mid-service keeps a valid
-/// reference to the op it is serving.
-struct AmNode {
-  AmOp op;
+/// reference to the op it is serving. Exactly two cache lines: `next` leads
+/// the first, so AmQueue::pop_front reads the line the serve path reads
+/// next anyway.
+struct alignas(64) AmNode {
   AmNode* next = nullptr;
+  AmOp op;
 };
+
+static_assert(sizeof(AmNode) == 128 && alignof(AmNode) == 64,
+              "an op node is two cache lines");
 
 /// Chunked node arena with a LIFO free list, one per engine shard. An RMA
 /// op's node is allocated at issue and freed when its ack lands, both on

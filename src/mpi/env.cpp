@@ -22,8 +22,8 @@ void Env::observe_rma_issue(OpKind kind, AccOp op, int target,
   aop.win = win.get();
   aop.origin_comm_rank = win->comm()->rank_of_world(world_rank());
   aop.target_comm_rank = target;
-  aop.target_disp =
-      tdisp * win->segs[static_cast<std::size_t>(target)].disp_unit;
+  aop.target_disp = static_cast<std::uint32_t>(
+      tdisp * win->segs[static_cast<std::size_t>(target)].disp_unit);
   aop.target_count = tcount;
   aop.target_dt = tdt;
   rt_->observe_issue(aop, now());

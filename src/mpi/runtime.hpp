@@ -315,6 +315,9 @@ class Runtime {
     std::deque<P2pMsg> unexpected; // unmatched arrived messages
     std::vector<Request> posted;   // pending receives, in post order
     sim::Time agent_busy_until = 0;  // progress-agent serialization point
+    /// The entry a blocked flush_target waits on, else null. Written by the
+    /// rank's fiber, read by ack events homed on the rank's shard.
+    const OriginTargetState* flushing = nullptr;
     bool in_mpi = false;  // inside a progress-making MPI wait right now
     bool next_op_cross_numa = false;  // layer hint for the next RMA op
   };

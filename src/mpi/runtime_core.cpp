@@ -462,7 +462,6 @@ void Runtime::deliver_am(AmNode* n, Time t_del) {
       return;
     }
   }
-  op.delivered = t_del;
   switch (cfg_.progress.kind) {
     case progress::Kind::None: {
       auto& io = io_[static_cast<std::size_t>(op.target_world)];
@@ -802,7 +801,13 @@ void Runtime::on_ack(AmNode* n, Time t_ack) {
   if (obs::on(recorder()))
     recorder()->trace().instant(op.origin_world, obs::Ev::OpFlushed, t_ack,
                               op.opid);
-  engine_->wake(op.origin_world, t_ack);
+  // A flushing origin resumes only for the ack that can end its flush; it
+  // would otherwise poll an empty inbox and block again. Inbox deliveries,
+  // grants and release acks still wake it.
+  const OriginTargetState* f =
+      io_[static_cast<std::size_t>(op.origin_world)].flushing;
+  if (f == nullptr || (f == ots && ots->flush_done()))
+    engine_->wake(op.origin_world, t_ack);
   free_node(n);
 }
 

@@ -19,6 +19,13 @@ namespace {
 /// buffer starts at least 16-byte aligned (basic-datatype atomicity unit).
 std::size_t align_up(std::size_t v) { return (v + 63) & ~std::size_t{63}; }
 
+/// An op's byte displacement is 32-bit (AmHeader::target_disp).
+void require_segment_size(std::size_t bytes) {
+  MMPI_REQUIRE(bytes < kMaxSegmentBytes,
+               "window segment of %zu bytes: segments must be under 4 GiB",
+               bytes);
+}
+
 bool group_contains(const std::vector<int>& g, int r) {
   return std::find(g.begin(), g.end(), r) != g.end();
 }
@@ -31,6 +38,7 @@ Win Runtime::p_win_allocate(Env& env, std::size_t bytes,
                             std::size_t disp_unit, const Info& info,
                             const Comm& comm, void** base, bool shared) {
   MMPI_REQUIRE(disp_unit > 0, "disp_unit must be positive");
+  require_segment_size(bytes);
   // Window creation cost scales with the number of members (connection and
   // registration setup) — the quantity Fig. 3(a) measures.
   env.ctx().advance(profile().win_create_base +
@@ -110,6 +118,7 @@ Win Runtime::p_win_create(Env& env, void* base, std::size_t bytes,
                           std::size_t disp_unit, const Info& info,
                           const Comm& comm) {
   MMPI_REQUIRE(disp_unit > 0, "disp_unit must be positive");
+  require_segment_size(bytes);
   env.ctx().advance(profile().win_create_base +
                     static_cast<Time>(comm->size()) *
                         profile().win_create_per_rank);
@@ -209,7 +218,7 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
   AmOp& op = n->op;
   op.win = win.get();
   op.acct = &ots;
-  op.target_disp = disp_bytes;
+  op.target_disp = static_cast<std::uint32_t>(disp_bytes);
   op.origin_result = a.result_addr;
   op.origin_world = env.world_rank();
   op.target_world = win->comm()->world_rank(a.target);
@@ -590,12 +599,11 @@ void Runtime::flush_target(Env& env, WinImpl& win, int target,
     }
     send_lock_request(env, win, *ots);
   }
-  progress_wait(env, [ots]() {
-    const bool lock_ok = ots->lock_st == LockSt::None ||
-                         ots->lock_st == LockSt::Granted ||
-                         ots->lock_st == LockSt::Intent;
-    return lock_ok && !ots->has_queued() && ots->outstanding == 0;
-  });
+  // Acks to this rank wake it only when they can end this wait (on_ack).
+  RankIo& io = io_[static_cast<std::size_t>(env.world_rank())];
+  io.flushing = ots;
+  progress_wait(env, [ots]() { return ots->flush_done(); });
+  io.flushing = nullptr;
 }
 
 void Runtime::p_win_flush(Env& env, int target, const Win& win) {

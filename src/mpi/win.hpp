@@ -107,6 +107,11 @@ struct OriginTargetState {
   bool release_pending = false;  ///< unlock sent, release-ack not yet back
 
   bool has_queued() const { return queue != 0; }
+  /// A flush of this target can return: the lock is not waiting for a grant
+  /// and every op has left the origin and been acknowledged.
+  bool flush_done() const {
+    return lock_st != LockSt::Requested && !has_queued() && outstanding == 0;
+  }
 };
 static_assert(sizeof(OriginTargetState) == 16,
               "one entry per touched (origin, target) pair; keep it small");

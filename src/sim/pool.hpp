@@ -20,6 +20,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <new>
@@ -116,9 +118,15 @@ class BytePool {
 /// to the global heap, so a default-constructed PoolBuf is always usable —
 /// binding is an optimization, not a requirement. Destruction returns the
 /// block to the pool.
+///
+/// 32 bytes, because every in-flight op carries one: the inline bytes share
+/// storage with the block pointer, and `cap_ == kInline` says which one is
+/// live (a block is always larger than kInline). Contents are limited to
+/// kMaxSize bytes.
 class PoolBuf {
  public:
   static constexpr std::size_t kInline = 16;
+  static constexpr std::size_t kMaxSize = UINT32_MAX;
 
   PoolBuf() = default;
   explicit PoolBuf(BytePool* pool) : pool_(pool) {}
@@ -137,17 +145,19 @@ class PoolBuf {
   /// Attach to a pool. A held block must be released to its own source, so
   /// binding is only allowed while the storage is inline.
   void bind(BytePool* pool) {
-    if (data_ == inline_) pool_ = pool;
+    if (is_inline()) pool_ = pool;
   }
 
-  std::byte* data() { return data_; }
-  const std::byte* data() const { return data_; }
+  std::byte* data() { return is_inline() ? store_.bytes : store_.block; }
+  const std::byte* data() const {
+    return is_inline() ? store_.bytes : store_.block;
+  }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
   void resize(std::size_t n) {
     if (n > cap_) grow(n);
-    size_ = n;
+    size_ = static_cast<std::uint32_t>(n);
   }
   void clear() { size_ = 0; }
   /// Empty the buffer and return any held block now.
@@ -155,53 +165,63 @@ class PoolBuf {
 
   void assign(const void* src, std::size_t n) {
     resize(n);
-    if (n != 0) std::memcpy(data_, src, n);
+    if (n != 0) std::memcpy(data(), src, n);
   }
 
-  std::span<const std::byte> span() const { return {data_, size_}; }
+  std::span<const std::byte> span() const { return {data(), size_}; }
   operator std::span<const std::byte>() const { return span(); }
 
  private:
-  /// Steal o's storage and leave it empty. The inline bytes are copied
-  /// unconditionally and data_ is selected, not branched on: moves run once
+  union Store {
+    std::byte* block;         ///< live when cap_ > kInline
+    std::byte bytes[kInline];  ///< live when cap_ == kInline
+  };
+
+  bool is_inline() const { return cap_ == kInline; }
+
+  /// Steal o's storage and leave it empty. The whole store is copied
+  /// unconditionally, block pointer or inline bytes alike: moves run once
   /// per hop of every queued op, and a branch around the copy cost more
   /// than the 16-byte copy itself.
   void take(PoolBuf& o) noexcept {
     pool_ = o.pool_;
+    store_ = o.store_;
     size_ = o.size_;
     cap_ = o.cap_;
-    std::memcpy(inline_, o.inline_, kInline);
-    data_ = o.data_ == o.inline_ ? inline_ : o.data_;
-    o.data_ = o.inline_;
     o.size_ = 0;
     o.cap_ = kInline;
   }
   void grow(std::size_t n) {
+    if (n > kMaxSize) {
+      std::fprintf(stderr, "sim::PoolBuf: %zu bytes exceed the limit %zu\n", n,
+                   kMaxSize);
+      std::abort();
+    }
     std::size_t ncap = 0;
     std::byte* nd = pool_ != nullptr
                         ? pool_->acquire(n, &ncap)
                         : (ncap = n, static_cast<std::byte*>(::operator new(n)));
-    if (size_ != 0) std::memcpy(nd, data_, size_);
+    if (size_ != 0) std::memcpy(nd, data(), size_);
     dealloc();
-    data_ = nd;
-    cap_ = ncap;
+    store_.block = nd;
+    cap_ = static_cast<std::uint32_t>(ncap);
   }
   void dealloc() noexcept {
     size_ = 0;
-    if (data_ == inline_) return;
+    if (is_inline()) return;
     if (pool_ != nullptr)
-      pool_->release(data_, cap_);
+      pool_->release(store_.block, cap_);
     else
-      ::operator delete(data_);
-    data_ = inline_;
+      ::operator delete(store_.block);
     cap_ = kInline;
   }
 
   BytePool* pool_ = nullptr;
-  std::byte* data_ = inline_;  ///< inline_ or a block of cap_ bytes
-  std::size_t size_ = 0;
-  std::size_t cap_ = kInline;
-  std::byte inline_[kInline]{};
+  Store store_{};
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = kInline;  ///< kInline, or the block's capacity
 };
+
+static_assert(sizeof(PoolBuf) == 32, "PoolBuf is a quarter of an op node");
 
 }  // namespace casper::sim

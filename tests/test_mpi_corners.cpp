@@ -1,8 +1,8 @@
 // Corner-case and error-path tests for minimpi: fence asserts,
 // get_accumulate, flush_local, zero-size windows, sparse origin state and
 // per-target lock runs, the op node arena (one node per op from issue to
-// ack, sharded too), the delayed-grant drain order, bounds checking and
-// epoch-misuse aborts (death tests).
+// ack, sharded too), flush wake-ups, the delayed-grant drain order, bounds
+// checking, the segment size limit and epoch-misuse aborts (death tests).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/casper.hpp"
@@ -335,7 +336,6 @@ struct ServerCommits final : mpi::RmaObserver {
   struct Commit {
     int origin;
     std::uint64_t opid;
-    sim::Time delivered;
   };
   mpi::Runtime* rt = nullptr;
   int server = -1;
@@ -347,7 +347,7 @@ struct ServerCommits final : mpi::RmaObserver {
   void on_sync(mpi::WinImpl&, int, mpi::SyncKind, int, sim::Time) override {}
   void on_op_commit(const mpi::AmOp& op, sim::Time, int entity) override {
     if (entity != server) return;
-    commits.push_back({op.origin_world, op.opid, op.delivered});
+    commits.push_back({op.origin_world, op.opid});
     peak = std::max(peak, rt->pending_am_count(server) + 1);
   }
 };
@@ -404,16 +404,13 @@ TEST(MpiCorners, GhostInboxBurstReusesArenaNodes) {
   rt.add_observer(&log);
   rt.run();
 
-  // The ghost serves in arrival order, and each origin's ops in the order
-  // it issued them.
+  // The ghost serves each origin's ops in the order it issued them (the
+  // inbox is FIFO: AmQueue.PopsNodesInPushOrder).
   ASSERT_EQ(log.commits.size(), 3u + 2u * 3 * kBurst);
   std::uint64_t last_opid[3] = {0, 0, 0};
   for (std::size_t i = 0; i < log.commits.size(); ++i) {
     const ServerCommits::Commit& c = log.commits[i];
     ASSERT_TRUE(c.origin >= 0 && c.origin < 3) << "commit " << i;
-    if (i > 0) {
-      ASSERT_LE(log.commits[i - 1].delivered, c.delivered) << "commit " << i;
-    }
     ASSERT_LT(last_opid[c.origin], c.opid) << "commit " << i;
     last_opid[c.origin] = c.opid;
   }
@@ -500,6 +497,125 @@ TEST(MpiCorners, ShardedCrossNodeBurstReusesArenaNodes) {
     EXPECT_EQ(two.counters, ref.counters) << "shards=" << shards;
     EXPECT_EQ(two.am_nodes, sharded_burst(shards, 1).am_nodes)
         << "the repeat burst allocated new nodes, shards=" << shards;
+  }
+}
+
+/// Counts every fiber resumption per rank. Each rank's count is written only
+/// by its own shard's thread, so the rank's fiber may read it unlocked.
+struct ResumeCounter final : sim::SchedObserver {
+  explicit ResumeCounter(int nranks)
+      : resumes(static_cast<std::size_t>(nranks), 0) {}
+  void on_schedule(sim::Time, int rank) override {
+    if (rank >= 0) ++resumes[static_cast<std::size_t>(rank)];
+  }
+  std::vector<std::uint64_t> resumes;
+};
+
+/// Original MPI on 4 single-rank nodes: rank 0 issues `n` accumulates to
+/// rank 2 under lock_all (the lock granted by one flushed op first), then
+/// flushes. Returns rank 0's resumptions inside that flush, and rank 2's
+/// window.
+std::pair<std::uint64_t, std::vector<double>> flush_resumes(int shards,
+                                                            int n) {
+  RunConfig rc = cfg(4, 1);
+  rc.shards = shards;
+  std::uint64_t in_flush = 0;
+  std::vector<double> window;
+  ResumeCounter count(4);
+  mpi::Runtime rt(rc, [&](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    void* base = nullptr;
+    Win win = env.win_allocate(4 * sizeof(double), sizeof(double), Info{}, w,
+                               &base);
+    if (me == 0) {
+      const double v = 1.0;
+      env.win_lock_all(0, win);
+      env.accumulate(&v, 1, 2, 0, AccOp::Sum, win);
+      env.win_flush(2, win);
+      for (int i = 0; i < n; ++i) {
+        env.accumulate(&v, 1, 2, static_cast<std::size_t>(i % 4), AccOp::Sum,
+                       win);
+      }
+      const std::uint64_t before = count.resumes[0];
+      env.win_flush(2, win);
+      in_flush = count.resumes[0] - before;
+      env.win_unlock_all(win);
+    }
+    env.barrier(w);  // rank 2 serves the accumulates in here
+    if (me == 2) {
+      const auto* d = static_cast<const double*>(base);
+      window.assign(d, d + 4);
+    }
+    env.win_free(win);
+  });
+  rt.engine().set_sched_observer(&count);
+  rt.run();
+  return {in_flush, window};
+}
+
+TEST(MpiCorners, FlushResumesOnlyForItsLastAck) {
+  // Each ack used to wake the flushing origin, which found its flush still
+  // incomplete and blocked again: n resumptions for n outstanding ops.
+  constexpr int kOps = 64;
+  for (const int shards : {1, 2, 4}) {
+    const auto [in_flush, window] = flush_resumes(shards, kOps);
+    EXPECT_EQ(in_flush, 1u) << "shards=" << shards;
+    EXPECT_EQ(window, (std::vector<double>{17.0, 16.0, 16.0, 16.0}))
+        << "shards=" << shards;
+  }
+}
+
+TEST(MpiCorners, FlushingOriginStillServesItsInbox) {
+  // Original MPI, no progress agent: every rank accumulates to its
+  // next-node neighbour and flushes. Each flushing origin is also a target,
+  // so its flush completes only if it serves the ops queued for it (the
+  // inbox deliveries still wake it while acks for unfinished flushes do
+  // not). Any shard count gives the same window bytes and clocks.
+  constexpr int kRanks = 4;
+  constexpr int kOps = 48;
+  std::vector<double> ref_window;
+  std::vector<sim::Time> ref_clock;
+  for (const int shards : {1, 2, 4}) {
+    RunConfig rc = cfg(kRanks, 1);
+    rc.shards = shards;
+    std::vector<double> window(kRanks * 4, -1.0);
+    std::vector<sim::Time> clock(kRanks, 0);
+    mpi::exec(rc, [&](mpi::Env& env) {
+      Comm w = env.world();
+      const int me = env.rank(w);
+      void* base = nullptr;
+      Win win = env.win_allocate(4 * sizeof(double), sizeof(double), Info{},
+                                 w, &base);
+      env.win_lock_all(0, win);
+      const double v = me + 1;
+      const int peer = (me + 1) % kRanks;
+      for (int i = 0; i < kOps; ++i) {
+        env.accumulate(&v, 1, peer, static_cast<std::size_t>(i % 4),
+                       AccOp::Sum, win);
+      }
+      env.win_flush(peer, win);
+      clock[static_cast<std::size_t>(me)] = env.now();
+      env.win_unlock_all(win);
+      env.barrier(w);
+      const auto* d = static_cast<const double*>(base);
+      std::copy(d, d + 4, window.begin() + me * 4);
+      env.win_free(win);
+    });
+    for (int r = 0; r < kRanks; ++r) {
+      const double src = (r + kRanks - 1) % kRanks + 1;
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(window[static_cast<std::size_t>(r * 4 + k)],
+                  src * kOps / 4)
+            << "rank " << r << " slot " << k << ", shards=" << shards;
+      }
+    }
+    if (ref_clock.empty()) {
+      ref_window = window;
+      ref_clock = clock;
+    }
+    EXPECT_EQ(window, ref_window) << "shards=" << shards;
+    EXPECT_EQ(clock, ref_clock) << "shards=" << shards;
   }
 }
 
@@ -833,6 +949,21 @@ TEST(MpiDeath, RmaOutOfBoundsAborts) {
                           1, mpi::contig(Dt::Double), win);
                 }),
       "out of bounds");
+}
+
+TEST(MpiDeath, WindowSegmentOf4GiBAborts) {
+  // Op displacements are 32-bit. The length is checked before the window is
+  // built, so the small buffer's bytes past its end are never touched.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      mpi::exec(cfg(2, 1),
+                [](mpi::Env& env) {
+                  double buf[2] = {0.0, 0.0};
+                  Win win = env.win_create(buf, mpi::kMaxSegmentBytes, 1,
+                                           Info{}, env.world());
+                  env.win_free(win);
+                }),
+      "window segment of 4294967296 bytes: segments must be under 4 GiB");
 }
 
 TEST(MpiDeath, NestedLockAborts) {
