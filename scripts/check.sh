@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Full local gate: tier-1 tests, the conformance fuzzer at its fixed seed
-# corpus (clean and faulted), the chaos/fault matrix, ASan builds running
-# the fuzzer smoke corpus and a ghost-failure soak, and a TSan build of the
-# sharded engine + runtime determinism suites. Run from the repo root:
+# Full local gate: the tier-1 ctest suite; the conformance fuzzer's fixed
+# seed corpora (clean, faulted, planted-race, KV, forced-adaptive, MWCAS and
+# lock-free KV) with every proof repro replayed; the whole suite under ASan
+# plus fuzzer slices, and the whole suite under TSan; a traced fuzz slice;
+# the chrome-trace export check; a -Werror Release build; and the
+# BENCH_*.json perf ratchet. Run from the repo root:
 #   scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,32 +57,22 @@ echo "== [3/14] conformance fuzzer: faulted corpus (--faults) =="
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --cases 200 --schedules 2 \
   --faults --no-fault-proof --out "$BUILD/tests"
 
-echo "== [4/14] race analyzer: planted-race and false-positive gates =="
-# Positive gate: every case carries 2 planted same-epoch conflicting pairs
-# and the online race analyzer must flag each of them in every schedule (a
-# miss is minimized and written as a "race-miss" repro). The negative gate is
-# implicit in stages 2-3: the analyzer rides along on every clean fuzz run,
-# and any conflict there fails the campaign as a "race-conflict" repro.
+echo "== [4/14] race analyzer: planted-race gate =="
+# Every case carries 2 planted same-epoch conflicting pairs and the online
+# race analyzer must flag each of them in every schedule (a miss is minimized
+# and written as a "race-miss" repro). The false-positive gate is implicit in
+# stages 2-3: the analyzer rides along on every clean fuzz run, and any
+# conflict there fails the campaign as a "race-conflict" repro.
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --cases 100 --schedules 4 \
   --races 2 --out "$BUILD/tests"
-"./$BUILD/tests/test_race_analyzer"
 
-echo "== [5/14] chaos matrix + ghost failure/recovery suites =="
-# {drop,dup,reorder,delay} x {PUT,ACC,GET_ACC,FAO,CAS} x {lock,lockall,
-# fence} under the oracle, plus ghost kills across 64 seeds, last-ghost
-# degradation, and kills composed with a lossy network (DESIGN.md §11).
-"./$BUILD/tests/test_fault_matrix"
-"./$BUILD/tests/test_ghost_failure"
-
-echo "== [6/14] KV store + linearizability checker =="
+echo "== [5/14] KV store: clean, proof and faulted corpora =="
 # The RMA-backed sharded KV store under skewed traffic with the Wing-Gong
-# linearizability checker riding every run (DESIGN.md §14): the unit suites,
-# a wider clean --kv corpus than the ctest-time slice (the planted-bug
-# proof runs after the first campaign), and the faulted corpus
-# (lossy network + seed-derived chaos) which must stay violation-free
-# through retry and recovery. The proof's repro replays through the CLI.
-"./$BUILD/tests/test_kv"
-"./$BUILD/tests/test_linear_checker"
+# linearizability checker riding every run (DESIGN.md §14): a wider clean
+# --kv corpus than the ctest-time slice (the planted-bug proof runs after the
+# first campaign, and its repro replays through the CLI), then the faulted
+# corpus (lossy network + seed-derived chaos), which must stay
+# violation-free through retry and recovery.
 fresh_repro_dir
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --kv 200 --schedules 4 \
   --out "$REPRO"
@@ -88,28 +80,21 @@ replay_repros
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --kv 100 --schedules 2 \
   --faults --no-fault-proof --out "$BUILD/tests"
 
-echo "== [7/14] adaptive progress control: unit suite + forced-on fuzz =="
-# The online controller (DESIGN.md §15): decision invariance across fiber
-# schedules and engine shards, map changes on rebind, KV
-# linearizability, and the ghost-kill chaos composition in the unit suite;
-# then the conformance corpus with the controller forced on for EVERY case
-# (seed streams only draw it for ~25%): oracle, race analyzer, and
-# cross-schedule content checks must stay as clean as the static runs. The
-# fault-proof is skipped here -- the injected static-binding bug has no
-# surface under the controller's map (stage 2 already ran it).
-"./$BUILD/tests/test_adaptive"
+echo "== [6/14] adaptive progress control: forced-on corpus =="
+# The conformance corpus with the online controller (DESIGN.md §15) forced
+# on for EVERY case (seed streams only draw it for ~25%): oracle, race
+# analyzer, and cross-schedule content checks must stay as clean as the
+# static runs. The fault-proof is skipped -- the injected static-binding bug
+# has no surface under the controller's map (stage 2 already ran it).
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --cases 150 --schedules 4 \
   --adaptive --no-fault-proof --out "$BUILD/tests"
 
-echo "== [8/14] MWCAS library: unit battery + clean/lockfree corpora =="
-# The descriptor-based multi-word CAS layer (DESIGN.md §16): the unit/chaos/
-# recovery battery (helping with a dead origin, die-at-every-install replay,
-# MS-queue linearizability, 64-schedule exactness), a wider clean --mwcas
-# corpus than the ctest-time slice (the three planted protocol bugs are
-# proven caught inside the first campaign), and the KV store's lock-free
-# bucket mode over the same seeds the locked campaign runs in stage 6. Every
+echo "== [7/14] MWCAS library: clean and lock-free corpora =="
+# The descriptor-based multi-word CAS layer (DESIGN.md §16): a wider clean
+# --mwcas corpus than the ctest-time slice (the three planted protocol bugs
+# are proven caught inside the first campaign), and the KV store's lock-free
+# bucket mode over the same seeds the locked campaign runs in stage 5. Every
 # proof repro of both runs replays through the CLI.
-"./$BUILD/tests/test_mwcas"
 fresh_repro_dir
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --mwcas 100 --schedules 4 \
   --out "$REPRO"
@@ -117,95 +102,40 @@ fresh_repro_dir
   --lockfree --out "$REPRO"
 replay_repros
 
-echo "== [9/14] ASan: fuzzer smoke corpus + ghost-failure soak =="
+# The sanitizer stages run every test outside two ctest labels; the reasons
+# are where the labels are declared (tests/CMakeLists.txt), and each test
+# file's header says what it exercises under which sanitizer.
+SAN_SKIP='alloc_hook|host_timing'
+
+echo "== [8/14] ASan: whole suite =="
 cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null
-cmake --build "$BUILD_ASAN" -j"$JOBS" --target fuzz_conformance \
-  test_check_oracle test_race_analyzer test_fault_matrix \
-  test_ghost_failure test_kv test_linear_checker test_adaptive test_mwcas \
-  test_casper test_casper_bindings test_casper_epochs test_pool \
-  test_mpi_corners test_mpi_rma test_progress_agents test_sim_engine \
-  test_sim_engine_sharded
-# The engine's one scheduler loop for every shard count and perturb seed:
-# calendar node free list, spill heap refills and SlotPool recycling.
-"./$BUILD_ASAN/tests/test_sim_engine"
-"./$BUILD_ASAN/tests/test_sim_engine_sharded"
-"./$BUILD_ASAN/tests/test_check_oracle"
-# Op node lifetime: one arena node per op from issue to ack (freed by the
-# ack, or after service for lock messages), inline/pooled buffer moves. A
-# node used after its ack freed it is a use-after-free here.
-"./$BUILD_ASAN/tests/test_pool"
-"./$BUILD_ASAN/tests/test_mpi_corners"
-# Every commit path (poller, thread and interrupt agents, NIC, self ops)
-# stages through the same pooled read/write-phase scratch.
-"./$BUILD_ASAN/tests/test_mpi_rma"
-"./$BUILD_ASAN/tests/test_progress_agents"
-# Window set-up: the one-time table fill at registration and the ghosts'
-# handle-only records, freed by sequence number out of allocation order.
-"./$BUILD_ASAN/tests/test_casper"
-# Redirect routing: the segment split path iterates the origin's reused
-# route vector across its p_rma and win_flush calls, so a reference into it
-# that dangles is a use-after-free here.
-"./$BUILD_ASAN/tests/test_casper_bindings"
-# Epoch translation: lock and lock_all become per-ghost locks that live as
-# runs of targets until an op creates the entry, splitting its run.
-"./$BUILD_ASAN/tests/test_casper_epochs"
-# The interval-treap recorder (insert/coalesce/prune) under ASan, plus a racy
-# slice: planted-race detection must hold with sanitized allocation patterns.
-"./$BUILD_ASAN/tests/test_race_analyzer"
+cmake --build "$BUILD_ASAN" -j"$JOBS"
+ctest --test-dir "$BUILD_ASAN" --output-on-failure -j"$JOBS" -LE "$SAN_SKIP"
+
+echo "== [9/14] ASan: fuzzer slices =="
+# Sanitized allocation patterns under fuzzed schedules: planted-race
+# detection, the controller forced on for every case, the ghost-kill and
+# lossy-network recovery paths, and the KV and MWCAS workloads, whose
+# in-flight scratch buffers and recycled descriptors must never be touched
+# after release.
 "./$BUILD_ASAN/tests/fuzz_conformance" --base-seed 3 --cases 20 \
   --schedules 2 --races 2 --out "$BUILD_ASAN/tests"
 "./$BUILD_ASAN/tests/fuzz_conformance" --base-seed 1 --cases 50 \
   --schedules 4 --out "$BUILD_ASAN/tests"
-# The controller's seal/decide/remap path (double-buffered boards, plan
-# regeneration) under ASan, forced on for every case.
-"./$BUILD_ASAN/tests/test_adaptive"
 "./$BUILD_ASAN/tests/fuzz_conformance" --base-seed 5 --cases 30 \
   --schedules 2 --adaptive --no-fault-proof --out "$BUILD_ASAN/tests"
-# Recovery touches freed/rebound routing state; the kill/rebind/degrade
-# paths must be clean under ASan, not just functionally correct.
-"./$BUILD_ASAN/tests/test_fault_matrix"
-"./$BUILD_ASAN/tests/test_ghost_failure"
 "./$BUILD_ASAN/tests/fuzz_conformance" --base-seed 11 --cases 30 \
   --schedules 2 --faults --no-fault-proof --out "$BUILD_ASAN/tests"
-# KV + checker under ASan: the lock/probe scratch buffers must outlive each
-# in-flight op (see KvStore member-buffer comment); fuzzed schedules are the
-# way to catch a stack temporary sneaking back in.
-"./$BUILD_ASAN/tests/test_kv"
-"./$BUILD_ASAN/tests/test_linear_checker"
 "./$BUILD_ASAN/tests/fuzz_conformance" --base-seed 1 --kv 20 --schedules 2 \
   --out "$BUILD_ASAN/tests"
-# MWCAS descriptors recycle through gen-guarded slots; helping reads foreign
-# descriptor memory mid-retire by design, so ASan over the fuzzed corpus is
-# the gate that the snapshot/gen-check dance never touches freed state.
-"./$BUILD_ASAN/tests/test_mwcas"
 "./$BUILD_ASAN/tests/fuzz_conformance" --base-seed 1 --mwcas 15 \
   --schedules 2 --out "$BUILD_ASAN/tests"
 
-echo "== [10/14] TSan: sharded engine + sharded runtime determinism =="
-# The sharded engine is the only multi-threaded subsystem: shard workers,
-# the cross-shard outbox hand-off, and the window barrier. Fiber switches
-# are TSan-annotated (src/sim/fiber.cpp), so rank-fiber stacks are tracked
-# correctly. Both suites sweep shards in {1,2,4,8}. The cross-node burst
-# test then checks op nodes: allocated and freed on the origin's shard,
-# served by a ghost on another, with no lock on the arena. PoolBufs
-# migrate across shards with their messages (test_pool: their storage
-# switch). The flush-wake tests sweep shards {1, 2, 4}: a flushing rank's
-# fiber writes the entry it waits on, and ack events on its shard read it.
-# The adaptive decision suites run sharded too: the per-window segment
-# table is filled once at registration and then read by origins on every
-# shard.
+echo "== [10/14] TSan: whole suite =="
 BUILD_TSAN=build-tsan
 cmake -B "$BUILD_TSAN" -S . -DCASPER_TSAN=ON >/dev/null
-cmake --build "$BUILD_TSAN" -j"$JOBS" --target test_sim_engine_sharded \
-  test_sharded_runtime test_mpi_corners test_adaptive test_pool
-"./$BUILD_TSAN/tests/test_sim_engine_sharded"
-"./$BUILD_TSAN/tests/test_sharded_runtime"
-"./$BUILD_TSAN/tests/test_pool"
-"./$BUILD_TSAN/tests/test_mpi_corners" --gtest_filter=\
-MpiCorners.ShardedCrossNodeBurstReusesArenaNodes:\
-MpiCorners.FlushResumesOnlyForItsLastAck:\
-MpiCorners.FlushingOriginStillServesItsInbox
-"./$BUILD_TSAN/tests/test_adaptive" --gtest_filter='AdaptiveDecisions.*'
+cmake --build "$BUILD_TSAN" -j"$JOBS"
+ctest --test-dir "$BUILD_TSAN" --output-on-failure -j"$JOBS" -LE "$SAN_SKIP"
 
 echo "== [11/14] trace-enabled fuzz smoke (CASPER_TRACE=1) =="
 # Same corpus slice with the recorder attached: exercises every obs
@@ -220,15 +150,13 @@ cmake --build "$BUILD" -j"$JOBS" --target figures
 python3 scripts/validate_chrome_trace.py "$BUILD/fig4a_trace.json" \
   --require-casper-tracks
 
-echo "== [13/14] untraced Release build (-DCASPER_TRACE=0, -Werror) =="
-# The hot path is sprinkled with obs instrumentation behind CASPER_TRACE;
-# prove the untraced production configuration still compiles and links after
-# any refactor, not just the traced default, and that it builds warning-free.
-BUILD_NT=build-notrace
-cmake -B "$BUILD_NT" -S . -DCASPER_TRACE=OFF \
-  -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
-cmake --build "$BUILD_NT" -j"$JOBS"
-"./$BUILD_NT/tests/test_casper" >/dev/null
+echo "== [13/14] Release build, warnings as errors =="
+# Any new compiler warning (-Wall -Wextra -Wpedantic) in any target fails
+# here, in the optimized configuration the benchmarks use.
+BUILD_WERROR=build-werror
+cmake -B "$BUILD_WERROR" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build "$BUILD_WERROR" -j"$JOBS"
 
 echo "== [14/14] perf-regression gate: BENCH_*.json ratchet =="
 # Host-side perf ratchet against the committed baselines, serial (the bench

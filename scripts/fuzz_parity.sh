@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Fuzz-verdict parity between two builds of this repo: runs the
-# fuzz_conformance invocations of scripts/check.sh stages 2, 3, 4, 6, 7 and 8
-# with each build's binary, replays every repro a run wrote with the same
-# binary, and diffs the summary, proof and replay lines and the repro files.
+# fuzz_conformance invocations of scripts/check.sh stages 2 to 7 with each
+# build's binary, replays every repro a run wrote with the same binary, and
+# diffs the summary, proof and replay lines and the repro files.
 # Each run writes into its own --out directory; that path is masked before
 # the diff (it appears in `# replay:` lines and proof/replay output). Exits 1
 # on any difference. Run from anywhere, e.g. against a checkout of the parent:

@@ -169,9 +169,8 @@ DeployedRun::DeployedRun(const Deployment& d, const core::Config& cc,
                          std::function<void(mpi::Env&)> body)
     : faulted_(d.fault_plan.active()) {
   const char* env = std::getenv("CASPER_TRACE");
-  traced_ = obs::kTraceCompiled &&
-            (!on_request || (env != nullptr && std::strcmp(env, "0") != 0 &&
-                             std::strcmp(env, "off") != 0));
+  traced_ = !on_request || (env != nullptr && std::strcmp(env, "0") != 0 &&
+                            std::strcmp(env, "off") != 0);
   const bool sharded = shards > 1;
   mpi::RunConfig rc;
   rc.machine.profile = net::cray_xc30_regular();

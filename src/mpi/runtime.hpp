@@ -66,8 +66,7 @@ struct RunConfig {
   std::uint64_t perturb_seed = 0;
   /// Attach the observability layer (virtual-time trace + metrics; see
   /// src/obs/). Null — the default — keeps every instrumentation site down
-  /// to one predictable branch; builds with -DCASPER_TRACE=0 remove even
-  /// that. The recorder must outlive the runtime.
+  /// to one predictable branch. The recorder must outlive the runtime.
   obs::Recorder* recorder = nullptr;
   /// Fault-injection plan (src/fault/plan.hpp). Null — the default — keeps
   /// the whole reliability machinery off: no sequence/ack/retry state, no

@@ -1,13 +1,8 @@
 // Recorder: the handle instrumentation sites see. Bundles the tracer and the
 // metrics registry and plugs into the engine as a schedule observer.
 //
-// Gating contract (the "branch on a constant" requirement):
-//   - Compile-time: building with -DCASPER_TRACE=0 turns kTraceCompiled into
-//     `false`, so `if (obs::on(rec))` folds to `if (false)` and the compiler
-//     deletes the instrumentation block outright.
-//   - Runtime: in the default CASPER_TRACE=1 build, `on(rec)` is a single
-//     null check — no recorder attached (the normal case) costs one
-//     predictable branch per site.
+// Gating contract: `on(rec)` is a single null check, so no recorder attached
+// (the normal case) costs one predictable branch per site.
 // Every instrumentation point in the runtime must be wrapped in
 // `if (obs::on(...)) { ... }`; nothing else may touch the recorder.
 //
@@ -31,13 +26,7 @@
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
-#ifndef CASPER_TRACE
-#define CASPER_TRACE 1
-#endif
-
 namespace casper::obs {
-
-inline constexpr bool kTraceCompiled = CASPER_TRACE != 0;
 
 class Recorder final : public sim::SchedObserver {
  public:
@@ -106,7 +95,7 @@ class Recorder final : public sim::SchedObserver {
 };
 
 /// The single gate for every instrumentation site.
-inline bool on(const Recorder* rec) { return kTraceCompiled && rec != nullptr; }
+inline bool on(const Recorder* rec) { return rec != nullptr; }
 
 /// Interned handles for a family of metric keys built at run time
 /// ("ghost.<g>.ops", "sync.<kind>"), indexed by a small integer such as a

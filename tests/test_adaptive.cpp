@@ -14,6 +14,10 @@
 //   * a ghost kill composes: replicated decision state never reads death
 //     state (slot→ghost falls back at issue time), so a kill mid-rebind
 //     leaves one agreed map and an oracle-clean history.
+//
+// Under ASan (scripts/check.sh): the seal/decide/remap path (double-buffered
+// boards, plan regeneration). Under TSan: the per-window segment table is
+// filled once at registration and then read by origins on every shard.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -167,9 +171,7 @@ void expect_same(const Observed& ref, const Observed& got,
   EXPECT_EQ(ref.digest, got.digest) << what;
   EXPECT_EQ(ref.map, got.map) << what;
   EXPECT_EQ(ref.policy, got.policy) << what;
-  if (obs::kTraceCompiled) {
-    EXPECT_EQ(ref.counters, got.counters) << what;
-  }
+  EXPECT_EQ(ref.counters, got.counters) << what;
 }
 
 }  // namespace
@@ -177,11 +179,9 @@ void expect_same(const Observed& ref, const Observed& got,
 TEST(AdaptiveDecisions, SegmentRebindInvariantAcrossSchedulesAndShards) {
   const Observed ref = run_seg(0, 1);
   ASSERT_FALSE(ref.map.empty());
-  if (obs::kTraceCompiled) {
-    EXPECT_GE(ref.counters.at("adapt.rounds"), 5u);
-    EXPECT_GE(ref.counters.at("adapt.rebinds"), 1u)
-        << "the hot-chunk skew never triggered a remap";
-  }
+  EXPECT_GE(ref.counters.at("adapt.rounds"), 5u);
+  EXPECT_GE(ref.counters.at("adapt.rebinds"), 1u)
+      << "the hot-chunk skew never triggered a remap";
   for (std::uint64_t s = 1; s < 8; ++s) {
     expect_same(ref, run_seg(s, 1), "schedule " + std::to_string(s));
   }
@@ -197,9 +197,7 @@ TEST(AdaptiveDecisions, PolicySwitchInvariantAcrossSchedulesAndShards) {
   EXPECT_EQ(ref.policy, static_cast<int>(core::DynamicLb::ByteCounting))
       << "2 KiB hot PUTs against single-double spray must switch the "
          "policy to byte-counting";
-  if (obs::kTraceCompiled) {
-    EXPECT_GE(ref.counters.at("adapt.policy_switches"), 1u);
-  }
+  EXPECT_GE(ref.counters.at("adapt.policy_switches"), 1u);
   for (std::uint64_t s = 1; s < 8; ++s) {
     expect_same(ref, run_dyn(s, 1), "schedule " + std::to_string(s));
   }

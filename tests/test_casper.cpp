@@ -1,6 +1,10 @@
 // Tests for the Casper layer: ghost deployment, window mapping, operation
 // redirection, asynchronous progress, binding policies, epoch translation,
 // and the epochs_used hint.
+//
+// Under ASan (scripts/check.sh): window set-up -- the one-time table fill at
+// registration and the ghosts' handle-only records, freed by sequence number
+// out of allocation order.
 #include <gtest/gtest.h>
 
 #include <vector>

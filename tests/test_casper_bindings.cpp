@@ -5,6 +5,10 @@
 // which ghost serves each op under static segment binding, per ghost and
 // across epoch transitions, and under the adaptive controller's remaps and
 // ghost kills.
+//
+// Under ASan (scripts/check.sh): the segment split path iterates the
+// origin's reused route vector across its p_rma and win_flush calls, so a
+// reference into it that dangles is a use-after-free.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -304,7 +308,6 @@ void expect_routing(int nwins, bool flip, const Stream& stream,
     }
     for (std::size_t i = wins.size(); i-- > 0;) env.win_free(wins[i]);
   }, core::layer(cc));
-  if (!obs::kTraceCompiled) return;
   Load got;
   for (const auto& [key, v] : rec.metrics().counters()) {
     if (key.rfind("ghost.", 0) == 0 &&
@@ -494,9 +497,7 @@ void expect_adaptive_routing(core::Binding binding, const Load& load,
     EXPECT_EQ(got.elems[u], u % 2 == 0 ? first_user : second_user)
         << "user " << u;
   }
-  if (obs::kTraceCompiled) {
-    EXPECT_EQ(got.load, load);
-  }
+  EXPECT_EQ(got.load, load);
 }
 
 TEST(SegmentRouting, AdaptiveRemapStridedAndGhostKill) {

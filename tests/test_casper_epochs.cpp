@@ -1,6 +1,10 @@
 // Casper epoch-translation corners: assert fast paths, the
 // static-binding-free interval, lockall<->lock conversion correctness, and
 // hint misuse diagnostics.
+//
+// Under ASan (scripts/check.sh): lock and lock_all become per-ghost locks
+// that live as runs of targets until an op creates the entry, splitting its
+// run.
 #include <gtest/gtest.h>
 
 #include <map>

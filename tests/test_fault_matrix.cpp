@@ -17,6 +17,9 @@
 // "Reorder" is realized as a wide delay-jitter window: later sends overtake
 // earlier ones, which is exactly what the sequence/dedup machinery must
 // absorb (see DESIGN.md §11).
+//
+// Under ASan (scripts/check.sh): recovery touches freed and rebound routing
+// state, so the faulted paths must be memory-clean, not just correct.
 #include <gtest/gtest.h>
 
 #include <cstdint>

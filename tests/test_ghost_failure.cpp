@@ -14,6 +14,10 @@
 // restricts itself to per-origin-disjoint PUT/GET plus self-targeted
 // accumulates (each touching only the origin's own segment) — shapes whose
 // correctness does not depend on a single serialization point.
+//
+// Under ASan (scripts/check.sh): recovery touches freed and rebound routing
+// state, so the kill/rebind/degrade paths must be memory-clean, not just
+// correct.
 #include <gtest/gtest.h>
 
 #include <cstdint>

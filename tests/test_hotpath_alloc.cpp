@@ -164,7 +164,6 @@ TEST(HotPathAlloc, ZeroSteadyStateAllocationsOnAgentPath) {
 }
 
 TEST(HotPathAlloc, ZeroSteadyStateAllocationsWithRecorder) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with CASPER_TRACE=0";
   for (const int nodes : {2, 5}) {
     obs::Recorder rec;
     EXPECT_EQ(steady_state_allocs(casper_config(&rec, nodes),

@@ -2,6 +2,9 @@
 // collision-chain behavior, mode x ghost round-trips, schedule / shard
 // determinism, and chaos (lossy network + ghost kill) coverage. Every run
 // carries the linearizability checker as the store's history sink.
+//
+// Under ASan (scripts/check.sh): the lock/probe scratch buffers must outlive
+// each in-flight op (see the KvStore member-buffer comment).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -4,6 +4,9 @@
 // unlock-ordering flush) proves end-to-end detection, and the KV proof
 // (check::prove<KvWorkload>) proves the whole catch → minimize → write →
 // replay pipeline holds.
+//
+// Under ASan (scripts/check.sh): the broken-store variant and the KV proof
+// run the store, whose lock/probe scratch buffers must outlive each op.
 #include <gtest/gtest.h>
 
 #include <cstdio>

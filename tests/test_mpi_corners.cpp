@@ -3,6 +3,12 @@
 // per-target lock runs, the op node arena (one node per op from issue to
 // ack, sharded too), flush wake-ups, the delayed-grant drain order, bounds
 // checking, the segment size limit and epoch-misuse aborts (death tests).
+//
+// Under ASan (scripts/check.sh): op node lifetime, so a node used after its
+// ack freed it is a use-after-free. Under TSan: the sharded burst allocates
+// and frees nodes on the origin's shard while a ghost on another serves them,
+// with no lock on the arena; in the flush-wake tests a flushing rank's fiber
+// writes the entry it waits on while ack events on its shard read it.
 #include <gtest/gtest.h>
 
 #include <algorithm>

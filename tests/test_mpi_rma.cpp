@@ -1,5 +1,8 @@
 // Tests for minimpi RMA: windows, epochs, put/get/accumulate semantics,
 // delayed lock acquisition, software vs hardware paths, progress behaviour.
+//
+// Under ASan (scripts/check.sh): every commit path stages through the same
+// pooled read/write-phase scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>

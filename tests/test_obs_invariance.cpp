@@ -111,7 +111,6 @@ Observed run_once(std::uint64_t perturb) {
 }  // namespace
 
 TEST(ObsInvariance, CountersIdenticalAcrossEightSchedules) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with CASPER_TRACE=0";
   const Observed ref = run_once(0);
 
   // The workload must actually exercise the Casper paths being counted.
@@ -155,7 +154,6 @@ TEST(ObsInvariance, CountersIdenticalAcrossEightSchedules) {
 }
 
 TEST(ObsInvariance, SameScheduleIsByteIdentical) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with CASPER_TRACE=0";
   const Observed a = run_once(7);
   const Observed b = run_once(7);
   EXPECT_EQ(a.trace_text, b.trace_text);

@@ -2,6 +2,10 @@
 // buffers stay inline and never reach the pool, and every pool block is
 // released exactly once. mpi::AmArena / mpi::AmQueue: op nodes are
 // cache-line aligned and the inbox queue is FIFO.
+//
+// Under ASan (scripts/check.sh): one arena node per op from issue to ack
+// (freed by the ack, or after service for lock messages) and inline/pooled
+// buffer moves; a node used after its ack freed it is a use-after-free.
 #include <gtest/gtest.h>
 
 #include <cstddef>

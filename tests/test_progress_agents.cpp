@@ -1,5 +1,8 @@
 // Tests for the baseline asynchronous-progress agents (thread / interrupt)
 // and their cost models.
+//
+// Under ASan (scripts/check.sh): the thread and interrupt agents' commits
+// stage through the same pooled read/write-phase scratch as the poller's.
 #include <gtest/gtest.h>
 
 #include "mpi/runtime.hpp"

@@ -2,6 +2,9 @@
 // interval treap, the per-epoch legality matrix across all four epoch styles,
 // diagnostics, and the two invariance contracts — verdict groups must not
 // depend on the fiber schedule or on the engine shard count.
+//
+// Under ASan (scripts/check.sh): the interval treap's insert/coalesce/prune
+// with sanitized allocation patterns.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -555,10 +558,8 @@ TEST(RaceAnalyzer, DiagnosticsCarryVirtualTimesAndTraceTail) {
   EXPECT_NE(c.diag.find("put"), std::string::npos);
   EXPECT_NE(c.diag.find("get"), std::string::npos);
   EXPECT_NE(c.diag.find("[0,8)"), std::string::npos);
-  if (obs::kTraceCompiled) {
-    EXPECT_FALSE(c.trace_tail.empty());
-    EXPECT_LE(c.trace_tail.size(), 32u);
-  }
+  EXPECT_FALSE(c.trace_tail.empty());
+  EXPECT_LE(c.trace_tail.size(), 32u);
 }
 
 // ---- invariance contracts ---------------------------------------------------

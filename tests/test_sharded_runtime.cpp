@@ -6,6 +6,9 @@
 // (t, ...) order exactly as the single-shard scheduler would, so simulated
 // results are a deterministic fact of the workload, independent of how the
 // rank space is partitioned over host worker threads.
+//
+// Under TSan (scripts/check.sh): PoolBufs migrate across shards with their
+// messages (the multi-window test's 64-byte cross-node puts).
 #include <gtest/gtest.h>
 
 #include <map>

@@ -1,5 +1,9 @@
 // Unit tests for the discrete-event engine: determinism, ordering, virtual
 // time, compute penalties, and events.
+//
+// Under ASan (scripts/check.sh): the one scheduler loop for every shard
+// count and perturb seed -- calendar node free list, spill heap refills and
+// SlotPool recycling.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -4,6 +4,11 @@
 // per-shard stats merging. The shards=1 row of every sweep runs one shard on
 // the calling thread as a single window, so equality across the sweep is
 // exactly the cross-shard-count determinism contract from DESIGN.md §12.
+//
+// Under ASan (scripts/check.sh): the calendar node free list, spill heap
+// refills and SlotPool recycling. Under TSan: shard workers, the cross-shard
+// outbox hand-off and the window barrier; fiber switches are TSan-annotated
+// (src/sim/fiber.cpp), so rank-fiber stacks are tracked correctly.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -102,11 +102,6 @@ void report_diff(const std::string& got, const std::string& want) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!obs::kTraceCompiled) {
-    std::fprintf(stderr,
-                 "built with CASPER_TRACE=0: no trace to compare, skipping\n");
-    return 0;
-  }
   const std::string golden_path =
       std::string(CASPER_GOLDEN_DIR) + "/fig4a_trace.txt";
   const std::string got = canonical_trace();
