@@ -55,9 +55,10 @@ struct RunConfig {
   /// Baseline async-progress model applied to every rank (Casper runs use
   /// Kind::None: ghost processes make the progress instead).
   progress::Config progress;
-  /// Usable stack bytes of each simulated rank's fiber (page-rounded, with a
-  /// PROT_NONE guard page below — see sim::Fiber). Stacks are lazily-faulted
-  /// private mappings, so large rank counts cost address space, not memory.
+  /// Usable stack bytes of each simulated rank's fiber (page-rounded — see
+  /// sim::Fiber). Stacks are carved from one MAP_NORESERVE slab per engine
+  /// shard and faulted in lazily, so large rank counts cost address space,
+  /// not memory.
   std::size_t stack_bytes = 256 * 1024;
   /// Forwarded to sim::Engine::Options::perturb_seed: non-zero explores a
   /// seeded alternative (but reproducible) tie-break order for equal-time

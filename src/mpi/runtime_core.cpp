@@ -127,10 +127,10 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
     };
     pool_.set_thread_safe(true);
   }
-  // Engine construction is cheap: rank fibers (and their guard-paged stacks)
-  // are only created inside run(). The rank body below therefore always sees
-  // layer_ assigned, even though the factory runs after this line so that it
-  // may inspect the constructed engine.
+  // Engine construction is cheap: rank fibers (and their stacks) are only
+  // created inside run(). The rank body below therefore always sees layer_
+  // assigned, even though the factory runs after this line so that it may
+  // inspect the constructed engine.
   engine_ = std::make_unique<sim::Engine>(eo, [this](sim::Context& ctx) {
     Env env(*this, ctx);
     layer_->on_rank_start(env, user_main_);

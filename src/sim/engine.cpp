@@ -58,7 +58,7 @@ Engine::Engine(Options opts, RankMain main)
   shard_of_rank_.resize(static_cast<std::size_t>(opts_.nranks));
   const int block = (opts_.nranks + S - 1) / S;
   for (int s = 0; s < S; ++s) {
-    shards_.push_back(std::make_unique<ShardState>());
+    shards_.push_back(std::make_unique<ShardState>(opts_.stack_bytes));
     shards_.back()->id = s;
     shards_.back()->outbox.resize(static_cast<std::size_t>(S));
   }
@@ -73,6 +73,9 @@ Engine::Engine(Options opts, RankMain main)
     shard_of_rank_[static_cast<std::size_t>(r)] = s;
     shards_[static_cast<std::size_t>(s)]->ranks.push_back(r);
   }
+  // One slab per shard holds every rank's stack; it is mapped on the first
+  // fiber the shard creates.
+  for (auto& sh : shards_) sh->stacks.reserve(sh->ranks.size());
 }
 
 // Ranks first: a rank's fiber returns its stack to its shard's pool.
@@ -128,7 +131,7 @@ void Engine::hand_token_to(int rank) {
   ShardState& sh = cur_shard();
   if (!rs.fiber) {
     rs.fiber = std::make_unique<Fiber>(&Engine::fiber_trampoline, &rs,
-                                       opts_.stack_bytes, &sh.stacks);
+                                       sh.stacks, rank);
   }
   Context* prev = g_current_ctx;
   g_current_ctx = &rs.ctx;

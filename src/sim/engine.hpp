@@ -1,9 +1,9 @@
 // Deterministic discrete-event engine with cooperatively scheduled ranks.
 //
 // Each simulated MPI rank is a user-level stackful fiber (sim::Fiber — a
-// coroutine with its own guard-paged stack). Ranks are partitioned into
-// scheduler shards (Options::shards, DESIGN.md §12); each shard owns a ready
-// heap, an event calendar, slot pools, a fiber stack pool and a stats block,
+// coroutine with its own stack). Ranks are partitioned into scheduler shards
+// (Options::shards, DESIGN.md §12); each shard owns a ready heap, an event
+// calendar, slot pools, a fiber stack pool and a stats block,
 // and every fiber of a shard is multiplexed on the one OS thread driving
 // that shard: exactly one party (a rank fiber or the shard's scheduler) runs
 // on it at any moment. A rank switch is a ~100 ns userspace register swap,
@@ -35,8 +35,11 @@
 // stable (tests/test_sharded_runtime.cpp sweeps shards over {1,2,4,8}).
 //
 // Stack sizing: Options::stack_bytes sizes each rank fiber's stack (rounded
-// up to whole pages, minimum Fiber::kMinStackBytes). A PROT_NONE guard page
-// below each stack turns overflow into a deterministic fault.
+// up to whole pages, minimum Fiber::kMinStackBytes). Each shard carves its
+// ranks' stacks from one MAP_NORESERVE slab, so a run maps O(shards) stack
+// regions however many ranks it has. A rank that switches away with its
+// stack pointer in the red zone, or leaves the canary at its stack's low
+// end overwritten, aborts naming the rank (sim::Fiber's stack contract).
 //
 // Rank code interacts with the engine through `Context`:
 //   ctx.compute(us(100));   // model computation (extendable by stolen cycles)
@@ -124,7 +127,8 @@ class Engine {
   struct Options {
     int nranks = 1;
     std::uint64_t seed = 12345;
-    /// Usable stack bytes per rank fiber (page-rounded, guard page added).
+    /// Usable stack bytes per rank fiber (page-rounded; stacks sit one page
+    /// more than this apart in their shard's slab).
     std::size_t stack_bytes = 256 * 1024;
     /// Non-zero: perturb scheduling tie-breaks. Parties scheduled for the
     /// SAME virtual time are ordered by a seeded pseudo-random salt, drawn
@@ -514,6 +518,7 @@ class Engine {
   /// drained inside the barrier's serial section while all shards are
   /// quiescent.
   struct ShardState {
+    explicit ShardState(std::size_t stack_bytes) : stacks(stack_bytes) {}
     int id = 0;
     std::vector<int> ranks;  // global rank ids owned by this shard
     MinHeap<HeapItem> ready;
@@ -531,7 +536,7 @@ class Engine {
     Time next_time = kNever;  // min next item time, read at the barrier
     Time horizon = 0;
     int done = 0;
-    StackPool stacks;
+    StackPool stacks;  // every rank fiber's stack, from one slab
     Stats own_stats;
     /// The registry stats_local() hands out: own_stats when sharded (merged
     /// into the engine's after run()), the engine's live registry itself

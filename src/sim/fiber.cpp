@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <type_traits>
 
 #if CASPER_ASAN_FIBERS
 #include <pthread.h>
@@ -38,7 +40,10 @@ extern "C" {
 // signal mask is never modified by fibers, and the FP control words are
 // process-invariant here — so six pushes, a stack swap, six pops and a `ret`
 // are a complete context switch. No syscall (unlike swapcontext, which pays
-// a sigprocmask on every switch).
+// a sigprocmask on every switch). save_sp points at the departing fiber's
+// sp_, and the word after it is that fiber's sp_limit_: a saved stack
+// pointer below it jumps, on the destination's stack, to
+// casper_fiber_red_zone_trap instead of resuming.
 void casper_fiber_switch(void** save_sp, void* restore_sp);
 
 // First-resume target: a freshly created fiber's boot frame (built in the
@@ -58,7 +63,9 @@ casper_fiber_switch:
     pushq %r14
     pushq %r15
     movq %rsp, (%rdi)
+    cmpq 8(%rdi), %rsp
     movq %rsi, %rsp
+    jb casper_fiber_red_zone_trap
     popq %r15
     popq %r14
     popq %r13
@@ -74,6 +81,13 @@ casper_fiber_boot:
     movq %r12, %rdi
     jmp casper_fiber_entry
 .size casper_fiber_boot, .-casper_fiber_boot
+
+.align 16
+.type casper_fiber_red_zone_trap, @function
+casper_fiber_red_zone_trap:
+    andq $-16, %rsp
+    call casper_fiber_red_zone
+.size casper_fiber_red_zone_trap, .-casper_fiber_red_zone_trap
 .popsection
 )");
 
@@ -89,6 +103,10 @@ extern "C" void casper_fiber_entry(void* fiber) {
   // (there is nothing on the boot frame below this call to return to).
   std::fprintf(stderr, "sim::Fiber: entry returned instead of switching\n");
   std::abort();
+}
+
+extern "C" void casper_fiber_red_zone(void** out_sp) {
+  casper::sim::Fiber::red_zone_abort(out_sp);
 }
 
 #endif  // CASPER_FIBER_ASM
@@ -107,20 +125,98 @@ std::size_t round_up_pages(std::size_t bytes) {
   return (bytes + ps - 1) / ps * ps;
 }
 
-}  // namespace
+// Bytes at the low end of each stack that must stay zero.
+constexpr std::size_t kCanaryBytes = 64;
 
-StackPool::~StackPool() {
-  for (const StackMem& m : free_) munmap(m.map_base, m.map_bytes);
+// Reads the canary only. Not instrumented: shadow state left by an
+// overflowing fiber's frames must not turn the check into an ASan report.
+__attribute__((no_sanitize("address"))) bool canary_intact(const char* lo) {
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < kCanaryBytes; i += sizeof bits) {
+    std::uint64_t w;
+    std::memcpy(&w, lo + i, sizeof w);
+    bits |= w;
+  }
+  return bits == 0;
 }
 
-bool StackPool::take(std::size_t stack_bytes, StackMem* out) {
-  // All mappings in one pool share a size in practice (one stack size per
-  // engine run); the check guards against a future mixed-size caller quietly
-  // handing out a short stack.
-  if (free_.empty() || free_.back().stack_bytes != stack_bytes) return false;
-  *out = free_.back();
-  free_.pop_back();
-  return true;
+#if !CASPER_FIBER_ASM
+// sp_ slot of the fiber switching away on this thread; the ucontext path's
+// stand-in for the slot casper_fiber_switch returns.
+thread_local void** t_out_sp = nullptr;
+#endif
+
+}  // namespace
+
+StackPool::StackPool(std::size_t stack_bytes)
+    : stack_bytes_(round_up_pages(stack_bytes < Fiber::kMinStackBytes
+                                      ? Fiber::kMinStackBytes
+                                      : stack_bytes)) {}
+
+StackPool::~StackPool() {
+  for (const Slab& s : slabs_) munmap(s.base, s.bytes);
+}
+
+void StackPool::reserve(std::size_t n) {
+  if (n > next_slab_stacks_) next_slab_stacks_ = n;
+}
+
+void StackPool::map_slab() {
+  const std::size_t ps = page_size();
+  const std::size_t stride = stack_bytes_ + ps;
+  const std::size_t bytes = next_slab_stacks_ * stride;
+  // MAP_NORESERVE: a slab is sized for every rank of a shard but only the
+  // pages stacks touch are ever committed.
+  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                    -1, 0);
+  if (base == MAP_FAILED) {
+    std::fprintf(stderr, "sim::StackPool: mmap of a %zu-byte slab failed\n",
+                 bytes);
+    std::abort();
+  }
+  // Huge pages would commit 2 MB per touched stack top. Recent kernels
+  // already imply this from MAP_STACK.
+  madvise(base, bytes, MADV_NOHUGEPAGE);
+  // The lowest slot's spare page is the slab's one guard page.
+  if (mprotect(base, ps, PROT_NONE) != 0) {
+    std::fprintf(stderr, "sim::StackPool: mprotect of slab guard failed\n");
+    std::abort();
+  }
+  slabs_.push_back(Slab{static_cast<char*>(base), bytes});
+  carve_ = static_cast<char*>(base);
+  carve_end_ = carve_ + bytes;
+  next_slab_stacks_ *= 2;
+}
+
+char* StackPool::take() {
+  if (!free_.empty()) {
+    const Free f = free_.back();
+    free_.pop_back();
+    if (!canary_intact(f.lo)) {
+      std::fprintf(stderr,
+                   "sim::StackPool: canary of a free stack last used by rank "
+                   "%d is overwritten\n",
+                   f.owner);
+      std::abort();
+    }
+    return f.lo;
+  }
+  if (carve_ == carve_end_) map_slab();
+  char* lo = carve_ + page_size();  // above the slot's untouched page
+  carve_ += stack_bytes_ + page_size();
+  return lo;
+}
+
+void StackPool::put(char* lo, int owner) {
+  if (!canary_intact(lo)) {
+    std::fprintf(stderr,
+                 "sim::Fiber: stack overflow on rank %d: the canary at the "
+                 "low end of its %zu-byte stack is overwritten\n",
+                 owner, stack_bytes_);
+    std::abort();
+  }
+  free_.push_back(Free{lo, owner});
 }
 
 Fiber::Fiber() {
@@ -132,7 +228,7 @@ Fiber::Fiber() {
     void* lo = nullptr;
     std::size_t sz = 0;
     pthread_attr_getstack(&attr, &lo, &sz);
-    stack_lo_ = lo;
+    stack_lo_ = static_cast<char*>(lo);
     stack_bytes_ = sz;
     pthread_attr_destroy(&attr);
   }
@@ -143,33 +239,16 @@ Fiber::Fiber() {
 #endif
 }
 
-Fiber::Fiber(Entry entry, void* arg, std::size_t stack_bytes, StackPool* pool)
-    : entry_(entry), arg_(arg), pool_(pool) {
-  const std::size_t ps = page_size();
-  stack_bytes_ = round_up_pages(
-      stack_bytes < kMinStackBytes ? kMinStackBytes : stack_bytes);
-
-  StackMem m;
-  if (pool_ != nullptr && pool_->take(stack_bytes_, &m)) {
-    map_base_ = m.map_base;
-    map_bytes_ = m.map_bytes;
-    stack_lo_ = m.stack_lo;
-  } else {
-    map_bytes_ = stack_bytes_ + ps;  // + low guard page
-    void* base = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    if (base == MAP_FAILED) {
-      std::fprintf(stderr, "sim::Fiber: mmap of %zu-byte stack failed\n",
-                   map_bytes_);
-      std::abort();
-    }
-    if (mprotect(base, ps, PROT_NONE) != 0) {
-      std::fprintf(stderr, "sim::Fiber: mprotect of guard page failed\n");
-      std::abort();
-    }
-    map_base_ = base;
-    stack_lo_ = static_cast<char*>(base) + ps;
-  }
+Fiber::Fiber(Entry entry, void* arg, StackPool& pool, int id)
+    : entry_(entry),
+      arg_(arg),
+      stack_lo_(pool.take()),
+      stack_bytes_(pool.stack_bytes()),
+      pool_(&pool),
+      id_(id) {
+  static_assert(offsetof(Fiber, sp_limit_) == sizeof(void*),
+                "casper_fiber_switch reads sp_limit_ one word past sp_");
+  sp_limit_ = reinterpret_cast<std::uintptr_t>(stack_lo_) + kRedZoneBytes;
 
 #if CASPER_TSAN_FIBERS
   tsan_fiber_ = __tsan_create_fiber(0);
@@ -216,15 +295,34 @@ Fiber::~Fiber() {
   // never-started fibers (and adopted handles are not ours to destroy).
   if (tsan_owned_ && tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
-  if (map_base_ == nullptr) return;
-  if (pool_ != nullptr) {
-    pool_->put(StackMem{map_base_, map_bytes_, stack_lo_, stack_bytes_});
-  } else {
-    munmap(map_base_, map_bytes_);
-  }
+  if (pool_ != nullptr) pool_->put(stack_lo_, id_);
+}
+
+static_assert(std::is_standard_layout_v<Fiber>,
+              "red_zone_abort casts a pointer to sp_ back to its Fiber");
+
+void Fiber::red_zone_abort(void** out_sp) {
+  const Fiber& out = *reinterpret_cast<const Fiber*>(out_sp);
+  std::fprintf(stderr,
+               "sim::Fiber: stack overflow on rank %d: it switched away with "
+               "its stack pointer %td bytes from the low end of its %zu-byte "
+               "stack (red zone %zu)\n",
+               out.id_,
+               static_cast<std::ptrdiff_t>(
+                   reinterpret_cast<std::uintptr_t>(out.sp_) -
+                   reinterpret_cast<std::uintptr_t>(out.stack_lo_)),
+               out.stack_bytes_, kRedZoneBytes);
+  std::abort();
 }
 
 #if !CASPER_FIBER_ASM
+void Fiber::check_switched_out(void** out_sp) {
+  const Fiber& out = *reinterpret_cast<const Fiber*>(out_sp);
+  if (reinterpret_cast<std::uintptr_t>(out.sp_) < out.sp_limit_) {
+    red_zone_abort(out_sp);
+  }
+}
+
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   auto* f = reinterpret_cast<Fiber*>(
       (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
@@ -233,6 +331,7 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
   // no prior fake stack to restore (fake_stack_ is still null).
   __sanitizer_finish_switch_fiber(f->fake_stack_, nullptr, nullptr);
 #endif
+  check_switched_out(t_out_sp);
   f->entry_(f->arg_);
   // A fiber must end by switching away for the last time, not by returning
   // (with uc_link == nullptr a return would exit the whole thread).
@@ -256,10 +355,14 @@ void Fiber::switch_to(Fiber& from, Fiber& to, bool from_exiting) {
 #if CASPER_FIBER_ASM
   casper_fiber_switch(&from.sp_, to.sp_);
 #else
+  from.sp_ = __builtin_frame_address(0);
+  t_out_sp = &from.sp_;
   if (swapcontext(&from.ctx_, &to.ctx_) != 0) {
     std::fprintf(stderr, "sim::Fiber: swapcontext failed\n");
     std::abort();
   }
+  // Back on `from`: check the fiber that switched to it, from this stack.
+  check_switched_out(t_out_sp);
 #endif
 #if CASPER_ASAN_FIBERS
   // We are back on `from` (some other fiber switched to it): restore its

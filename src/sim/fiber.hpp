@@ -22,19 +22,33 @@
 //   - Everywhere else the portable ucontext path is used unchanged.
 //
 // Stack contract:
-//   - Fiber stacks are anonymous private mappings of `stack_bytes` rounded
-//     up to whole pages (minimum kMinStackBytes), plus one PROT_NONE guard
-//     page at the low end. Stacks grow down on every supported target, so
-//     overflowing a fiber stack faults deterministically on the guard page
-//     instead of silently corrupting a neighbouring allocation — the same
-//     safety pthread stacks provided before.
-//   - A StackPool recycles whole mappings (guard page included): a fiber
-//     constructed with a pool pops a ready mapping instead of paying
-//     mmap+mprotect, and returns it on destruction instead of munmap. At
-//     rank counts in the thousands the syscall churn of per-fiber mappings
-//     is a measurable fraction of a whole run; with a pool the shard
-//     reaches steady state after as many mappings as it has concurrently
-//     live fibers. Pools are shard-local — never shared across threads.
+//   - Every owning fiber takes its stack from a StackPool. A pool carves
+//     stacks of one size out of anonymous MAP_NORESERVE slab mappings, so
+//     the kernel mappings a run needs grow with shards (the engine keeps one
+//     pool per shard and sizes its first slab for the shard's ranks), not
+//     with ranks: set-up pays no mmap/mprotect per rank and teardown one
+//     munmap per slab. A 102,400-rank shard is ~26 GB of address space and
+//     only the pages a stack touches become resident.
+//   - Stacks sit `stack_bytes + 4096` apart: each slot is one untouched page
+//     below the usable stack, the same stride a per-stack guard page gave.
+//     A power-of-two stride would put every stack top in the same cache
+//     sets. Only the lowest slot's page is a PROT_NONE guard, so a runaway
+//     recursion ends in a fault at the bottom of the slab instead of in
+//     whatever mapping lies below it.
+//   - Overflow detection costs no page and touches no new memory. Every
+//     switch compares the stack pointer it saves with the departing fiber's
+//     low end plus kRedZoneBytes (the word after sp_, on the line the save
+//     writes) and, if it is below, aborts on the destination's stack. The
+//     lowest cache line of each stack is a canary that must read as zero:
+//     fresh anonymous memory already does, so it needs no write and adds no
+//     resident page. The pool verifies it when a fiber returns its stack and
+//     again when the stack is reused, never per switch. Either check aborts
+//     naming the fiber's id (the engine passes the rank). An excursion below
+//     the stack between two switches may still scribble on the slot below
+//     before the canary check catches it.
+//   - Finished fibers return their stacks to the pool (LIFO, so the next
+//     fiber reuses a warm stack); the pool unmaps its slabs when destroyed
+//     and must outlive every fiber it served.
 //   - The adopting constructor (`Fiber()`) wraps the calling thread's native
 //     stack; it owns no memory and is only a switch target/source.
 //
@@ -55,6 +69,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__linux__)
@@ -81,38 +96,57 @@
 #endif
 
 #if CASPER_FIBER_ASM
+// Targets of the assembly in fiber.cpp: a new fiber's first resume, and a
+// switch whose departing fiber (`out_sp` = its saved sp) is in its red zone.
 extern "C" void casper_fiber_entry(void* fiber) __attribute__((noreturn));
+extern "C" void casper_fiber_red_zone(void** out_sp) __attribute__((noreturn));
 #endif
 
 namespace casper::sim {
 
-/// One recyclable fiber stack mapping: the full mmap (low guard page
-/// included) plus the usable region above the guard.
-struct StackMem {
-  void* map_base = nullptr;
-  std::size_t map_bytes = 0;
-  void* stack_lo = nullptr;
-  std::size_t stack_bytes = 0;
-};
-
-/// Free list of stack mappings, all of one usable size (the engine uses one
-/// stack size per run). Single-threaded: each scheduler shard owns its own
-/// pool. Destruction unmaps everything still pooled.
+/// Fiber stacks of one usable size carved from slab mappings. Single-
+/// threaded: each scheduler shard owns its own pool.
 class StackPool {
  public:
-  StackPool() = default;
+  /// `stack_bytes` is rounded up to whole pages, minimum
+  /// Fiber::kMinStackBytes.
+  explicit StackPool(std::size_t stack_bytes);
+  /// Unmaps every slab; every stack handed out must have been returned.
   ~StackPool();
   StackPool(const StackPool&) = delete;
   StackPool& operator=(const StackPool&) = delete;
 
-  /// Pop a pooled mapping of exactly `stack_bytes` usable bytes (callers
-  /// pass the already page-rounded size); false when empty or mismatched.
-  bool take(std::size_t stack_bytes, StackMem* out);
-  void put(const StackMem& m) { free_.push_back(m); }
-  std::size_t size() const { return free_.size(); }
+  /// Size the next slab this pool maps for at least `n` stacks. The engine
+  /// reserves a shard's rank count, so one slab serves the whole run.
+  void reserve(std::size_t n);
+  /// Low end of a free stack of stack_bytes() usable bytes (page-aligned):
+  /// the most recently returned one, else a fresh slot.
+  char* take();
+  /// Return a stack taken from this pool; aborts naming `owner` if its
+  /// canary was overwritten.
+  void put(char* lo, int owner);
+
+  std::size_t stack_bytes() const { return stack_bytes_; }
+  /// Slab mappings made so far.
+  std::size_t slabs() const { return slabs_.size(); }
 
  private:
-  std::vector<StackMem> free_;
+  struct Slab {
+    char* base;
+    std::size_t bytes;
+  };
+  struct Free {
+    char* lo;
+    int owner;  // id of the fiber that last used it, for diagnostics
+  };
+  void map_slab();
+
+  std::size_t stack_bytes_;
+  std::size_t next_slab_stacks_ = 64;
+  char* carve_ = nullptr;  // next unused slot of the newest slab
+  char* carve_end_ = nullptr;
+  std::vector<Slab> slabs_;
+  std::vector<Free> free_;
 };
 
 /// A stackful user-level coroutine. Non-copyable, non-movable: the engine
@@ -122,9 +156,12 @@ class Fiber {
  public:
   using Entry = void (*)(void*);
 
-  /// Smallest usable fiber stack (before the guard page is added). Rank
-  /// bodies run real code; anything below this cannot even enter main_.
+  /// Smallest usable fiber stack. Rank bodies run real code; anything
+  /// below this cannot even enter main_.
   static constexpr std::size_t kMinStackBytes = 16 * 1024;
+  /// A fiber that switches away with its stack pointer less than this far
+  /// above its stack's low end has overflowed, or is one call from it.
+  static constexpr std::size_t kRedZoneBytes = 1024;
 
   /// Adopt the calling thread's native stack. The resulting fiber has no
   /// entry point; it becomes resumable the first time switch_to() switches
@@ -132,20 +169,17 @@ class Fiber {
   Fiber();
 
   /// Create a suspended fiber that will invoke `entry(arg)` when first
-  /// switched to. `entry` must never return: a fiber ends by switching away
-  /// for the last time (the engine aborts if entry falls off the end).
-  /// `stack_bytes` is rounded up to whole pages and clamped to
-  /// kMinStackBytes; one extra guard page is mapped below the stack. With a
-  /// `pool`, the stack mapping is taken from / returned to it instead of
-  /// being mapped and unmapped per fiber.
-  Fiber(Entry entry, void* arg, std::size_t stack_bytes,
-        StackPool* pool = nullptr);
+  /// switched to, on a stack taken from `pool` (which must outlive it).
+  /// `entry` must never return: a fiber ends by switching away for the last
+  /// time (the engine aborts if entry falls off the end). `id` names the
+  /// fiber in overflow aborts; the engine passes the rank.
+  Fiber(Entry entry, void* arg, StackPool& pool, int id = -1);
 
-  /// Releases the stack (if owned) — to its pool when constructed with one,
-  /// else unmapped. Destroying a fiber that is suspended mid-execution
-  /// reclaims its stack without unwinding it — deterministic, but objects on
-  /// that stack are not destructed; the engine only does this for fibers
-  /// that are finished or were never started.
+  /// Returns the stack (if owned) to its pool. Destroying a fiber that is
+  /// suspended mid-execution reclaims its stack without unwinding it —
+  /// deterministic, but objects on that stack are not destructed; the
+  /// engine only does this for fibers that are finished or were never
+  /// started.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -154,28 +188,45 @@ class Fiber {
   /// Suspend `from` (which must be the running fiber) and resume `to`.
   /// Returns when something switches back to `from`. If `from_exiting` is
   /// true, `from` will never be resumed: its ASan fake stack is released.
+  /// If `from` switches away with its stack pointer in its red zone, aborts
+  /// (from `to`'s stack) instead of resuming `to`.
   static void switch_to(Fiber& from, Fiber& to, bool from_exiting = false);
 
-  /// True for fibers created with an entry point (owning a mapped stack).
-  bool owns_stack() const { return map_base_ != nullptr; }
+  /// Usable stack of a fiber created with a pool: [stack_lo(), stack_lo() +
+  /// stack_bytes()).
+  char* stack_lo() const { return stack_lo_; }
+  std::size_t stack_bytes() const { return stack_bytes_; }
 
  private:
 #if CASPER_FIBER_ASM
   friend void ::casper_fiber_entry(void* fiber);
-
-  void* sp_ = nullptr;  // saved stack pointer while suspended
+  friend void ::casper_fiber_red_zone(void** out_sp);
 #else
   static void trampoline(unsigned hi, unsigned lo);
+  /// Run by the fiber a switch resumes; `out_sp` is the sp_ of the fiber
+  /// that switched away.
+  static void check_switched_out(void** out_sp);
+#endif
+  /// Abort naming the fiber whose sp_ is `*out_sp`: it switched away with
+  /// its stack pointer in the red zone.
+  [[noreturn]] static void red_zone_abort(void** out_sp);
 
+  // Saved stack pointer while suspended (the ucontext path records its
+  // switch_to frame instead). First member, so a pointer to it is a pointer
+  // to the Fiber; casper_fiber_switch compares it with sp_limit_, the next
+  // word.
+  void* sp_ = nullptr;
+  // Lowest sp_ a switch may save: stack_lo_ + kRedZoneBytes, 0 if adopted.
+  std::uintptr_t sp_limit_ = 0;
+#if !CASPER_FIBER_ASM
   ucontext_t ctx_{};
 #endif
   Entry entry_ = nullptr;
   void* arg_ = nullptr;
-  void* map_base_ = nullptr;     // mmap base (guard page), null if adopted
-  std::size_t map_bytes_ = 0;    // total mapping incl. guard page
-  void* stack_lo_ = nullptr;     // usable stack bottom (above guard page)
+  char* stack_lo_ = nullptr;     // usable stack bottom (canary line)
   std::size_t stack_bytes_ = 0;  // usable stack size
-  StackPool* pool_ = nullptr;    // owns the mapping after destruction
+  StackPool* pool_ = nullptr;    // null if adopted
+  int id_ = -1;
 #if CASPER_ASAN_FIBERS
   void* fake_stack_ = nullptr;   // ASan fake-stack save slot while suspended
 #endif

@@ -1,12 +1,15 @@
 // Unit tests for the discrete-event engine: determinism, ordering, virtual
-// time, compute penalties, and events.
+// time, compute penalties, events, and rank stacks (one slab per shard, an
+// overflowing rank named in the abort).
 //
 // Under ASan (scripts/check.sh): the one scheduler loop for every shard
 // count and perturb seed -- calendar node free list, spill heap refills and
-// SlotPool recycling.
+// SlotPool recycling. Under TSan the map-limit test skips: TSan tracks each
+// fiber as a thread and allows 8128.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -228,6 +231,73 @@ TEST(SimEngine, DeterministicAcrossRunsAndStackSizes) {
   EXPECT_EQ(a, c);
   const auto d = run_mixed_workload(43, 64 * 1024);
   EXPECT_NE(a.trace, d.trace);
+}
+
+std::size_t count_maps() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(SimEngine, MoreLiveRanksThanHalfTheMapLimit) {
+  // Every rank's stack comes from its shard's one slab, so a run whose live
+  // fibers outnumber max_map_count / 2 (past the limit at two mappings per
+  // stack) maps a handful of regions.
+#if CASPER_TSAN_FIBERS
+  GTEST_SKIP() << "ThreadSanitizer counts each fiber as a thread, max 8128";
+#endif
+  std::ifstream f("/proc/sys/vm/max_map_count");
+  std::size_t limit = 0;
+  if (!(f >> limit) || limit == 0) GTEST_SKIP() << "max_map_count unreadable";
+  if (limit > (1u << 20)) GTEST_SKIP() << "max_map_count " << limit;
+  Engine::Options o;
+  o.nranks = static_cast<int>(limit / 2 + 1);
+  o.stack_bytes = sim::Fiber::kMinStackBytes;
+  const std::size_t maps_before = count_maps();
+  std::size_t maps_during = 0;
+  int done = 0;
+  Engine e(o, [&](sim::Context& ctx) {
+    ctx.advance(sim::ns(1));  // every rank's fiber is live past this point
+    if (ctx.rank() == 0) maps_during = count_maps();
+    ++done;
+  });
+  e.run();
+  EXPECT_EQ(done, o.nranks);
+  // Stacks add one slab; the allocator (ASan's more so) maps a few dozen
+  // regions for the ranks' heap state. One mapping per rank would be 32k.
+  EXPECT_LT(maps_during, maps_before + 256) << o.nranks << " live ranks";
+}
+
+// Recurses one small frame at a time, switching out at every level (a
+// blocked rank always hands the token to the scheduler), until the stack
+// runs out. The write after the call keeps the recursion from becoming a
+// loop; the depth bound is far past any stack this test uses.
+void sink(sim::Context& ctx, int depth) {
+  volatile char pad[64];
+  pad[0] = static_cast<char>(depth);
+  Engine& eng = ctx.engine();
+  const int me = ctx.rank();
+  eng.post_event(ctx.now() + sim::ns(1), [&eng, me] { eng.wake(me, 0); });
+  eng.block_self();
+  if (depth < (1 << 20)) sink(ctx, depth + 1);
+  pad[1] = pad[0];
+}
+
+TEST(SimEngineDeath, StackOverflowAbortsNamingRank) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine::Options o;
+        o.nranks = 4;
+        o.stack_bytes = sim::Fiber::kMinStackBytes;
+        Engine e(o, [](sim::Context& ctx) {
+          if (ctx.rank() == 2) sink(ctx, 0);
+          ctx.advance(sim::us(1));
+        });
+        e.run();
+      },
+      "stack overflow on rank 2");
 }
 
 // Perturbed schedules at engine level: ranks posting events at shared
