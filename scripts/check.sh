@@ -94,9 +94,11 @@ echo "== [7/14] MWCAS library: clean and lock-free corpora =="
 # --mwcas corpus than the ctest-time slice (the three planted protocol bugs
 # are proven caught inside the first campaign), and the KV store's lock-free
 # bucket mode over the same seeds the locked campaign runs in stage 5. Every
-# proof repro of both runs replays through the CLI.
+# proof repro of both runs replays through the CLI. 600 seeds x 8 schedules
+# (~30 s) is the corpus that exposed simultaneous-arrival ties to the
+# cross-schedule gate (11 false mismatches before the gate learned them).
 fresh_repro_dir
-"./$BUILD/tests/fuzz_conformance" --base-seed 1 --mwcas 100 --schedules 4 \
+"./$BUILD/tests/fuzz_conformance" --base-seed 1 --mwcas 600 --schedules 8 \
   --out "$REPRO"
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --kv 100 --schedules 2 \
   --lockfree --out "$REPRO"

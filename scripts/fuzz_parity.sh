@@ -21,7 +21,7 @@ RUNS=(
   "--base-seed 1 --kv 200 --schedules 4"
   "--base-seed 1 --kv 100 --schedules 2 --faults --no-fault-proof"
   "--base-seed 1 --cases 150 --schedules 4 --adaptive --no-fault-proof"
-  "--base-seed 1 --mwcas 100 --schedules 4"
+  "--base-seed 1 --mwcas 600 --schedules 8"
   "--base-seed 1 --kv 100 --schedules 2 --lockfree"
 )
 

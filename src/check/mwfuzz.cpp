@@ -18,6 +18,9 @@ bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
        (fc.dynamic != core::DynamicLb::None || fc.ghosts > 1)) ||
       fc.fault_plan.active();
   if (timed_ties) return false;
+  if (a.simultaneous_arrivals != 0 || b.simultaneous_arrivals != 0) {
+    return false;  // an inbox served a same-nanosecond pair in tie order
+  }
   return a.semantic_hash != b.semantic_hash ||
          a.fingerprint != b.fingerprint ||
          a.history_hash != b.history_hash || a.end_time != b.end_time ||
@@ -244,6 +247,7 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
   run.runtime().add_observer(&checker);
   checker.set_recorder(run.recorder());
   run.run();
+  out.simultaneous_arrivals = run.runtime().simultaneous_arrivals();
   read_checker(
       checker, [](const MwChecker::Violation& v) { return v.diag; }, out);
   out.semantic_hash = checker.semantic_hash();

@@ -274,7 +274,14 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
   MMPI_REQUIRE(disp_bytes + mpi::span_bytes(a.tcount, a.tdt) <= ti.size,
                "casper: RMA out of target bounds");
 
-  env.ctx().advance(kTranslateCost);
+  // The translation reads only this origin's epoch state and the static
+  // binding, so it is charged and the op's injection pays it; routing around
+  // faults reads shared fault state, so that path pays it first.
+  if (fault_recovery_ || any_ghost_dead_) {
+    env.ctx().advance(kTranslateCost);
+  } else {
+    rt_->charge(env, kTranslateCost);
+  }
 
   // Self ops: PUT/GET execute as direct load/store (never delayed, paper
   // III.D). Accumulate-class self ops must NOT bypass the ghost: they would

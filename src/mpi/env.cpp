@@ -9,7 +9,10 @@ namespace casper::mpi {
 
 Layer& Env::layer() { return rt_->layer(); }
 
-void Env::prologue() { rt_->call_prologue(*this); }
+void Env::prologue() {
+  ctx_->settle();
+  rt_->call_prologue(*this);
+}
 
 void Env::observe_rma_issue(OpKind kind, AccOp op, int target,
                             std::size_t tdisp, int tcount, const Datatype& tdt,
@@ -31,6 +34,7 @@ void Env::observe_rma_issue(OpKind kind, AccOp op, int target,
 
 void Env::local_store(const void* src, std::size_t offset, std::size_t len,
                       const Win& win) {
+  ctx_->settle();  // the segment is shared with RMA and observers
   const int me = win->comm()->rank_of_world(world_rank());
   auto& seg = win->segs[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(offset + len <= seg.size,
@@ -42,6 +46,7 @@ void Env::local_store(const void* src, std::size_t offset, std::size_t len,
 
 void Env::local_load(void* dst, std::size_t offset, std::size_t len,
                      const Win& win) {
+  ctx_->settle();  // the segment is shared with RMA and observers
   const int me = win->comm()->rank_of_world(world_rank());
   auto& seg = win->segs[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(offset + len <= seg.size,

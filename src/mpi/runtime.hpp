@@ -116,8 +116,23 @@ class Runtime {
   /// progress thread is configured.
   void call_prologue(Env& env);
 
+  /// Rank-local CPU time (sim::Context::charge): paid at the caller's next
+  /// synchronization point. With a recorder attached it advances at once,
+  /// because the recorder numbers its records in host order.
+  void charge(Env& env, sim::Time d) {
+    if (obs::on(recorder())) {
+      env.ctx().advance(d);
+    } else {
+      env.ctx().charge(d);
+    }
+  }
+
   // ------------------------------------------------------------------------
-  // PMPI entry points (the "name-shifted" internal implementations).
+  // PMPI entry points (the "name-shifted" internal implementations). Each
+  // pays the caller's pending charge (sim::Context::charge) before it reads
+  // state another rank or an event writes: on entry, or by its first
+  // advance or progress_wait. p_rma's injection advance pays Casper's
+  // charged translation; p_win_lock charges a delayed lock's cost.
   // ------------------------------------------------------------------------
   void p_rank_main(Env& env, const std::function<void(Env&)>& user_main);
   Comm p_comm_split(Env& env, const Comm& comm, int color, int key);
@@ -191,6 +206,7 @@ class Runtime {
   /// `pred` is called in place, never stored.
   template <typename Pred>
   void progress_wait(Env& env, Pred&& pred) {
+    env.ctx().settle();  // the inbox is shared with delivery events
     RankIo& io = io_[static_cast<std::size_t>(env.world_rank())];
     io.in_mpi = true;  // operations arriving now are serviced promptly
     for (;;) {
@@ -199,6 +215,16 @@ class Runtime {
       engine_->block_self();
     }
     io.in_mpi = false;
+  }
+
+  /// Software operations that reached an inbox at the same virtual time as
+  /// the operation before them, summed over every rank (after run()). A
+  /// perturbed schedule may serve such a pair in either order (DESIGN.md
+  /// §16).
+  std::uint64_t simultaneous_arrivals() const {
+    std::uint64_t n = 0;
+    for (const RankIo& io : io_) n += io.simultaneous_arrivals;
+    return n;
   }
 
   /// Software operations waiting for this rank's progress (diagnostics).
@@ -256,6 +282,7 @@ class Runtime {
   void observe_epoch_begin(WinImpl& win, int world_rank, EpochEv kind,
                            int target, sim::Time t) {
     if (observers_.empty()) return;
+    sim::Engine::current().settle();  // observers see calls in host order
     for (RmaObserver* o : observers_) {
       o->on_epoch_begin(win, world_rank, kind, target, t);
     }
@@ -315,6 +342,10 @@ class Runtime {
     std::deque<P2pMsg> unexpected; // unmatched arrived messages
     std::vector<Request> posted;   // pending receives, in post order
     sim::Time agent_busy_until = 0;  // progress-agent serialization point
+    sim::Time last_arrival = sim::kNever;  // of the latest inbox delivery
+    /// Inbox deliveries at the same virtual time as the one before them:
+    /// their service order is the schedule's tie-break.
+    std::uint64_t simultaneous_arrivals = 0;
     /// The entry a blocked flush_target waits on, else null. Written by the
     /// rank's fiber, read by ack events homed on the rank's shard.
     const OriginTargetState* flushing = nullptr;

@@ -368,6 +368,7 @@ void Runtime::p_send(Env& env, const void* buf, int count, Dt dt, int dest,
 
 Request Runtime::p_irecv(Env& env, void* buf, int count, Dt dt, int src,
                          int tag, const Comm& comm) {
+  env.ctx().settle();
   auto& io = io_[static_cast<std::size_t>(env.world_rank())];
   const std::size_t max_bytes = static_cast<std::size_t>(count) * dt_size(dt);
 
@@ -415,6 +416,7 @@ Status Runtime::p_wait(Env& env, const Request& req) {
 }
 
 bool Runtime::p_test(Env& env, const Request& req) {
+  env.ctx().settle();
   MMPI_REQUIRE(req != nullptr, "test on null request");
   progress_poll(env);
   env.ctx().yield();  // allow same-time deliveries to land

@@ -468,6 +468,8 @@ void Runtime::deliver_am(AmNode* n, Time t_del) {
       // Arrived while the target was busy outside the MPI runtime: it will
       // be drained late and pays the in-application progress penalty.
       ++*(io.in_mpi ? hot().am_prompt : hot().am_busy_arrival);
+      if (t_del == io.last_arrival) ++io.simultaneous_arrivals;
+      io.last_arrival = t_del;
       io.inbox.push_back(n);
       engine_->wake(op.target_world, t_del);
       break;

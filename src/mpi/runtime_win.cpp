@@ -146,6 +146,7 @@ Win Runtime::p_win_create(Env& env, void* base, std::size_t bytes,
 }
 
 void Runtime::p_win_free(Env& env, Win& win) {
+  env.ctx().settle();
   MMPI_REQUIRE(win != nullptr, "win_free on null window");
   const int me = win->comm()->rank_of_world(env.world_rank());
   const auto& my = win->ost[static_cast<std::size_t>(me)];
@@ -293,6 +294,7 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
 // ------------------------------------------------------- fence epochs ----
 
 void Runtime::p_win_fence(Env& env, unsigned mode_assert, const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   if (my.fence_open && !(mode_assert & kModeNoPrecede)) {
@@ -320,6 +322,7 @@ void Runtime::p_win_fence(Env& env, unsigned mode_assert, const Win& win) {
 
 void Runtime::p_win_post(Env& env, const Group& group, unsigned mode_assert,
                          const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.exposure_group.empty(), "nested win_post");
@@ -345,6 +348,7 @@ void Runtime::p_win_post(Env& env, const Group& group, unsigned mode_assert,
 
 void Runtime::p_win_start(Env& env, const Group& group, unsigned mode_assert,
                           const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.access_group.empty(), "nested win_start");
@@ -368,6 +372,7 @@ void Runtime::p_win_start(Env& env, const Group& group, unsigned mode_assert,
 }
 
 void Runtime::p_win_complete(Env& env, const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(!my.access_group.empty(), "win_complete without win_start");
@@ -389,6 +394,7 @@ void Runtime::p_win_complete(Env& env, const Win& win) {
 }
 
 void Runtime::p_win_wait(Env& env, const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(!my.exposure_group.empty(), "win_wait without win_post");
@@ -417,7 +423,13 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
                "nested lock to target %d", target);
   MMPI_REQUIRE(my.epoch == EpochKind::None || my.epoch == EpochKind::Lock,
                "win_lock while a different epoch type is active");
-  env.ctx().advance(profile().op_inject);
+  // A delayed lock only records intent in this origin's own state, so its
+  // cost is charged; a self lock reads the target's lock manager below.
+  if (self) {
+    env.ctx().advance(profile().op_inject);
+  } else {
+    charge(env, profile().op_inject);
+  }
   my.epoch = EpochKind::Lock;
   if (obs::on(recorder())) {
     recorder()->trace().instant(env.world_rank(), obs::Ev::EpochBegin,
@@ -453,6 +465,7 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
 }
 
 void Runtime::p_win_unlock(Env& env, int target, const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   OriginTargetState* ots = my.tgt.find(target);
@@ -517,6 +530,7 @@ void Runtime::unlock_target(Env& env, WinImpl& win, int target,
 
 void Runtime::p_win_lock_all(Env& env, unsigned /*mode_assert*/,
                              const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   const int n = win->comm()->size();
   auto& my = win->ost[static_cast<std::size_t>(me)];
@@ -560,6 +574,7 @@ void Runtime::p_win_lock_all(Env& env, unsigned /*mode_assert*/,
 }
 
 void Runtime::p_win_unlock_all(Env& env, const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.epoch == EpochKind::LockAll,
@@ -607,6 +622,7 @@ void Runtime::flush_target(Env& env, WinImpl& win, int target,
 }
 
 void Runtime::p_win_flush(Env& env, int target, const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   OriginTargetState* ots = my.tgt.find(target);
@@ -621,6 +637,7 @@ void Runtime::p_win_flush(Env& env, int target, const Win& win) {
 }
 
 void Runtime::p_win_flush_all(Env& env, const Win& win) {
+  env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
   auto& my = win->ost[static_cast<std::size_t>(me)];
   MMPI_REQUIRE(my.epoch == EpochKind::Lock || my.epoch == EpochKind::LockAll,

@@ -27,6 +27,8 @@ void Context::advance(Time d) { engine_->advance_self_to(now() + d); }
 
 void Context::yield() { engine_->advance_self_to(now()); }
 
+void Context::pay_charge() { engine_->advance_self_to(now()); }
+
 // ----------------------------------------------------------------- Engine --
 
 Engine::Engine(Options opts, RankMain main)
@@ -81,7 +83,10 @@ Engine::Engine(Options opts, RankMain main)
 // Ranks first: a rank's fiber returns its stack to its shard's pool.
 Engine::~Engine() { ranks_.clear(); }
 
-Time Engine::rank_now(int rank) const { return ranks_[rank]->now; }
+Time Engine::rank_now(int rank) const {
+  const RankState& rs = *ranks_[rank];
+  return rs.now + rs.ctx.charged_;
+}
 
 int Engine::current_shard() { return g_shard_id; }
 
@@ -120,6 +125,7 @@ void Engine::rank_fiber_body(int rank) {
   RankState& rs = *ranks_[rank];
   rs.st = St::Running;
   main_(rs.ctx);
+  rs.ctx.settle();
   rs.st = St::Done;
   ++cur_shard().done;
   yield_to_scheduler(rank, /*exiting=*/true);
@@ -178,7 +184,12 @@ void Engine::report_schedule(Time t, int rank) {
   if (sched_obs_) sched_obs_->on_schedule(t, rank);
 }
 
+void Engine::settle_current() {
+  if (g_current_ctx != nullptr) g_current_ctx->settle();
+}
+
 void Engine::post_event(Time t, EventFn cb) {
+  settle_current();
   // A non-homed post runs on the posting shard, i.e. effectively homed to
   // the posting context's own rank — record that home so nested posts from
   // its callback inherit a shard-layout-independent attribution.
@@ -187,6 +198,7 @@ void Engine::post_event(Time t, EventFn cb) {
 }
 
 void Engine::post_event(Time t, int home_rank, EventFn cb) {
+  settle_current();  // the key below reads the poster's clock
   const PostKey key = post_key();
   const int dst = shard_of_rank_[static_cast<std::size_t>(home_rank)];
   ShardState& sh = cur_shard();
@@ -304,7 +316,10 @@ Time Engine::shard_next_time(ShardState& sh) {
 void Engine::advance_self_to(Time t) {
   Context& ctx = current();
   RankState& rs = *ranks_[ctx.rank()];
-  if (t < rs.now) t = rs.now;
+  // The pending charge is paid here, in the same step as `t`.
+  const Time floor = rs.now + ctx.charged_;
+  ctx.charged_ = 0;
+  if (t < floor) t = floor;
   // Fast path: if nothing else (event or rank) is due at or before t, and t
   // is inside the current window (time beyond it needs the barrier to
   // certify no cross-shard event lands first), the scheduler would hand the
@@ -333,6 +348,7 @@ void Engine::advance_self_to(Time t) {
 
 void Engine::block_self() {
   Context& ctx = current();
+  ctx.settle();
   RankState& rs = *ranks_[ctx.rank()];
   rs.st = St::Blocked;
   yield_to_scheduler(ctx.rank());
@@ -374,6 +390,7 @@ void Engine::set_compute_scale(int rank, double scale) {
 
 void Context::compute(Time d) {
   Engine& e = *engine_;
+  settle();  // a charge is CPU time outside the computation
   auto& rs = *e.ranks_[rank_];
   rs.computing = true;
   rs.penalty = 0;

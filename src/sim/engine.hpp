@@ -44,6 +44,7 @@
 // Rank code interacts with the engine through `Context`:
 //   ctx.compute(us(100));   // model computation (extendable by stolen cycles)
 //   ctx.advance(ns(500));   // model fixed software overhead
+//   ctx.charge(ns(40));     // rank-local CPU time, paid at the next sync
 //   engine.block_self();    // wait until another party calls wake()
 //
 // Event callbacks posted with post_event() run on the shard's scheduler
@@ -113,11 +114,26 @@ class Context {
   /// Yield to let any same-time events run, without advancing the clock.
   void yield();
 
+  /// Charge `d` of rank-local CPU time: now() includes it at once, and the
+  /// rank pays it at its next synchronization point — advance, compute,
+  /// yield, settle, block_self, any post_event from the rank, or its exit —
+  /// which yields at most once for the whole sum. Only for code that reads
+  /// and writes nothing another rank or an event can touch until then.
+  void charge(Time d) { charged_ += d; }
+
+  /// Pay any pending charge now (no-op, and no scheduling record, without
+  /// one).
+  void settle() {
+    if (charged_ != 0) pay_charge();
+  }
+
  private:
   friend class Engine;
   Context(Engine* e, int r) : engine_(e), rank_(r) {}
+  void pay_charge();
   Engine* engine_;
   int rank_;
+  Time charged_ = 0;  // charge() time not yet paid
 };
 
 /// The discrete-event engine. Construct, then run() to execute all ranks'
@@ -176,7 +192,7 @@ class Engine {
 
   int nranks() const { return static_cast<int>(ranks_.size()); }
 
-  /// Virtual clock of a rank.
+  /// Virtual clock of a rank, pending charge included.
   Time rank_now(int rank) const;
 
   /// Largest virtual time reached by any rank or event (the "makespan");
@@ -199,12 +215,14 @@ class Engine {
   /// contract: t >= (posting shard's window end); violations abort.
   void post_event(Time t, int home_rank, EventFn cb);
 
-  /// Move the calling rank's clock to `t` and yield until then.
+  /// Move the calling rank's clock to `t` (at least its charged now()) and
+  /// yield until then; pays any pending charge.
   void advance_self_to(Time t);
 
-  /// Block the calling rank until some party calls wake() on it. The caller
-  /// must re-check its predicate on return (wakeups can be "spurious" when
-  /// several conditions share a waiter).
+  /// Block the calling rank until some party calls wake() on it, after
+  /// paying any pending charge. The caller must re-check its predicate on
+  /// return (wakeups can be "spurious" when several conditions share a
+  /// waiter).
   void block_self();
 
   /// Make `rank` runnable no earlier than time `t` (no-op unless blocked).
@@ -569,6 +587,8 @@ class Engine {
   void hand_token_to(int rank);
   void yield_to_scheduler(int rank, bool exiting = false);
   void make_ready(int rank, Time t);
+  /// Pay the calling rank's pending charge, if any (see Context::charge).
+  void settle_current();
   [[noreturn]] void die_deadlocked();
 
   // --- scheduler core (engine.cpp) ---

@@ -1,21 +1,26 @@
 // Casper epoch-translation corners: assert fast paths, the
-// static-binding-free interval, lockall<->lock conversion correctness, and
-// hint misuse diagnostics.
+// static-binding-free interval, lockall<->lock conversion correctness, hint
+// misuse diagnostics, and charged translation costs.
 //
 // Under ASan (scripts/check.sh): lock and lock_all become per-ghost locks
 // that live as runs of targets until an op creates the entry, splitting its
 // run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/casper.hpp"
 #include "core/layer_impl.hpp"
+#include "fault/plan.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
+#include "obs/record.hpp"
 
 namespace {
 
@@ -596,6 +601,229 @@ TEST(CasperStats, GhostLoadReportsBalancedRedirection) {
     }
     env.win_free(win);
   }, core::layer(csp(2, core::DynamicLb::Random)));
+}
+
+// --- charged translation costs ---------------------------------------------
+// Casper's translation step and the delayed per-ghost locks of lock and
+// lock_all are charged (sim::Context::charge): paid at the origin's next
+// synchronization point instead of yielding at once. An attached recorder
+// turns charging off (Runtime::charge advances), so running one program
+// with and without a recorder compares the two paths; everything simulated
+// must be identical.
+
+struct ChargedRun {
+  std::vector<double> bytes;       // every user's final segment, by rank
+  std::vector<sim::Time> clocks;   // every world rank's end time
+  sim::Time horizon = 0;
+  std::map<std::string, std::uint64_t> counters;
+  std::size_t lock_all_resumes = 0;  // user 0's resumes inside lock_all
+  std::size_t acc_resumes = 0;       // user 0's resumes inside one acc
+};
+
+/// Counts the calling rank's resumes while `fn` runs, from the schedule
+/// trace (one record per scheduling decision, appended as it happens).
+struct ResumeProbe {
+  const std::vector<sim::Engine::SchedRecord>* sched = nullptr;
+  std::size_t count(mpi::Env& env, const std::function<void()>& fn) const {
+    const std::size_t from = sched->size();
+    fn();
+    std::size_t n = 0;
+    for (std::size_t i = from; i < sched->size(); ++i) {
+      n += (*sched)[i].rank == env.world_rank() ? 1 : 0;
+    }
+    return n;
+  }
+};
+
+constexpr int kChargeNodes = 2, kChargeCores = 4;
+
+using ChargedBody = std::function<void(mpi::Env&, const Win&, const Comm&,
+                                       const ResumeProbe&, ChargedRun&)>;
+
+ChargedRun run_charged(bool recorded, const fault::FaultPlan* plan,
+                       const ChargedBody& body) {
+  ChargedRun run;
+  std::vector<sim::Engine::SchedRecord> sched;
+  const ResumeProbe probe{&sched};
+  obs::Recorder rec;
+  RunConfig c = cfg(kChargeNodes, kChargeCores);
+  c.fault = plan;
+  if (recorded) c.recorder = &rec;
+  std::size_t slots = 0;
+  mpi::Runtime rt(c, [&](mpi::Env& env) {
+    Comm w = env.world();
+    const int me = env.rank(w);
+    const int n = env.size(w);
+    slots = static_cast<std::size_t>(n) + 1;
+    void* base = nullptr;
+    Win win = env.win_allocate(slots * sizeof(double), sizeof(double),
+                               Info{}, w, &base);
+    env.barrier(w);
+    body(env, win, w, probe, run);
+    env.barrier(w);
+    if (run.bytes.empty()) run.bytes.assign(slots * n, 0.0);
+    const auto* mine = static_cast<const double*>(base);
+    std::copy(mine, mine + slots, run.bytes.begin() + me * slots);
+    env.win_free(win);
+  }, core::layer(csp(1)));
+  rt.engine().set_schedule_trace(&sched);
+  rt.run();
+  for (int r = 0; r < rt.engine().nranks(); ++r) {
+    run.clocks.push_back(rt.engine().rank_now(r));
+  }
+  run.horizon = rt.engine().horizon();
+  run.counters = rt.stats().all();
+  return run;
+}
+
+/// Runs `body` charged (no recorder) and advanced (recorder attached),
+/// expects identical simulated results, and returns both runs.
+std::pair<ChargedRun, ChargedRun> expect_charged_equals_advanced(
+    const ChargedBody& body, const fault::FaultPlan* plan = nullptr) {
+  ChargedRun charged = run_charged(false, plan, body);
+  ChargedRun advanced = run_charged(true, plan, body);
+  EXPECT_EQ(charged.bytes, advanced.bytes);
+  EXPECT_EQ(charged.clocks, advanced.clocks);
+  EXPECT_EQ(charged.horizon, advanced.horizon);
+  EXPECT_EQ(charged.counters, advanced.counters);
+  return {std::move(charged), std::move(advanced)};
+}
+
+TEST(CasperCharged, LockAllAccumulatesMatchAdvanced) {
+  const auto [charged, advanced] = expect_charged_equals_advanced(
+      [](mpi::Env& env, const Win& win, const Comm& w,
+         const ResumeProbe& probe, ChargedRun& run) {
+        const int me = env.rank(w);
+        const int n = env.size(w);
+        const std::size_t lk =
+            probe.count(env, [&] { env.win_lock_all(0, win); });
+        double v = me + 1.0;
+        env.accumulate(&v, 1, 0, 0, AccOp::Sum, win);
+        const std::size_t acc = probe.count(
+            env, [&] { env.accumulate(&v, 1, 1, 0, AccOp::Sum, win); });
+        for (int t = 0; t < n; ++t) {
+          env.accumulate(&v, 1, t, static_cast<std::size_t>(me) + 1,
+                         AccOp::Sum, win);
+        }
+        env.win_flush_all(win);
+        env.win_unlock_all(win);
+        if (me == 0) {
+          run.lock_all_resumes = lk;
+          run.acc_resumes = acc;
+        }
+      });
+  // The other users are due at the same instants as user 0, so every
+  // advance yields: the translation and the injection are two resumes when
+  // advanced and one when the translation is charged. lock_all's delayed
+  // per-ghost locks cost no resume until the next call settles them.
+  EXPECT_EQ(advanced.acc_resumes, 2u);
+  EXPECT_EQ(charged.acc_resumes, 1u);
+  EXPECT_GT(advanced.lock_all_resumes, 0u);
+  EXPECT_EQ(charged.lock_all_resumes, 0u);
+  // Six users accumulate me + 1 into slot 0 of users 0 and 1 and into
+  // their own slot of every user.
+  const std::size_t slots = 7;
+  EXPECT_DOUBLE_EQ(charged.bytes[0], 21.0);
+  EXPECT_DOUBLE_EQ(charged.bytes[slots], 21.0);
+  EXPECT_DOUBLE_EQ(charged.bytes[5 * slots + 6], 6.0);
+}
+
+TEST(CasperCharged, PerTargetLockPutAccMatchesAdvanced) {
+  expect_charged_equals_advanced([](mpi::Env& env, const Win& win,
+                                    const Comm& w, const ResumeProbe&,
+                                    ChargedRun&) {
+    const int me = env.rank(w);
+    const int n = env.size(w);
+    for (int k = 0; k < n; ++k) {
+      const int t = (me + k) % n;  // the self target comes first
+      env.win_lock(LockType::Shared, t, 0, win);
+      const double v = me + 1.0;
+      env.put(&v, 1, t, static_cast<std::size_t>(me) + 1, win);
+      env.accumulate(&v, 1, t, 0, AccOp::Sum, win);
+      env.win_unlock(t, win);
+    }
+  });
+}
+
+TEST(CasperCharged, FenceEpochMatchesAdvanced) {
+  expect_charged_equals_advanced([](mpi::Env& env, const Win& win,
+                                    const Comm& w, const ResumeProbe&,
+                                    ChargedRun&) {
+    const int me = env.rank(w);
+    const int n = env.size(w);
+    env.win_fence(0, win);
+    const double v = me + 1.0;
+    for (int t = 0; t < n; ++t) {
+      env.put(&v, 1, t, static_cast<std::size_t>(me) + 1, win);
+      env.accumulate(&v, 1, t, 0, AccOp::Sum, win);
+    }
+    env.win_fence(0, win);
+  });
+}
+
+TEST(CasperCharged, DeadGhostDegradedOpMatchesAdvanced) {
+  // Node 1's only ghost dies early; ops to node 1's users then run against
+  // the user window directly (graceful degradation).
+  core::Config cc = csp(1);
+  net::Topology topo;
+  topo.nodes = kChargeNodes;
+  topo.cores_per_node = kChargeCores;
+  const std::vector<int> ghosts = core::ghost_ranks(topo, cc);
+  ASSERT_EQ(ghosts.size(), 2u);
+  fault::FaultPlan plan;
+  plan.kills.push_back({ghosts[1], sim::us(1)});
+  plan.heartbeat_period = sim::us(2);
+  const auto [charged, advanced] = expect_charged_equals_advanced(
+      [](mpi::Env& env, const Win& win, const Comm& w, const ResumeProbe&,
+         ChargedRun&) {
+        const int me = env.rank(w);
+        env.compute(sim::us(20));  // past the kill's detection
+        const int t = env.size(w) - 1;  // a user on node 1
+        env.win_lock(LockType::Shared, t, 0, win);
+        const double v = me + 1.0;
+        env.accumulate(&v, 1, t, 0, AccOp::Sum, win);
+        env.win_unlock(t, win);
+      },
+      &plan);
+  EXPECT_EQ(charged.counters.at("recovery.degraded"), 1u);
+  EXPECT_GT(charged.counters.at("recovery.direct_ops"), 0u);
+  EXPECT_DOUBLE_EQ(charged.bytes[5 * 7], 21.0);
+}
+
+TEST(CasperCharged, ObserversSeeEpochBeginsInTimeOrder) {
+  // Observers see calls in host order, so a delayed lock's charge is paid
+  // before observe_epoch_begin reports it: reported times never go back.
+  struct EpochTimes final : mpi::RmaObserver {
+    std::vector<sim::Time> begins;
+    void on_win_register(mpi::WinImpl&) override {}
+    void on_win_free(mpi::WinImpl&) override {}
+    void on_op_commit(const mpi::AmOp&, sim::Time, int) override {}
+    void on_sync(mpi::WinImpl&, int, mpi::SyncKind, int, sim::Time) override {
+    }
+    void on_epoch_begin(mpi::WinImpl&, int, mpi::EpochEv, int,
+                        sim::Time t) override {
+      begins.push_back(t);
+    }
+  };
+  EpochTimes times;
+  mpi::Runtime rt(cfg(kChargeNodes, kChargeCores), [&](mpi::Env& env) {
+    Comm w = env.world();
+    void* base = nullptr;
+    Win win =
+        env.win_allocate(sizeof(double), sizeof(double), Info{}, w, &base);
+    env.barrier(w);
+    env.win_lock_all(0, win);
+    env.win_unlock_all(win);
+    env.barrier(w);
+    env.win_free(win);
+  }, core::layer(csp(1)));
+  rt.add_observer(&times);
+  rt.run();
+  // Per user: the permanent lock_all Casper takes on its global window at
+  // allocation, the user's lock_all, and a delayed lock per ghost (two) of
+  // each overlapping window (one per local user, three).
+  EXPECT_EQ(times.begins.size(), 6u * (1 + 1 + 3 * 2));
+  EXPECT_TRUE(std::is_sorted(times.begins.begin(), times.begins.end()));
 }
 
 }  // namespace

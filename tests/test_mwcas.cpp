@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "check/mwfuzz.hpp"
@@ -542,7 +543,9 @@ TEST(MwcasDeterminism, ShardCountsMatchAcrossAllProgressModes) {
 }
 
 // Single ghost: ONE serialization point, so static Casper is fully
-// event-driven and all schedules must match bit-for-bit. (With two ghosts
+// event-driven and this case's schedules must match bit-for-bit (a pair of
+// messages reaching the ghost in the same nanosecond would be the one
+// legal tie; see SimultaneousArrivalsAreTheScheduleTie). (With two ghosts
 // the independent service loops can retire AMs at the same virtual instant
 // — a legal tie that can flip contended races; mw_outcomes_differ exempts
 // that config, and ShardCountsMatchAcrossAllProgressModes still pins its
@@ -560,6 +563,37 @@ TEST(MwcasDeterminism, CasperSchedulesMatchReferenceExactly) {
     EXPECT_FALSE(check::mw_outcomes_differ(fc, ref, out)) << "schedule " << s;
     EXPECT_EQ(out.history_hash, ref.history_hash) << "schedule " << s;
     EXPECT_EQ(out.end_time, ref.end_time) << "schedule " << s;
+  }
+}
+
+// Two committed counterexamples (tests/repro/): in each, two messages reach
+// one inbox in the same nanosecond and the perturbed schedule serves them in
+// the other order. Seed 298 (single-ghost Casper: origin 0's lock request
+// and origin 1's first get-accumulate at the ghost) shifts only timing; seed
+// 572 (Original mode) also flips a contended MWCAS. Both are legal, so
+// mw_outcomes_differ must exempt them, and the replay must come back clean.
+TEST(MwcasDeterminism, SimultaneousArrivalsAreTheScheduleTie) {
+  for (const char* name : {"mwcas_simultaneous_arrival_s298.txt",
+                           "mwcas_simultaneous_arrival_s572.txt"}) {
+    SCOPED_TRACE(name);
+    const std::string path = std::string(CASPER_REPRO_DIR) + "/" + name;
+    check::Repro rp;
+    ASSERT_TRUE(check::parse_repro(path, rp));
+    const check::MwCase fc = check::MwWorkload::generate(rp);
+    const auto prefix = static_cast<std::size_t>(rp.prefix_ops);
+    const check::MwOutcome ref = check::run_mw_case(fc, 0, 1, prefix);
+    const check::MwOutcome out = check::run_mw_case(fc, rp.perturb, 1, prefix);
+    EXPECT_EQ(ref.violations, 0u);
+    EXPECT_EQ(out.violations, 0u);
+    EXPECT_GT(ref.simultaneous_arrivals, 0u);
+    EXPECT_GT(out.simultaneous_arrivals, 0u);
+    EXPECT_NE(out.history_hash, ref.history_hash);
+    EXPECT_NE(out.end_time, ref.end_time);
+    EXPECT_EQ(out.semantic_hash != ref.semantic_hash, rp.seed == 572);
+    EXPECT_FALSE(check::mw_outcomes_differ(fc, ref, out));
+    const check::ReplayResult replay = check::replay_file(path);
+    EXPECT_TRUE(replay.valid);
+    EXPECT_FALSE(replay.reproduced);
   }
 }
 

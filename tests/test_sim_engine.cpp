@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event engine: determinism, ordering, virtual
-// time, compute penalties, events, and rank stacks (one slab per shard, an
-// overflowing rank named in the abort).
+// time, compute penalties, events, charged time, and rank stacks (one slab
+// per shard, an overflowing rank named in the abort).
 //
 // Under ASan (scripts/check.sh): the one scheduler loop for every shard
 // count and perturb seed -- calendar node free list, spill heap refills and
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -392,6 +393,197 @@ TEST(SimEngine, RngStreamsAreDecorrelated) {
     if (a.next_u64() == b.next_u64()) ++same;
   }
   EXPECT_EQ(same, 0);
+}
+
+// --- charged time (Context::charge) -----------------------------------------
+// A charge is visible in now() at once and paid at the rank's next
+// synchronization point in one step. Most programs below run twice: once
+// with `act` charging and once with it advancing. Both must produce the
+// same schedule trace, event order, horizon and clocks wherever the charge
+// is followed by a synchronization point.
+
+struct ChargeOutcome {
+  std::vector<std::pair<Time, int>> sched;
+  std::vector<std::string> log;
+  Time horizon = 0;
+  std::vector<Time> clocks;
+};
+
+using ChargeProgram = std::function<void(
+    Engine&, sim::Context&, bool charged, std::vector<std::string>& log)>;
+
+ChargeOutcome run_charge_program(int n, bool charged,
+                                 const ChargeProgram& prog) {
+  ChargeOutcome out;
+  std::vector<Engine::SchedRecord> sched;
+  Engine* ep = nullptr;
+  Engine e(opts(n),
+           [&](sim::Context& ctx) { prog(*ep, ctx, charged, out.log); });
+  ep = &e;
+  e.set_schedule_trace(&sched);
+  e.run();
+  for (const auto& s : sched) out.sched.emplace_back(s.t, s.rank);
+  out.horizon = e.horizon();
+  for (int r = 0; r < n; ++r) out.clocks.push_back(e.rank_now(r));
+  return out;
+}
+
+void act(sim::Context& ctx, bool charged, Time d) {
+  if (charged) {
+    ctx.charge(d);
+  } else {
+    ctx.advance(d);
+  }
+}
+
+std::size_t resumes_of(const ChargeOutcome& o, int rank) {
+  std::size_t n = 0;
+  for (const auto& s : o.sched) n += s.second == rank ? 1 : 0;
+  return n;
+}
+
+/// Runs `prog` advancing and charging, expects the two to agree, and
+/// returns the charged outcome.
+ChargeOutcome expect_charge_matches_advance(int n, const ChargeProgram& prog) {
+  const ChargeOutcome adv = run_charge_program(n, false, prog);
+  ChargeOutcome chg = run_charge_program(n, true, prog);
+  EXPECT_EQ(chg.sched, adv.sched);
+  EXPECT_EQ(chg.log, adv.log);
+  EXPECT_EQ(chg.horizon, adv.horizon);
+  EXPECT_EQ(chg.clocks, adv.clocks);
+  return chg;
+}
+
+TEST(SimEngineCharge, NowIncludesChargeAtOnce) {
+  Engine* ep = nullptr;
+  Engine e(opts(1), [&](sim::Context& ctx) {
+    ctx.charge(sim::ns(7));
+    EXPECT_EQ(ctx.now(), sim::ns(7));
+    EXPECT_EQ(ep->rank_now(0), sim::ns(7));
+    ctx.charge(sim::ns(3));
+    EXPECT_EQ(ctx.now(), sim::ns(10));
+    ctx.advance(sim::ns(5));
+    EXPECT_EQ(ctx.now(), sim::ns(15));
+  });
+  ep = &e;
+  e.run();
+  EXPECT_EQ(e.rank_now(0), sim::ns(15));
+  EXPECT_EQ(e.horizon(), sim::ns(15));
+}
+
+TEST(SimEngineCharge, PaysWithoutResumeWhenNothingElseIsDue) {
+  const ChargeOutcome out = run_charge_program(
+      1, true, [](Engine&, sim::Context& ctx, bool, auto&) {
+        ctx.charge(sim::ns(10));
+        ctx.charge(sim::ns(5));
+        ctx.advance(sim::ns(1));
+      });
+  // Only the rank's first resume at t=0.
+  EXPECT_EQ(out.sched, (std::vector<std::pair<Time, int>>{{0, 0}}));
+  EXPECT_EQ(out.horizon, sim::ns(16));
+}
+
+TEST(SimEngineCharge, PaysWithOneResumeWhenAnotherRankIsDue) {
+  // Rank 1 is due every 2 ns, so each advance of rank 0 yields; two charges
+  // and a settle yield once.
+  const ChargeProgram prog = [](Engine&, sim::Context& ctx, bool charged,
+                                auto&) {
+    if (ctx.rank() == 1) {
+      for (int i = 0; i < 8; ++i) ctx.advance(sim::ns(2));
+      return;
+    }
+    act(ctx, charged, sim::ns(5));
+    act(ctx, charged, sim::ns(5));
+    ctx.settle();
+  };
+  const ChargeOutcome adv = run_charge_program(2, false, prog);
+  const ChargeOutcome chg = run_charge_program(2, true, prog);
+  EXPECT_EQ(resumes_of(adv, 0), 3u);
+  EXPECT_EQ(resumes_of(chg, 0), 2u);
+  EXPECT_EQ(chg.clocks, adv.clocks);
+  EXPECT_EQ(chg.horizon, adv.horizon);
+}
+
+TEST(SimEngineCharge, PostEventSettlesFirst) {
+  // Both events land at 20 ns; rank 1 posts its event at 5 ns, rank 0 at
+  // 10 ns, so rank 1's runs first. Posting before the settle would reverse
+  // them. Both ranks outlive the events (a run ends with its last rank).
+  const ChargeOutcome chg = expect_charge_matches_advance(
+      2, [](Engine& e, sim::Context& ctx, bool charged, auto& log) {
+        if (ctx.rank() == 1) {
+          ctx.advance(sim::ns(5));
+          e.post_event(sim::ns(20), [&log] { log.push_back("r1"); });
+        } else {
+          act(ctx, charged, sim::ns(10));
+          e.post_event(sim::ns(20), [&log] { log.push_back("r0"); });
+        }
+        ctx.advance(sim::ns(30));
+      });
+  EXPECT_EQ(chg.log, (std::vector<std::string>{"r1", "r0"}));
+}
+
+TEST(SimEngineCharge, BlockSelfSettlesFirst) {
+  const ChargeOutcome chg = expect_charge_matches_advance(
+      2, [](Engine& e, sim::Context& ctx, bool charged, auto& log) {
+        if (ctx.rank() == 1) {
+          ctx.advance(sim::ns(12));
+          e.wake(0, ctx.now());
+          return;
+        }
+        act(ctx, charged, sim::ns(10));
+        e.block_self();
+        log.push_back("woke at " + std::to_string(ctx.now()));
+      });
+  EXPECT_EQ(chg.log, std::vector<std::string>{"woke at 12"});
+}
+
+TEST(SimEngineCharge, ComputeSettlesFirst) {
+  // Cycles are stolen only while the rank computes: the event at 5 ns falls
+  // inside the charge, the one at 15 ns inside the computation.
+  const ChargeOutcome chg = expect_charge_matches_advance(
+      1, [](Engine& e, sim::Context& ctx, bool charged, auto& log) {
+        for (Time at : {sim::ns(5), sim::ns(15)}) {
+          e.post_event(at, [&e, &log, at] {
+            const bool busy = e.rank_computing(0);
+            log.push_back("t=" + std::to_string(at) +
+                          (busy ? " computing" : " idle"));
+            if (busy) e.add_compute_penalty(0, sim::ns(7));
+          });
+        }
+        act(ctx, charged, sim::ns(10));
+        ctx.compute(sim::ns(20));
+      });
+  EXPECT_EQ(chg.log,
+            (std::vector<std::string>{"t=5 idle", "t=15 computing"}));
+  EXPECT_EQ(chg.horizon, sim::ns(37));
+}
+
+TEST(SimEngineCharge, RankExitSettles) {
+  const ChargeOutcome chg = expect_charge_matches_advance(
+      2, [](Engine&, sim::Context& ctx, bool charged, auto&) {
+        if (ctx.rank() == 1) {
+          for (int i = 0; i < 5; ++i) ctx.advance(sim::ns(3));
+          return;
+        }
+        act(ctx, charged, sim::ns(10));
+      });
+  EXPECT_EQ(chg.horizon, sim::ns(15));
+  EXPECT_EQ(chg.clocks, (std::vector<Time>{sim::ns(10), sim::ns(15)}));
+}
+
+TEST(SimEngineCharge, SettleWithoutChargeAddsNoRecord) {
+  // Both ranks are due at t=0, so a yield here would add a record.
+  const ChargeProgram base = [](Engine&, sim::Context& ctx, bool, auto&) {
+    ctx.advance(sim::ns(1));
+  };
+  const ChargeOutcome plain = run_charge_program(2, false, base);
+  const ChargeOutcome settled = run_charge_program(
+      2, false, [](Engine&, sim::Context& ctx, bool, auto&) {
+        ctx.settle();
+        ctx.settle();
+        ctx.advance(sim::ns(1));
+      });
+  EXPECT_EQ(settled.sched, plain.sched);
 }
 
 }  // namespace
