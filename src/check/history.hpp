@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mpi/observe.hpp"
+#include "sim/hash.hpp"
 
 namespace casper::obs {
 class Recorder;
@@ -25,18 +26,8 @@ class Recorder;
 
 namespace casper::check {
 
-inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-/// FNV-1a over `n` bytes at `p`, continuing from `h`.
-inline std::uint64_t fnv1a(const void* p, std::size_t n,
-                           std::uint64_t h = kFnvBasis) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using sim::fnv1a;
+using sim::kFnvBasis;
 
 /// CRTP base. `Derived` befriends it and supplies
 ///   static bool canonical_less(const Event&, const Event&);

@@ -6,6 +6,7 @@
 #include "mpi/am.hpp"
 #include "mpi/check.hpp"
 #include "mpi/win.hpp"
+#include "sim/hash.hpp"
 
 namespace casper::check {
 
@@ -53,26 +54,15 @@ const char* to_string(mpi::Dt dt) {
   return "?";
 }
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 // ---- IntervalTree ----------------------------------------------------------
 
 std::uint64_t IntervalTree::priority(const Access& a) {
   // A pure function of the entry: the treap's heap order — and therefore its
   // shape — depends only on the stored SET, never on insertion order. That is
   // what makes sharded / perturbed runs traverse entries identically.
-  std::uint64_t h = splitmix64(static_cast<std::uint64_t>(a.lo));
-  h = splitmix64(h ^ static_cast<std::uint64_t>(a.origin));
-  h = splitmix64(h ^ a.seq);
+  std::uint64_t h = sim::splitmix64(static_cast<std::uint64_t>(a.lo));
+  h = sim::splitmix64(h ^ static_cast<std::uint64_t>(a.origin));
+  h = sim::splitmix64(h ^ a.seq);
   return h | 1;  // never zero
 }
 

@@ -1,8 +1,8 @@
 // Casper: process-based asynchronous progress for MPI RMA (the paper's
 // primary contribution).
 //
-// Casper interposes on the MPI call surface (our Layer interface standing in
-// for PMPI) and:
+// Casper is a PMPI tool (CasperLayer derives from mpi::Pmpi and overrides
+// only the calls it intercepts) and:
 //
 //   1. carves a user-chosen number of cores per node out of the world as
 //      *ghost processes* at init time; the application sees

@@ -183,7 +183,7 @@ void CasperLayer::adapt_barrier(Env& env, const mpi::Comm& c) {
   });
   const int me_u = my_user_rank(env);
   for (CspWin* cw : wins) adapt_seal(*cw, me_u);
-  pmpi_->barrier(env, c);
+  Pmpi::barrier(env, c);
   for (CspWin* cw : wins) adapt_decide(env, *cw, me_u);
 }
 

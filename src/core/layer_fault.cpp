@@ -126,9 +126,9 @@ void CasperLayer::issue_degraded(Env& env, CspWin& cw, OriginEp& ep,
     // degraded op targets this rank. (A self win_lock already locked the
     // user window; lockall never does, so self is lazy there too.)
     if (tl.locked) {
-      pmpi_->win_lock(env, tl.type, target, tl.mode_assert, cw.user_win);
+      Pmpi::win_lock(env, tl.type, target, tl.mode_assert, cw.user_win);
     } else {
-      pmpi_->win_lock(env, mpi::LockType::Shared, target, 0, cw.user_win);
+      Pmpi::win_lock(env, mpi::LockType::Shared, target, 0, cw.user_win);
     }
     tl.user_locked = true;
   }

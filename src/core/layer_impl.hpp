@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/casper.hpp"
-#include "mpi/layer.hpp"
 #include "mpi/pmpi.hpp"
 #include "mpi/runtime.hpp"
 
@@ -45,43 +44,20 @@ struct GhostCmd {
   int seq = 0;
 };
 
-class CasperLayer final : public mpi::Layer {
+/// Casper is a PMPI tool: it overrides the calls it intercepts (start-up,
+/// the world communicator, the adaptive barrier, window set-up, RMA through
+/// rma(), and epoch synchronization); every other call is the inherited
+/// Pmpi entry. Its own MPI calls underneath are qualified `Pmpi::x(...)`, so
+/// they never re-enter these overrides.
+class CasperLayer final : public mpi::Pmpi {
  public:
   CasperLayer(mpi::Runtime& rt, Config cfg);
 
-  // ---- mpi::Layer --------------------------------------------------------
+  // ---- intercepted calls -------------------------------------------------
   void on_rank_start(mpi::Env& env,
                      const std::function<void(mpi::Env&)>& user_main) override;
   mpi::Comm comm_world(mpi::Env& env) override;
-  mpi::Comm comm_split(mpi::Env& env, const mpi::Comm& c, int color,
-                       int key) override;
-  mpi::Comm comm_dup(mpi::Env& env, const mpi::Comm& c) override;
-  void send(mpi::Env& env, const void* buf, int count, mpi::Dt dt, int dest,
-            int tag, const mpi::Comm& c) override;
-  mpi::Status recv(mpi::Env& env, void* buf, int count, mpi::Dt dt, int src,
-                   int tag, const mpi::Comm& c) override;
-  mpi::Request isend(mpi::Env& env, const void* buf, int count, mpi::Dt dt,
-                     int dest, int tag, const mpi::Comm& c) override;
-  mpi::Request irecv(mpi::Env& env, void* buf, int count, mpi::Dt dt, int src,
-                     int tag, const mpi::Comm& c) override;
-  mpi::Status wait(mpi::Env& env, const mpi::Request& req) override;
-  bool test(mpi::Env& env, const mpi::Request& req) override;
-  void waitall(mpi::Env& env, mpi::Request* reqs, int n) override;
   void barrier(mpi::Env& env, const mpi::Comm& c) override;
-  void bcast(mpi::Env& env, void* buf, int count, mpi::Dt dt, int root,
-             const mpi::Comm& c) override;
-  void reduce(mpi::Env& env, const void* s, void* r, int count, mpi::Dt dt,
-              mpi::AccOp op, int root, const mpi::Comm& c) override;
-  void allreduce(mpi::Env& env, const void* s, void* r, int count, mpi::Dt dt,
-                 mpi::AccOp op, const mpi::Comm& c) override;
-  void allgather(mpi::Env& env, const void* s, int count, mpi::Dt dt, void* r,
-                 const mpi::Comm& c) override;
-  void alltoall(mpi::Env& env, const void* s, int count, mpi::Dt dt, void* r,
-                const mpi::Comm& c) override;
-  void gather(mpi::Env& env, const void* s, int count, mpi::Dt dt, void* r,
-              int root, const mpi::Comm& c) override;
-  void scatter(mpi::Env& env, const void* s, int count, mpi::Dt dt, void* r,
-               int root, const mpi::Comm& c) override;
 
   mpi::Win win_allocate(mpi::Env& env, std::size_t bytes, std::size_t du,
                         const mpi::Info& info, const mpi::Comm& c,
@@ -94,26 +70,8 @@ class CasperLayer final : public mpi::Layer {
                       const mpi::Comm& c) override;
   void win_free(mpi::Env& env, mpi::Win& w) override;
 
-  void put(mpi::Env& env, const void* o, int oc, mpi::Datatype odt,
-           int target, std::size_t tdisp, int tc, mpi::Datatype tdt,
-           const mpi::Win& w) override;
-  void get(mpi::Env& env, void* o, int oc, mpi::Datatype odt, int target,
-           std::size_t tdisp, int tc, mpi::Datatype tdt,
-           const mpi::Win& w) override;
-  void accumulate(mpi::Env& env, const void* o, int oc, mpi::Datatype odt,
-                  int target, std::size_t tdisp, int tc, mpi::Datatype tdt,
-                  mpi::AccOp op, const mpi::Win& w) override;
-  void get_accumulate(mpi::Env& env, const void* o, int oc, mpi::Datatype odt,
-                      void* res, int rc, mpi::Datatype rdt, int target,
-                      std::size_t tdisp, int tc, mpi::Datatype tdt,
-                      mpi::AccOp op, const mpi::Win& w) override;
-  void fetch_and_op(mpi::Env& env, const void* value, void* result,
-                    mpi::Dt dt, int target, std::size_t tdisp, mpi::AccOp op,
-                    const mpi::Win& w) override;
-  void compare_and_swap(mpi::Env& env, const void* expected,
-                        const void* desired, void* result, mpi::Dt dt,
-                        int target, std::size_t tdisp,
-                        const mpi::Win& w) override;
+  /// Issue one user RMA op through Casper's redirection machinery.
+  void rma(mpi::Env& env, const mpi::RmaArgs& a, const mpi::Win& w) override;
 
   void win_fence(mpi::Env& env, unsigned mode_assert,
                  const mpi::Win& w) override;
@@ -220,8 +178,8 @@ class CasperLayer final : public mpi::Layer {
     std::vector<std::uint64_t> bytes_to_ghost;  // by ghost_slot()
     /// Static-binding resolution of the op this origin is issuing, rebuilt
     /// per op. It keeps its capacity, so a warm origin allocates nothing, and
-    /// stays intact across the p_rma/win_flush calls of one issue(): only
-    /// this origin's next issue() rewrites it.
+    /// stays intact across the p_rma/win_flush calls of one rma(): only
+    /// this origin's next rma() rewrites it.
     std::vector<SubOp> subs;
     /// Adaptive progress control (cfg.adaptive.enabled only; see
     /// layer_adapt.cpp and DESIGN.md §15). `adapt` is this origin's replica
@@ -317,7 +275,7 @@ class CasperLayer final : public mpi::Layer {
   /// Pure fill of a window's per-window tables (target placement and
   /// binding, segment table, per-origin epoch state, adaptive state) from
   /// the layout. Runs once per window, in the rank that registers it; no
-  /// pmpi_ calls.
+  /// MPI calls.
   void fill_tables(CspWin& cw, Layout lay, std::size_t du);
   void free_internal_windows(mpi::Env& env, WinHandles h);
 
@@ -345,8 +303,6 @@ class CasperLayer final : public mpi::Layer {
   int choose_dynamic_ghost(mpi::Env& env, CspWin& cw, int origin, int node);
   bool dynamic_applicable(const CspWin& cw, int origin, int target,
                           mpi::OpKind kind) const;
-  /// Issue one user RMA op through Casper's redirection machinery.
-  void issue(mpi::Env& env, const mpi::RmaArgs& a, const mpi::Win& w);
   /// Direct local execution of a self-targeted PUT/GET (never delayed).
   void exec_self(mpi::Env& env, const mpi::RmaArgs& a,
                  std::size_t disp_bytes, CspWin& cw);
@@ -396,9 +352,7 @@ class CasperLayer final : public mpi::Layer {
   void note_epoch_sync(mpi::Env& env, const mpi::Win& user_win,
                        mpi::SyncKind k, sim::Time t0);
 
-  mpi::Runtime* rt_;
   Config cfg_;
-  std::shared_ptr<mpi::Pmpi> pmpi_;
 
   /// Hot-path counter pointers, resolved once at construction (stats map
   /// nodes are stable): per-op increments must not pay a string lookup.
@@ -455,7 +409,7 @@ class CasperLayer final : public mpi::Layer {
   /// sharded: member ranks on different worker threads can allocate or free
   /// windows inside the same conservative window, so a find can otherwise
   /// race a concurrent insert. Never locked (defer_lock) in single-shard
-  /// runs. Held only around map/pointer accesses — NEVER across a pmpi_ call
+  /// runs. Held only around map/pointer accesses — NEVER across an MPI call
   /// (those can switch fibers, and another fiber on the same worker thread
   /// relocking would deadlock).
   std::mutex winmap_mu_;

@@ -9,7 +9,6 @@
 
 namespace casper::core {
 
-using mpi::AccOp;
 using mpi::Datatype;
 using mpi::Env;
 using mpi::OpKind;
@@ -245,9 +244,9 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
   return ng[0];
 }
 
-// ---------------------------------------------------------------- issue ----
+// ------------------------------------------------------------------ rma ----
 
-void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
+void CasperLayer::rma(Env& env, const mpi::RmaArgs& a, const Win& w) {
   MMPI_REQUIRE(a.sizes_match(), "RMA origin/target data size mismatch");
   auto* cwp = managed(w);
   if (cwp == nullptr) {
@@ -477,7 +476,7 @@ void CasperLayer::issue(Env& env, const mpi::RmaArgs& a, const Win& w) {
     // (possibly strided) origin buffer must wait for completion. We wait
     // here (a flush on the involved ghosts), trading a little overlap for
     // correctness of the strided reassembly.
-    for (const SubOp& s : subs) pmpi_->win_flush(env, s.ghost, iw);
+    for (const SubOp& s : subs) Pmpi::win_flush(env, s.ghost, iw);
     mpi::unpack(a.result_addr, a.rcount, a.rdt, gather);
   }
 }
@@ -527,60 +526,12 @@ void CasperLayer::exec_self(Env& env, const mpi::RmaArgs& a,
   }
 }
 
-// ---------------------------------------------------------- public RMA ----
-
-void CasperLayer::put(Env& env, const void* o, int oc, Datatype odt,
-                      int target, std::size_t tdisp, int tc, Datatype tdt,
-                      const Win& w) {
-  issue(env, mpi::RmaArgs::put(o, oc, odt, target, tdisp, tc, tdt), w);
-}
-
-void CasperLayer::get(Env& env, void* o, int oc, Datatype odt, int target,
-                      std::size_t tdisp, int tc, Datatype tdt, const Win& w) {
-  issue(env, mpi::RmaArgs::get(o, oc, odt, target, tdisp, tc, tdt), w);
-}
-
-void CasperLayer::accumulate(Env& env, const void* o, int oc, Datatype odt,
-                             int target, std::size_t tdisp, int tc,
-                             Datatype tdt, AccOp op, const Win& w) {
-  issue(env, mpi::RmaArgs::accumulate(o, oc, odt, target, tdisp, tc, tdt, op),
-        w);
-}
-
-void CasperLayer::get_accumulate(Env& env, const void* o, int oc,
-                                 Datatype odt, void* res, int rc,
-                                 Datatype rdt, int target, std::size_t tdisp,
-                                 int tc, Datatype tdt, AccOp op,
-                                 const Win& w) {
-  issue(env,
-        mpi::RmaArgs::get_accumulate(o, oc, odt, res, rc, rdt, target, tdisp,
-                                     tc, tdt, op),
-        w);
-}
-
-void CasperLayer::fetch_and_op(Env& env, const void* value, void* result,
-                               mpi::Dt dt, int target, std::size_t tdisp,
-                               AccOp op, const Win& w) {
-  issue(env,
-        mpi::RmaArgs::fetch_and_op(value, result, dt, target, tdisp, op), w);
-}
-
-void CasperLayer::compare_and_swap(Env& env, const void* expected,
-                                   const void* desired, void* result,
-                                   mpi::Dt dt, int target, std::size_t tdisp,
-                                   const Win& w) {
-  issue(env,
-        mpi::RmaArgs::compare_and_swap(expected, desired, result, dt, target,
-                                       tdisp),
-        w);
-}
-
 // ------------------------------------------------------ epoch translation --
 
 void CasperLayer::win_fence(Env& env, unsigned mode_assert, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_fence(env, mode_assert, w);
+    Pmpi::win_fence(env, mode_assert, w);
     return;
   }
   MMPI_REQUIRE(cw->epochs & kEpochFence,
@@ -593,7 +544,7 @@ void CasperLayer::win_fence(Env& env, unsigned mode_assert, const Win& w) {
   // fence = flush_all (remote completion of my ops) + barrier (everyone's
   // ops) + win_sync (memory consistency), each skippable via asserts.
   if (ep.fence_open && !(mode_assert & mpi::kModeNoPrecede)) {
-    pmpi_->win_flush_all(env, cw->global_win);
+    Pmpi::win_flush_all(env, cw->global_win);
     if (cw->adapt.on) {
       // flush_all remotely completed every op I issued: accumulate-class
       // levels drop to zero, so the controller may remap this round.
@@ -608,8 +559,8 @@ void CasperLayer::win_fence(Env& env, unsigned mode_assert, const Win& w) {
     // Fence is an adaptation point: seal this origin's round counters before
     // the barrier, replay the shared decision after it (layer_adapt.cpp).
     if (cw->adapt.on) adapt_seal(*cw, me_u);
-    pmpi_->barrier(env, user_world_);
-    pmpi_->win_sync(env, cw->global_win);
+    Pmpi::barrier(env, user_world_);
+    Pmpi::win_sync(env, cw->global_win);
     if (cw->adapt.on) adapt_decide(env, *cw, me_u);
   }
 
@@ -624,8 +575,8 @@ void CasperLayer::win_fence(Env& env, unsigned mode_assert, const Win& w) {
   if (fault_recovery_) {
     int local = static_cast<int>(death_seq_);
     int latched = local;
-    pmpi_->allreduce(env, &local, &latched, 1, mpi::Dt::Int, mpi::AccOp::Min,
-                     user_world_);
+    Pmpi::allreduce(env, &local, &latched, 1, mpi::Dt::Int, mpi::AccOp::Min,
+                    user_world_);
     cw->fence_latch = static_cast<std::uint64_t>(latched);
     bool any_direct = cw->fence_user_open;
     for (int n = 0; n < static_cast<int>(node_ghosts_.size()) && !any_direct;
@@ -637,7 +588,7 @@ void CasperLayer::win_fence(Env& env, unsigned mode_assert, const Win& w) {
     }
     if (any_direct) {
       cw->fence_user_open = true;
-      pmpi_->win_fence(env, 0, cw->user_win);
+      Pmpi::win_fence(env, 0, cw->user_win);
     }
   }
 
@@ -657,7 +608,7 @@ void CasperLayer::win_post(Env& env, const mpi::Group& g, unsigned mode_assert,
                            const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_post(env, g, mode_assert, w);
+    Pmpi::win_post(env, g, mode_assert, w);
     return;
   }
   MMPI_REQUIRE(cw->epochs & kEpochPscw,
@@ -672,8 +623,8 @@ void CasperLayer::win_post(Env& env, const mpi::Group& g, unsigned mode_assert,
   if (!(mode_assert & mpi::kModeNoCheck)) {
     char token = 1;
     for (int o : ep.exposure_group) {
-      pmpi_->send(env, &token, 1, mpi::Dt::Byte, o, kTagPscwPost,
-                  user_world_);
+      Pmpi::send(env, &token, 1, mpi::Dt::Byte, o, kTagPscwPost,
+                 user_world_);
     }
   }
 }
@@ -682,9 +633,11 @@ void CasperLayer::win_start(Env& env, const mpi::Group& g,
                             unsigned mode_assert, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_start(env, g, mode_assert, w);
+    Pmpi::win_start(env, g, mode_assert, w);
     return;
   }
+  MMPI_REQUIRE(cw->epochs & kEpochPscw,
+               "casper: pscw used but excluded by epochs_used hint");
   const int me_u = my_user_rank(env);
   auto& ep = cw->ep[static_cast<std::size_t>(me_u)];
   MMPI_REQUIRE(ep.access_group.empty(), "casper: nested win_start");
@@ -693,8 +646,8 @@ void CasperLayer::win_start(Env& env, const mpi::Group& g,
   if (!(mode_assert & mpi::kModeNoCheck)) {
     char token = 0;
     for (int t : ep.access_group) {
-      pmpi_->recv(env, &token, 1, mpi::Dt::Byte, t, kTagPscwPost,
-                  user_world_);
+      Pmpi::recv(env, &token, 1, mpi::Dt::Byte, t, kTagPscwPost,
+                 user_world_);
     }
   }
   rt_->observe_epoch_begin(*cw->user_win, env.world_rank(),
@@ -704,7 +657,7 @@ void CasperLayer::win_start(Env& env, const mpi::Group& g,
 void CasperLayer::win_complete(Env& env, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_complete(env, w);
+    Pmpi::win_complete(env, w);
     return;
   }
   const sim::Time t0 = env.now();
@@ -713,15 +666,15 @@ void CasperLayer::win_complete(Env& env, const Win& w) {
   MMPI_REQUIRE(!ep.access_group.empty(),
                "casper: win_complete without win_start");
   // Remote completion of my ops, then notify each target.
-  pmpi_->win_flush_all(env, cw->global_win);
+  Pmpi::win_flush_all(env, cw->global_win);
   if (cw->adapt.on) {
     ep.adapt_acc.unflushed_acc = 0;
     for (auto& tl : ep.tl) tl.unflushed_acc = 0;
   }
   char token = 2;
   for (int t : ep.access_group) {
-    pmpi_->send(env, &token, 1, mpi::Dt::Byte, t, kTagPscwComplete,
-                user_world_);
+    Pmpi::send(env, &token, 1, mpi::Dt::Byte, t, kTagPscwComplete,
+               user_world_);
   }
   ep.access_group.clear();
   std::fill(ep.access_mask.begin(), ep.access_mask.end(), 0);
@@ -733,7 +686,7 @@ void CasperLayer::win_complete(Env& env, const Win& w) {
 void CasperLayer::win_wait(Env& env, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_wait(env, w);
+    Pmpi::win_wait(env, w);
     return;
   }
   const sim::Time t0 = env.now();
@@ -743,11 +696,11 @@ void CasperLayer::win_wait(Env& env, const Win& w) {
                "casper: win_wait without win_post");
   char token = 0;
   for (int o : ep.exposure_group) {
-    pmpi_->recv(env, &token, 1, mpi::Dt::Byte, o, kTagPscwComplete,
-                user_world_);
+    Pmpi::recv(env, &token, 1, mpi::Dt::Byte, o, kTagPscwComplete,
+               user_world_);
   }
   ep.exposure_group.clear();
-  pmpi_->win_sync(env, cw->global_win);
+  Pmpi::win_sync(env, cw->global_win);
   note_epoch_sync(env, cw->user_win, mpi::SyncKind::Wait, t0);
   rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Wait, -1,
                     env.now());
@@ -757,7 +710,7 @@ void CasperLayer::win_lock(Env& env, mpi::LockType type, int target,
                            unsigned mode_assert, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_lock(env, type, target, mode_assert, w);
+    Pmpi::win_lock(env, type, target, mode_assert, w);
     return;
   }
   MMPI_REQUIRE(cw->epochs & kEpochLock,
@@ -783,19 +736,19 @@ void CasperLayer::win_lock(Env& env, mpi::LockType type, int target,
   const auto& ti = cw->tgt[static_cast<std::size_t>(target)];
   mpi::Win& iw = cw->ug_wins[static_cast<std::size_t>(ti.local_idx)];
   for (int g : node_ghosts_[static_cast<std::size_t>(ti.node)]) {
-    pmpi_->win_lock(env, type, g, mode_assert, iw);
+    Pmpi::win_lock(env, type, g, mode_assert, iw);
   }
   if (target == me_u) {
     // Self lock: also lock my own rank on the user-visible window so local
     // load/store accesses are protected; granted synchronously.
-    pmpi_->win_lock(env, type, target, mode_assert, cw->user_win);
+    Pmpi::win_lock(env, type, target, mode_assert, cw->user_win);
   }
 }
 
 void CasperLayer::win_unlock(Env& env, int target, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_unlock(env, target, w);
+    Pmpi::win_unlock(env, target, w);
     return;
   }
   const sim::Time t0 = env.now();
@@ -806,15 +759,15 @@ void CasperLayer::win_unlock(Env& env, int target, const Win& w) {
   const auto& ti = cw->tgt[static_cast<std::size_t>(target)];
   mpi::Win& iw = cw->ug_wins[static_cast<std::size_t>(ti.local_idx)];
   for (int g : node_ghosts_[static_cast<std::size_t>(ti.node)]) {
-    pmpi_->win_unlock(env, g, iw);
+    Pmpi::win_unlock(env, g, iw);
   }
   if (target == me_u) {
-    pmpi_->win_unlock(env, target, cw->user_win);
+    Pmpi::win_unlock(env, target, cw->user_win);
   }
   if (tl.user_locked) {
     // Degraded mode issued directly against the user window under a lazily
     // acquired lock; release it with the epoch.
-    pmpi_->win_unlock(env, target, cw->user_win);
+    Pmpi::win_unlock(env, target, cw->user_win);
     tl.user_locked = false;
   }
   tl.locked = false;
@@ -832,7 +785,7 @@ void CasperLayer::win_unlock(Env& env, int target, const Win& w) {
 void CasperLayer::win_lock_all(Env& env, unsigned mode_assert, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_lock_all(env, mode_assert, w);
+    Pmpi::win_lock_all(env, mode_assert, w);
     return;
   }
   MMPI_REQUIRE(cw->epochs & kEpochLockAll,
@@ -851,7 +804,7 @@ void CasperLayer::win_lock_all(Env& env, unsigned mode_assert, const Win& w) {
     for (auto& iw : cw->ug_wins) {
       for (const auto& ghosts : node_ghosts_) {
         for (int g : ghosts) {
-          pmpi_->win_lock(env, mpi::LockType::Shared, g, mode_assert, iw);
+          Pmpi::win_lock(env, mpi::LockType::Shared, g, mode_assert, iw);
         }
       }
     }
@@ -863,7 +816,7 @@ void CasperLayer::win_lock_all(Env& env, unsigned mode_assert, const Win& w) {
 void CasperLayer::win_unlock_all(Env& env, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_unlock_all(env, w);
+    Pmpi::win_unlock_all(env, w);
     return;
   }
   const sim::Time t0 = env.now();
@@ -874,18 +827,18 @@ void CasperLayer::win_unlock_all(Env& env, const Win& w) {
     for (auto& iw : cw->ug_wins) {
       for (const auto& ghosts : node_ghosts_) {
         for (int g : ghosts) {
-          pmpi_->win_unlock(env, g, iw);
+          Pmpi::win_unlock(env, g, iw);
         }
       }
     }
   } else {
     // Complete everything issued under the permanent lockall.
-    pmpi_->win_flush_all(env, cw->global_win);
+    Pmpi::win_flush_all(env, cw->global_win);
   }
   for (int u = 0; u < static_cast<int>(ep.tl.size()); ++u) {
     auto& tl = ep.tl[static_cast<std::size_t>(u)];
     if (tl.user_locked) {
-      pmpi_->win_unlock(env, u, cw->user_win);
+      Pmpi::win_unlock(env, u, cw->user_win);
       tl.user_locked = false;
     }
   }
@@ -903,7 +856,7 @@ void CasperLayer::win_unlock_all(Env& env, const Win& w) {
 void CasperLayer::win_flush(Env& env, int target, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_flush(env, target, w);
+    Pmpi::win_flush(env, target, w);
     return;
   }
   const sim::Time t0 = env.now();
@@ -917,11 +870,11 @@ void CasperLayer::win_flush(Env& env, int target, const Win& w) {
   const auto& ti = cw->tgt[static_cast<std::size_t>(target)];
   mpi::Win& iw = route_window(*cw, me_u, target);
   for (int g : node_ghosts_[static_cast<std::size_t>(ti.node)]) {
-    pmpi_->win_flush(env, g, iw);
+    Pmpi::win_flush(env, g, iw);
   }
   if (tl.user_locked) {
     // Degraded direct ops went to the user window; complete them too.
-    pmpi_->win_flush(env, target, cw->user_win);
+    Pmpi::win_flush(env, target, cw->user_win);
   }
   if (cw->adapt.on && tl.unflushed_acc != 0) {
     // The per-ghost flushes above remotely completed this target's
@@ -940,7 +893,7 @@ void CasperLayer::win_flush(Env& env, int target, const Win& w) {
 void CasperLayer::win_flush_all(Env& env, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_flush_all(env, w);
+    Pmpi::win_flush_all(env, w);
     return;
   }
   const sim::Time t0 = env.now();
@@ -959,7 +912,7 @@ void CasperLayer::win_flush_all(Env& env, const Win& w) {
 void CasperLayer::win_flush_local(Env& env, int target, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_flush_local(env, target, w);
+    Pmpi::win_flush_local(env, target, w);
     return;
   }
   env.ctx().advance(sim::ns(50));
@@ -968,7 +921,7 @@ void CasperLayer::win_flush_local(Env& env, int target, const Win& w) {
 void CasperLayer::win_flush_local_all(Env& env, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_flush_local_all(env, w);
+    Pmpi::win_flush_local_all(env, w);
     return;
   }
   env.ctx().advance(sim::ns(50));
@@ -977,10 +930,10 @@ void CasperLayer::win_flush_local_all(Env& env, const Win& w) {
 void CasperLayer::win_sync(Env& env, const Win& w) {
   auto* cw = managed(w);
   if (cw == nullptr) {
-    pmpi_->win_sync(env, w);
+    Pmpi::win_sync(env, w);
     return;
   }
-  pmpi_->win_sync(env, cw->global_win ? cw->global_win : cw->user_win);
+  Pmpi::win_sync(env, cw->global_win ? cw->global_win : cw->user_win);
 }
 
 }  // namespace casper::core

@@ -1,7 +1,7 @@
 // CasperLayer: ghost deployment, COMM_USER_WORLD setup, the ghost process
-// service loop, finalization, and the non-RMA call passthroughs (which are
-// implicitly redirected to user processes because comm_world() returns
-// COMM_USER_WORLD — the paper's "MPI_COMM_WORLD substitution").
+// service loop and finalization. Non-RMA calls are the inherited Pmpi
+// entries; they reach user processes only because comm_world() returns
+// COMM_USER_WORLD — the paper's "MPI_COMM_WORLD substitution".
 #include <sstream>
 
 #include "core/layer_impl.hpp"
@@ -75,13 +75,12 @@ mpi::LayerFactory layer(const Config& cfg) {
 }
 
 CasperLayer::CasperLayer(mpi::Runtime& rt, Config cfg)
-    : rt_(&rt), cfg_(std::move(cfg)) {
+    : Pmpi(rt), cfg_(std::move(cfg)) {
   MMPI_REQUIRE(cfg_.ghosts_per_node >= 1, "casper: need >= 1 ghost per node");
   MMPI_REQUIRE(cfg_.ghosts_per_node < rt_->topo().cores_per_node,
                "casper: ghosts_per_node (%d) must leave user cores on a "
                "%d-core node",
                cfg_.ghosts_per_node, rt_->topo().cores_per_node);
-  pmpi_ = std::make_shared<mpi::Pmpi>(rt);
   // One counter pointer per shard: a worker thread must bump its own shard's
   // stats replica (merged after the run). Unsharded, shard_stats(0) is the
   // global stats object and this is the old single-pointer behaviour.
@@ -198,8 +197,8 @@ void CasperLayer::ghost_loop(Env& env) {
   // (paper II.A).
   for (;;) {
     GhostCmd cmd;
-    pmpi_->recv(env, &cmd, static_cast<int>(sizeof(cmd)), mpi::Dt::Byte,
-                mpi::kAnySource, kTagCmd, rt_->world());
+    Pmpi::recv(env, &cmd, static_cast<int>(sizeof(cmd)), mpi::Dt::Byte,
+               mpi::kAnySource, kTagCmd, rt_->world());
     switch (cmd.code) {
       case GhostCmd::kWinAlloc: {
         // Ghosts take part in the collective set-up only; the window's
@@ -221,7 +220,7 @@ void CasperLayer::ghost_loop(Env& env) {
         break;
       }
       case GhostCmd::kFinalize:
-        pmpi_->barrier(env, rt_->world());
+        Pmpi::barrier(env, rt_->world());
         return;
       default:
         MMPI_REQUIRE(false, "casper ghost: bad command %d", cmd.code);
@@ -240,9 +239,9 @@ std::map<int, CasperLayer::WinHandles>& CasperLayer::my_ghost_wins(int me) {
 }
 
 void CasperLayer::user_finalize(Env& env) {
-  pmpi_->barrier(env, user_world_);
+  Pmpi::barrier(env, user_world_);
   GhostCmd fin; fin.code = GhostCmd::kFinalize; notify_ghosts(env, fin);
-  pmpi_->barrier(env, rt_->world());
+  Pmpi::barrier(env, rt_->world());
 }
 
 void CasperLayer::notify_ghosts(Env& env, const GhostCmd& cmd) {
@@ -250,58 +249,17 @@ void CasperLayer::notify_ghosts(Env& env, const GhostCmd& cmd) {
   const int node = rt_->topo().node_of(me);
   if (node_master_[static_cast<std::size_t>(node)] != me) return;
   for (int g : node_ghosts_[static_cast<std::size_t>(node)]) {
-    pmpi_->send(env, &cmd, static_cast<int>(sizeof(cmd)), mpi::Dt::Byte,
-                g, kTagCmd, rt_->world());
+    Pmpi::send(env, &cmd, static_cast<int>(sizeof(cmd)), mpi::Dt::Byte,
+               g, kTagCmd, rt_->world());
   }
 }
 
-// ----------------------------------------------------- comm passthroughs --
+// ----------------------------------------------------- world and barrier --
 
 Comm CasperLayer::comm_world(Env& env) {
   MMPI_REQUIRE(!ghost_rank(env.world_rank()),
                "casper: ghost rank asked for the user world");
   return user_world_;
-}
-
-Comm CasperLayer::comm_split(Env& env, const Comm& c, int color, int key) {
-  return pmpi_->comm_split(env, c, color, key);
-}
-
-Comm CasperLayer::comm_dup(Env& env, const Comm& c) {
-  return pmpi_->comm_dup(env, c);
-}
-
-void CasperLayer::send(Env& env, const void* buf, int count, mpi::Dt dt,
-                       int dest, int tag, const Comm& c) {
-  pmpi_->send(env, buf, count, dt, dest, tag, c);
-}
-
-mpi::Status CasperLayer::recv(Env& env, void* buf, int count, mpi::Dt dt,
-                              int src, int tag, const Comm& c) {
-  return pmpi_->recv(env, buf, count, dt, src, tag, c);
-}
-
-mpi::Request CasperLayer::isend(Env& env, const void* buf, int count,
-                                mpi::Dt dt, int dest, int tag,
-                                const Comm& c) {
-  return pmpi_->isend(env, buf, count, dt, dest, tag, c);
-}
-
-mpi::Request CasperLayer::irecv(Env& env, void* buf, int count, mpi::Dt dt,
-                                int src, int tag, const Comm& c) {
-  return pmpi_->irecv(env, buf, count, dt, src, tag, c);
-}
-
-mpi::Status CasperLayer::wait(Env& env, const mpi::Request& req) {
-  return pmpi_->wait(env, req);
-}
-
-bool CasperLayer::test(Env& env, const mpi::Request& req) {
-  return pmpi_->test(env, req);
-}
-
-void CasperLayer::waitall(Env& env, mpi::Request* reqs, int n) {
-  pmpi_->waitall(env, reqs, n);
 }
 
 void CasperLayer::barrier(Env& env, const Comm& c) {
@@ -314,42 +272,7 @@ void CasperLayer::barrier(Env& env, const Comm& c) {
     adapt_barrier(env, c);
     return;
   }
-  pmpi_->barrier(env, c);
-}
-
-void CasperLayer::bcast(Env& env, void* buf, int count, mpi::Dt dt, int root,
-                        const Comm& c) {
-  pmpi_->bcast(env, buf, count, dt, root, c);
-}
-
-void CasperLayer::reduce(Env& env, const void* s, void* r, int count,
-                         mpi::Dt dt, mpi::AccOp op, int root, const Comm& c) {
-  pmpi_->reduce(env, s, r, count, dt, op, root, c);
-}
-
-void CasperLayer::allreduce(Env& env, const void* s, void* r, int count,
-                            mpi::Dt dt, mpi::AccOp op, const Comm& c) {
-  pmpi_->allreduce(env, s, r, count, dt, op, c);
-}
-
-void CasperLayer::allgather(Env& env, const void* s, int count, mpi::Dt dt,
-                            void* r, const Comm& c) {
-  pmpi_->allgather(env, s, count, dt, r, c);
-}
-
-void CasperLayer::alltoall(Env& env, const void* s, int count, mpi::Dt dt,
-                           void* r, const Comm& c) {
-  pmpi_->alltoall(env, s, count, dt, r, c);
-}
-
-void CasperLayer::gather(Env& env, const void* s, int count, mpi::Dt dt,
-                         void* r, int root, const Comm& c) {
-  pmpi_->gather(env, s, count, dt, r, root, c);
-}
-
-void CasperLayer::scatter(Env& env, const void* s, int count, mpi::Dt dt,
-                          void* r, int root, const Comm& c) {
-  pmpi_->scatter(env, s, count, dt, r, root, c);
+  Pmpi::barrier(env, c);
 }
 
 }  // namespace casper::core

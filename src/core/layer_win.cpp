@@ -51,7 +51,7 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   // implementation unmanaged: correct, but without asynchronous progress.
   if (c != user_world_) {
     ++rt_->engine().stats_local().counter("casper_unmanaged_windows");
-    return pmpi_->win_allocate(env, bytes, du, info, c, base);
+    return Pmpi::win_allocate(env, bytes, du, info, c, base);
   }
   const unsigned epochs = parse_epochs(info);
   const int me = env.world_rank();
@@ -73,14 +73,14 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   const Comm& nc = node_comm_of_[static_cast<std::size_t>(me)];
   std::byte* seg_base =
       rt_->p_shared_query(env, h.shm, nc->rank_of_world(me)).base;
-  Win user_win = pmpi_->win_create(env, seg_base, bytes, du, info, user_world_);
+  Win user_win = Pmpi::win_create(env, seg_base, bytes, du, info, user_world_);
   *base = seg_base;
 
   // One canonical CspWin per user window, shared by all member ranks: the
   // first rank to get here builds and registers it; later ranks only merge
   // their node's shared-memory window handle into it. Map/pointer work and
   // the pure table fill only, so holding the registry lock here (sharded) is
-  // safe — no pmpi_ calls.
+  // safe — no MPI calls.
   const auto my_node = static_cast<std::size_t>(rt_->topo().node_of(me));
   std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
   if (rt_->engine().sharded()) lk.lock();
@@ -117,8 +117,8 @@ CasperLayer::WinHandles CasperLayer::build_windows(Env& env,
   // Step 1: allocate the node shared segment; ghosts contribute zero bytes
   // but get the whole node buffer mapped into their "address space".
   void* shm_base = nullptr;
-  h.shm = pmpi_->win_allocate_shared(env, ghost ? 0 : bytes, 1, info, nc,
-                                     &shm_base);
+  h.shm = Pmpi::win_allocate_shared(env, ghost ? 0 : bytes, 1, info, nc,
+                                    &shm_base);
 
   // Compute the node buffer's base and my segment's offset within it from
   // the node-local segment layout.
@@ -135,8 +135,8 @@ CasperLayer::WinHandles CasperLayer::build_windows(Env& env,
   // translate target displacements into ghost-frame displacements.
   lay.places.resize(static_cast<std::size_t>(topo.nranks()));
   Place mine{my_offset, ghost ? 0ull : static_cast<unsigned long long>(bytes)};
-  pmpi_->allgather(env, &mine, static_cast<int>(sizeof(Place)),
-                   mpi::Dt::Byte, lay.places.data(), rt_->world());
+  Pmpi::allgather(env, &mine, static_cast<int>(sizeof(Place)),
+                  mpi::Dt::Byte, lay.places.data(), rt_->world());
 
   lay.node_total.assign(static_cast<std::size_t>(topo.nodes), 0);
   for (int node = 0; node < topo.nodes; ++node) {
@@ -162,17 +162,17 @@ CasperLayer::WinHandles CasperLayer::build_windows(Env& env,
     // locks to the same target keep MPI's permission management (III.A).
     h.ug_wins.reserve(static_cast<std::size_t>(max_local_users_));
     for (int i = 0; i < max_local_users_; ++i) {
-      h.ug_wins.push_back(pmpi_->win_create(env, ghost_base, ghost_size, 1,
-                                            info, rt_->world()));
+      h.ug_wins.push_back(Pmpi::win_create(env, ghost_base, ghost_size, 1,
+                                           info, rt_->world()));
     }
   }
   if (epochs & (kEpochFence | kEpochPscw | kEpochLockAll)) {
     h.global_win =
-        pmpi_->win_create(env, ghost_base, ghost_size, 1, info, rt_->world());
+        Pmpi::win_create(env, ghost_base, ghost_size, 1, info, rt_->world());
     if (!ghost) {
       // Fence/PSCW are translated onto a permanent passive epoch: lock-all
       // issued once at window allocation (III.C.1).
-      pmpi_->win_lock_all(env, 0, h.global_win);
+      Pmpi::win_lock_all(env, 0, h.global_win);
     }
   }
   return h;
@@ -242,17 +242,17 @@ void CasperLayer::free_internal_windows(Env& env, WinHandles h) {
   // rank is still about to free.
   if (h.global_win &&
       !ghost_rank(env.world_rank())) {
-    pmpi_->win_unlock_all(env, h.global_win);
+    Pmpi::win_unlock_all(env, h.global_win);
   }
-  pmpi_->win_free(env, h.shm);
-  for (Win& w : h.ug_wins) pmpi_->win_free(env, w);
-  if (h.global_win) pmpi_->win_free(env, h.global_win);
+  Pmpi::win_free(env, h.shm);
+  for (Win& w : h.ug_wins) Pmpi::win_free(env, w);
+  if (h.global_win) Pmpi::win_free(env, h.global_win);
 }
 
 void CasperLayer::win_free(Env& env, Win& w) {
   std::shared_ptr<CspWin> keep;  // keep the CspWin alive through teardown
   {
-    // Lock scoped to the lookup only: the teardown below makes pmpi_ calls
+    // Lock scoped to the lookup only: the teardown below makes MPI calls
     // that can switch fibers, and holding winmap_mu_ across a fiber switch
     // would deadlock another fiber on the same worker thread.
     std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
@@ -261,7 +261,7 @@ void CasperLayer::win_free(Env& env, Win& w) {
     if (it != winmap_.end()) keep = it->second;
   }
   if (keep == nullptr) {
-    pmpi_->win_free(env, w);
+    Pmpi::win_free(env, w);
     return;
   }
   GhostCmd cmd;
@@ -273,7 +273,7 @@ void CasperLayer::win_free(Env& env, Win& w) {
                 rt_->topo().node_of(env.world_rank()))],
             keep->ug_wins, keep->global_win});
   Win uw = keep->user_win;
-  pmpi_->win_free(env, uw);  // collective: all members are done after this
+  Pmpi::win_free(env, uw);  // collective: all members are done after this
   {
     std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
     if (rt_->engine().sharded()) lk.lock();
@@ -288,7 +288,7 @@ Win CasperLayer::win_allocate_shared(Env& env, std::size_t bytes,
   // Shared windows are node-local by construction; no asynchronous progress
   // problem to solve, pass through (paper supports the allocate model only).
   ++rt_->engine().stats_local().counter("casper_unmanaged_windows");
-  return pmpi_->win_allocate_shared(env, bytes, du, info, c, base);
+  return Pmpi::win_allocate_shared(env, bytes, du, info, c, base);
 }
 
 Win CasperLayer::win_create(Env& env, void* base, std::size_t bytes,
@@ -298,7 +298,7 @@ Win CasperLayer::win_create(Env& env, void* base, std::size_t bytes,
   // into the ghosts; like the paper's implementation we fall back to the
   // native MPI path, unmanaged.
   ++rt_->engine().stats_local().counter("casper_unmanaged_windows");
-  return pmpi_->win_create(env, base, bytes, du, info, c);
+  return Pmpi::win_create(env, base, bytes, du, info, c);
 }
 
 int CasperLayer::bound_ghost_of(const Win& user_win, int user_rank) {

@@ -5,6 +5,7 @@
 #include "core/casper.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/record.hpp"
+#include "sim/hash.hpp"
 
 namespace casper::kv {
 
@@ -27,23 +28,6 @@ constexpr std::size_t kCtrOverflows = 4;
 constexpr std::size_t kCtrCasOk = 5;
 constexpr std::size_t kCtrCasFail = 6;
 
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(const void* p, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::size_t bucket_bytes(const KvConfig& cfg) {
   return (kHdrWords + 2 * static_cast<std::size_t>(cfg.assoc)) * kWord;
 }
@@ -65,11 +49,13 @@ KvStore::KvStore(mpi::Env& env, const KvConfig& cfg, const mpi::Comm& comm)
 }
 
 int KvStore::server_of(std::uint64_t key) const {
-  return static_cast<int>(mix64(key) % static_cast<std::uint64_t>(nservers_));
+  return static_cast<int>(sim::splitmix64(key) %
+                          static_cast<std::uint64_t>(nservers_));
 }
 
 int KvStore::bucket_of(std::uint64_t key) const {
-  const std::uint64_t h = mix64(key) / static_cast<std::uint64_t>(nservers_);
+  const std::uint64_t h =
+      sim::splitmix64(key) / static_cast<std::uint64_t>(nservers_);
   return static_cast<int>(h % static_cast<std::uint64_t>(cfg_.nbuckets));
 }
 
@@ -529,7 +515,7 @@ void KvStore::close() {
 
   // Order-independent fingerprint of the final table: exact sums of each
   // rank's segment-FNV halves, folded into one digest.
-  const std::uint64_t h = fnv1a(base_, seg_bytes(cfg_));
+  const std::uint64_t h = sim::fnv1a(base_, seg_bytes(cfg_));
   double fin[2] = {static_cast<double>(h & 0xffffffffULL),
                    static_cast<double>(h >> 32)};
   double fout[2] = {0, 0};

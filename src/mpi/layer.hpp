@@ -1,10 +1,10 @@
-// The "profiling layer" interface — our stand-in for PMPI interception.
+// The MPI call surface an application sees, as one abstract class.
 //
 // Application code calls Env methods, which forward to the installed Layer.
-// The default layer (Pmpi) forwards straight into the minimpi runtime, like
-// an MPI library's internal entry points. Casper installs its own Layer that
-// wraps Pmpi, exactly as the real Casper overloads MPI_* symbols and calls
-// the PMPI_* name-shifted entry points underneath.
+// The default layer is Pmpi (pmpi.hpp), which forwards every call into the
+// minimpi runtime, like an MPI library's PMPI_* entry points. Casper derives
+// from Pmpi and overrides only the calls it intercepts, exactly as the real
+// Casper redefines a few MPI_* symbols and calls PMPI_* underneath.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +21,9 @@ class Env;
 
 /// One RMA call as a descriptor: kind and op, origin operand(s), result
 /// buffer, target coordinates. The builders are the one place that maps each
-/// MPI call's arguments onto it; an interception layer retargets a copy and
-/// hands it to Runtime::p_rma.
+/// MPI call's arguments onto it. Pmpi's six RMA calls each build one and pass
+/// it to Pmpi::rma, where an interception layer retargets a copy for
+/// Runtime::p_rma.
 struct RmaArgs {
   OpKind kind = OpKind::Put;
   AccOp op = AccOp::Replace;
@@ -80,6 +81,8 @@ struct RmaArgs {
     a.origin_addr2 = desired;
     return a;
   }
+
+  bool operator==(const RmaArgs&) const = default;
 
   /// MPI's size rule: the target layout moves exactly the origin's bytes
   /// (the result buffer's, for GET).

@@ -1,6 +1,12 @@
-// The default (bottom) interception layer: forwards every call straight into
-// the minimpi runtime — the equivalent of the PMPI_* name-shifted entry
-// points that Casper calls underneath its wrappers.
+// The bottom interception layer: every call goes straight into the minimpi
+// runtime, like the PMPI_* name-shifted entry points of an MPI library.
+//
+// An interception layer derives from Pmpi and overrides only the calls it
+// intercepts; everything else resolves to these entries, as unwrapped MPI_*
+// symbols resolve to the library under a real PMPI tool. Inside an override,
+// a qualified `Pmpi::x(...)` call is the PMPI_x underneath. The six RMA calls
+// are final: each builds its RmaArgs descriptor and hands it to rma(), the
+// one entry a subclass overrides to intercept RMA.
 #pragma once
 
 #include "mpi/layer.hpp"
@@ -8,7 +14,7 @@
 
 namespace casper::mpi {
 
-class Pmpi final : public Layer {
+class Pmpi : public Layer {
  public:
   explicit Pmpi(Runtime& rt) : rt_(&rt) {}
 
@@ -96,42 +102,44 @@ class Pmpi final : public Layer {
   }
   void win_free(Env& env, Win& w) override { rt_->p_win_free(env, w); }
 
+  /// Where the six RMA calls below land, as one descriptor.
+  virtual void rma(Env& env, const RmaArgs& a, const Win& w) {
+    rt_->p_rma(env, a, w);
+  }
   void put(Env& env, const void* o, int oc, Datatype odt, int target,
-           std::size_t tdisp, int tc, Datatype tdt, const Win& w) override {
-    rt_->p_rma(env, RmaArgs::put(o, oc, odt, target, tdisp, tc, tdt), w);
+           std::size_t tdisp, int tc, Datatype tdt, const Win& w) final {
+    rma(env, RmaArgs::put(o, oc, odt, target, tdisp, tc, tdt), w);
   }
   void get(Env& env, void* o, int oc, Datatype odt, int target,
-           std::size_t tdisp, int tc, Datatype tdt, const Win& w) override {
-    rt_->p_rma(env, RmaArgs::get(o, oc, odt, target, tdisp, tc, tdt), w);
+           std::size_t tdisp, int tc, Datatype tdt, const Win& w) final {
+    rma(env, RmaArgs::get(o, oc, odt, target, tdisp, tc, tdt), w);
   }
   void accumulate(Env& env, const void* o, int oc, Datatype odt, int target,
                   std::size_t tdisp, int tc, Datatype tdt, AccOp op,
-                  const Win& w) override {
-    rt_->p_rma(env,
-               RmaArgs::accumulate(o, oc, odt, target, tdisp, tc, tdt, op), w);
+                  const Win& w) final {
+    rma(env, RmaArgs::accumulate(o, oc, odt, target, tdisp, tc, tdt, op), w);
   }
   void get_accumulate(Env& env, const void* o, int oc, Datatype odt,
                       void* res, int rc, Datatype rdt, int target,
                       std::size_t tdisp, int tc, Datatype tdt, AccOp op,
-                      const Win& w) override {
-    rt_->p_rma(env,
-               RmaArgs::get_accumulate(o, oc, odt, res, rc, rdt, target, tdisp,
-                                       tc, tdt, op),
-               w);
+                      const Win& w) final {
+    rma(env,
+        RmaArgs::get_accumulate(o, oc, odt, res, rc, rdt, target, tdisp, tc,
+                                tdt, op),
+        w);
   }
   void fetch_and_op(Env& env, const void* value, void* result, Dt dt,
                     int target, std::size_t tdisp, AccOp op,
-                    const Win& w) override {
-    rt_->p_rma(env,
-               RmaArgs::fetch_and_op(value, result, dt, target, tdisp, op), w);
+                    const Win& w) final {
+    rma(env, RmaArgs::fetch_and_op(value, result, dt, target, tdisp, op), w);
   }
   void compare_and_swap(Env& env, const void* expected, const void* desired,
                         void* result, Dt dt, int target, std::size_t tdisp,
-                        const Win& w) override {
-    rt_->p_rma(env,
-               RmaArgs::compare_and_swap(expected, desired, result, dt, target,
-                                         tdisp),
-               w);
+                        const Win& w) final {
+    rma(env,
+        RmaArgs::compare_and_swap(expected, desired, result, dt, target,
+                                  tdisp),
+        w);
   }
 
   void win_fence(Env& env, unsigned as, const Win& w) override {
@@ -175,7 +183,7 @@ class Pmpi final : public Layer {
   }
   void win_sync(Env& env, const Win& w) override { rt_->p_win_sync(env, w); }
 
- private:
+ protected:
   Runtime* rt_;
 };
 

@@ -36,6 +36,7 @@ struct Datatype {
 
   constexpr bool contiguous() const { return stride == blocklen; }
   constexpr std::size_t elem_size() const { return dt_size(base); }
+  bool operator==(const Datatype&) const = default;
 };
 
 constexpr Datatype contig(Dt base) { return Datatype{base, 1, 1}; }

@@ -7,6 +7,7 @@
 #include "core/casper.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/record.hpp"
+#include "sim/hash.hpp"
 
 namespace casper::mwcas {
 
@@ -36,16 +37,6 @@ constexpr int kStInterrupted = 4;
 // Encoded pointers live at >= 2^52; application values are |v| < 2^51.
 constexpr double kPtrBase = 4503599627370496.0;  // 2^52
 constexpr std::int64_t kMaxVal = 1ll << 51;
-
-std::uint64_t fnv1a(const void* p, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -710,7 +701,8 @@ void MwHeap::close() {
   env_.barrier(comm_);
   // Fingerprint the DATA words only: the descriptor region is scratch whose
   // final bytes depend on helping interleavings; the data words must not.
-  const std::uint64_t h = fnv1a(base_, static_cast<std::size_t>(words_) * 8);
+  const std::uint64_t h =
+      sim::fnv1a(base_, static_cast<std::size_t>(words_) * 8);
   double fin[2] = {static_cast<double>(h & 0xffffffffULL),
                    static_cast<double>(h >> 32)};
   double fout[2] = {0, 0};

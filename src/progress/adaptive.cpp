@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/hash.hpp"
+
 namespace casper::progress {
 
 namespace {
@@ -72,13 +74,8 @@ int recommend_policy(int current, std::uint64_t dyn_ops,
 }
 
 std::uint64_t digest(const AdaptState& st) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
+  std::uint64_t h = sim::kFnvBasis;
+  auto mix = [&h](std::uint64_t v) { h = sim::fnv1a(&v, sizeof v, h); };
   mix(st.round);
   mix(static_cast<std::uint64_t>(st.policy));
   for (int s : st.map) mix(static_cast<std::uint64_t>(s));

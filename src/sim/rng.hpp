@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "sim/hash.hpp"
+
 namespace casper::sim {
 
 /// Small, fast, deterministic PRNG (splitmix64). Not cryptographic.
@@ -18,12 +20,12 @@ class Rng {
   /// Seed from a (global seed, stream id) pair; streams are decorrelated by
   /// mixing the id through the output function before use.
   Rng(std::uint64_t seed, std::uint64_t stream)
-      : state_(mix(seed + 0x9e3779b97f4a7c15ULL * (stream + 1))) {}
+      : state_(mix64(seed + kGamma * (stream + 1))) {}
 
   /// Next uniformly distributed 64-bit value.
   std::uint64_t next_u64() {
-    state_ += 0x9e3779b97f4a7c15ULL;
-    return mix(state_);
+    state_ += kGamma;
+    return mix64(state_);
   }
 
   /// Uniform value in [0, bound). bound must be > 0.
@@ -35,12 +37,6 @@ class Rng {
   }
 
  private:
-  static std::uint64_t mix(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
   std::uint64_t state_ = 0x853c49e6748fea9bULL;
 };
 

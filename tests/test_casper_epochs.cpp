@@ -504,6 +504,28 @@ TEST(CasperEpochsDeath, FenceExcludedByHintAborts) {
       "excluded by epochs_used hint");
 }
 
+// A window allocated without pscw in its hint has no global window, so a
+// NOCHECK access epoch must stop at win_start rather than reach win_complete's
+// flush on a window that was never built.
+TEST(CasperEpochsDeath, PscwStartExcludedByHintAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      mpi::exec(cfg(2, 2),
+                [](mpi::Env& env) {
+                  Comm w = env.world();
+                  void* base = nullptr;
+                  Info info;
+                  info.set(core::kEpochsUsedKey, "lock");
+                  Win win = env.win_allocate(sizeof(double), sizeof(double),
+                                             info, w, &base);
+                  const int peer = (env.rank(w) + 1) % env.size(w);
+                  env.win_start(mpi::Group({peer}), mpi::kModeNoCheck, win);
+                  env.win_complete(win);
+                },
+                core::layer(csp(1))),
+      "excluded by epochs_used hint");
+}
+
 TEST(CasperEpochsDeath, UnknownEpochsTokenAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

@@ -9,6 +9,7 @@
 #include <array>
 #include <vector>
 
+#include "mpi/pmpi.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
 
@@ -541,6 +542,91 @@ TEST(MpiRma, OpSemanticsMatchOnEveryCommitPath) {
     EXPECT_EQ(run.sw_ops, p.sw_ops);
     EXPECT_EQ(run.violations, 0u);
   }
+}
+
+// Pmpi's dispatch contract: each of the six RMA calls reaches rma() exactly
+// once, as the descriptor its RmaArgs builder makes, so a layer that
+// overrides rma() alone and passes the descriptor on changes no byte.
+class RmaTap final : public mpi::Pmpi {
+ public:
+  RmaTap(mpi::Runtime& rt, std::vector<mpi::RmaArgs>& seen)
+      : Pmpi(rt), seen_(&seen) {}
+  void rma(mpi::Env& env, const mpi::RmaArgs& a, const Win& w) override {
+    seen_->push_back(a);
+    Pmpi::rma(env, a, w);
+  }
+
+ private:
+  std::vector<mpi::RmaArgs>* seen_;
+};
+
+struct SixCalls {
+  std::vector<mpi::RmaArgs> built;  // the builder's descriptor per call
+  std::vector<double> window;       // the target's window after the epoch
+  std::array<double, 5> fetched{};
+};
+
+// Rank 0 makes each RMA call once against rank 1 in one lock epoch, each on
+// its own window elements, and records the builder's descriptor beside it.
+void six_calls(mpi::Env& env, SixCalls& out) {
+  using mpi::RmaArgs;
+  constexpr int kN = 10;
+  Comm w = env.world();
+  void* base = nullptr;
+  Win win = env.win_allocate(kN * sizeof(double), sizeof(double), Info{}, w,
+                             &base);
+  auto* mem = static_cast<double*>(base);
+  for (int i = 0; i < kN; ++i) mem[i] = 10.0 + i;
+  env.barrier(w);
+  if (env.rank(w) == 0) {
+    const auto dd = mpi::contig(Dt::Double);
+    const auto strided = mpi::vector_of(Dt::Double, 1, 2);
+    const double o[2] = {1.5, 2.5};
+    const double expected = 19.0;
+    double* f = out.fetched.data();
+    auto& b = out.built;
+    env.win_lock(LockType::Exclusive, 1, 0, win);
+    env.put(o, 2, dd, 1, 0, 2, strided, win);  // elements 0 and 2
+    b.push_back(RmaArgs::put(o, 2, dd, 1, 0, 2, strided));
+    env.get(f, 2, dd, 1, 3, 2, dd, win);
+    b.push_back(RmaArgs::get(f, 2, dd, 1, 3, 2, dd));
+    env.accumulate(o, 2, dd, 1, 5, 2, dd, AccOp::Sum, win);
+    b.push_back(RmaArgs::accumulate(o, 2, dd, 1, 5, 2, dd, AccOp::Sum));
+    env.get_accumulate(o, 1, dd, f + 2, 1, dd, 1, 7, 1, dd, AccOp::Max, win);
+    b.push_back(RmaArgs::get_accumulate(o, 1, dd, f + 2, 1, dd, 1, 7, 1, dd,
+                                        AccOp::Max));
+    env.fetch_and_op(o + 1, f + 3, Dt::Double, 1, 8, AccOp::Sum, win);
+    b.push_back(RmaArgs::fetch_and_op(o + 1, f + 3, Dt::Double, 1, 8,
+                                      AccOp::Sum));
+    env.compare_and_swap(&expected, o, f + 4, Dt::Double, 1, 9, win);
+    b.push_back(
+        RmaArgs::compare_and_swap(&expected, o, f + 4, Dt::Double, 1, 9));
+    env.win_unlock(1, win);
+  }
+  env.barrier(w);
+  if (env.rank(w) == 1) out.window.assign(mem, mem + kN);
+  env.win_free(win);
+}
+
+TEST(PmpiDispatch, RmaOverrideSeesEachCallOnceAsItsDescriptor) {
+  SixCalls plain, tapped;
+  std::vector<mpi::RmaArgs> seen;
+  mpi::exec(cfg(2, 1), [&](mpi::Env& env) { six_calls(env, plain); });
+  mpi::exec(cfg(2, 1), [&](mpi::Env& env) { six_calls(env, tapped); },
+            [&](mpi::Runtime& rt) {
+              return std::make_shared<RmaTap>(rt, seen);
+            });
+  ASSERT_EQ(seen.size(), 6u);
+  ASSERT_EQ(tapped.built.size(), 6u);
+  for (std::size_t i = 0; i < seen.size(); ++i)
+    EXPECT_TRUE(seen[i] == tapped.built[i]) << "call " << i;
+  EXPECT_EQ(tapped.window, plain.window);
+  EXPECT_EQ(tapped.fetched, plain.fetched);
+  // The epoch did run: the put, the accumulate and the swap all landed.
+  EXPECT_EQ(plain.window,
+            (std::vector<double>{1.5, 11, 2.5, 13, 14, 16.5, 18.5, 17, 20.5,
+                                 1.5}));
+  EXPECT_EQ(plain.fetched, (std::array<double, 5>{13, 14, 17, 18, 19}));
 }
 
 }  // namespace
