@@ -4,8 +4,9 @@
 Checks the structural contract chrome://tracing and Perfetto rely on:
   * top level is an object with a "traceEvents" list
   * every event has ph in {X, i, M}, integer pid/tid, and a name
-  * every name is one of the known obs event names (obs::to_string(Ev) —
-    keep KNOWN_EVENTS in sync with src/obs/trace.cpp)
+  * every name is one of the known obs event names (obs::to_string(Ev);
+    test_obs's Tracer.ValidatorKnowsExactlyTheEventNames fails when
+    KNOWN_EVENTS differs from it)
   * X (span) events carry numeric ts and dur >= 0
   * i (instant) events carry numeric ts and a scope "s"
   * M events are thread_name metadata with a non-empty args.name

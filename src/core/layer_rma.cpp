@@ -9,6 +9,7 @@
 
 namespace casper::core {
 
+using mpi::accumulate_class;
 using mpi::Datatype;
 using mpi::Env;
 using mpi::OpKind;
@@ -18,11 +19,6 @@ namespace {
 /// Per-op translation overhead added by Casper's wrapper (rank + offset
 /// translation, binding decision).
 constexpr sim::Time kTranslateCost = sim::ns(60);
-
-bool acc_like(OpKind k) {
-  return k == OpKind::Acc || k == OpKind::GetAcc || k == OpKind::Fao ||
-         k == OpKind::Cas;
-}
 
 /// Membership test on a per-rank bitmask (the access-group mirror kept in
 /// OriginEp::access_mask); replaces a linear scan of the group vector on the
@@ -51,17 +47,21 @@ const char* lb_name(DynamicLb d) {
 
 }  // namespace
 
-void CasperLayer::note_epoch_sync(Env& env, const mpi::Win& user_win,
-                                  mpi::SyncKind k, sim::Time t0) {
-  if (!obs::on(rt_->recorder())) return;
-  obs::Recorder* rec = rt_->recorder();
-  const sim::Time dur = env.now() - t0;
-  rec->trace().span(env.world_rank(), obs::Ev::EpochTranslate, t0, dur,
-                  static_cast<std::uint64_t>(k),
-                  static_cast<std::uint64_t>(user_win->id()));
-  sync_ns_.get(*rec, static_cast<std::size_t>(k), [k] {
-    return std::string("sync_ns.") + mpi::to_string(k);
-  }).add(dur);
+void CasperLayer::end_sync(Env& env, CspWin& cw, mpi::SyncKind k, int target,
+                           sim::Time t0) {
+  if (obs::on(rt_->recorder())) {
+    obs::Recorder* rec = rt_->recorder();
+    const sim::Time dur = env.now() - t0;
+    rec->trace().span(env.world_rank(), obs::Ev::EpochTranslate, t0, dur,
+                    static_cast<std::uint64_t>(k),
+                    static_cast<std::uint64_t>(cw.user_win->id()));
+    sync_ns_.get(*rec, static_cast<std::size_t>(k), [k] {
+      return std::string("sync_ns.") + mpi::to_string(k);
+    }).add(dur);
+  }
+  // Report the *user-facing* sync on the user window: the oracle validates
+  // real window bytes here, after the translated completion.
+  rt_->observe_sync(*cw.user_win, env.world_rank(), k, target, env.now());
 }
 
 // ------------------------------------------------------------- routing ----
@@ -199,7 +199,7 @@ void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
 
 bool CasperLayer::dynamic_applicable(const CspWin& cw, int origin, int target,
                                      OpKind kind) const {
-  if (cfg_.dynamic == DynamicLb::None || acc_like(kind)) return false;
+  if (cfg_.dynamic == DynamicLb::None || accumulate_class(kind)) return false;
   const auto& ep = cw.ep[static_cast<std::size_t>(origin)];
   const auto& tl = ep.tl[static_cast<std::size_t>(target)];
   // Dynamic binding is valid for PUT/GET when the epoch is lockall (shared
@@ -287,7 +287,7 @@ void CasperLayer::rma(Env& env, const mpi::RmaArgs& a, const Win& w) {
   // race with the ghost's read-modify-writes of the same location on behalf
   // of other origins, breaking MPI's accumulate atomicity. They are
   // redirected like any other op, so the bound ghost serializes them.
-  if (target == me_u && !acc_like(kind)) {
+  if (target == me_u && !accumulate_class(kind)) {
     exec_self(env, a, disp_bytes, cw);
     return;
   }
@@ -312,7 +312,7 @@ void CasperLayer::rma(Env& env, const mpi::RmaArgs& a, const Win& w) {
   // bytes to another ghost would let two ghosts RMW the same location. The
   // controller reads these levels off the sealed board and vetoes a remap
   // while any is nonzero (layer_adapt.cpp).
-  if (cw.adapt.on && acc_like(kind)) {
+  if (cw.adapt.on && accumulate_class(kind)) {
     ++ep.tl[static_cast<std::size_t>(target)].unflushed_acc;
     ++ep.adapt_acc.unflushed_acc;
   }
@@ -330,42 +330,20 @@ void CasperLayer::rma(Env& env, const mpi::RmaArgs& a, const Win& w) {
   mpi::Win& iw = route_window(cw, me_u, target);
   const std::size_t bytes = mpi::data_bytes(a.tcount, a.tdt);
 
-  // Redirect bookkeeping: one trace instant + per-ghost totals per routed
-  // (sub)op. Ghost ids are comm ranks of the internal window; metrics key on
-  // the ghost's world rank so totals aggregate across windows.
   obs::Recorder* rec = obs::on(rt_->recorder()) ? rt_->recorder() : nullptr;
-  auto note_redirect = [&](int ghost, std::size_t nbytes) {
-    if (rec == nullptr) return;
-    const int gw = iw->comm()->world_rank(ghost);
-    rec->trace().instant(env.world_rank(), obs::Ev::OpRedirected, env.now(),
-                       static_cast<std::uint64_t>(gw),
-                       static_cast<std::uint64_t>(kind), nbytes);
-    ++rec->metrics().counter("casper.redirected_ops");
-    rec->metrics().histogram("redirect_bytes").add(nbytes);
-    auto key = [gw](const char* what) {
-      return "ghost." + std::to_string(gw) + what;
-    };
-    const auto g = static_cast<std::size_t>(gw);
-    ++ghost_ops_.get(*rec, g, [&] { return key(".ops"); });
-    ghost_bytes_.get(*rec, g, [&] { return key(".bytes"); }) += nbytes;
-  };
-
-  // NUMA hint: the ghost processing this op touches the target user's
-  // segment; crossing the node's domain interconnect costs extra (what the
-  // topology-aware binding avoids).
   const int target_world = user_world_->world_rank(target);
-  auto numa_hint = [&](int ghost_world) {
-    rt_->set_next_op_cross_numa(
-        env.world_rank(), rt_->topo().numa_of(ghost_world) !=
-                              rt_->topo().numa_of(target_world));
-  };
 
-  // --- dynamic binding fast path: whole op to one chosen ghost -------------
-  if (dynamic_applicable(cw, me_u, target, kind)) {
+  // --- route resolution: the op becomes ep.subs, one piece per ghost -------
+  // Each route keeps its own bookkeeping here; the issue loop below is
+  // shared. The pieces stay intact across the loop's p_rma and win_flush
+  // calls: only this origin's next rma() rewrites them.
+  std::vector<SubOp>& subs = ep.subs;
+  subs.clear();
+  const bool dynamic = dynamic_applicable(cw, me_u, target, kind);
+  if (dynamic) {
+    // Dynamic binding: the whole op to one chosen ghost.
     const DynamicLb lb = effective_lb(cw, ep);
     const int ghost = choose_dynamic_ghost(env, cw, me_u, ti.node);
-    ++ep.ops_to_ghost[ghost_slot(ghost)];
-    ep.bytes_to_ghost[ghost_slot(ghost)] += bytes;
     if (cw.adapt.on) {
       adapt_note(cw, ep, ti, ti.offset + disp_bytes, bytes);
       auto& acc = ep.adapt_acc;
@@ -383,95 +361,103 @@ void CasperLayer::rma(Env& env, const mpi::RmaArgs& a, const Win& w) {
         return std::string("casper.lb.") + lb_name(lb);
       });
     }
-    note_redirect(ghost, bytes);
-    numa_hint(ghost);
-    mpi::RmaArgs g = a;
-    g.target = ghost;
-    g.tdisp = ti.offset + disp_bytes;
-    rt_->p_rma(env, g, iw);
-    ++*stat_dynamic_ops_[shard_idx()];
-    return;
+    subs.push_back(SubOp{ghost, ti.offset + disp_bytes, a.tcount, a.tdt, 0});
+  } else {
+    resolve_static(cw, me_u, target, disp_bytes, a.tcount, a.tdt, subs);
+    // Accumulate atomicity requires every target byte to be read-modify-
+    // written by exactly ONE processing entity, regardless of which op
+    // shapes touch it. Segment binding satisfies this because every
+    // accumulate-class op is routed (splitting if necessary) along the same
+    // byte->segment-owner map: chunk boundaries are 16B aligned, so a split
+    // never divides a basic element, and any two overlapping accumulates
+    // meet at the same ghost for the bytes they share. FAO/CAS operate on a
+    // single aligned basic element and therefore always fit in one segment.
+    MMPI_REQUIRE(subs.size() == 1 ||
+                     (kind != OpKind::Fao && kind != OpKind::Cas),
+                 "casper: single-element op split a segment boundary");
   }
 
-  // --- static binding -------------------------------------------------------
-  std::vector<SubOp>& subs = ep.subs;
-  subs.clear();
-  resolve_static(cw, me_u, target, disp_bytes, a.tcount, a.tdt, subs);
-
-  // Accumulate atomicity requires every target byte to be read-modify-
-  // written by exactly ONE processing entity, regardless of which op shapes
-  // touch it. Segment binding satisfies this because every accumulate-class
-  // op is routed (splitting if necessary) along the same byte->segment-owner
-  // map: chunk boundaries are 16B aligned, so a split never divides a basic
-  // element, and any two overlapping accumulates meet at the same ghost for
-  // the bytes they share. FAO/CAS operate on a single aligned basic element
-  // and therefore always fit in one segment.
-  MMPI_REQUIRE(subs.size() == 1 ||
-                   (kind != OpKind::Fao && kind != OpKind::Cas),
-               "casper: single-element op split a segment boundary");
-
-  if (subs.size() == 1 && subs[0].payload_off == 0 &&
-      mpi::data_bytes(subs[0].tcount, subs[0].tdt) == bytes) {
-    // Fast path: whole op through one ghost, original datatypes preserved.
-    const SubOp& s = subs[0];
-    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
-    ep.bytes_to_ghost[ghost_slot(s.ghost)] += bytes;
-    if (rec != nullptr) ++rec->metrics().counter("casper.binding_fastpath");
-    note_redirect(s.ghost, bytes);
-    numa_hint(s.ghost);
-    mpi::RmaArgs g = a;
-    g.target = s.ghost;
-    g.tdisp = s.tdisp;
-    rt_->p_rma(env, g, iw);
-    return;
-  }
-
-  // Split path (segment binding): pack the origin data once, then issue each
-  // piece as a contiguous op against its owning ghost. GET_ACCUMULATE splits
+  // A single piece covering the whole op keeps the user's datatypes. A real
+  // split (segment binding) packs the origin data once and issues each
+  // piece as a contiguous op against its owning ghost; GET_ACCUMULATE splits
   // like GET on the result side: fetched pieces land in `gather` and are
   // reassembled after a flush.
-  MMPI_REQUIRE(kind == OpKind::Put || kind == OpKind::Get ||
-                   kind == OpKind::Acc || kind == OpKind::GetAcc,
-               "casper: split not supported for this op kind");
-  if (rec != nullptr) {
-    rec->trace().instant(env.world_rank(), obs::Ev::OpSegmentSplit, env.now(),
-                       subs.size(), static_cast<std::uint64_t>(kind), bytes);
-    ++rec->metrics().counter("casper.binding_split");
-  }
+  const bool split = subs.size() != 1 || subs[0].payload_off != 0 ||
+                     mpi::data_bytes(subs[0].tcount, subs[0].tdt) != bytes;
   const bool fetches = kind == OpKind::Get || kind == OpKind::GetAcc;
   sim::PoolBuf packed(&rt_->buffer_pool());
-  if (kind != OpKind::Get) {
-    mpi::pack_into(packed, a.origin_addr, a.ocount, a.odt);
-  }
   sim::PoolBuf gather(&rt_->buffer_pool());
-  if (fetches) gather.resize(bytes);
+  if (split) {
+    MMPI_REQUIRE(kind == OpKind::Put || kind == OpKind::Get ||
+                     kind == OpKind::Acc || kind == OpKind::GetAcc,
+                 "casper: split not supported for this op kind");
+    if (rec != nullptr) {
+      rec->trace().instant(env.world_rank(), obs::Ev::OpSegmentSplit,
+                         env.now(), subs.size(),
+                         static_cast<std::uint64_t>(kind), bytes);
+      ++rec->metrics().counter("casper.binding_split");
+    }
+    if (kind != OpKind::Get) {
+      mpi::pack_into(packed, a.origin_addr, a.ocount, a.odt);
+    }
+    if (fetches) gather.resize(bytes);
+  } else if (!dynamic && rec != nullptr) {
+    ++rec->metrics().counter("casper.binding_fastpath");
+  }
 
+  // --- issue: one p_rma per piece, against its ghost -----------------------
   for (const SubOp& s : subs) {
-    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
     const std::size_t sbytes = mpi::data_bytes(s.tcount, s.tdt);
+    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
     ep.bytes_to_ghost[ghost_slot(s.ghost)] += sbytes;
-    note_redirect(s.ghost, sbytes);
-    numa_hint(s.ghost);
+    if (rec != nullptr) {
+      // One trace instant + per-ghost totals per piece. Ghost ids are comm
+      // ranks of the internal window; metrics key on the ghost's world rank
+      // so totals aggregate across windows.
+      const int gw = iw->comm()->world_rank(s.ghost);
+      rec->trace().instant(env.world_rank(), obs::Ev::OpRedirected,
+                         env.now(), static_cast<std::uint64_t>(gw),
+                         static_cast<std::uint64_t>(kind), sbytes);
+      ++rec->metrics().counter("casper.redirected_ops");
+      rec->metrics().histogram("redirect_bytes").add(sbytes);
+      auto key = [gw](const char* what) {
+        return "ghost." + std::to_string(gw) + what;
+      };
+      const auto g = static_cast<std::size_t>(gw);
+      ++ghost_ops_.get(*rec, g, [&] { return key(".ops"); });
+      ghost_bytes_.get(*rec, g, [&] { return key(".bytes"); }) += sbytes;
+    }
+    // NUMA hint: the ghost processing this op touches the target user's
+    // segment; crossing the node's domain interconnect costs extra (what the
+    // topology-aware binding avoids).
+    rt_->set_next_op_cross_numa(
+        env.world_rank(),
+        rt_->topo().numa_of(s.ghost) != rt_->topo().numa_of(target_world));
     mpi::RmaArgs piece = a;
     piece.target = s.ghost;
     piece.tdisp = s.tdisp;
-    piece.tcount = s.tcount;
-    piece.tdt = s.tdt;
-    if (kind != OpKind::Get) {
-      piece.origin_addr = packed.data() + s.payload_off;
-      piece.ocount = s.tcount;
-      piece.odt = s.tdt;
-    }
-    if (fetches) {
-      piece.result_addr = gather.data() + s.payload_off;
-      piece.rcount = s.tcount;
-      piece.rdt = s.tdt;
+    if (split) {
+      piece.tcount = s.tcount;
+      piece.tdt = s.tdt;
+      if (kind != OpKind::Get) {
+        piece.origin_addr = packed.data() + s.payload_off;
+        piece.ocount = s.tcount;
+        piece.odt = s.tdt;
+      }
+      if (fetches) {
+        piece.result_addr = gather.data() + s.payload_off;
+        piece.rcount = s.tcount;
+        piece.rdt = s.tdt;
+      }
     }
     rt_->p_rma(env, piece, iw);
-    ++*stat_split_subops_[shard_idx()];
-    if (rec != nullptr) ++rec->metrics().counter("casper.split_subops");
+    if (split) {
+      ++*stat_split_subops_[shard_idx()];
+      if (rec != nullptr) ++rec->metrics().counter("casper.split_subops");
+    }
   }
-  if (fetches) {
+  if (dynamic) ++*stat_dynamic_ops_[shard_idx()];
+  if (split && fetches) {
     // The pieces land in `gather` asynchronously; unpacking into the user's
     // (possibly strided) origin buffer must wait for completion. We wait
     // here (a flush on the involved ghosts), trading a little overlap for
@@ -507,17 +493,7 @@ void CasperLayer::exec_self(Env& env, const mpi::RmaArgs& a,
   if (rt_->has_observers()) {
     // Self PUT/GET bypass the runtime's AM path entirely (direct load/store
     // above); synthesize the committed op so the shadow oracle sees it.
-    mpi::AmOp aop;
-    aop.kind = a.kind;
-    aop.op = a.op;
-    aop.origin_world = env.world_rank();
-    aop.target_world = env.world_rank();
-    aop.win = cw.user_win.get();
-    aop.origin_comm_rank = a.target;
-    aop.target_comm_rank = a.target;
-    aop.target_disp = static_cast<std::uint32_t>(disp_bytes);
-    aop.target_count = a.tcount;
-    aop.target_dt = a.tdt;
+    mpi::AmOp aop = mpi::observed_op(a, env.world_rank(), *cw.user_win);
     aop.payload.bind(&rt_->buffer_pool());
     if (a.kind == OpKind::Put) {
       mpi::pack_into(aop.payload, a.origin_addr, a.ocount, a.odt);
@@ -593,11 +569,7 @@ void CasperLayer::win_fence(Env& env, unsigned mode_assert, const Win& w) {
   }
 
   ep.fence_open = !(mode_assert & mpi::kModeNoSucceed);
-  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Fence, t0);
-  // Report the *user-facing* sync on the user window: the oracle validates
-  // real window bytes here, after the translated completion above.
-  rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Fence, -1,
-                    env.now());
+  end_sync(env, *cw, mpi::SyncKind::Fence, -1, t0);
   if (ep.fence_open) {
     rt_->observe_epoch_begin(*cw->user_win, env.world_rank(),
                              mpi::EpochEv::Fence, -1, env.now());
@@ -678,9 +650,7 @@ void CasperLayer::win_complete(Env& env, const Win& w) {
   }
   ep.access_group.clear();
   std::fill(ep.access_mask.begin(), ep.access_mask.end(), 0);
-  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Complete, t0);
-  rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Complete,
-                    -1, env.now());
+  end_sync(env, *cw, mpi::SyncKind::Complete, -1, t0);
 }
 
 void CasperLayer::win_wait(Env& env, const Win& w) {
@@ -701,9 +671,7 @@ void CasperLayer::win_wait(Env& env, const Win& w) {
   }
   ep.exposure_group.clear();
   Pmpi::win_sync(env, cw->global_win);
-  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Wait, t0);
-  rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Wait, -1,
-                    env.now());
+  end_sync(env, *cw, mpi::SyncKind::Wait, -1, t0);
 }
 
 void CasperLayer::win_lock(Env& env, mpi::LockType type, int target,
@@ -777,9 +745,7 @@ void CasperLayer::win_unlock(Env& env, int target, const Win& w) {
     ep.adapt_acc.unflushed_acc -= tl.unflushed_acc;
     tl.unflushed_acc = 0;
   }
-  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Unlock, t0);
-  rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Unlock,
-                    target, env.now());
+  end_sync(env, *cw, mpi::SyncKind::Unlock, target, t0);
 }
 
 void CasperLayer::win_lock_all(Env& env, unsigned mode_assert, const Win& w) {
@@ -848,9 +814,7 @@ void CasperLayer::win_unlock_all(Env& env, const Win& w) {
     tl.unflushed_acc = 0;  // unlock_all remotely completed everything
   }
   if (cw->adapt.on) ep.adapt_acc.unflushed_acc = 0;
-  note_epoch_sync(env, cw->user_win, mpi::SyncKind::UnlockAll, t0);
-  rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::UnlockAll,
-                    -1, env.now());
+  end_sync(env, *cw, mpi::SyncKind::UnlockAll, -1, t0);
 }
 
 void CasperLayer::win_flush(Env& env, int target, const Win& w) {
@@ -885,9 +849,7 @@ void CasperLayer::win_flush(Env& env, int target, const Win& w) {
   // After a completed flush the lock is known acquired: the
   // static-binding-free interval begins (paper III.B.3).
   if (tl.locked) tl.binding_free = true;
-  note_epoch_sync(env, cw->user_win, mpi::SyncKind::Flush, t0);
-  rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::Flush,
-                    target, env.now());
+  end_sync(env, *cw, mpi::SyncKind::Flush, target, t0);
 }
 
 void CasperLayer::win_flush_all(Env& env, const Win& w) {
@@ -904,36 +866,7 @@ void CasperLayer::win_flush_all(Env& env, const Win& w) {
       win_flush(env, u, w);
     }
   }
-  note_epoch_sync(env, cw->user_win, mpi::SyncKind::FlushAll, t0);
-  rt_->observe_sync(*cw->user_win, env.world_rank(), mpi::SyncKind::FlushAll,
-                    -1, env.now());
-}
-
-void CasperLayer::win_flush_local(Env& env, int target, const Win& w) {
-  auto* cw = managed(w);
-  if (cw == nullptr) {
-    Pmpi::win_flush_local(env, target, w);
-    return;
-  }
-  env.ctx().advance(sim::ns(50));
-}
-
-void CasperLayer::win_flush_local_all(Env& env, const Win& w) {
-  auto* cw = managed(w);
-  if (cw == nullptr) {
-    Pmpi::win_flush_local_all(env, w);
-    return;
-  }
-  env.ctx().advance(sim::ns(50));
-}
-
-void CasperLayer::win_sync(Env& env, const Win& w) {
-  auto* cw = managed(w);
-  if (cw == nullptr) {
-    Pmpi::win_sync(env, w);
-    return;
-  }
-  Pmpi::win_sync(env, cw->global_win ? cw->global_win : cw->user_win);
+  end_sync(env, *cw, mpi::SyncKind::FlushAll, -1, t0);
 }
 
 }  // namespace casper::core

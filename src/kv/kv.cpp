@@ -19,6 +19,15 @@ constexpr std::size_t kCtrWords = 8;       // per-server ACC counter block
 constexpr std::size_t kHdrWords = 4;       // per-bucket header words
 constexpr std::size_t kWord = 8;
 
+// Deterministic exponential backoff: attempt k sleeps base*2^min(k,cap) plus
+// a seeded jitter in [1, same window] drawn from the client's private
+// stream. Exponential growth is load-bearing: it keeps the spinners' retry
+// rate below the lock holder's software-progress service rate (a linear
+// backoff livelocks original-MPI runs — the holder ends up perpetually
+// servicing failing CASes inside its own flushes).
+constexpr sim::Time kBackoffBase = sim::ns(300);
+constexpr int kBackoffCap = 8;
+
 // Server counter words (ACC Sum maintained by clients).
 constexpr std::size_t kCtrOps = 0;
 constexpr std::size_t kCtrHits = 1;
@@ -87,7 +96,7 @@ void KvStore::open() {
   // layout offset) is descriptor-free.
   const std::size_t total =
       seg_bytes(cfg_) +
-      (lockfree() ? mwcas::Mwcas::region_bytes(cfg_.mw) : 0);
+      (lockfree() ? mwcas::Mwcas::region_bytes() : 0);
   win_ = env_.win_allocate(total, 1, info, comm_, &base_);
   std::memset(base_, 0, total);
   env_.win_lock_all(0, win_);
@@ -105,8 +114,8 @@ void KvStore::backoff(int attempt) {
   // retry arrival rate must drop below the holder's software-progress
   // service rate or the holder never drains its inbox and the whole run
   // livelocks in virtual time.
-  const int k = attempt < cfg_.backoff_cap ? attempt : cfg_.backoff_cap;
-  const sim::Time window = cfg_.backoff_base << k;  // base * 2^k
+  const int k = attempt < kBackoffCap ? attempt : kBackoffCap;
+  const sim::Time window = kBackoffBase << k;  // base * 2^k
   const sim::Time jitter = 1 + rng_.next_below(window);
   env_.compute(window + jitter);
 }

@@ -99,16 +99,8 @@ struct KvConfig {
     LockFree = 2,  ///< MWCAS-guarded entries, no bucket lock (see header)
   };
   LockKind lock = LockKind::CasSpin;
-  /// MWCAS engine shape for LockFree mode (descriptor slots, backoff).
+  /// MWCAS engine planted bugs for LockFree mode.
   mwcas::MwConfig mw;
-  /// Deterministic exponential backoff: attempt k sleeps base*2^min(k,cap)
-  /// plus a seeded jitter in [1, same window] drawn from the client's
-  /// private stream. Exponential growth is load-bearing: it keeps the
-  /// spinners' retry rate below the lock holder's software-progress service
-  /// rate (a linear backoff livelocks original-MPI runs — the holder ends
-  /// up perpetually servicing failing CASes inside its own flushes).
-  sim::Time backoff_base = sim::ns(300);
-  int backoff_cap = 8;
   /// PLANTED BUG (tests only): skip the flush between the value PUT and the
   /// lock release, leaving the write unordered w.r.t. the unlock. Readers
   /// that acquire the lock before the PUT commits observe stale values —

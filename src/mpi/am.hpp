@@ -30,6 +30,13 @@ enum class OpKind : std::uint8_t {
   LockRelease,  // passive-target unlock
 };
 
+/// Accumulate-class kinds read-modify-write target memory, atomically per
+/// basic element, so one processing entity must serve each target byte.
+inline bool accumulate_class(OpKind k) {
+  return k == OpKind::Acc || k == OpKind::GetAcc || k == OpKind::Fao ||
+         k == OpKind::Cas;
+}
+
 /// The fixed-size fields of an active message: everything but the payload.
 /// Split out of AmOp so an arena node is cleared, or a wire copy cloned, with
 /// one assignment. Every in-flight op carries one, so the field order packs

@@ -14,22 +14,24 @@ void Env::prologue() {
   rt_->call_prologue(*this);
 }
 
-void Env::observe_rma_issue(OpKind kind, AccOp op, int target,
-                            std::size_t tdisp, int tcount, const Datatype& tdt,
-                            const Win& win) {
-  AmOp aop;
-  aop.kind = kind;
-  aop.op = op;
-  aop.origin_world = world_rank();
-  aop.target_world = win->comm()->world_rank(target);
-  aop.win = win.get();
-  aop.origin_comm_rank = win->comm()->rank_of_world(world_rank());
-  aop.target_comm_rank = target;
-  aop.target_disp = static_cast<std::uint32_t>(
-      tdisp * win->segs[static_cast<std::size_t>(target)].disp_unit);
-  aop.target_count = tcount;
-  aop.target_dt = tdt;
-  rt_->observe_issue(aop, now());
+AmOp observed_op(const RmaArgs& a, int origin_world, WinImpl& win) {
+  AmOp op;
+  op.kind = a.kind;
+  op.op = a.op;
+  op.origin_world = origin_world;
+  op.target_world = win.comm()->world_rank(a.target);
+  op.win = &win;
+  op.origin_comm_rank = win.comm()->rank_of_world(origin_world);
+  op.target_comm_rank = a.target;
+  op.target_disp = static_cast<std::uint32_t>(
+      a.tdisp * win.segs[static_cast<std::size_t>(a.target)].disp_unit);
+  op.target_count = a.tcount;
+  op.target_dt = a.tdt;
+  return op;
+}
+
+void Env::observe_rma_issue(const RmaArgs& a, const Win& win) {
+  rt_->observe_issue(observed_op(a, world_rank(), *win), now());
 }
 
 void Env::local_store(const void* src, std::size_t offset, std::size_t len,
@@ -199,8 +201,8 @@ void Env::put(const void* origin, int ocount, Datatype odt, int target,
               std::size_t tdisp, int tcount, Datatype tdt, const Win& win) {
   prologue();
   if (rt_->has_observers()) {
-    observe_rma_issue(OpKind::Put, AccOp::Replace, target, tdisp, tcount, tdt,
-                      win);
+    observe_rma_issue(
+        RmaArgs::put(origin, ocount, odt, target, tdisp, tcount, tdt), win);
   }
   layer().put(*this, origin, ocount, odt, target, tdisp, tcount, tdt, win);
 }
@@ -209,8 +211,8 @@ void Env::get(void* origin, int ocount, Datatype odt, int target,
               std::size_t tdisp, int tcount, Datatype tdt, const Win& win) {
   prologue();
   if (rt_->has_observers()) {
-    observe_rma_issue(OpKind::Get, AccOp::Replace, target, tdisp, tcount, tdt,
-                      win);
+    observe_rma_issue(
+        RmaArgs::get(origin, ocount, odt, target, tdisp, tcount, tdt), win);
   }
   layer().get(*this, origin, ocount, odt, target, tdisp, tcount, tdt, win);
 }
@@ -220,7 +222,9 @@ void Env::accumulate(const void* origin, int ocount, Datatype odt, int target,
                      const Win& win) {
   prologue();
   if (rt_->has_observers()) {
-    observe_rma_issue(OpKind::Acc, op, target, tdisp, tcount, tdt, win);
+    observe_rma_issue(RmaArgs::accumulate(origin, ocount, odt, target, tdisp,
+                                          tcount, tdt, op),
+                      win);
   }
   layer().accumulate(*this, origin, ocount, odt, target, tdisp, tcount, tdt,
                      op, win);
@@ -232,7 +236,10 @@ void Env::get_accumulate(const void* origin, int ocount, Datatype odt,
                          AccOp op, const Win& win) {
   prologue();
   if (rt_->has_observers()) {
-    observe_rma_issue(OpKind::GetAcc, op, target, tdisp, tcount, tdt, win);
+    observe_rma_issue(
+        RmaArgs::get_accumulate(origin, ocount, odt, result, rcount, rdt,
+                                target, tdisp, tcount, tdt, op),
+        win);
   }
   layer().get_accumulate(*this, origin, ocount, odt, result, rcount, rdt,
                          target, tdisp, tcount, tdt, op, win);
@@ -242,7 +249,8 @@ void Env::fetch_and_op(const void* value, void* result, Dt dt, int target,
                        std::size_t tdisp, AccOp op, const Win& win) {
   prologue();
   if (rt_->has_observers()) {
-    observe_rma_issue(OpKind::Fao, op, target, tdisp, 1, contig(dt), win);
+    observe_rma_issue(
+        RmaArgs::fetch_and_op(value, result, dt, target, tdisp, op), win);
   }
   layer().fetch_and_op(*this, value, result, dt, target, tdisp, op, win);
 }
@@ -252,8 +260,9 @@ void Env::compare_and_swap(const void* expected, const void* desired,
                            const Win& win) {
   prologue();
   if (rt_->has_observers()) {
-    observe_rma_issue(OpKind::Cas, AccOp::Replace, target, tdisp, 1,
-                      contig(dt), win);
+    observe_rma_issue(RmaArgs::compare_and_swap(expected, desired, result, dt,
+                                                target, tdisp),
+                      win);
   }
   layer().compare_and_swap(*this, expected, desired, result, dt, target,
                            tdisp, win);

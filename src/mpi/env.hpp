@@ -162,8 +162,7 @@ class Env {
   /// interception layer sees (and possibly redirects) it. Defined out of line
   /// so env.hpp needs no Runtime definition; callers gate on
   /// Runtime::has_observers().
-  void observe_rma_issue(OpKind kind, AccOp op, int target, std::size_t tdisp,
-                         int tcount, const Datatype& tdt, const Win& win);
+  void observe_rma_issue(const RmaArgs& a, const Win& win);
 
   Runtime* rt_;
   sim::Context* ctx_;

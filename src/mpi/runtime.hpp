@@ -504,6 +504,10 @@ class Runtime {
   /// an untouched target.
   void flush_target(Env& env, WinImpl& win, int target,
                     OriginTargetState* ots);
+  /// The EpochBegin trace instant of the caller's epoch `epoch` on `win`.
+  /// Each epoch-opening call reports the epoch to observers itself: fence
+  /// closes the previous epoch in between, and start waits for the posts.
+  void trace_epoch_begin(Env& env, const WinImpl& win, EpochKind epoch);
   /// Release the caller's lock on `target` and end it: p_win_unlock's body.
   /// `ots` is null for an untouched target: a lock run member, or any
   /// target inside lock_all.
@@ -574,6 +578,12 @@ class Runtime {
   std::unique_ptr<FaultState> fs_;
   ObsKeys keys_;
 };
+
+/// The op observers see for RMA call `a` issued by world rank
+/// `origin_world` on `win`: kind, op, both ranks, the window, the byte
+/// displacement and the target layout. No payload: a caller reporting a
+/// commit adds the bytes it wrote.
+AmOp observed_op(const RmaArgs& a, int origin_world, WinImpl& win);
 
 /// Convenience: build a runtime and run `user_main` on every rank.
 void exec(RunConfig cfg, std::function<void(Env&)> user_main,

@@ -260,9 +260,7 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
   // concurrently with this rank, accumulate-class self ops must go through
   // the same agent to preserve MPI's accumulate atomicity.
   const bool self_acc_needs_agent =
-      cfg_.progress.kind != progress::Kind::None &&
-      (a.kind == OpKind::Acc || a.kind == OpKind::GetAcc ||
-       a.kind == OpKind::Fao || a.kind == OpKind::Cas);
+      cfg_.progress.kind != progress::Kind::None && accumulate_class(a.kind);
   if (op.target_world == env.world_rank() && !self_acc_needs_agent) {
     exec_self(env, op);
     rio.arena->free(n);
@@ -293,6 +291,15 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
 
 // ------------------------------------------------------- fence epochs ----
 
+void Runtime::trace_epoch_begin(Env& env, const WinImpl& win,
+                                EpochKind epoch) {
+  if (obs::on(recorder())) {
+    recorder()->trace().instant(env.world_rank(), obs::Ev::EpochBegin,
+                              env.now(), static_cast<std::uint64_t>(epoch),
+                              static_cast<std::uint64_t>(win.id()));
+  }
+}
+
 void Runtime::p_win_fence(Env& env, unsigned mode_assert, const Win& win) {
   env.ctx().settle();
   const int me = win->comm()->rank_of_world(env.world_rank());
@@ -307,11 +314,7 @@ void Runtime::p_win_fence(Env& env, unsigned mode_assert, const Win& win) {
   p_barrier(env, win->comm());
   my.fence_open = !(mode_assert & kModeNoSucceed);
   my.epoch = my.fence_open ? EpochKind::Fence : EpochKind::None;
-  if (my.fence_open && obs::on(recorder())) {
-    recorder()->trace().instant(env.world_rank(), obs::Ev::EpochBegin,
-                              env.now(), static_cast<std::uint64_t>(my.epoch),
-                              static_cast<std::uint64_t>(win->id()));
-  }
+  if (my.fence_open) trace_epoch_begin(env, *win, my.epoch);
   observe_sync(*win, env.world_rank(), SyncKind::Fence, -1, env.now());
   if (my.fence_open) {
     observe_epoch_begin(*win, env.world_rank(), EpochEv::Fence, -1, env.now());
@@ -358,11 +361,7 @@ void Runtime::p_win_start(Env& env, const Group& group, unsigned mode_assert,
     my.access_group.push_back(cr);
   }
   my.epoch = EpochKind::Pscw;
-  if (obs::on(recorder())) {
-    recorder()->trace().instant(env.world_rank(), obs::Ev::EpochBegin,
-                              env.now(), static_cast<std::uint64_t>(my.epoch),
-                              static_cast<std::uint64_t>(win->id()));
-  }
+  trace_epoch_begin(env, *win, my.epoch);
   if (!(mode_assert & kModeNoCheck)) {
     const int need = static_cast<int>(my.access_group.size());
     progress_wait(env, [&my, need]() { return my.posts_seen >= need; });
@@ -431,11 +430,7 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
     charge(env, profile().op_inject);
   }
   my.epoch = EpochKind::Lock;
-  if (obs::on(recorder())) {
-    recorder()->trace().instant(env.world_rank(), obs::Ev::EpochBegin,
-                              env.now(), static_cast<std::uint64_t>(my.epoch),
-                              static_cast<std::uint64_t>(win->id()));
-  }
+  trace_epoch_begin(env, *win, my.epoch);
   observe_epoch_begin(
       *win, env.world_rank(),
       type == LockType::Exclusive ? EpochEv::LockExcl : EpochEv::Lock, target,
@@ -538,11 +533,7 @@ void Runtime::p_win_lock_all(Env& env, unsigned /*mode_assert*/,
                "win_lock_all while another epoch is active");
   env.ctx().advance(profile().op_inject);
   my.epoch = EpochKind::LockAll;
-  if (obs::on(recorder())) {
-    recorder()->trace().instant(env.world_rank(), obs::Ev::EpochBegin,
-                              env.now(), static_cast<std::uint64_t>(my.epoch),
-                              static_cast<std::uint64_t>(win->id()));
-  }
+  trace_epoch_begin(env, *win, my.epoch);
   observe_epoch_begin(*win, env.world_rank(), EpochEv::LockAll, -1,
                       env.now());
   // Only touched targets hold state to reset; every other target reads as

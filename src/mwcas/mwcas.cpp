@@ -19,6 +19,21 @@ namespace {
 constexpr std::size_t kWord = 8;
 constexpr int kMaxWords = 8;
 
+constexpr int kMdSlots = 4;  // MWCAS descriptors per rank
+constexpr int kWdSlots = 8;  // single-use word descriptors per rank
+constexpr int kMaxHelpDepth = 6;  // nested-help recursion bound
+static_assert(kMdSlots >= 1 && kMdSlots <= 32);
+static_assert(kWdSlots >= 1 && kWdSlots <= 32);
+// Each nesting level of a recursive help holds at most one live wd, so the
+// recursion bound implies the table bound.
+static_assert(kMaxHelpDepth + 2 <= kWdSlots + 1);
+
+// Deterministic exponential backoff between helping retries (same physics
+// as the KV bucket locks: the retry rate must drop below the progress
+// engine's service rate or original-MPI runs livelock).
+constexpr sim::Time kBackoffBase = sim::ns(300);
+constexpr int kBackoffCap = 8;
+
 // md slot layout (doubles): [0] seq, [1] status = gen*4+state, [2] n,
 // [3 + i*4 ..] per-word {rank, off, expected, desired}.
 constexpr int kMdWords = 3 + kMaxWords * 4;
@@ -46,25 +61,20 @@ constexpr std::int64_t kMaxVal = 1ll << 51;
 Mwcas::Mwcas(mpi::Env& env, const mpi::Comm& comm, const mpi::Win& win,
              std::size_t desc_off, const MwConfig& cfg)
     : env_(env), cfg_(cfg), comm_(comm), win_(win), desc_off_(desc_off) {
-  assert(cfg_.md_slots >= 1 && cfg_.md_slots <= 32);
-  assert(cfg_.wd_slots >= 1 && cfg_.wd_slots <= 32);
-  // Each nesting level of a recursive help holds at most one live wd, so the
-  // recursion bound implies the table bound.
-  assert(cfg_.max_help_depth + 2 <= cfg_.wd_slots + 1);
   me_ = env_.rank(comm_);
   nranks_ = env_.size(comm_);
   assert(nranks_ <= 128);
   rng_ = sim::Rng(env_.runtime().config().seed ^ 0x6d77ULL,
                   0x2000 + static_cast<std::uint64_t>(me_));
-  md_gen_.assign(static_cast<std::size_t>(cfg_.md_slots), 0);
-  md_live_.assign(static_cast<std::size_t>(cfg_.md_slots), false);
-  wd_gen_.assign(static_cast<std::size_t>(cfg_.wd_slots), 0);
-  wd_live_.assign(static_cast<std::size_t>(cfg_.wd_slots), false);
+  md_gen_.assign(static_cast<std::size_t>(kMdSlots), 0);
+  md_live_.assign(static_cast<std::size_t>(kMdSlots), false);
+  wd_gen_.assign(static_cast<std::size_t>(kWdSlots), 0);
+  wd_live_.assign(static_cast<std::size_t>(kWdSlots), false);
 }
 
-std::size_t Mwcas::region_bytes(const MwConfig& cfg) {
-  return (static_cast<std::size_t>(cfg.md_slots) * kMdWords +
-          static_cast<std::size_t>(cfg.wd_slots) * kWdWords) *
+std::size_t Mwcas::region_bytes() {
+  return (static_cast<std::size_t>(kMdSlots) * kMdWords +
+          static_cast<std::size_t>(kWdSlots) * kWdWords) *
          kWord;
 }
 
@@ -74,7 +84,7 @@ std::size_t Mwcas::md_off(int slot) const {
 
 std::size_t Mwcas::wd_off(int slot) const {
   return desc_off_ +
-         static_cast<std::size_t>(cfg_.md_slots) * kMdWords * kWord +
+         static_cast<std::size_t>(kMdSlots) * kMdWords * kWord +
          static_cast<std::size_t>(slot) * kWdWords * kWord;
 }
 
@@ -154,8 +164,8 @@ double Mwcas::araw_cas(int rank, std::size_t off, double expected,
 }
 
 void Mwcas::backoff(int attempt) {
-  const int k = attempt < cfg_.backoff_cap ? attempt : cfg_.backoff_cap;
-  const sim::Time window = cfg_.backoff_base << k;
+  const int k = attempt < kBackoffCap ? attempt : kBackoffCap;
+  const sim::Time window = kBackoffBase << k;
   env_.compute(1 + rng_.next_below(window));
 }
 
@@ -164,7 +174,7 @@ void Mwcas::backoff(int attempt) {
 
 int Mwcas::publish_md(const MwTarget* t, int n) {
   int slot = -1;
-  for (int s = 0; s < cfg_.md_slots; ++s) {
+  for (int s = 0; s < kMdSlots; ++s) {
     if (!md_live_[static_cast<std::size_t>(s)]) {
       slot = s;
       break;
@@ -174,7 +184,7 @@ int Mwcas::publish_md(const MwTarget* t, int n) {
     // Every slot is parked mid-op (abandoned by mwcas_dying): replay them
     // first — exactly what a restarted process would do.
     recover();
-    for (int s = 0; s < cfg_.md_slots; ++s) {
+    for (int s = 0; s < kMdSlots; ++s) {
       if (!md_live_[static_cast<std::size_t>(s)]) {
         slot = s;
         break;
@@ -212,13 +222,13 @@ void Mwcas::retire_md(int slot) {
 int Mwcas::publish_wd(int rank, std::size_t off, double expected,
                       double parent) {
   int slot = -1;
-  for (int s = 0; s < cfg_.wd_slots; ++s) {
+  for (int s = 0; s < kWdSlots; ++s) {
     if (!wd_live_[static_cast<std::size_t>(s)]) {
       slot = s;
       break;
     }
   }
-  assert(slot >= 0);  // guaranteed by the max_help_depth ctor assert
+  assert(slot >= 0);  // guaranteed by the kMaxHelpDepth static_assert
   const std::uint64_t gen = ++wd_gen_[static_cast<std::size_t>(slot)];
   double buf[kWdWords - 1];
   buf[0] = static_cast<double>(rank);
@@ -328,7 +338,7 @@ Mwcas::CcResult Mwcas::cond_cas(const MwTarget& w, const Ptr& parent,
         } else {
           ++stats_.stale_abandons;  // recycled under us; owner will scrub
         }
-      } else if (depth < cfg_.max_help_depth) {
+      } else if (depth < kMaxHelpDepth) {
         help_md(q, depth + 1);
       }
       // Deep recursion just backs off and retries: the op holding the cell
@@ -620,7 +630,7 @@ void Mwcas::write(int rank, std::size_t off, std::int64_t v) {
 
 int Mwcas::recover() {
   int done = 0;
-  for (int s = 0; s < cfg_.md_slots; ++s) {
+  for (int s = 0; s < kMdSlots; ++s) {
     if (!md_live_[static_cast<std::size_t>(s)]) continue;
     Ptr p;
     p.gen = md_gen_[static_cast<std::size_t>(s)];
@@ -684,9 +694,9 @@ void MwHeap::open() {
   const std::size_t data = static_cast<std::size_t>(words_) * 8;
   mpi::Info info;
   info.set(core::kEpochsUsedKey, "lockall");
-  win_ = env_.win_allocate(data + Mwcas::region_bytes(cfg_), 1, info, comm_,
+  win_ = env_.win_allocate(data + Mwcas::region_bytes(), 1, info, comm_,
                            &base_);
-  std::memset(base_, 0, data + Mwcas::region_bytes(cfg_));
+  std::memset(base_, 0, data + Mwcas::region_bytes());
   env_.win_lock_all(0, win_);
   env_.barrier(comm_);
   mw_ = std::make_unique<Mwcas>(env_, comm_, win_, data, cfg_);

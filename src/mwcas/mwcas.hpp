@@ -75,15 +75,9 @@ struct MwTarget {
   std::int64_t desired = 0;
 };
 
+/// The engine's shape (descriptor slots, backoff, help depth) is fixed in
+/// mwcas.cpp; only the planted bugs vary.
 struct MwConfig {
-  int md_slots = 4;   ///< MWCAS descriptors per rank (<= 32)
-  int wd_slots = 8;   ///< single-use word descriptors per rank (<= 32)
-  /// Deterministic exponential backoff between helping retries (same
-  /// physics as the KV bucket locks: the retry rate must drop below the
-  /// progress engine's service rate or original-MPI runs livelock).
-  sim::Time backoff_base = sim::ns(300);
-  int backoff_cap = 8;
-  int max_help_depth = 6;  ///< nested-help recursion bound
   // --- planted bugs (tests / MWCAS proofs only) ----------------------------
   bool bug_skip_help = false;     ///< reads/installs never help foreign ops
   bool bug_torn_install = false;  ///< phase 2 writes desired on Failed too
@@ -117,7 +111,7 @@ class Mwcas {
         std::size_t desc_off, const MwConfig& cfg);
 
   /// Bytes of descriptor table appended to EACH rank's segment.
-  static std::size_t region_bytes(const MwConfig& cfg);
+  static std::size_t region_bytes();
 
   /// Multi-word CAS: atomically installs every desired value iff every word
   /// holds its expected value. Targets need not be sorted (canonicalized

@@ -3,11 +3,18 @@
 // log2-bucket histograms, JSON dump shape).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/record.hpp"
 #include "obs/trace.hpp"
+
+#ifndef CASPER_SCRIPTS_DIR
+#error "CASPER_SCRIPTS_DIR must point at the scripts directory"
+#endif
 
 using namespace casper;
 
@@ -147,6 +154,34 @@ TEST(Tracer, EventNamesCoverTaxonomy) {
   EXPECT_STREQ(obs::to_string(obs::Ev::FiberSwitch), "fiber.switch");
   EXPECT_STREQ(obs::to_string(obs::Ev::GhostService), "ghost.service");
   EXPECT_STREQ(obs::to_string(obs::Ev::Compute), "compute");
+}
+
+// The chrome-trace validator rejects any event name outside its
+// KNOWN_EVENTS set, so that set must be exactly the tracer's vocabulary:
+// obs::to_string over every Ev value.
+TEST(Tracer, ValidatorKnowsExactlyTheEventNames) {
+  std::set<std::string> names;
+  for (int v = 0; v <= 255; ++v) {
+    const std::string n = obs::to_string(static_cast<obs::Ev>(v));
+    if (n != "unknown") names.insert(n);
+  }
+  std::ifstream py(CASPER_SCRIPTS_DIR "/validate_chrome_trace.py");
+  ASSERT_TRUE(py) << "cannot open validate_chrome_trace.py";
+  std::set<std::string> known;
+  bool in_set = false;
+  for (std::string line; std::getline(py, line);) {
+    if (line.rfind("KNOWN_EVENTS = {", 0) == 0) {
+      in_set = true;
+    } else if (in_set && line.rfind('}', 0) == 0) {
+      break;
+    } else if (in_set) {
+      const auto a = line.find('"');
+      const auto b = line.find('"', a + 1);
+      ASSERT_NE(b, std::string::npos) << "unparsed KNOWN_EVENTS line: " << line;
+      known.insert(line.substr(a + 1, b - a - 1));
+    }
+  }
+  EXPECT_EQ(known, names);
 }
 
 // ---------------------------------------------------------------- metrics --
